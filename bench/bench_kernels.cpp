@@ -218,17 +218,24 @@ void BM_VpRouteTopk(benchmark::State& state) {
 BENCHMARK(BM_VpRouteTopk);
 
 void BM_SlotMerge(benchmark::State& state) {
-  const core::SlotLayout layout{10};
+  // A slot already holding partition 0's k-NN takes partition 1's: the
+  // merge a second accumulate of a 2-probe query performs.
+  const core::SlotLayout layout{10, 4};
   Rng rng(16);
-  std::vector<Neighbor> local(10);
+  std::vector<Neighbor> local(20);
   for (std::size_t i = 0; i < local.size(); ++i) {
     local[i] = {rng.uniformf(), GlobalId(i)};
   }
-  std::sort(local.begin(), local.end());
-  const auto update = core::encode_slot_update(local, layout);
-  std::vector<std::byte> slot(layout.slot_bytes());
+  std::sort(local.begin(), local.begin() + 10);
+  std::sort(local.begin() + 10, local.end());
   const auto merge = core::knn_slot_merge(layout);
+  const std::span<const Neighbor> all(local);
+  std::vector<std::byte> merged_once(layout.slot_bytes());
+  merge(merged_once, core::encode_slot_update(all.first(10), layout, 0));
+  const auto update = core::encode_slot_update(all.last(10), layout, 1);
+  std::vector<std::byte> slot(layout.slot_bytes());
   for (auto _ : state) {
+    slot = merged_once;
     merge(slot, update);
     benchmark::DoNotOptimize(slot.data());
   }

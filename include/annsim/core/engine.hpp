@@ -12,6 +12,7 @@
 /// threads-as-ranks, per-worker state (partitions, local indexes) persists in
 /// engine-owned storage between the build phase and search phases.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,6 +35,8 @@
 #include "annsim/vptree/partition_vp_tree.hpp"
 
 namespace annsim::core {
+
+struct DoneNotice;
 
 /// Who computes F(q) and dispatches jobs (§IV discusses both).
 enum class DispatchStrategy {
@@ -87,11 +90,12 @@ struct EngineConfig {
   /// kills the rank from (roughly) the s-th dispatched query onward.
   mpi::FaultPlan fault;
   /// Failure-detection deadline: a worker with outstanding jobs that shows
-  /// no progress for this long is declared dead — not just for the batch but
-  /// until heal() revives it — and its jobs fail over to live replicas.
-  /// 0 (default) disables detection entirely — the search runs the exact
-  /// pre-fault-tolerance code path. Detection supports master-worker
-  /// single-pass routing only.
+  /// no progress for this long, or whose liveness beacon (sent every quarter
+  /// deadline) goes silent for this long, is declared dead — not just for
+  /// the batch but until heal() revives it — and its jobs fail over to live
+  /// replicas. 0 (default) is an infinite deadline: the same search path
+  /// with blocking waits, no beacons and no retries. A finite deadline
+  /// supports master-worker single-pass routing only.
   double result_timeout_ms = 0.0;
 
   // ---- self-healing (see recovery/) ----
@@ -116,12 +120,6 @@ struct EngineConfig {
   /// behavior). With a WAL the tail between checkpoints is replayable, so
   /// larger values trade checkpoint I/O for replay length.
   std::size_t checkpoint_every_rounds = 1;
-  /// Heartbeat period for the liveness beacon each worker sends the master
-  /// on a reliable control-plane tag while detection is armed. The master
-  /// declares a worker dead when its heartbeats go silent for
-  /// `result_timeout_ms` — even if the worker has no outstanding jobs.
-  /// 0 (default) = result_timeout_ms / 4.
-  double heartbeat_interval_ms = 0.0;
 
   // ---- usage-correctness checking (annsim::check) ----
   /// Run every engine runtime (build, search batches, heal) under the MPI
@@ -167,7 +165,7 @@ struct SearchStats {
   double mean_partitions_per_query = 0.0;
   mpi::TrafficStats traffic;  ///< runtime traffic during this search
 
-  // ---- fault tolerance (nonzero only with result_timeout_ms > 0) ----
+  // ---- fault tolerance (counters stay 0 at result_timeout_ms == 0) ----
   std::uint64_t retries = 0;          ///< jobs re-dispatched after a death
   std::uint64_t failovers = 0;        ///< retried jobs a live replica completed
   /// Workers *newly* declared dead this batch. A worker already dead in the
@@ -177,7 +175,7 @@ struct SearchStats {
   /// of per-batch counters.
   std::uint64_t workers_failed = 0;
   std::uint64_t degraded_queries = 0; ///< queries with partial coverage
-  /// Per-query coverage (filled when failure detection is armed).
+  /// Per-query coverage, one entry per query (full when nothing failed).
   std::vector<QueryCoverage> coverage;
 };
 
@@ -228,9 +226,11 @@ struct CompressionStats {
 /// soon as query `qid`'s final merged result is known (before `search`
 /// returns). In two-sided mode this fires as each query's last partial
 /// arrives; in one-sided mode all slots finalize together at the end of the
-/// batch epoch. `coverage.degraded()` flags a partial result (possible only
-/// under failure detection). Runs on a runtime-internal thread — keep it
-/// cheap, and synchronize any state it shares with the caller.
+/// batch epoch; in multiple-owner mode it fires as each owner's answer
+/// arrives. `coverage` counts the partitions searched against those planned;
+/// `coverage.degraded()` flags a partial result (possible only under a
+/// finite failure-detection deadline). Runs on a runtime-internal thread —
+/// keep it cheap, and synchronize any state it shares with the caller.
 using QueryDoneFn =
     std::function<void(std::size_t qid, const std::vector<Neighbor>& result,
                        const QueryCoverage& coverage)>;
@@ -418,6 +418,25 @@ class DistributedAnnEngine {
                      std::vector<std::uint64_t>& heartbeats,
                      std::span<const EffortOverride> efforts);
   void worker_search(mpi::Comm& world, std::size_t k);
+  /// Algorithm 4's job loop, shared by both dispatch policies: takes jobs
+  /// from `job_source` until EOQ and returns the done notice's counters.
+  /// Results go back by accumulate into `win` when it is given, else
+  /// two-sided on `result_tag` to each job's reply_to. `rank_duty`, when
+  /// set, runs on the rank thread while the team works.
+  DoneNotice run_job_loop(mpi::Comm& world, int job_source,
+                          mpi::Tag result_tag, mpi::Window* win, std::size_t k,
+                          const std::function<void()>& rank_duty);
+  /// Receive the done notice of every worker marked alive, per source, and
+  /// fold it into `stats`. Returns the workers whose notice missed the
+  /// failure-detection deadline.
+  std::vector<std::size_t> collect_done_notices(mpi::Comm& world,
+                                                const std::vector<char>& alive,
+                                                SearchStats& stats) const;
+  /// recv bounded by the failure-detection deadline (nullopt once it
+  /// passes); a plain blocking recv when the deadline is infinite.
+  std::optional<mpi::Message> recv_by_deadline(mpi::Comm& world, int source,
+                                               mpi::Tag tag) const;
+  [[nodiscard]] std::chrono::microseconds detection_timeout() const;
   /// Lazily create (or return) the engine-owned fault injector shared by
   /// every search runtime, so death flags and op budgets persist across
   /// batches. Null when the config's fault plan is inert.
@@ -449,8 +468,7 @@ class DistributedAnnEngine {
                            std::size_t k, std::size_t ef,
                            data::KnnResults& results, SearchStats& stats,
                            const QueryDoneFn& on_query_done);
-  void worker_search_owner(mpi::Comm& world, const data::Dataset& queries,
-                           std::size_t k, std::size_t ef);
+  void worker_search_owner(mpi::Comm& world, std::size_t k);
 
   const data::Dataset* base_ = nullptr;  ///< null after load()
   EngineConfig config_;

@@ -15,15 +15,14 @@
 namespace annsim::core {
 
 // Message tags of the search protocol.
-inline constexpr mpi::Tag kTagQuery = 1;    ///< master -> worker: one (q, d) job
-inline constexpr mpi::Tag kTagResult = 2;   ///< worker -> master: local k-NN (two-sided mode)
+inline constexpr mpi::Tag kTagQuery = 1;    ///< -> worker: one (q, d) job
+inline constexpr mpi::Tag kTagResult = 2;   ///< -> master: two-sided local k-NN
+                                            ///< or an owner's merged answer
 inline constexpr mpi::Tag kTagEoq = 3;      ///< master -> worker: End of Queries
 inline constexpr mpi::Tag kTagDone = 4;     ///< worker -> master: all jobs finished
 inline constexpr mpi::Tag kTagTree = 5;     ///< worker 0 -> master: serialized VP tree
 inline constexpr mpi::Tag kTagOwnerResult = 6;  ///< worker -> owner (multiple-owner mode)
 inline constexpr mpi::Tag kTagOwnerBatch = 8;   ///< master -> owner: its query share
-inline constexpr mpi::Tag kTagExpect = 9;       ///< master -> worker: total jobs to expect
-inline constexpr mpi::Tag kTagDispatchCounts = 10;  ///< owner -> master: jobs per dest
 inline constexpr mpi::Tag kTagReplica = 11;     ///< worker -> worker: partition replica
 inline constexpr mpi::Tag kTagHeartbeat = 12;   ///< worker -> master: liveness beacon
 
@@ -50,7 +49,9 @@ struct QueryJob {
 [[nodiscard]] std::vector<std::byte> encode_query_job(const QueryJob& job);
 [[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes);
 
-/// A worker's local k-NN result for one job.
+/// A worker's local k-NN result for one job. In multiple-owner mode it also
+/// carries an owner's merged answer to the master; there `partition` holds
+/// the number of partitions merged (|F(q)|) instead of a partition id.
 struct LocalResult {
   std::uint32_t query_id = 0;
   PartitionId partition = kInvalidPartition;
@@ -116,23 +117,24 @@ struct WriteAck {
 //
 // The master exposes one fixed-size slot per query:
 //   [ u32 merged_count | u32 pad | u64 partition_mask[W] | Neighbor[k] ]
-// Workers fold their local k-NN into a slot with a single atomic
-// get_accumulate whose merge op performs the sorted k-NN merge and bumps
-// merged_count. The master knows |F(q)| per query, so a slot is final once
-// merged_count reaches it.
+// with W = ceil(n_partitions / 64) mask words. Workers fold their local k-NN
+// into a slot with a single atomic get_accumulate whose merge op performs the
+// sorted k-NN merge, sets the searched partition's mask bit and bumps
+// merged_count, so merged_count is always the number of mask bits.
 //
-// The partition mask (W = ceil(n_partitions / 64) words, present only when
-// the layout declares n_partitions > 0) records which partitions have been
-// merged. It makes failover retries idempotent: a worker that died mid-batch
+// The mask makes failover retries idempotent: a worker that died mid-batch
 // may already have landed some of its merges, and a replica re-running the
-// same job must not double-merge the partition. The merge op skips an origin
-// whose partition bit is already set, and the master reads the mask both to
-// poll progress and to attribute per-query coverage. With n_partitions == 0
-// the mask is absent and the byte layout is exactly the legacy one.
+// same job must not double-merge the partition. The merge op drops an origin
+// whose partition bit is already set. The master reads the mask to poll
+// progress under a finite failure-detection deadline and to attribute
+// per-query coverage when the batch ends.
 
 struct SlotLayout {
-  std::size_t k = 0;
-  std::size_t n_partitions = 0;  ///< 0 = no partition mask (legacy layout)
+  /// k neighbors per slot; `partitions` >= 1 sizes the partition mask.
+  SlotLayout(std::size_t neighbors, std::size_t partitions);
+
+  std::size_t k;
+  std::size_t n_partitions;
 
   [[nodiscard]] std::size_t mask_words() const noexcept {
     return (n_partitions + 63) / 64;
@@ -156,36 +158,38 @@ struct SlotLayout {
                                  PartitionId p) noexcept;
 
 /// Serialize a local result into the accumulate origin-buffer format
-/// (count=1, then exactly k neighbors, padded with +inf sentinels). When the
-/// layout carries a partition mask, `partition` must identify the searched
-/// partition so the merge can deduplicate failover retries.
+/// (count=1, the searched `partition`'s mask bit, then exactly k neighbors,
+/// padded with +inf sentinels).
 [[nodiscard]] std::vector<std::byte> encode_slot_update(
     std::span<const Neighbor> neighbors, const SlotLayout& layout,
-    PartitionId partition = kInvalidPartition);
+    PartitionId partition);
 
 /// The merge op passed to Window::get_accumulate: k-NN-merge the origin
-/// neighbors into the target slot and add the origin's merged_count. With a
-/// partition mask, an origin whose partition bit is already set in the target
-/// is dropped (idempotent retry).
+/// neighbors into the target slot, set the origin's partition bit and add
+/// its merged_count. An origin whose partition bit is already set in the
+/// target is dropped (idempotent retry). Throws annsim::Error, leaving the
+/// target untouched, when either region is malformed.
 [[nodiscard]] mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout);
 
 /// Slot header only (cheap poll): merged count plus partition mask.
 struct SlotHeader {
   std::uint32_t merged_count = 0;
-  std::vector<std::uint64_t> mask;  ///< empty when the layout has no mask
+  std::vector<std::uint64_t> mask;
 
   [[nodiscard]] bool contains_partition(PartitionId p) const noexcept {
     return mask_contains(mask, p);
   }
 };
+/// Throws annsim::Error when the header is malformed: a mask bit at or past
+/// n_partitions, or merged_count different from the number of mask bits.
 [[nodiscard]] SlotHeader decode_slot_header(std::span<const std::byte> slot,
                                             const SlotLayout& layout);
 
 /// Decode a final slot into (merged_count, partition mask, sorted neighbors
-/// without sentinels).
+/// without sentinels). Validates the header like decode_slot_header.
 struct DecodedSlot {
   std::uint32_t merged_count = 0;
-  std::vector<std::uint64_t> mask;  ///< empty when the layout has no mask
+  std::vector<std::uint64_t> mask;
   std::vector<Neighbor> neighbors;
 
   [[nodiscard]] bool contains_partition(PartitionId p) const noexcept {

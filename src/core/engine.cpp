@@ -71,11 +71,8 @@ void validate_engine_config(const EngineConfig& config) {
                      "float_cache_fraction must be within [0, 1]");
   }
   ANNSIM_CHECK_MSG(config.result_timeout_ms >= 0.0,
-                   "result_timeout_ms cannot be negative (0 disables failure "
-                   "detection)");
-  ANNSIM_CHECK_MSG(config.heartbeat_interval_ms >= 0.0,
-                   "heartbeat_interval_ms cannot be negative (0 means "
-                   "result_timeout_ms / 4)");
+                   "result_timeout_ms cannot be negative (0 is an infinite "
+                   "deadline: no failure detection)");
   if (config.result_timeout_ms > 0.0) {
     ANNSIM_CHECK_MSG(config.strategy == DispatchStrategy::kMasterWorker,
                      "result_timeout_ms (failure detection) requires the "
@@ -390,7 +387,7 @@ data::KnnResults DistributedAnnEngine::search(
         if (world.rank() == 0) {
           master_search_owner(world, queries, k, ef, results, st, on_query_done);
         } else {
-          worker_search_owner(world, queries, k, ef);
+          worker_search_owner(world, k);
         }
       } else {
         if (world.rank() == 0) {
@@ -878,11 +875,14 @@ CompressionStats DistributedAnnEngine::compression_stats() const {
 }
 
 // Algorithm 3 (baseline) / Algorithm 5 (replication): the master routine.
-// With `result_timeout_ms > 0` the collection loops additionally detect
-// workers that stop making progress, fail their outstanding jobs over to
-// live replicas of the same partition, and finalize queries that lose every
-// replica as degraded partial results. With the default timeout of 0 the
-// function runs the exact legacy code path.
+// One path serves both transports and every detection setting: a job table
+// tracks each (query, partition) job, one collection loop feeds it from the
+// transport seam, and one finalize reports every query with its coverage.
+// `result_timeout_ms` is the failure-detection deadline. A finite one makes
+// the loop declare dead the workers that stop making progress, fail their
+// outstanding jobs over to live replicas of the same partition, and finalize
+// queries that lose every replica as degraded partial results. 0 is an
+// infinite deadline: every wait blocks and no job is ever retried.
 void DistributedAnnEngine::master_search(
     mpi::Comm& world, const data::Dataset& queries, std::size_t k,
     std::size_t ef, data::KnnResults& results, SearchStats& stats,
@@ -894,11 +894,8 @@ void DistributedAnnEngine::master_search(
   const auto& tree = *router_;
   const bool one_sided = config_.one_sided && !config_.exact_routing;
   const bool detect = config_.result_timeout_ms > 0.0;
-  // Detection needs the slot partition mask (idempotent failover merges and
-  // coverage attribution); without it the layout is the legacy one.
-  const SlotLayout layout{k, one_sided && detect ? P : 0};
-  const auto timeout = std::chrono::microseconds(
-      std::int64_t(config_.result_timeout_ms * 1000.0));
+  const SlotLayout layout{k, P};
+  const auto timeout = detection_timeout();
   using Clock = std::chrono::steady_clock;
 
   mpi::Window win;
@@ -911,13 +908,12 @@ void DistributedAnnEngine::master_search(
   // --- Algorithm 5 scaffolding: one round-robin pointer per workgroup
   // W_i = {p_i, p_{i+1 mod P}, ..., p_{i+r-1 mod P}}. Members declared dead
   // (this batch or any earlier one — `alive` is seeded from the engine's
-  // ClusterHealth) are skipped; the first probe matches the legacy choice
-  // exactly, so a fault-free run dispatches identically whether or not
-  // detection is armed.
+  // ClusterHealth) are skipped; the first probe is the fault-free choice, so
+  // a fault-free run dispatches identically whatever the deadline.
   std::vector<std::uint32_t> next(P, 0);
   // Brownout effort caps: a per-query override can shrink the beam width and
   // the routing fan-out, never widen them (both are min'd against the batch
-  // defaults). Empty span = every query at full effort, the legacy path.
+  // defaults). Empty span = every query at full effort.
   auto query_ef = [&](std::uint32_t qid) -> std::uint32_t {
     if (!efforts.empty() && efforts[qid].ef != 0) {
       const auto cap = efforts[qid].ef;
@@ -955,158 +951,115 @@ void DistributedAnnEngine::master_search(
     return -1;  // no live replica hosts partition d
   };
 
-  std::vector<std::uint32_t> expected(nq, 0);
-  std::vector<TopK> acc;  // two-sided merge accumulators
-  if (!one_sided) acc.assign(nq, TopK(k));
-
-  // --- failover bookkeeping (used only when detection is armed).
-  enum class JobState : char { kPending, kMerged, kAbandoned };
-  struct JobInfo {
-    JobState state = JobState::kPending;
-    int worker = -1;       ///< current assignee (worker id, not rank)
+  // --- the job table: one entry per (query, partition), flat per query.
+  enum class JobState : char { kNone, kPending, kMerged, kAbandoned };
+  struct Job {
+    JobState state = JobState::kNone;
     bool retried = false;  ///< re-dispatched after its first assignee died
+    int worker = -1;       ///< current assignee (worker id, not rank)
   };
-  auto jkey = [](std::uint32_t q, PartitionId d) {
-    return (std::uint64_t(q) << 32) | std::uint64_t(d);
+  std::vector<Job> jobs(nq * P);
+  auto job_at = [&](std::size_t q, PartitionId d) -> Job& {
+    return jobs[q * P + d];
   };
-  std::map<std::uint64_t, JobInfo> jobs;         // keyed by (query, partition)
+  std::vector<std::uint32_t> planned(nq, 0);    // |F(q)|
+  std::vector<std::uint32_t> remaining(nq, 0);  // pending jobs per query
+  std::vector<std::uint32_t> searched(nq, 0);   // merged partitions per query
   std::vector<std::uint32_t> pending_per_worker(P, 0);
-  std::vector<std::uint32_t> remaining(nq, 0);   // pending jobs per query
-  std::vector<std::uint32_t> searched(nq, 0);    // merged partitions per query
+  std::uint64_t outstanding = 0;                // pending jobs in the batch
   std::vector<Clock::time_point> last_activity(P, Clock::now());
-  // Liveness beacons: while detection is armed every worker heartbeats on a
+  // Liveness beacons: under a finite deadline every worker heartbeats on a
   // reliable tag, so the master notices a death even when the worker has no
   // outstanding jobs to time out on.
   std::vector<Clock::time_point> last_heartbeat(P, Clock::now());
+  auto plan_job = [&](std::size_t q, PartitionId d) {
+    ++planned[q];
+    const int m = dispatch_job(std::uint32_t(q), d);
+    // m < 0: every replica of d was dead before the batch started — the
+    // partition cannot be searched and the query will finalize short.
+    job_at(q, d) =
+        Job{m >= 0 ? JobState::kPending : JobState::kAbandoned, false, m};
+    if (m < 0) return;
+    ++pending_per_worker[std::size_t(m)];
+    ++remaining[q];
+    ++outstanding;
+  };
+
+  // --- finalize: the one place a query's answer and coverage are reported.
+  // Two-sided queries finalize as their last partial lands, so
+  // `on_query_done` streams completions in finish order rather than batch
+  // order — the serving plane's latency signal. That waits until every plan
+  // is final (exact routing's second phase extends the plans).
+  stats.coverage.assign(nq, {});
+  std::size_t finalized = 0;
+  auto finalize = [&](std::size_t q, std::vector<Neighbor> neighbors) {
+    results[q] = std::move(neighbors);
+    const QueryCoverage cov{searched[q], planned[q]};
+    stats.coverage[q] = cov;
+    if (cov.degraded()) ++stats.degraded_queries;
+    ++finalized;
+    if (on_query_done) on_query_done(q, results[q], cov);
+  };
+  std::vector<TopK> acc;  // two-sided merge accumulators
+  if (!one_sided) acc.assign(nq, TopK(k));
+  bool plans_final = false;
+  auto settle = [&](std::size_t q) {
+    if (!one_sided && plans_final && remaining[q] == 0) {
+      finalize(q, acc[q].take_sorted());
+    }
+  };
+  auto complete = [&](std::size_t q, PartitionId d, Clock::time_point now) {
+    Job& j = job_at(q, d);
+    // Anything else is a late duplicate from a worker declared dead too
+    // eagerly: the job completed elsewhere (or was abandoned).
+    if (j.state != JobState::kPending) return false;
+    j.state = JobState::kMerged;
+    if (j.retried) ++stats.failovers;
+    --pending_per_worker[std::size_t(j.worker)];
+    last_activity[std::size_t(j.worker)] = now;
+    ++searched[q];
+    --remaining[q];
+    --outstanding;
+    return true;
+  };
+
+  // Declare worker `w` dead for the rest of the batch: fail each of its
+  // pending jobs over to the next live replica of the partition; a job with
+  // no live replica left is abandoned and its query completes degraded.
+  auto declare_dead = [&](std::size_t w) {
+    alive[w] = 0;
+    ++stats.workers_failed;
+    for (std::size_t q = 0; q < nq; ++q) {
+      for (PartitionId d = 0; d < P; ++d) {
+        Job& j = job_at(q, d);
+        if (j.state != JobState::kPending || j.worker != int(w)) continue;
+        const int m = dispatch_job(std::uint32_t(q), d);
+        if (m >= 0) {
+          j.worker = m;
+          j.retried = true;
+          ++stats.retries;
+          ++pending_per_worker[std::size_t(m)];
+          last_activity[std::size_t(m)] = Clock::now();  // fresh deadline
+        } else {
+          j.state = JobState::kAbandoned;
+          --outstanding;
+          if (--remaining[q] == 0) settle(q);
+        }
+      }
+    }
+    pending_per_worker[w] = 0;
+  };
+  // Both deadline checks are no-ops under an infinite deadline.
   auto drain_heartbeats = [&](Clock::time_point now) {
-    while (world.iprobe(mpi::kAnySource, kTagHeartbeat)) {
+    while (detect && world.iprobe(mpi::kAnySource, kTagHeartbeat)) {
       const mpi::Message m = world.recv(mpi::kAnySource, kTagHeartbeat);
       const std::size_t w = std::size_t(m.source) - 1;
       ++heartbeats[w];
       last_heartbeat[w] = now;
     }
   };
-  if (detect) stats.coverage.assign(nq, {});
-
-  std::uint64_t total_jobs = 0;
-
-  if (!config_.exact_routing) {
-    // Single-pass F(q): best-first top-n_probe partitions.
-    for (std::size_t q = 0; q < nq; ++q) {
-      // The engine's logical step = queries dispatched: KillRule::at_step
-      // rules fire as the clock sweeps past their trigger.
-      if (fault != nullptr) fault->advance_step();
-      route_t.start();
-      auto plan = tree.route_topk(queries.row(q), query_probes(q));
-      route_t.stop();
-      expected[q] = std::uint32_t(plan.partitions.size());
-      total_jobs += plan.partitions.size();
-      for (PartitionId d : plan.partitions) {
-        const int m = dispatch_job(std::uint32_t(q), d);
-        if (!detect) continue;
-        if (m >= 0) {
-          jobs[jkey(std::uint32_t(q), d)] = JobInfo{JobState::kPending, m, false};
-          ++pending_per_worker[std::size_t(m)];
-          ++remaining[q];
-        }
-        // m < 0: every replica of d was dead before the batch started — the
-        // partition cannot be searched and the query will finalize short.
-      }
-    }
-    // With detection armed, EOQ is deferred until every query finalizes so
-    // live workers stay available for failover jobs.
-    if (!detect) {
-      for (std::size_t w = 0; w < P; ++w) {
-        ScopedPhase p(dispatch_t);
-        (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
-      }
-    }
-  } else {
-    // Two-phase exact F(q): nearest partition first, then every partition
-    // intersecting the ball at the observed k-th distance.
-    std::vector<PartitionId> first(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      first[q] = tree.route_nearest(queries.row(q));
-      route_t.stop();
-      expected[q] = 1;
-      ++total_jobs;
-      dispatch_job(std::uint32_t(q), first[q]);
-    }
-    // Collect phase-1 results (two-sided).
-    std::vector<float> radius(nq, std::numeric_limits<float>::infinity());
-    for (std::size_t i = 0; i < nq; ++i) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
-      ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(m.payload);
-      acc[r.query_id].merge(r.neighbors);
-      if (r.neighbors.size() >= k) radius[r.query_id] = r.neighbors[k - 1].dist;
-    }
-    // Phase 2: exact ball routing, skipping the partition already searched.
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      auto parts = tree.route_ball(queries.row(q), radius[q]);
-      route_t.stop();
-      for (PartitionId d : parts) {
-        if (d == first[q]) continue;
-        ++expected[q];
-        ++total_jobs;
-        dispatch_job(std::uint32_t(q), d);
-      }
-    }
-    for (std::size_t w = 0; w < P; ++w) {
-      ScopedPhase p(dispatch_t);
-      (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
-    }
-  }
-
-  // --- result collection (two-sided): finalize each query as its last
-  // partial arrives, so `on_query_done` streams completions in finish order
-  // rather than batch order — the serving plane's latency signal.
-  std::vector<char> finalized(nq, 0);
-  auto coverage_of = [&](std::size_t q) {
-    return detect ? QueryCoverage{searched[q], expected[q]}
-                  : QueryCoverage{expected[q], expected[q]};
-  };
-  auto finalize_query = [&](std::size_t q) {
-    results[q] = acc[q].take_sorted();
-    finalized[q] = 1;
-    const QueryCoverage cov = coverage_of(q);
-    if (detect) {
-      stats.coverage[q] = cov;
-      if (cov.degraded()) ++stats.degraded_queries;
-    }
-    if (on_query_done) on_query_done(q, results[q], cov);
-  };
-
-  // Declare worker `w` dead for the rest of the batch: fail each of its
-  // pending jobs over to the next live replica of the partition; a job with
-  // no live replica left is abandoned and its query completes degraded.
-  std::uint64_t outstanding = 0;  // pending jobs across the batch (detect)
-  auto declare_dead = [&](std::size_t w) {
-    alive[w] = 0;
-    ++stats.workers_failed;
-    for (auto& [key, info] : jobs) {
-      if (info.state != JobState::kPending || info.worker != int(w)) continue;
-      const auto q = std::uint32_t(key >> 32);
-      const auto d = PartitionId(key & 0xffffffffULL);
-      const int m = dispatch_job(q, d);
-      if (m >= 0) {
-        info.worker = m;
-        info.retried = true;
-        ++stats.retries;
-        ++pending_per_worker[std::size_t(m)];
-        last_activity[std::size_t(m)] = Clock::now();  // fresh deadline
-      } else {
-        info.state = JobState::kAbandoned;
-        --outstanding;
-        if (--remaining[q] == 0 && !one_sided) finalize_query(q);
-      }
-    }
-    pending_per_worker[w] = 0;
-  };
   auto check_deadlines = [&](Clock::time_point now) {
-    for (std::size_t w = 0; w < P; ++w) {
+    for (std::size_t w = 0; detect && w < P; ++w) {
       if (!alive[w]) continue;
       // Job-activity deadline: pending work with no visible progress. Kept
       // alongside the heartbeat deadline because an alive-but-drop-starved
@@ -1119,190 +1072,145 @@ void DistributedAnnEngine::master_search(
     }
   };
 
-  if (!one_sided && !detect) {
-    std::vector<std::uint32_t> todo(nq);
-    std::uint64_t legacy_outstanding = 0;
-    for (std::size_t q = 0; q < nq; ++q) {
-      // Phase-1 results of exact routing were already merged above.
-      todo[q] = expected[q] - (config_.exact_routing ? 1 : 0);
-      legacy_outstanding += todo[q];
-    }
-    if (config_.exact_routing) {
-      for (std::size_t q = 0; q < nq; ++q) {
-        if (todo[q] == 0) finalize_query(q);
-      }
-    }
-    for (std::uint64_t i = 0; i < legacy_outstanding; ++i) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
+  // --- the transport seam: wait for result progress and feed each job it
+  // shows complete to the table. Two-sided: one result message. One-sided:
+  // one sweep over the slot headers, a job being done once its partition
+  // bit is in its query's mask.
+  const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
+  auto await_results = [&] {
+    if (!one_sided) {
+      auto msg = recv_by_deadline(world, mpi::kAnySource, kTagResult);
+      if (!msg.has_value()) return;
       ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(m.payload);
+      LocalResult r = decode_local_result(msg->payload);
+      if (!complete(r.query_id, r.partition, Clock::now())) return;
       acc[r.query_id].merge(r.neighbors);
-      if (--todo[r.query_id] == 0) finalize_query(r.query_id);
+      settle(r.query_id);
+      return;
     }
-  } else if (!one_sided && detect) {
-    for (std::size_t q = 0; q < nq; ++q) outstanding += remaining[q];
-    // A query can lose every live replica already at dispatch (workers dead
-    // since an earlier batch); nothing of it is in flight, so finalize it
-    // now — degraded — or the collection loop would never visit it.
+    bool progress = false;
+    const auto now = Clock::now();
     for (std::size_t q = 0; q < nq; ++q) {
-      if (remaining[q] == 0) finalize_query(q);
+      if (remaining[q] == 0) continue;
+      const SlotHeader hdr = decode_slot_header(
+          win.get(0, layout.slot_offset(q), layout.header_bytes()), layout);
+      for (PartitionId d = 0; d < P; ++d) {
+        if (hdr.contains_partition(d) && complete(q, d, now)) progress = true;
+      }
     }
+    if (!progress) sleep_approx(poll);
+  };
+  // Under an infinite deadline one-sided results need no collection: the
+  // done notices are the completion signal, and finalize reads every job off
+  // the slot masks. Polling there would only take a core from the workers.
+  const bool collect_results = !one_sided || detect;
+  auto collect = [&] {
     const auto arm_time = Clock::now();
-    for (std::size_t w = 0; w < P; ++w) {
-      last_activity[w] = arm_time;
-      last_heartbeat[w] = arm_time;
-    }
+    std::fill(last_activity.begin(), last_activity.end(), arm_time);
+    std::fill(last_heartbeat.begin(), last_heartbeat.end(), arm_time);
+    if (one_sided) win.lock_shared(0);
     while (outstanding > 0) {
-      auto msg = world.recv_for(mpi::kAnySource, kTagResult, timeout);
+      await_results();
       const auto now = Clock::now();
       drain_heartbeats(now);
-      if (msg.has_value()) {
-        ScopedPhase p(merge_t);
-        LocalResult r = decode_local_result(msg->payload);
-        last_activity[std::size_t(msg->source) - 1] = now;
-        const auto it = jobs.find(jkey(r.query_id, r.partition));
-        if (it != jobs.end() && it->second.state == JobState::kPending) {
-          it->second.state = JobState::kMerged;
-          if (it->second.retried) ++stats.failovers;
-          --pending_per_worker[std::size_t(it->second.worker)];
-          acc[r.query_id].merge(r.neighbors);
-          ++searched[r.query_id];
-          --outstanding;
-          if (--remaining[r.query_id] == 0) finalize_query(r.query_id);
-        }
-        // else: late duplicate from a worker declared dead too eagerly; the
-        // job already completed elsewhere (or was abandoned) — drop it.
-      }
       check_deadlines(now);
     }
-  } else if (one_sided && detect) {
-    // One-sided collection: poll slot headers for progress. A job is done
-    // once its partition bit appears in the query's mask; a worker whose
-    // pending jobs show no new bits for `timeout` is declared dead.
-    for (std::size_t q = 0; q < nq; ++q) outstanding += remaining[q];
-    const auto arm_time = Clock::now();
-    for (std::size_t w = 0; w < P; ++w) {
-      last_activity[w] = arm_time;
-      last_heartbeat[w] = arm_time;
-    }
-    const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
-    win.lock_shared(0);
-    while (outstanding > 0) {
-      bool progress = false;
-      const auto now = Clock::now();
-      drain_heartbeats(now);
-      for (std::size_t q = 0; q < nq; ++q) {
-        if (remaining[q] == 0) continue;
-        auto hdr_bytes =
-            win.get(0, layout.slot_offset(q), layout.header_bytes());
-        const SlotHeader hdr = decode_slot_header(hdr_bytes, layout);
-        for (auto it = jobs.lower_bound(jkey(std::uint32_t(q), 0));
-             it != jobs.end() && (it->first >> 32) == q; ++it) {
-          auto& info = it->second;
-          if (info.state != JobState::kPending) continue;
-          const auto d = PartitionId(it->first & 0xffffffffULL);
-          if (!hdr.contains_partition(d)) continue;
-          info.state = JobState::kMerged;
-          if (info.retried) ++stats.failovers;
-          --pending_per_worker[std::size_t(info.worker)];
-          last_activity[std::size_t(info.worker)] = now;
-          ++searched[q];
-          --remaining[q];
-          --outstanding;
-          progress = true;
-        }
-      }
-      if (outstanding == 0) break;
-      check_deadlines(now);
-      if (!progress) sleep_approx(poll);
-    }
-    win.unlock(0);
-  }
+    if (one_sided) win.unlock(0);
+  };
 
-  // With detection armed, EOQ goes out only now — after every query has
-  // either completed or been abandoned — so live workers could serve
-  // failover jobs until the very end of the batch.
-  if (detect) {
+  if (!config_.exact_routing) {
+    // Single-pass F(q): best-first top-n_probe partitions.
+    for (std::size_t q = 0; q < nq; ++q) {
+      // The engine's logical step = queries dispatched: KillRule::at_step
+      // rules fire as the clock sweeps past their trigger.
+      if (fault != nullptr) fault->advance_step();
+      route_t.start();
+      auto plan = tree.route_topk(queries.row(q), query_probes(q));
+      route_t.stop();
+      for (PartitionId d : plan.partitions) plan_job(q, d);
+    }
+  } else {
+    // Two-phase exact F(q): nearest partition first, then every partition
+    // intersecting the ball at the observed k-th distance.
+    std::vector<PartitionId> first(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      route_t.start();
+      first[q] = tree.route_nearest(queries.row(q));
+      route_t.stop();
+      plan_job(q, first[q]);
+    }
+    collect();  // phase 1 (two-sided); plans are not final yet
+    for (std::size_t q = 0; q < nq; ++q) {
+      route_t.start();
+      auto parts = tree.route_ball(queries.row(q), acc[q].worst_dist());
+      route_t.stop();
+      for (PartitionId d : parts) {
+        if (d != first[q]) plan_job(q, d);
+      }
+    }
+  }
+  plans_final = true;
+  // A query can have nothing in flight already: its phase-1 job was its
+  // whole plan, or it lost every live replica at dispatch (workers dead
+  // since an earlier batch). Finalize it now, or no result would visit it.
+  for (std::size_t q = 0; q < nq; ++q) settle(q);
+
+  // EOQ goes out as soon as no job can still need a retry: right after
+  // dispatch under an infinite deadline, after collection under a finite
+  // one, so live workers can serve failover jobs until the batch ends.
+  bool eoq_sent = false;
+  auto send_eoq_when_final = [&] {
+    if (eoq_sent || (detect && outstanding > 0)) return;
+    eoq_sent = true;
     for (std::size_t w = 0; w < P; ++w) {
       ScopedPhase p(dispatch_t);
       (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
     }
-  }
+  };
+  send_eoq_when_final();
+  if (collect_results) collect();
+  send_eoq_when_final();
 
   // --- completion notices (also carry the Fig 4(b) per-process job counts).
-  if (!detect) {
-    for (std::size_t w = 0; w < P; ++w) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagDone);
-      BinaryReader rd(m.payload);
-      const auto notice = rd.read<DoneNotice>();
-      stats.jobs_per_worker[std::size_t(m.source) - 1] = notice.jobs_processed;
-      stats.worker_compute_seconds += notice.compute_seconds;
-      stats.worker_comm_seconds += notice.comm_seconds;
-    }
-  } else {
-    // A dead worker's notice was eaten by the injector; collect per source
-    // with a deadline instead of blocking on a wildcard that may never match.
-    for (std::size_t w = 0; w < P; ++w) {
-      if (!alive[w]) continue;
-      auto m = world.recv_for(int(w) + 1, kTagDone, timeout);
-      if (!m.has_value()) {
-        // Died after its last result but before the done notice.
-        declare_dead(w);
-        continue;
-      }
-      BinaryReader rd(m->payload);
-      const auto notice = rd.read<DoneNotice>();
-      stats.jobs_per_worker[w] = notice.jobs_processed;
-      stats.worker_compute_seconds += notice.compute_seconds;
-      stats.worker_comm_seconds += notice.comm_seconds;
-    }
+  // A notice missing its deadline means the worker died after its last
+  // result; every job is merged or abandoned by now, so nothing fails over.
+  for (const std::size_t w : collect_done_notices(world, alive, stats)) {
+    declare_dead(w);
   }
 
-  // --- finalize results.
   if (one_sided) {
-    // Legacy mode: all workers are done, so every accumulate has landed.
-    // Detect mode: every job is merged or abandoned; coverage comes from the
-    // final mask, which also absorbs merges that landed after their worker
-    // was (too eagerly) declared dead.
-    // (A real MPI master reads its exposed buffer directly; we go through
-    // get() so the C++ memory model sees the same synchronisation the
-    // window's target lock provides.)
+    // Every accumulate has landed, so each slot's mask is final. It also
+    // absorbs merges that landed after their worker was (too eagerly)
+    // declared dead. (A real MPI master reads its exposed buffer directly;
+    // we go through get() so the C++ memory model sees the same
+    // synchronisation the window's target lock provides.)
     ScopedPhase p(merge_t);
     win.lock_shared(0);
     for (std::size_t q = 0; q < nq; ++q) {
-      auto bytes = win.get(0, layout.slot_offset(q), layout.slot_bytes());
-      DecodedSlot slot = decode_slot(bytes, layout);
-      if (!detect) {
-        ANNSIM_CHECK_MSG(slot.merged_count == expected[q],
-                         "slot " << q << ": merged " << slot.merged_count
-                                 << " of " << expected[q] << " results");
-      } else {
-        std::uint32_t landed = 0;
-        for (auto it = jobs.lower_bound(jkey(std::uint32_t(q), 0));
-             it != jobs.end() && (it->first >> 32) == q; ++it) {
-          if (slot.contains_partition(PartitionId(it->first & 0xffffffffULL))) {
-            ++landed;
-          }
-        }
-        ANNSIM_CHECK_MSG(slot.merged_count == landed,
-                         "slot " << q << ": merged " << slot.merged_count
-                                 << " but mask shows " << landed);
-        searched[q] = landed;
+      DecodedSlot slot = decode_slot(
+          win.get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
+      std::uint32_t landed = 0;
+      bool abandoned = false;
+      for (PartitionId d = 0; d < P; ++d) {
+        const JobState state = job_at(q, d).state;
+        if (state == JobState::kNone) continue;
+        abandoned = abandoned || state == JobState::kAbandoned;
+        if (slot.contains_partition(d)) ++landed;
       }
-      results[q] = std::move(slot.neighbors);
-      const QueryCoverage cov = coverage_of(q);
-      if (detect) {
-        stats.coverage[q] = cov;
-        if (cov.degraded()) ++stats.degraded_queries;
-      }
-      if (on_query_done) on_query_done(q, results[q], cov);
+      ANNSIM_CHECK_MSG(slot.merged_count == landed &&
+                           (abandoned || landed == planned[q]),
+                       "slot " << q << ": merged " << slot.merged_count
+                               << ", mask shows " << landed << " of "
+                               << planned[q] << " planned jobs");
+      searched[q] = landed;
+      finalize(q, std::move(slot.neighbors));
     }
     win.unlock(0);
-  } else {
-    // Two-sided results were finalized (and reported) in the streaming loop.
-    for (std::size_t q = 0; q < nq; ++q) ANNSIM_CHECK(finalized[q]);
   }
+  ANNSIM_CHECK(finalized == nq);
 
+  std::uint64_t total_jobs = 0;
+  for (const std::uint32_t n : planned) total_jobs += n;
   stats.master_route_seconds = route_t.total_seconds();
   stats.master_dispatch_seconds = dispatch_t.total_seconds();
   stats.master_merge_seconds = merge_t.total_seconds();
@@ -1310,15 +1218,46 @@ void DistributedAnnEngine::master_search(
   stats.mean_partitions_per_query = nq ? double(total_jobs) / double(nq) : 0.0;
 }
 
-// Algorithm 4: the worker routine (a team of threads, each polling with
-// MPI_Test and terminating through the shared Done flag).
-void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
-  const std::size_t me = std::size_t(world.rank()) - 1;
-  const bool one_sided = config_.one_sided && !config_.exact_routing;
-  const bool detect = config_.result_timeout_ms > 0.0;
-  // Must mirror the master's layout choice exactly (same window geometry).
-  const SlotLayout layout{k, one_sided && detect ? config_.n_workers : 0};
+std::chrono::microseconds DistributedAnnEngine::detection_timeout() const {
+  return std::chrono::microseconds(
+      std::int64_t(config_.result_timeout_ms * 1000.0));
+}
 
+std::optional<mpi::Message> DistributedAnnEngine::recv_by_deadline(
+    mpi::Comm& world, int source, mpi::Tag tag) const {
+  // An infinite deadline is the blocking recv, never recv_for with a huge
+  // duration: under a schedule controller a timed wait is a timeout choice
+  // point, and only blocking waits take part in deadlock detection.
+  if (config_.result_timeout_ms <= 0.0) return world.recv(source, tag);
+  return world.recv_for(source, tag, detection_timeout());
+}
+
+std::vector<std::size_t> DistributedAnnEngine::collect_done_notices(
+    mpi::Comm& world, const std::vector<char>& alive,
+    SearchStats& stats) const {
+  // Per source rather than a wildcard: a dead worker's notice was eaten by
+  // the injector, and a wildcard might wait on it forever.
+  std::vector<std::size_t> silent;
+  for (std::size_t w = 0; w < alive.size(); ++w) {
+    if (!alive[w]) continue;
+    const auto m = recv_by_deadline(world, int(w) + 1, kTagDone);
+    if (!m.has_value()) {
+      silent.push_back(w);
+      continue;
+    }
+    BinaryReader rd(m->payload);
+    const auto notice = rd.read<DoneNotice>();
+    stats.jobs_per_worker[w] = notice.jobs_processed;
+    stats.worker_compute_seconds += notice.compute_seconds;
+    stats.worker_comm_seconds += notice.comm_seconds;
+    stats.master_route_seconds += notice.route_seconds;  // owner-side routing
+  }
+  return silent;
+}
+
+// Algorithm 4: the worker routine of master-worker dispatch.
+void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
+  const bool one_sided = config_.one_sided && !config_.exact_routing;
   mpi::Window win;
   if (one_sided) {
     win = world.create_window(0);
@@ -1326,6 +1265,50 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
     // epoch for the whole batch, shared by this worker's thread team.
     win.lock_shared(0);
   }
+
+  // Liveness beacon (finite deadline only): beat on a reliable tag until the
+  // batch terminates. The fabric never drops a beat, so the only way the
+  // master stops hearing this worker is the worker actually dying — which is
+  // exactly what the injector does to a killed rank's sends, reliable or not.
+  std::atomic<bool> over{false};
+  std::thread beacon;
+  if (config_.result_timeout_ms > 0.0) {
+    const auto interval = std::max(detection_timeout() / 4,
+                                   std::chrono::microseconds(100));
+    beacon = std::thread([&, interval] {
+      const auto slice = std::min<std::chrono::microseconds>(
+          interval, std::chrono::microseconds(1000));
+      while (!over.load(std::memory_order_acquire)) {
+        (void)world.isend_reserved(0, kTagHeartbeat, {});
+        // Sleep the interval in slices so termination stays prompt.
+        const auto wake = std::chrono::steady_clock::now() + interval;
+        while (!over.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < wake) {
+          sleep_approx(slice);
+        }
+      }
+    });
+  }
+
+  const DoneNotice notice = run_job_loop(world, /*job_source=*/0, kTagResult,
+                                         one_sided ? &win : nullptr, k, {});
+  over.store(true, std::memory_order_release);
+  if (beacon.joinable()) beacon.join();
+  if (one_sided) win.unlock(0);
+
+  BinaryWriter w;
+  w.write(notice);
+  world.send_reserved(0, kTagDone, w.bytes());
+}
+
+// Algorithm 4's job loop, shared by both dispatch policies: a team of
+// threads, each polling with MPI_Test and terminating through the shared
+// Done flag once one of them takes the End of Queries.
+DoneNotice DistributedAnnEngine::run_job_loop(
+    mpi::Comm& world, int job_source, mpi::Tag result_tag, mpi::Window* win,
+    std::size_t k, const std::function<void()>& rank_duty) {
+  const std::size_t me = std::size_t(world.rank()) - 1;
+  const SlotLayout layout{k, config_.n_workers};
   const auto merge_op = knn_slot_merge(layout);
 
   std::atomic<bool> done{false};
@@ -1339,7 +1322,7 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
       // A tag set, not a wildcard: the worker names exactly what it is
       // willing to consume, so a stray control message can never be
       // swallowed as a query (annsim::check's wildcard-recv rule).
-      mpi::Request req = world.irecv_tags(0, {kTagQuery, kTagEoq});
+      mpi::Request req = world.irecv_tags(job_source, {kTagQuery, kTagEoq});
       Backoff backoff;
       bool cancelled = false;
       while (!req.test()) {
@@ -1369,16 +1352,17 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
       my_compute += tc.seconds();
 
       WallTimer tm;
-      if (one_sided) {
-        win.get_accumulate(0, layout.slot_offset(job.query_id),
-                           encode_slot_update(local, layout, job.partition),
-                           merge_op);
+      if (win != nullptr) {
+        win->get_accumulate(0, layout.slot_offset(job.query_id),
+                            encode_slot_update(local, layout, job.partition),
+                            merge_op);
       } else {
         LocalResult r;
         r.query_id = job.query_id;
         r.partition = job.partition;
         r.neighbors = std::move(local);
-        (void)world.isend(int(job.reply_to), kTagResult, encode_local_result(r));
+        (void)world.isend(int(job.reply_to), result_tag,
+                          encode_local_result(r));
       }
       my_comm += tm.seconds();
       jobs.fetch_add(1, std::memory_order_relaxed);
@@ -1388,33 +1372,7 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
     comm_s += my_comm;
   };
 
-  // Liveness beacon (armed with detection): beat on a reliable tag until the
-  // batch terminates. The fabric never drops a beat, so the only way the
-  // master stops hearing this worker is the worker actually dying — which is
-  // exactly what the injector does to a killed rank's sends, reliable or not.
-  std::thread beacon;
-  if (detect) {
-    const double interval_ms = config_.heartbeat_interval_ms > 0.0
-                                   ? config_.heartbeat_interval_ms
-                                   : config_.result_timeout_ms / 4.0;
-    const auto interval = std::chrono::microseconds(
-        std::max<std::int64_t>(std::int64_t(interval_ms * 1000.0), 100));
-    beacon = std::thread([&] {
-      const auto slice = std::min<std::chrono::microseconds>(
-          interval, std::chrono::microseconds(1000));
-      while (!done.load(std::memory_order_acquire)) {
-        (void)world.isend_reserved(0, kTagHeartbeat, {});
-        // Sleep the interval in slices so termination stays prompt.
-        const auto wake = std::chrono::steady_clock::now() + interval;
-        while (!done.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < wake) {
-          sleep_approx(slice);
-        }
-      }
-    });
-  }
-
-  if (config_.threads_per_worker == 1) {
+  if (config_.threads_per_worker == 1 && !rank_duty) {
     // A one-thread team runs inline on the rank thread itself. This is what
     // keeps the worker schedulable under annsim::explore: a spawned team
     // member would be an untracked helper racing around the controller,
@@ -1426,19 +1384,15 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
     for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
       team.emplace_back(thread_main);
     }
+    if (rank_duty) rank_duty();
     for (auto& t : team) t.join();
   }
-  if (beacon.joinable()) beacon.join();
-
-  if (one_sided) win.unlock(0);
 
   DoneNotice notice;
   notice.jobs_processed = jobs.load();
   notice.compute_seconds = compute_s;
   notice.comm_seconds = comm_s;
-  BinaryWriter w;
-  w.write(notice);
-  world.send_reserved(0, kTagDone, w.bytes());
+  return notice;
 }
 
 // ------------------------------------------------------------ recovery ----

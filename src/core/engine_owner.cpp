@@ -1,9 +1,5 @@
-#include <atomic>
-#include <chrono>
-#include <mutex>
-#include <thread>
+#include <map>
 
-#include "annsim/common/backoff.hpp"
 #include "annsim/common/error.hpp"
 #include "annsim/common/timer.hpp"
 #include "annsim/common/topk.hpp"
@@ -56,49 +52,30 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
     (void)world.isend(int(w) + 1, kTagOwnerBatch, wtr.bytes());
   }
 
-  // --- collect per-destination dispatch counts; tell each worker how many
-  // jobs to expect so its thread team can terminate.
-  std::vector<std::uint64_t> totals(P, 0);
-  std::uint64_t total_jobs = 0;
-  for (std::size_t i = 0; i < P; ++i) {
-    mpi::Message m = world.recv(mpi::kAnySource, kTagDispatchCounts);
-    BinaryReader rd(m.payload);
-    auto counts = rd.read_vector<std::uint64_t>();
-    ANNSIM_CHECK(counts.size() == P);
-    for (std::size_t w = 0; w < P; ++w) {
-      totals[w] += counts[w];
-      total_jobs += counts[w];
-    }
-  }
-  for (std::size_t w = 0; w < P; ++w) {
-    BinaryWriter wtr;
-    wtr.write(totals[w]);
-    ScopedPhase p(dispatch_t);
-    (void)world.isend(int(w) + 1, kTagExpect, wtr.bytes());
-  }
-
-  // --- collect the merged per-query answers from the owners.
+  // --- collect the merged per-query answers from the owners. This mode has
+  // no failure detection, so every answer covers its whole plan.
+  stats.coverage.assign(nq, {});
   for (std::size_t i = 0; i < nq; ++i) {
     mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
     ScopedPhase p(merge_t);
     LocalResult r = decode_local_result(m.payload);
+    const QueryCoverage cov{r.partition, r.partition};  // |F(q)| merged
     results[r.query_id] = std::move(r.neighbors);
-    // Owner mode runs without failure detection; coverage is always full
-    // (a zero/zero QueryCoverage is never degraded).
-    if (on_query_done) on_query_done(r.query_id, results[r.query_id], {});
+    stats.coverage[r.query_id] = cov;
+    if (on_query_done) on_query_done(r.query_id, results[r.query_id], cov);
   }
 
-  // --- completion notices.
+  // --- termination: an owner answers only once every job of its query has
+  // run, so with all nq answers in no job is left anywhere, and EOQ ends
+  // the job loops exactly as in master-worker mode.
   for (std::size_t w = 0; w < P; ++w) {
-    mpi::Message m = world.recv(mpi::kAnySource, kTagDone);
-    BinaryReader rd(m.payload);
-    const auto notice = rd.read<DoneNotice>();
-    stats.jobs_per_worker[std::size_t(m.source) - 1] = notice.jobs_processed;
-    stats.worker_compute_seconds += notice.compute_seconds;
-    stats.worker_comm_seconds += notice.comm_seconds;
-    stats.master_route_seconds += notice.route_seconds;  // owner-side routing
+    ScopedPhase p(dispatch_t);
+    (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
   }
+  (void)collect_done_notices(world, std::vector<char>(P, 1), stats);
 
+  std::uint64_t total_jobs = 0;
+  for (const std::uint64_t n : stats.jobs_per_worker) total_jobs += n;
   stats.master_dispatch_seconds = dispatch_t.total_seconds();
   stats.master_merge_seconds = merge_t.total_seconds();
   stats.total_jobs = total_jobs;
@@ -106,158 +83,69 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
 }
 
 void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
-                                               const data::Dataset& queries,
-                                               std::size_t k, std::size_t ef) {
-  (void)queries;  // owners receive their queries via kTagOwnerBatch
-  (void)ef;
+                                               std::size_t k) {
   const std::size_t P = config_.n_workers;
   const std::size_t me = std::size_t(world.rank()) - 1;
   const auto& tree = *router_;  // shared VP tree (replicated in the paper)
 
-  std::atomic<bool> all_done{false};
-  std::atomic<std::uint64_t> jobs{0};
-  std::atomic<std::uint64_t> expected{~0ULL};
-  std::mutex agg_mu;
-  double compute_s = 0.0, comm_s = 0.0;
-
-  // Processing threads: identical to Algorithm 4, but jobs arrive from any
-  // owner and results return to the job's owner.
-  auto thread_main = [&] {
-    double my_compute = 0.0, my_comm = 0.0;
-    for (;;) {
-      mpi::Request req = world.irecv(mpi::kAnySource, kTagQuery);
-      Backoff backoff;
-      bool cancelled = false;
-      while (!req.test()) {
-        const std::uint64_t exp = expected.load(std::memory_order_acquire);
-        if (all_done.load(std::memory_order_acquire) ||
-            jobs.load(std::memory_order_acquire) >= exp) {
-          if (req.cancel()) {
-            cancelled = true;
-            break;
-          }
-        }
-        backoff.pause();
-      }
-      if (cancelled) break;
-      mpi::Message m = req.take();
-
-      const QueryJob job = decode_query_job(m.payload);
-      const auto it = workers_[me].find(job.partition);
-      ANNSIM_CHECK_MSG(it != workers_[me].end(),
-                       "worker " << me << " has no replica of partition "
-                                 << job.partition);
-      WallTimer tc;
-      auto local = it->second.index->search(job.query.data(), job.k, job.ef);
-      my_compute += tc.seconds();
-
-      WallTimer tm;
-      LocalResult r;
-      r.query_id = job.query_id;
-      r.partition = job.partition;
-      r.neighbors = std::move(local);
-      (void)world.isend(int(job.reply_to), kTagOwnerResult,
-                        encode_local_result(r));
-      my_comm += tm.seconds();
-
-      const std::uint64_t done_now = jobs.fetch_add(1) + 1;
-      if (done_now >= expected.load(std::memory_order_acquire)) {
-        all_done.store(true, std::memory_order_release);
-      }
-    }
-    std::lock_guard lk(agg_mu);
-    compute_s += my_compute;
-    comm_s += my_comm;
-  };
-
-  std::vector<std::thread> team;
-  team.reserve(config_.threads_per_worker);
-  for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
-    team.emplace_back(thread_main);
-  }
-
-  // --- owner duties on the main thread.
+  // Owner duties on the rank thread, beside the job loop's team: jobs
+  // arrive from any owner and results return to the job's owner.
   PhaseTimer route_t;
-  mpi::Message batch = world.recv(0, kTagOwnerBatch);
-  BinaryReader rd(batch.payload);
-  const auto kk = rd.read<std::uint32_t>();
-  const auto my_ef = rd.read<std::uint32_t>();
-  const auto n_mine = rd.read<std::uint64_t>();
-  ANNSIM_CHECK(kk == std::uint32_t(k));
+  auto owner_duties = [&] {
+    mpi::Message batch = world.recv(0, kTagOwnerBatch);
+    BinaryReader rd(batch.payload);
+    const auto kk = rd.read<std::uint32_t>();
+    const auto my_ef = rd.read<std::uint32_t>();
+    const auto n_mine = rd.read<std::uint64_t>();
+    ANNSIM_CHECK(kk == std::uint32_t(k));
 
-  struct OwnedQuery {
-    std::uint32_t qid;
-    std::vector<float> vec;
-  };
-  std::vector<OwnedQuery> mine;
-  mine.reserve(n_mine);
-  for (std::uint64_t i = 0; i < n_mine; ++i) {
-    OwnedQuery oq;
-    oq.qid = rd.read<std::uint32_t>();
-    oq.vec = rd.read_vector<float>();
-    mine.push_back(std::move(oq));
-  }
-
-  // Route and dispatch my queries (no replication in this strategy — the
-  // paper notes it "does not lend itself to be optimized for load
-  // balancing").
-  std::vector<std::uint64_t> counts(P, 0);
-  std::uint64_t my_dispatched = 0;
-  for (const auto& oq : mine) {
-    route_t.start();
-    auto plan =
-        tree.route_topk(oq.vec.data(), std::min(config_.n_probe, P)).partitions;
-    route_t.stop();
-    for (PartitionId d : plan) {
+    // Route and dispatch my queries (no replication in this strategy — the
+    // paper notes it "does not lend itself to be optimized for load
+    // balancing").
+    struct Owned {
+      TopK acc;
+      std::uint32_t fanout = 0;  ///< |F(q)|
+    };
+    std::map<std::uint32_t, Owned> mine;
+    std::uint64_t my_dispatched = 0;
+    for (std::uint64_t i = 0; i < n_mine; ++i) {
       QueryJob job;
-      job.query_id = oq.qid;
-      job.partition = d;
+      job.query_id = rd.read<std::uint32_t>();
       job.k = std::uint32_t(k);
       job.ef = my_ef;
       job.reply_to = std::uint32_t(me) + 1;  // world rank of this owner
-      job.query = oq.vec;
-      (void)world.isend(int(d) + 1, kTagQuery, encode_query_job(job));
-      ++counts[d];
-      ++my_dispatched;
+      job.query = rd.read_vector<float>();
+      route_t.start();
+      auto plan =
+          tree.route_topk(job.query.data(), std::min(config_.n_probe, P))
+              .partitions;
+      route_t.stop();
+      mine.emplace(job.query_id,
+                   Owned{TopK(k), std::uint32_t(plan.size())});
+      for (PartitionId d : plan) {
+        job.partition = d;
+        (void)world.isend(int(d) + 1, kTagQuery, encode_query_job(job));
+        ++my_dispatched;
+      }
     }
-  }
-  {
-    BinaryWriter w;
-    w.write_vector(counts);
-    world.send(0, kTagDispatchCounts, w.bytes());
-  }
 
-  // Learn how many jobs my processing threads must absorb.
-  {
-    mpi::Message m = world.recv(0, kTagExpect);
-    BinaryReader r(m.payload);
-    expected.store(r.read<std::uint64_t>(), std::memory_order_release);
-    if (jobs.load() >= expected.load()) {
-      all_done.store(true, std::memory_order_release);
+    // Merge partial results for my queries as they return.
+    for (std::uint64_t i = 0; i < my_dispatched; ++i) {
+      mpi::Message m = world.recv(mpi::kAnySource, kTagOwnerResult);
+      LocalResult r = decode_local_result(m.payload);
+      mine.at(r.query_id).acc.merge(r.neighbors);
     }
-  }
+    for (auto& [qid, owned] : mine) {
+      LocalResult r;
+      r.query_id = qid;
+      r.partition = owned.fanout;
+      r.neighbors = owned.acc.take_sorted();
+      (void)world.isend(0, kTagResult, encode_local_result(r));
+    }
+  };
 
-  // Merge partial results for my queries as they return.
-  std::map<std::uint32_t, TopK> acc;
-  for (const auto& oq : mine) acc.emplace(oq.qid, TopK(k));
-  for (std::uint64_t i = 0; i < my_dispatched; ++i) {
-    mpi::Message m = world.recv(mpi::kAnySource, kTagOwnerResult);
-    LocalResult r = decode_local_result(m.payload);
-    acc.at(r.query_id).merge(r.neighbors);
-  }
-  for (auto& [qid, topk] : acc) {
-    LocalResult r;
-    r.query_id = qid;
-    r.neighbors = topk.take_sorted();
-    (void)world.isend(0, kTagResult, encode_local_result(r));
-  }
-
-  for (auto& t : team) t.join();
-
-  DoneNotice notice;
-  notice.jobs_processed = jobs.load();
-  notice.compute_seconds = compute_s;
-  notice.comm_seconds = comm_s;
+  DoneNotice notice = run_job_loop(world, mpi::kAnySource, kTagOwnerResult,
+                                   nullptr, k, owner_duties);
   notice.route_seconds = route_t.total_seconds();
   BinaryWriter w;
   w.write(notice);

@@ -1,5 +1,6 @@
 #include "annsim/core/protocol.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "annsim/common/error.hpp"
@@ -116,6 +117,11 @@ WriteAck decode_write_ack(std::span<const std::byte> bytes) {
   return out;
 }
 
+SlotLayout::SlotLayout(std::size_t neighbors, std::size_t partitions)
+    : k(neighbors), n_partitions(partitions) {
+  ANNSIM_CHECK_MSG(partitions >= 1, "SlotLayout needs n_partitions >= 1");
+}
+
 bool mask_contains(std::span<const std::uint64_t> mask,
                    PartitionId p) noexcept {
   const std::size_t word = std::size_t(p) / 64;
@@ -125,14 +131,68 @@ bool mask_contains(std::span<const std::uint64_t> mask,
 
 namespace {
 
+constexpr std::size_t kCountBytes = sizeof(std::uint64_t);  // count + pad
+
+std::uint64_t mask_word(std::span<const std::byte> slot, std::size_t w) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, slot.data() + kCountBytes + w * sizeof(word),
+              sizeof(word));
+  return word;
+}
+
+std::uint32_t merged_count(std::span<const std::byte> slot) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, slot.data(), sizeof(count));
+  return count;
+}
+
+/// Validate a slot header and return its merged count: no mask bit at or
+/// past n_partitions, and one mask bit per merge.
+std::uint32_t checked_count(std::span<const std::byte> slot,
+                            const SlotLayout& layout) {
+  ANNSIM_CHECK(slot.size() >= layout.header_bytes());
+  const std::size_t words = layout.mask_words();
+  const std::size_t tail_bits = layout.n_partitions % 64;
+  std::size_t bits = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t word = mask_word(slot, w);
+    const bool last = w + 1 == words;
+    ANNSIM_CHECK_MSG(!last || tail_bits == 0 || (word >> tail_bits) == 0,
+                     "slot mask names a partition past n_partitions");
+    bits += std::size_t(std::popcount(word));
+  }
+  const std::uint32_t count = merged_count(slot);
+  ANNSIM_CHECK_MSG(count == bits, "slot merged_count " << count
+                                                       << " but mask holds "
+                                                       << bits);
+  return count;
+}
+
 std::vector<std::uint64_t> read_mask(std::span<const std::byte> slot,
                                      const SlotLayout& layout) {
   std::vector<std::uint64_t> mask(layout.mask_words());
-  if (!mask.empty()) {
-    std::memcpy(mask.data(), slot.data() + sizeof(std::uint64_t),
-                mask.size() * sizeof(std::uint64_t));
-  }
+  for (std::size_t w = 0; w < mask.size(); ++w) mask[w] = mask_word(slot, w);
   return mask;
+}
+
+/// Write `neighbors` (at most k) into the slot, padding with +inf sentinels.
+void write_neighbors(std::span<std::byte> slot, const SlotLayout& layout,
+                     std::span<const Neighbor> neighbors) {
+  const std::size_t n = std::min(neighbors.size(), layout.k);
+  std::byte* out = slot.data() + layout.header_bytes();
+  if (n != 0) std::memcpy(out, neighbors.data(), n * sizeof(Neighbor));
+  const Neighbor sentinel;
+  for (std::size_t i = n; i < layout.k; ++i) {
+    std::memcpy(out + i * sizeof(Neighbor), &sentinel, sizeof(Neighbor));
+  }
+}
+
+std::vector<Neighbor> read_neighbors(std::span<const std::byte> slot,
+                                     const SlotLayout& layout) {
+  std::vector<Neighbor> out(layout.k);
+  std::memcpy(out.data(), slot.data() + layout.header_bytes(),
+              layout.k * sizeof(Neighbor));
+  return out;
 }
 
 }  // namespace
@@ -140,26 +200,18 @@ std::vector<std::uint64_t> read_mask(std::span<const std::byte> slot,
 std::vector<std::byte> encode_slot_update(std::span<const Neighbor> neighbors,
                                           const SlotLayout& layout,
                                           PartitionId partition) {
+  ANNSIM_CHECK_MSG(std::size_t(partition) < layout.n_partitions,
+                   "encode_slot_update: partition " << partition
+                                                    << " outside the layout's "
+                                                    << layout.n_partitions);
   std::vector<std::byte> out(layout.slot_bytes());
   const std::uint32_t count = 1;
   std::memcpy(out.data(), &count, sizeof(count));
-  if (layout.mask_words() > 0) {
-    ANNSIM_CHECK_MSG(partition != kInvalidPartition &&
-                         std::size_t(partition) < layout.n_partitions,
-                     "encode_slot_update: masked layout needs the searched "
-                     "partition id");
-    std::vector<std::uint64_t> mask(layout.mask_words(), 0);
-    mask[std::size_t(partition) / 64] |= std::uint64_t{1}
-                                         << (std::size_t(partition) % 64);
-    std::memcpy(out.data() + sizeof(std::uint64_t), mask.data(),
-                mask.size() * sizeof(std::uint64_t));
-  }
-  std::vector<Neighbor> padded(layout.k);  // default = +inf sentinels
-  const std::size_t n = std::min(neighbors.size(), layout.k);
-  std::copy(neighbors.begin(), neighbors.begin() + std::ptrdiff_t(n),
-            padded.begin());
-  std::memcpy(out.data() + layout.header_bytes(), padded.data(),
-              layout.k * sizeof(Neighbor));
+  const std::uint64_t bit = std::uint64_t{1} << (std::size_t(partition) % 64);
+  std::memcpy(out.data() + kCountBytes +
+                  (std::size_t(partition) / 64) * sizeof(bit),
+              &bit, sizeof(bit));
+  write_neighbors(out, layout, neighbors);
   return out;
 }
 
@@ -168,58 +220,42 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
                   std::span<const std::byte> origin) {
     ANNSIM_CHECK(target.size() == layout.slot_bytes());
     ANNSIM_CHECK(origin.size() == layout.slot_bytes());
+    const std::uint32_t t_count = checked_count(target, layout);
+    ANNSIM_CHECK_MSG(checked_count(origin, layout) == 1,
+                     "slot update must carry exactly one partition");
 
-    std::uint32_t t_count = 0, o_count = 0;
-    std::memcpy(&t_count, target.data(), sizeof(t_count));
-    std::memcpy(&o_count, origin.data(), sizeof(o_count));
-
+    // Failover retry that already landed: the origin's partition is merged
+    // into this slot already, so the whole update is a duplicate. Drop it.
     const std::size_t words = layout.mask_words();
-    std::vector<std::uint64_t> t_mask, o_mask;
-    if (words > 0) {
-      t_mask = read_mask(target, layout);
-      o_mask = read_mask(origin, layout);
-      // Failover retry that already landed: every origin partition is merged
-      // into this slot already, so the whole update is a duplicate. Drop it.
-      bool duplicate = true;
-      for (std::size_t w = 0; w < words; ++w) {
-        if ((o_mask[w] & ~t_mask[w]) != 0) duplicate = false;
-      }
-      if (duplicate) return;
+    bool fresh = false;
+    for (std::size_t w = 0; w < words; ++w) {
+      fresh = fresh || (mask_word(origin, w) & ~mask_word(target, w)) != 0;
     }
-
-    std::vector<Neighbor> t_nb(layout.k), o_nb(layout.k);
-    std::memcpy(t_nb.data(), target.data() + layout.header_bytes(),
-                layout.k * sizeof(Neighbor));
-    std::memcpy(o_nb.data(), origin.data() + layout.header_bytes(),
-                layout.k * sizeof(Neighbor));
+    if (!fresh) return;
 
     // A fresh slot holds zero-initialized neighbors (dist 0, id 0) when
     // count == 0; treat it as empty rather than as k bogus zero-distance hits.
+    const std::vector<Neighbor> o_nb = read_neighbors(origin, layout);
     const std::vector<Neighbor> merged =
-        t_count == 0 ? std::vector<Neighbor>(o_nb.begin(), o_nb.end())
-                     : merge_sorted_knn(t_nb, o_nb, layout.k);
+        t_count == 0 ? o_nb
+                     : merge_sorted_knn(read_neighbors(target, layout), o_nb,
+                                        layout.k);
 
-    const std::uint32_t new_count = t_count + o_count;
+    const std::uint32_t new_count = t_count + 1;
     std::memcpy(target.data(), &new_count, sizeof(new_count));
-    if (words > 0) {
-      for (std::size_t w = 0; w < words; ++w) t_mask[w] |= o_mask[w];
-      std::memcpy(target.data() + sizeof(std::uint64_t), t_mask.data(),
-                  words * sizeof(std::uint64_t));
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t word = mask_word(target, w) | mask_word(origin, w);
+      std::memcpy(target.data() + kCountBytes + w * sizeof(word), &word,
+                  sizeof(word));
     }
-    std::vector<Neighbor> padded(layout.k);
-    std::copy(merged.begin(),
-              merged.begin() + std::ptrdiff_t(std::min(merged.size(), layout.k)),
-              padded.begin());
-    std::memcpy(target.data() + layout.header_bytes(), padded.data(),
-                layout.k * sizeof(Neighbor));
+    write_neighbors(target, layout, merged);
   };
 }
 
 SlotHeader decode_slot_header(std::span<const std::byte> slot,
                               const SlotLayout& layout) {
-  ANNSIM_CHECK(slot.size() >= layout.header_bytes());
   SlotHeader out;
-  std::memcpy(&out.merged_count, slot.data(), sizeof(out.merged_count));
+  out.merged_count = checked_count(slot, layout);
   out.mask = read_mask(slot, layout);
   return out;
 }
@@ -228,11 +264,9 @@ DecodedSlot decode_slot(std::span<const std::byte> slot,
                         const SlotLayout& layout) {
   ANNSIM_CHECK(slot.size() >= layout.slot_bytes());
   DecodedSlot out;
-  std::memcpy(&out.merged_count, slot.data(), sizeof(out.merged_count));
+  out.merged_count = checked_count(slot, layout);
   out.mask = read_mask(slot, layout);
-  out.neighbors.resize(layout.k);
-  std::memcpy(out.neighbors.data(), slot.data() + layout.header_bytes(),
-              layout.k * sizeof(Neighbor));
+  out.neighbors = read_neighbors(slot, layout);
   // Drop +inf padding sentinels.
   while (!out.neighbors.empty() &&
          out.neighbors.back().id == kInvalidGlobalId) {

@@ -164,10 +164,13 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   ec.replication = cfg.replication;
   ec.n_probe = std::min<std::size_t>(cfg.workers, 2);
   // Controlled runs need every engine thread to be a tracked rank: one
-  // search thread per worker, two-sided results (no master poll loop), and
-  // no failure-detection beacon helpers.
+  // search thread per worker and no failure-detection beacon helpers. The
+  // infinite deadline (0) also keeps the master from polling slots: it
+  // blocks on done notices, so one-sided search is schedulable too. The
+  // query mix searches one-sided, the transport the benchmark runs; the
+  // mixed mix keeps two-sided, so both collection transports are explored.
   ec.threads_per_worker = 1;
-  ec.one_sided = false;
+  ec.one_sided = cfg.mix == Mix::kQuery;
   ec.result_timeout_ms = 0.0;
   ec.local_index = core::LocalIndexKind::kSegmented;
   ec.segment_delta_capacity = 64;

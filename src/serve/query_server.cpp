@@ -516,7 +516,7 @@ void QueryServer::run_batch(std::vector<Pending> batch) {
     if (reduced > 0) {
       metrics_.on_brownout(reduced, min_factor);
     } else {
-      efforts.clear();  // full effort across the batch: legacy engine path
+      efforts.clear();  // full effort across the batch: no overrides
     }
   }
 

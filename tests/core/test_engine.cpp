@@ -189,12 +189,21 @@ TEST(Engine, MultipleOwnerMatchesMasterWorker) {
   mw.build();
   owner.build();
   SearchStats st;
+  std::vector<QueryCoverage> seen(f.w.queries.size());
   auto r1 = mw.search(f.w.queries, 10);
-  auto r2 = owner.search(f.w.queries, 10, 0, &st);
+  auto r2 = owner.search(f.w.queries, 10, 0, &st,
+                         [&](std::size_t qid, const std::vector<Neighbor>&,
+                             const QueryCoverage& cov) { seen[qid] = cov; });
   for (std::size_t q = 0; q < r1.size(); ++q) {
     EXPECT_EQ(r1[q], r2[q]) << "query " << q;
+    // Full coverage, reported by the owner: every planned partition merged.
+    EXPECT_EQ(seen[q].partitions_planned, cfg.n_probe) << "query " << q;
+    EXPECT_EQ(seen[q].partitions_searched, cfg.n_probe) << "query " << q;
   }
   EXPECT_EQ(st.total_jobs, f.w.queries.size() * cfg.n_probe);
+  std::uint64_t processed = 0;
+  for (const std::uint64_t n : st.jobs_per_worker) processed += n;
+  EXPECT_EQ(st.total_jobs, processed);
 }
 
 TEST(Engine, HigherEfImprovesRecall) {

@@ -1,7 +1,8 @@
 /// Chaos tests: the engine's failover path under injected worker failure.
 /// The contract being pinned down:
-///  * failure detection disarmed (result_timeout_ms == 0) is the exact legacy
-///    code path, and detection armed with no faults returns identical results;
+///  * failure detection armed with no faults (a finite deadline that never
+///    fires) returns the same results, dispatch and coverage as the infinite
+///    deadline (result_timeout_ms == 0);
 ///  * with replication >= 2, a worker killed mid-batch costs nothing but
 ///    retries — every query still gets its full plan via live replicas;
 ///  * with replication == 1, queries that lose a partition come back degraded
@@ -43,48 +44,49 @@ data::KnnResults fault_free_baseline(const data::Workload& w,
   return eng.search(w.queries, k);
 }
 
-TEST(EngineFault, DetectionArmedNoFaultMatchesLegacyOneSided) {
-  auto w = data::make_sift_like(800, 25, 601);
-  auto cfg = chaos_config();
-  auto legacy = fault_free_baseline(w, cfg, 10);
-
-  cfg.result_timeout_ms = 250.0;  // armed, but nothing will die
-  DistributedAnnEngine eng(&w.base, cfg);
-  eng.build();
-  SearchStats st;
-  auto res = eng.search(w.queries, 10, 0, &st);
-  for (std::size_t q = 0; q < legacy.size(); ++q) {
-    EXPECT_EQ(res[q], legacy[q]) << "query " << q;
-  }
-  EXPECT_EQ(st.workers_failed, 0u);
-  EXPECT_EQ(st.retries, 0u);
-  EXPECT_EQ(st.degraded_queries, 0u);
-  ASSERT_EQ(st.coverage.size(), w.queries.size());
-  for (const auto& cov : st.coverage) {
-    EXPECT_FALSE(cov.degraded());
-    EXPECT_EQ(cov.partitions_searched, cov.partitions_planned);
-  }
-}
-
-TEST(EngineFault, DetectionArmedNoFaultMatchesLegacyTwoSided) {
-  auto w = data::make_sift_like(800, 25, 602);
-  auto cfg = chaos_config();
-  cfg.one_sided = false;
-  auto legacy = fault_free_baseline(w, cfg, 10);
-
-  cfg.result_timeout_ms = 250.0;
-  DistributedAnnEngine eng(&w.base, cfg);
-  eng.build();
-  SearchStats st;
-  auto res = eng.search(w.queries, 10, 0, &st);
-  for (std::size_t q = 0; q < legacy.size(); ++q) {
-    EXPECT_EQ(res[q], legacy[q]) << "query " << q;
-  }
-  EXPECT_EQ(st.workers_failed, 0u);
-  EXPECT_EQ(st.degraded_queries, 0u);
-}
-
 class EngineFaultSided : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EngineFaultSided, DetectionArmedNoFaultMatchesDetectionOff) {
+  // One search path: a finite deadline that never fires must change
+  // nothing — not the results, not the dispatch, not the coverage record.
+  const bool one_sided = GetParam();
+  auto w = data::make_sift_like(800, 25, one_sided ? 601 : 602);
+  for (const std::size_t r : {std::size_t{1}, std::size_t{2}}) {
+    auto cfg = chaos_config();
+    cfg.one_sided = one_sided;
+    cfg.replication = r;
+    auto run = [&](double timeout_ms, SearchStats& st) {
+      cfg.result_timeout_ms = timeout_ms;
+      DistributedAnnEngine eng(&w.base, cfg);
+      eng.build();
+      return eng.search(w.queries, 10, 0, &st);
+    };
+    SearchStats off, armed;
+    const auto res_off = run(0.0, off);
+    const auto res_armed = run(250.0, armed);  // armed, but nothing will die
+    for (std::size_t q = 0; q < res_off.size(); ++q) {
+      EXPECT_EQ(res_armed[q], res_off[q]) << "r=" << r << " query " << q;
+    }
+    EXPECT_EQ(armed.jobs_per_worker, off.jobs_per_worker) << "r=" << r;
+    EXPECT_EQ(armed.total_jobs, off.total_jobs) << "r=" << r;
+    ASSERT_EQ(off.coverage.size(), w.queries.size());
+    ASSERT_EQ(armed.coverage.size(), w.queries.size());
+    for (std::size_t q = 0; q < w.queries.size(); ++q) {
+      EXPECT_EQ(armed.coverage[q].partitions_searched,
+                off.coverage[q].partitions_searched);
+      EXPECT_EQ(armed.coverage[q].partitions_planned,
+                off.coverage[q].partitions_planned);
+      EXPECT_EQ(off.coverage[q].partitions_searched,
+                off.coverage[q].partitions_planned);
+      EXPECT_EQ(off.coverage[q].partitions_planned, cfg.n_probe);
+    }
+    for (const SearchStats* st : {&off, &armed}) {
+      EXPECT_EQ(st->workers_failed, 0u);
+      EXPECT_EQ(st->retries, 0u);
+      EXPECT_EQ(st->degraded_queries, 0u);
+    }
+  }
+}
 
 TEST_P(EngineFaultSided, ReplicatedKillFailsOverWithoutDegradation) {
   const bool one_sided = GetParam();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+
 #include "annsim/common/error.hpp"
 #include "annsim/common/rng.hpp"
 #include "annsim/core/protocol.hpp"
@@ -80,13 +83,15 @@ TEST(ProtocolFuzz, OversizedLengthFieldThrows) {
 }
 
 TEST(ProtocolFuzz, SlotDecodeRejectsShortBuffers) {
-  const SlotLayout layout{10};
+  const SlotLayout layout{10, 64};
   std::vector<std::byte> tiny(layout.slot_bytes() - 1);
   EXPECT_THROW((void)decode_slot(tiny, layout), Error);
+  std::vector<std::byte> headless(layout.header_bytes() - 1);
+  EXPECT_THROW((void)decode_slot_header(headless, layout), Error);
 }
 
 TEST(ProtocolFuzz, MergeOpRejectsMismatchedRegions) {
-  const SlotLayout layout{4};
+  const SlotLayout layout{4, 64};
   const auto merge = knn_slot_merge(layout);
   std::vector<std::byte> slot(layout.slot_bytes());
   std::vector<std::byte> short_origin(layout.slot_bytes() - 8);
@@ -95,6 +100,96 @@ TEST(ProtocolFuzz, MergeOpRejectsMismatchedRegions) {
   std::vector<std::byte> origin(layout.slot_bytes());
   EXPECT_THROW(merge(short_target, origin), Error);
 }
+
+// ---- seeded byte mutation over the slot format ---------------------------
+
+bool same_bits(const std::vector<Neighbor>& a, const std::vector<Neighbor>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i].dist) !=
+            std::bit_cast<std::uint32_t>(b[i].dist) ||
+        a[i].id != b[i].id) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Either `bytes` fails to decode with annsim::Error, or it decodes, the
+/// header decoder agrees, and writing the decoded value back into a slot
+/// decodes to the same value again.
+void expect_round_trip_or_error(std::span<const std::byte> bytes,
+                                const SlotLayout& layout) {
+  DecodedSlot slot;
+  try {
+    slot = decode_slot(bytes, layout);
+  } catch (const Error&) {
+    EXPECT_THROW((void)decode_slot_header(bytes, layout), Error);
+    return;
+  }
+  const SlotHeader header = decode_slot_header(bytes, layout);
+  EXPECT_EQ(header.merged_count, slot.merged_count);
+  EXPECT_EQ(header.mask, slot.mask);
+
+  std::vector<std::byte> again(layout.slot_bytes());
+  std::memcpy(again.data(), &slot.merged_count, sizeof(slot.merged_count));
+  std::memcpy(again.data() + 8, slot.mask.data(),
+              slot.mask.size() * sizeof(std::uint64_t));
+  std::vector<Neighbor> padded(layout.k);  // +inf sentinels
+  std::copy(slot.neighbors.begin(), slot.neighbors.end(), padded.begin());
+  std::memcpy(again.data() + layout.header_bytes(), padded.data(),
+              layout.k * sizeof(Neighbor));
+  const DecodedSlot back = decode_slot(again, layout);
+  EXPECT_EQ(back.merged_count, slot.merged_count);
+  EXPECT_EQ(back.mask, slot.mask);
+  EXPECT_TRUE(same_bits(back.neighbors, slot.neighbors));
+}
+
+class SlotMutationFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SlotMutationFuzz, MutatedSlotsRoundTripOrThrow) {
+  const std::size_t P = GetParam();  // 64: one mask word, 65: two
+  const SlotLayout layout{4, P};
+  const auto merge = knn_slot_merge(layout);
+  // A valid slot with the first and the last partition merged (a bit in
+  // each mask word), and a valid update for a third partition.
+  std::vector<std::byte> slot(layout.slot_bytes());
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 1}, {3.f, 3}},
+                                 layout, 0));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{2.f, 2}}, layout,
+                                 PartitionId(P - 1)));
+  const auto update =
+      encode_slot_update(std::vector<Neighbor>{{0.5f, 9}}, layout, 1);
+
+  Rng rng(P);
+  for (int rep = 0; rep < 4000; ++rep) {
+    const bool mutate_slot = rep % 2 == 0;
+    auto bytes = mutate_slot ? slot : update;
+    const std::size_t flips = 1 + rng.uniform_below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      bytes[rng.uniform_below(bytes.size())] ^=
+          std::byte(1 + rng.uniform_below(255));
+    }
+    expect_round_trip_or_error(bytes, layout);
+
+    // The mutated region as merge target (taking the valid update) or as
+    // merge origin (into the valid slot): a merge either throws and leaves
+    // the target untouched, or leaves a slot that round-trips.
+    auto target = mutate_slot ? bytes : slot;
+    const auto before = target;
+    try {
+      merge(target, mutate_slot ? update : bytes);
+    } catch (const Error&) {
+      EXPECT_EQ(target, before) << "rep " << rep;
+      continue;
+    }
+    EXPECT_NO_THROW((void)decode_slot(target, layout)) << "rep " << rep;
+    expect_round_trip_or_error(target, layout);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaskWords, SlotMutationFuzz,
+                         ::testing::Values(std::size_t{64}, std::size_t{65}));
 
 }  // namespace
 }  // namespace annsim::core
