@@ -4,7 +4,9 @@
 /// batched kernels, recall@10 against a brute-force oracle, and a global
 /// allocation counter proving the frozen search path performs no scratch
 /// allocations in steady state (the only allocation per search is the
-/// returned result vector itself).
+/// returned result vector itself). The same budget gates the SQ8 tier's
+/// search (same kernel over codes, re-ranked in place) on the first 10k
+/// rows.
 ///
 /// Plain binary (no google-benchmark) so it can run in CI smoke jobs and
 /// emit a machine-readable report:
@@ -15,6 +17,7 @@
 /// allocation per search) is exceeded, so CI catches scratch-pool
 /// regressions without parsing the report.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +30,7 @@
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/hnsw/hnsw_index.hpp"
+#include "annsim/quant/sq_segment.hpp"
 #include "annsim/simd/distance.hpp"
 
 // ---- global allocation counter -------------------------------------------
@@ -206,6 +210,29 @@ int main(int argc, char** argv) {
                 er.ef, er.qps, er.recall_at_10, er.allocs_per_search);
   }
 
+  // SQ8 segment over the first 10k rows: graph search over codes plus the
+  // exact re-rank must stay within the same per-search budget.
+  const data::Dataset sq_rows =
+      w.base.slice(0, std::min<std::size_t>(opt.n, 10000));
+  quant::SqSegmentParams sq_params;
+  sq_params.hnsw = params;
+  const auto seg = quant::SqSegment::build(sq_rows, sq_params, &pool);
+  for (std::size_t q = 0; q < w.queries.size(); ++q) {
+    (void)seg->search(w.queries.row(q), 10, 64);
+  }
+  const std::uint64_t sq_alloc0 = g_alloc_count.load(std::memory_order_relaxed);
+  t0 = Clock::now();
+  for (std::size_t q = 0; q < w.queries.size(); ++q) {
+    (void)seg->search(w.queries.row(q), 10, 64);
+  }
+  const double sq_qps = double(w.queries.size()) / seconds_since(t0);
+  const double sq_allocs =
+      double(g_alloc_count.load(std::memory_order_relaxed) - sq_alloc0) /
+      double(w.queries.size());
+  if (sq_allocs > kAllocBudgetPerSearch + 0.01) alloc_ok = false;
+  std::printf("  sq8 rows=%zu ef=64 qps=%-10.0f allocs/search=%.3f\n",
+              sq_rows.size(), sq_qps, sq_allocs);
+
   if (std::FILE* f = std::fopen(opt.out.c_str(), "w")) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"hnsw_hotpath\",\n");
@@ -230,7 +257,11 @@ int main(int argc, char** argv) {
                    r.ef, r.qps, r.recall_at_10, r.allocs_per_search,
                    i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f,
+                 "  \"sq8_search\": {\"rows\": %zu, \"ef\": 64, \"qps\": %.1f, "
+                 "\"allocs_per_search\": %.3f}\n}\n",
+                 sq_rows.size(), sq_qps, sq_allocs);
     std::fclose(f);
     std::printf("  wrote %s\n", opt.out.c_str());
   } else {
@@ -240,8 +271,8 @@ int main(int argc, char** argv) {
 
   if (!alloc_ok) {
     std::fprintf(stderr,
-                 "FAIL: frozen search exceeded the steady-state allocation "
-                 "budget (%.1f allocs/search)\n",
+                 "FAIL: frozen or SQ8 search exceeded the steady-state "
+                 "allocation budget (%.1f allocs/search)\n",
                  kAllocBudgetPerSearch);
     return 1;
   }

@@ -71,7 +71,7 @@ class BinaryReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    ANNSIM_CHECK_MSG(pos_ + n * sizeof(T) <= bytes_.size(), "BinaryReader underflow");
+    ANNSIM_CHECK_MSG(n <= remaining() / sizeof(T), "BinaryReader underflow");
     std::vector<T> out(n);
     if (n != 0) {  // avoid zero-length memcpy from a null/end pointer
       std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(T));
@@ -85,7 +85,7 @@ class BinaryReader {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void read_into(std::span<T> out) {
-    ANNSIM_CHECK_MSG(pos_ + out.size_bytes() <= bytes_.size(),
+    ANNSIM_CHECK_MSG(out.size_bytes() <= remaining(),
                      "BinaryReader underflow");
     if (!out.empty()) {
       std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());

@@ -23,8 +23,12 @@
 ///   upper_off_[...] -> slab indices for layers 1..level(v), contiguous
 ///
 /// Invariants: neighbor order inside each block is exactly the order of the
-/// linked form it was frozen from (freezing never reorders), so flat-graph
-/// searches are bit-identical to linked-graph searches.
+/// linked form it was frozen from (freezing never reorders), and both forms
+/// are searched by the same kernel (layer_search.hpp), so flat-graph
+/// searches are bit-identical to linked-graph searches by construction.
+/// Every stored neighbor id and a valid entry point are below size(), and
+/// the entry point sits on the top layer; read() rejects images that break
+/// this, so a decoded graph is always safe to traverse.
 
 #include <cstdint>
 #include <span>
@@ -48,10 +52,14 @@ class FlatGraph {
   /// Nodes must be added in increasing id order.
   void add_node(std::span<const std::vector<LocalId>> layers);
 
-  /// Append node `next_id`'s adjacency straight from the ANN1 wire format
-  /// (u32 layer count, then per layer a u64-length-prefixed LocalId array) —
-  /// deserialization freezes directly without materializing linked lists.
-  void add_node(BinaryReader& r);
+  /// Decode a whole graph of `n` nodes from the ANN1 wire layout: i32
+  /// max_level, u32 entry point, then per node a u32 layer count and per
+  /// layer a u64-length-prefixed LocalId array. Deserialization freezes
+  /// directly, without materializing linked lists. Throws annsim::Error on
+  /// any image a search could not traverse safely: a length past the end of
+  /// the input, a neighbor id or entry point outside [0, n), or a max_level
+  /// other than the highest node level.
+  void read(BinaryReader& r, std::size_t n, std::size_t slab_hint = 0);
 
   void set_entry(LocalId entry_point, int max_level) noexcept {
     entry_point_ = entry_point;
@@ -89,12 +97,12 @@ class FlatGraph {
   /// to_bytes() after the header), matching the mutable form byte-for-byte.
   void write_nodes(BinaryWriter& w) const;
 
-  /// Total heap bytes of the frozen representation (diagnostics).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
-
  private:
   /// Begin a block for the next node id; returns that id.
   std::size_t begin_node(std::size_t n_layers);
+  /// Append node v's block for `layer` holding `count` neighbors; returns
+  /// where the neighbors go.
+  LocalId* append_block(std::size_t v, std::size_t layer, std::size_t count);
 
   std::vector<LocalId> slab_;
   std::vector<std::uint64_t> l0_off_;

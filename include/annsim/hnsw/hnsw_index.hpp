@@ -18,7 +18,10 @@
 ///    path iterates adjacency spans with zero copies and zero locks, batches
 ///    neighbor distance computations, software-prefetches upcoming vectors,
 ///    and ranks candidates in squared-L2 space, deferring the `sqrt` to
-///    result emission. Results are identical to the mutable form's.
+///    result emission.
+///
+/// Both forms are searched by one kernel (layer_search.hpp) that differs
+/// only in how it reads adjacency, so their results are identical.
 
 #include <cstdint>
 #include <memory>
@@ -133,9 +136,9 @@ class HnswIndex {
   static HnswIndex from_bytes(std::span<const std::byte> bytes,
                               const data::Dataset* data);
 
-  struct Impl;  // opaque; public only so internal free functions can name it
-
  private:
+  struct Impl;
+
   HnswIndex(const data::Dataset* data, HnswParams params, std::unique_ptr<Impl> impl);
 
   const data::Dataset* data_;

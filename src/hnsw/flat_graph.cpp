@@ -1,5 +1,7 @@
 #include "annsim/hnsw/flat_graph.hpp"
 
+#include <algorithm>
+
 #include "annsim/common/error.hpp"
 
 namespace annsim::hnsw {
@@ -30,38 +32,64 @@ std::size_t FlatGraph::begin_node(std::size_t n_layers) {
   return v;
 }
 
+LocalId* FlatGraph::append_block(std::size_t v, std::size_t layer,
+                                 std::size_t count) {
+  const std::uint64_t off = slab_.size();
+  if (layer == 0) {
+    l0_off_[v] = off;
+  } else {
+    upper_off_.push_back(off);
+  }
+  slab_.resize(off + 1 + count);
+  slab_[off] = LocalId(count);
+  max_degree_ = std::max(max_degree_, count);
+  return slab_.data() + off + 1;
+}
+
 void FlatGraph::add_node(std::span<const std::vector<LocalId>> layers) {
   const std::size_t v = begin_node(layers.size());
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    const std::uint64_t off = slab_.size();
-    if (l == 0) {
-      l0_off_[v] = off;
-    } else {
-      upper_off_.push_back(off);
-    }
-    slab_.push_back(LocalId(layers[l].size()));
-    slab_.insert(slab_.end(), layers[l].begin(), layers[l].end());
-    if (layers[l].size() > max_degree_) max_degree_ = layers[l].size();
+    std::copy(layers[l].begin(), layers[l].end(),
+              append_block(v, l, layers[l].size()));
   }
 }
 
-void FlatGraph::add_node(BinaryReader& r) {
-  const auto n_layers = r.read<std::uint32_t>();
-  const std::size_t v = begin_node(n_layers);
-  for (std::uint32_t l = 0; l < n_layers; ++l) {
-    const auto count = r.read<std::uint64_t>();
-    const std::uint64_t off = slab_.size();
-    if (l == 0) {
-      l0_off_[v] = off;
-    } else {
-      upper_off_.push_back(off);
+void FlatGraph::read(BinaryReader& r, std::size_t n, std::size_t slab_hint) {
+  const auto max_level = r.read<std::int32_t>();
+  const auto entry = r.read<LocalId>();
+  init(n, slab_hint);
+  int highest = -1;
+  for (std::size_t v = 0; v < n; ++v) {
+    // Every length is checked against the bytes left before anything grows.
+    const auto n_layers = r.read<std::uint32_t>();
+    ANNSIM_CHECK_MSG(n_layers <= r.remaining() / sizeof(std::uint64_t),
+                     "graph image: node " << v << " claims " << n_layers
+                                          << " layers past the end");
+    begin_node(n_layers);
+    highest = std::max(highest, level_[v]);
+    for (std::uint32_t l = 0; l < n_layers; ++l) {
+      const auto count = r.read<std::uint64_t>();
+      ANNSIM_CHECK_MSG(count <= r.remaining() / sizeof(LocalId),
+                       "graph image: node " << v << " claims " << count
+                                            << " neighbors past the end");
+      const std::span<LocalId> block(append_block(v, l, count), count);
+      r.read_into(block);
+      for (LocalId nb : block) {
+        ANNSIM_CHECK_MSG(nb < n, "graph image: node " << v << " links to "
+                                                      << nb << " of " << n);
+      }
     }
-    slab_.push_back(LocalId(count));
-    const std::size_t data_at = slab_.size();
-    slab_.resize(data_at + count);
-    r.read_into(std::span<LocalId>(slab_.data() + data_at, count));
-    if (count > max_degree_) max_degree_ = count;
   }
+  ANNSIM_CHECK_MSG(max_level == highest, "graph image: max_level "
+                                             << max_level << " but the highest "
+                                             << "node level is " << highest);
+  // The entry point is invalid only in a graph with no node inserted, and
+  // otherwise sits on the top layer.
+  ANNSIM_CHECK_MSG(entry == kInvalidLocalId
+                       ? n_inserted_ == 0
+                       : entry < n && level_[entry] == max_level,
+                   "graph image: bad entry point " << entry);
+  set_entry(entry, max_level);
 }
 
 void FlatGraph::write_nodes(BinaryWriter& w) const {
@@ -72,14 +100,6 @@ void FlatGraph::write_nodes(BinaryWriter& w) const {
       w.write_span(neighbors(LocalId(v), int(l)));
     }
   }
-}
-
-std::size_t FlatGraph::memory_bytes() const noexcept {
-  return slab_.capacity() * sizeof(LocalId) +
-         l0_off_.capacity() * sizeof(std::uint64_t) +
-         level_.capacity() * sizeof(std::int32_t) +
-         upper_start_.capacity() * sizeof(std::uint64_t) +
-         upper_off_.capacity() * sizeof(std::uint64_t);
 }
 
 }  // namespace annsim::hnsw

@@ -4,125 +4,110 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
 #include "annsim/common/error.hpp"
 #include "annsim/common/serialize.hpp"
 #include "annsim/common/topk.hpp"
 #include "annsim/hnsw/flat_graph.hpp"
+#include "annsim/hnsw/layer_search.hpp"
 
 namespace annsim::hnsw {
 
 namespace {
 
-/// Candidate ordered by distance to the query; min-heap via std::greater.
-/// Distances are in *search space* (squared L2 for Metric::kL2) — strictly
-/// order-preserving w.r.t. the ranking distance; conversion happens once at
-/// result emission.
-struct Cand {
-  float dist;
-  LocalId node;
-  friend bool operator<(const Cand& a, const Cand& b) noexcept {
-    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
-  }
-  friend bool operator>(const Cand& a, const Cand& b) noexcept { return b < a; }
+/// One node of the mutable linked graph: layers[l] = neighbor list (layer 0
+/// capacity 2M, others M).
+struct Node {
+  std::vector<std::vector<LocalId>> layers;  // size = level + 1
+  bool inserted = false;
 };
 
-/// Epoch-stamped visited set, reusable across searches without clearing.
-class VisitedSet {
- public:
-  void resize(std::size_t n) {
-    if (stamp_.size() < n) stamp_.resize(n, 0);
+/// Linked-graph adjacency once the graph is complete: no link can change
+/// again, so lists are read in place, zero-copy and lock-free.
+struct InPlaceLinks {
+  const std::vector<Node>& nodes;
+  std::span<const LocalId> operator()(LocalId v, int layer) const {
+    const auto& node = nodes[v];
+    if (std::size_t(layer) >= node.layers.size()) return {};
+    return node.layers[layer];
   }
-
-  void new_epoch() noexcept {
-    if (++epoch_ == 0) {  // wrapped: reset all stamps
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  bool test_and_set(LocalId v) noexcept {
-    if (stamp_[v] == epoch_) return true;
-    stamp_[v] = epoch_;
-    return false;
-  }
-
-  void prefetch(LocalId v) const noexcept { simd::prefetch_line(&stamp_[v]); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
 };
 
-/// Per-search working memory: the visited set plus every buffer the beam
-/// search touches, so a warmed-up search performs no allocations per
-/// expansion (and, once pooled buffers reach steady-state capacity, none per
-/// search beyond the returned result vector).
-struct SearchScratch {
-  VisitedSet visited;
-  std::vector<LocalId> ids;     ///< unvisited-neighbor gather (flat path)
-  std::vector<float> dists;     ///< batched distances (flat path)
-  std::vector<Cand> frontier;   ///< min-heap storage (flat path)
-  std::vector<Cand> best;       ///< max-heap storage (flat path)
-  std::vector<LocalId> neigh_copy;  ///< locked-link snapshot (mutable path)
+/// Linked-graph adjacency while inserts may run: the list is copied under
+/// the node's lock into a reused buffer (capacity retained across
+/// expansions, so the steady-state cost is a memcpy).
+struct LockedLinks {
+  const std::vector<Node>& nodes;
+  std::mutex* locks;
+  std::vector<LocalId>& copy;
+  std::span<const LocalId> operator()(LocalId v, int layer) const {
+    std::lock_guard lk(locks[v]);
+    const auto& node = nodes[v];
+    if (std::size_t(layer) >= node.layers.size()) return {};
+    copy.assign(node.layers[layer].begin(), node.layers[layer].end());
+    return copy;
+  }
 };
 
-/// Pool of SearchScratch so concurrent searches don't allocate per query.
-class ScratchPool {
- public:
-  explicit ScratchPool(std::size_t n) : n_(n) {}
+constexpr auto kNoPrefetch = [](LocalId) noexcept {};
 
-  std::unique_ptr<SearchScratch> acquire(std::size_t max_degree) {
-    std::unique_ptr<SearchScratch> s;
-    {
-      std::lock_guard lk(mu_);
-      if (!free_.empty()) {
-        s = std::move(free_.back());
-        free_.pop_back();
+/// Batched search-space distances from `query` to dataset rows.
+auto row_dists(const data::Dataset& data, const simd::DistanceComputer& dist,
+               const float* query) {
+  return [&data, &dist, query](const LocalId* ids, std::size_t m, float* out) {
+    dist.search_dist_batch(query, data.row(0), data.stride(), ids, m, out);
+  };
+}
+
+/// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan
+/// candidates nearest-first, keep one only if it is closer to the query than
+/// to every already-kept neighbor; backfill with pruned candidates.
+/// Comparisons happen in search space (order-identical to ranking space).
+std::vector<LocalId> select_neighbors(const data::Dataset& data,
+                                      const simd::DistanceComputer& dist,
+                                      std::vector<Cand> candidates,
+                                      std::size_t m) {
+  std::sort(candidates.begin(), candidates.end());  // ascending distance
+  std::vector<LocalId> kept;
+  std::vector<LocalId> pruned;
+  kept.reserve(m);
+  for (const Cand& c : candidates) {
+    if (kept.size() >= m) break;
+    bool closer_to_kept = false;
+    for (LocalId s : kept) {
+      if (dist.search_dist(data.row(c.node), data.row(s)) < c.dist) {
+        closer_to_kept = true;
+        break;
       }
     }
-    if (!s) s = std::make_unique<SearchScratch>();
-    s->visited.resize(n_);
-    if (s->ids.size() < max_degree) {
-      s->ids.resize(max_degree);
-      s->dists.resize(max_degree);
+    if (closer_to_kept) {
+      pruned.push_back(c.node);
+    } else {
+      kept.push_back(c.node);
     }
-    return s;
   }
-
-  void release(std::unique_ptr<SearchScratch> s) {
-    std::lock_guard lk(mu_);
-    free_.push_back(std::move(s));
+  for (LocalId p : pruned) {
+    if (kept.size() >= m) break;
+    kept.push_back(p);  // keepPrunedConnections
   }
-
- private:
-  std::size_t n_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<SearchScratch>> free_;
-};
+  return kept;
+}
 
 }  // namespace
 
 struct HnswIndex::Impl {
-  /// links[node][layer] = neighbor list; layer 0 capacity 2M, others M.
-  /// Populated only while the index is mutable; freeze() releases it.
-  struct Node {
-    std::vector<std::vector<LocalId>> layers;  // size = level + 1
-    bool inserted = false;
-  };
-
   Impl(std::size_t n, bool mutable_graph)
       : nodes(mutable_graph ? n : 0),
-        locks(mutable_graph ? std::make_unique<std::mutex[]>(n) : nullptr),
-        scratch(n) {}
+        locks(mutable_graph ? std::make_unique<std::mutex[]>(n) : nullptr) {}
 
+  /// The linked graph, one Node per dataset row. Populated only while the
+  /// index is mutable; freeze() releases it.
   std::vector<Node> nodes;
   std::unique_ptr<std::mutex[]> locks;
   mutable ScratchPool scratch;
 
-  std::mutex entry_mu;
+  mutable std::mutex entry_mu;
   LocalId entry_point = kInvalidLocalId;
   int max_level = -1;
   std::atomic<std::size_t> n_inserted{0};
@@ -165,196 +150,6 @@ const FlatGraph& HnswIndex::flat_graph() const {
                    "HnswIndex::flat_graph: index is not frozen yet");
   return impl_->flat;
 }
-
-namespace {
-
-/// How the mutable-path beam search reads neighbor lists.
-enum class LinkAccess {
-  kLocked,    ///< concurrent inserts possible: snapshot links under the lock
-  kUnlocked,  ///< graph complete: iterate the lists in place, zero-copy
-};
-
-/// Beam search within one layer of the *mutable* linked graph (Algorithm 2
-/// of the HNSW paper). Returns up to `ef` nearest candidates as a
-/// max-heap-ordered vector (unsorted), with search-space distances.
-std::vector<Cand> search_layer(const data::Dataset& data,
-                               const simd::DistanceComputer& dist,
-                               const HnswIndex::Impl* impl, const float* query,
-                               std::span<const LocalId> entries, int layer,
-                               std::size_t ef, SearchScratch& scratch,
-                               LinkAccess access) {
-  VisitedSet& visited = scratch.visited;
-  visited.new_epoch();
-  std::priority_queue<Cand, std::vector<Cand>, std::greater<>> frontier;  // min
-  std::priority_queue<Cand> best;                                         // max
-
-  for (LocalId e : entries) {
-    if (visited.test_and_set(e)) continue;
-    const float d = dist.search_dist(query, data.row(e));
-    frontier.push({d, e});
-    best.push({d, e});
-    if (best.size() > ef) best.pop();
-  }
-
-  while (!frontier.empty()) {
-    const Cand c = frontier.top();
-    if (best.size() >= ef && c.dist > best.top().dist) break;
-    frontier.pop();
-
-    std::span<const LocalId> neigh;
-    if (access == LinkAccess::kLocked) {
-      // Copy the links into a reused buffer under the node's lock (the list
-      // may be mutated by concurrent inserts). The buffer's capacity is
-      // retained across expansions, so steady-state cost is a memcpy.
-      std::lock_guard lk(impl->locks[c.node]);
-      const auto& node = impl->nodes[c.node];
-      if (std::size_t(layer) >= node.layers.size()) continue;
-      scratch.neigh_copy.assign(node.layers[layer].begin(),
-                                node.layers[layer].end());
-      neigh = scratch.neigh_copy;
-    } else {
-      // Graph is complete: read the list in place, no copy, no lock.
-      const auto& node = impl->nodes[c.node];
-      if (std::size_t(layer) >= node.layers.size()) continue;
-      neigh = node.layers[layer];
-    }
-    for (LocalId nb : neigh) {
-      if (visited.test_and_set(nb)) continue;
-      const float d = dist.search_dist(query, data.row(nb));
-      if (best.size() < ef || d < best.top().dist) {
-        frontier.push({d, nb});
-        best.push({d, nb});
-        if (best.size() > ef) best.pop();
-      }
-    }
-  }
-
-  std::vector<Cand> out;
-  out.reserve(best.size());
-  while (!best.empty()) {
-    out.push_back(best.top());
-    best.pop();
-  }
-  return out;  // descending by distance
-}
-
-// ---- frozen-path heap helpers (vectors + std heap algorithms, so the
-// underlying storage lives in the pooled scratch and is reused) ----
-
-inline void min_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end(), std::greater<>{});
-}
-
-inline Cand min_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end(), std::greater<>{});
-  const Cand c = h.back();
-  h.pop_back();
-  return c;
-}
-
-inline void max_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end());
-}
-
-inline void max_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end());
-  h.pop_back();
-}
-
-/// Beam search within one layer of the *frozen* flat graph. Identical
-/// candidate selection to the linked search_layer, but: adjacency is an
-/// in-place span out of the CSR slab (no copy, no lock), neighbor distances
-/// are computed by the batched SIMD kernel, and visited stamps / vector rows
-/// / the next candidate's adjacency block are software-prefetched.
-/// Leaves up to `ef` nearest candidates in scratch.best (max-heap order).
-void search_layer_flat(const data::Dataset& data,
-                       const simd::DistanceComputer& dist, const FlatGraph& g,
-                       const float* query, std::span<const LocalId> entries,
-                       int layer, std::size_t ef, SearchScratch& scratch) {
-  VisitedSet& visited = scratch.visited;
-  visited.new_epoch();
-  auto& frontier = scratch.frontier;
-  auto& best = scratch.best;
-  frontier.clear();
-  best.clear();
-
-  const float* base = data.row(0);
-  const std::size_t stride = data.stride();
-
-  for (LocalId e : entries) {
-    if (visited.test_and_set(e)) continue;
-    const float d = dist.search_dist(query, data.row(e));
-    min_push(frontier, {d, e});
-    max_push(best, {d, e});
-    if (best.size() > ef) max_pop(best);
-  }
-
-  while (!frontier.empty()) {
-    if (best.size() >= ef && frontier.front().dist > best.front().dist) break;
-    const Cand c = min_pop(frontier);
-
-    const std::span<const LocalId> neigh = g.neighbors(c.node, layer);
-    // Pass 1: prefetch the visited stamps for the whole adjacency list.
-    for (LocalId nb : neigh) visited.prefetch(nb);
-    // Pass 2: gather unvisited neighbors for the batched kernel.
-    std::size_t m = 0;
-    for (LocalId nb : neigh) {
-      if (!visited.test_and_set(nb)) scratch.ids[m++] = nb;
-    }
-    if (m == 0) continue;
-    // One batched call computes all m distances, prefetching rows ahead.
-    dist.search_dist_batch(query, base, stride, scratch.ids.data(), m,
-                           scratch.dists.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      const float d = scratch.dists[i];
-      if (best.size() < ef || d < best.front().dist) {
-        min_push(frontier, {d, scratch.ids[i]});
-        max_push(best, {d, scratch.ids[i]});
-        if (best.size() > ef) max_pop(best);
-      }
-    }
-    // Warm the next expansion's adjacency block while the heaps settle.
-    if (!frontier.empty()) g.prefetch0(frontier.front().node);
-  }
-}
-
-/// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan
-/// candidates nearest-first, keep one only if it is closer to the query than
-/// to every already-kept neighbor; backfill with pruned candidates.
-/// Comparisons happen in search space (order-identical to ranking space).
-std::vector<LocalId> select_neighbors(const data::Dataset& data,
-                                      const simd::DistanceComputer& dist,
-                                      std::vector<Cand> candidates,
-                                      std::size_t m) {
-  std::sort(candidates.begin(), candidates.end());  // ascending distance
-  std::vector<LocalId> kept;
-  std::vector<LocalId> pruned;
-  kept.reserve(m);
-  for (const Cand& c : candidates) {
-    if (kept.size() >= m) break;
-    bool closer_to_kept = false;
-    for (LocalId s : kept) {
-      if (dist.search_dist(data.row(c.node), data.row(s)) < c.dist) {
-        closer_to_kept = true;
-        break;
-      }
-    }
-    if (closer_to_kept) {
-      pruned.push_back(c.node);
-    } else {
-      kept.push_back(c.node);
-    }
-  }
-  for (LocalId p : pruned) {
-    if (kept.size() >= m) break;
-    kept.push_back(p);  // keepPrunedConnections
-  }
-  return kept;
-}
-
-}  // namespace
 
 void HnswIndex::insert(LocalId node) {
   ANNSIM_CHECK(node < data_->size());
@@ -400,21 +195,21 @@ void HnswIndex::insert(LocalId node) {
     }
   }
 
-  auto scratch = im.scratch.acquire(0);
+  // Linked lists hold at most 2M ids (layer 0), which sizes the gather.
+  auto scratch = im.scratch.acquire(data_->size(), 2 * params_.M);
+  const LockedLinks adj{im.nodes, im.locks.get(), scratch->links};
+  const auto dist_batch = row_dists(*data_, dist, qv);
 
   // Greedy descent through layers above the node's level.
-  std::vector<LocalId> eps{entry};
-  for (int layer = top_level; layer > level; --layer) {
-    auto res = search_layer(*data_, dist, impl_.get(), qv, eps, layer, 1,
-                            *scratch, LinkAccess::kLocked);
-    if (!res.empty()) eps = {res.back().node};  // nearest is last (descending)
-  }
+  std::vector<LocalId> eps{greedy_descent(adj, dist_batch, kNoPrefetch, entry,
+                                          top_level, level, *scratch)};
 
   // Connect at each layer from min(level, top_level) down to 0.
   for (int layer = std::min(level, top_level); layer >= 0; --layer) {
-    auto candidates = search_layer(*data_, dist, impl_.get(), qv, eps, layer,
-                                   params_.ef_construction, *scratch,
-                                   LinkAccess::kLocked);
+    search_layer(adj, dist_batch, kNoPrefetch, eps, layer,
+                 params_.ef_construction, *scratch);
+    auto& candidates = scratch->best;
+    std::sort_heap(candidates.begin(), candidates.end());  // ascending
     const std::size_t m_layer = layer == 0 ? params_.M * 2 : params_.M;
     auto neighbors =
         select_neighbors(*data_, dist, candidates, params_.M);
@@ -442,9 +237,11 @@ void HnswIndex::insert(LocalId node) {
       }
     }
 
-    // Next layer starts from this layer's candidates.
+    // Next layer starts from this layer's candidates, farthest first.
     eps.clear();
-    for (const Cand& c : candidates) eps.push_back(c.node);
+    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+      eps.push_back(it->node);
+    }
   }
 
   {
@@ -510,69 +307,49 @@ std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
   if (ef == 0) ef = params_.ef_search;
   ef = std::max(ef, k);
   const simd::DistanceComputer dist(params_.metric, data_->dim());
+  const auto dist_batch = row_dists(*data_, dist, query);
 
-  // ---- frozen hot path: flat graph, batched kernels, deferred sqrt ----
+  std::unique_ptr<SearchScratch> scratch;
   if (im.frozen.load(std::memory_order_acquire)) {
+    // Frozen graph: adjacency spans straight out of the slab, the next
+    // candidate's block prefetched.
     const FlatGraph& g = im.flat;
-    LocalId ep = g.entry_point();
-    if (ep == kInvalidLocalId) return {};
-    auto scratch = im.scratch.acquire(g.max_degree());
-
-    std::span<const LocalId> eps{&ep, 1};
-    for (int layer = g.max_level(); layer > 0; --layer) {
-      search_layer_flat(*data_, dist, g, query, eps, layer, 1, *scratch);
-      if (!scratch->best.empty()) ep = scratch->best.front().node;
+    if (g.entry_point() == kInvalidLocalId) return {};
+    scratch = im.scratch.acquire(data_->size(), g.max_degree());
+    beam_search([&g](LocalId v, int layer) { return g.neighbors(v, layer); },
+                dist_batch, [&g](LocalId v) { g.prefetch0(v); },
+                g.entry_point(), g.max_level(), ef, *scratch);
+  } else {
+    LocalId entry;
+    int top_level;
+    {
+      // Snapshot under the lock: concurrent inserts mutate both fields.
+      std::lock_guard lk(im.entry_mu);
+      entry = im.entry_point;
+      top_level = im.max_level;
     }
-    search_layer_flat(*data_, dist, g, query, eps, 0, ef, *scratch);
-
-    auto& best = scratch->best;
-    std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
-    std::vector<Neighbor> out;
-    out.reserve(std::min(k, best.size()));
-    for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {
-      out.push_back({dist.to_ranking(best[i].dist), data_->id(best[i].node)});
+    if (entry == kInvalidLocalId) return {};
+    scratch = im.scratch.acquire(data_->size(), 2 * params_.M);
+    // Once every row is inserted no link can change again (rows insert
+    // exactly once); the acquire load pairs with the inserters' release
+    // increments, so the lists may be read in place.
+    if (im.n_inserted.load(std::memory_order_acquire) == data_->size()) {
+      beam_search(InPlaceLinks{im.nodes}, dist_batch, kNoPrefetch, entry,
+                  top_level, ef, *scratch);
+    } else {
+      beam_search(LockedLinks{im.nodes, im.locks.get(), scratch->links},
+                  dist_batch, kNoPrefetch, entry, top_level, ef, *scratch);
     }
-    im.scratch.release(std::move(scratch));
-    return out;
   }
 
-  // ---- mutable fallback path (index still under construction) ----
-  LocalId entry;
-  int top_level;
-  {
-    // Snapshot under the lock: concurrent inserts mutate both fields.
-    std::lock_guard lk(const_cast<Impl&>(im).entry_mu);
-    entry = im.entry_point;
-    top_level = im.max_level;
-  }
-  if (entry == kInvalidLocalId) return {};
-
-  // Once every row is inserted no link can change again (rows insert exactly
-  // once); the acquire load pairs with the inserters' release increments, so
-  // the lists may be read in place without locks or copies.
-  const bool complete =
-      im.n_inserted.load(std::memory_order_acquire) == data_->size();
-  const LinkAccess access =
-      complete ? LinkAccess::kUnlocked : LinkAccess::kLocked;
-
-  auto scratch = im.scratch.acquire(0);
-  std::vector<LocalId> eps{entry};
-  for (int layer = top_level; layer > 0; --layer) {
-    auto res = search_layer(*data_, dist, impl_.get(), query, eps, layer, 1,
-                            *scratch, access);
-    if (!res.empty()) eps = {res.back().node};
-  }
-  auto candidates = search_layer(*data_, dist, impl_.get(), query, eps, 0, ef,
-                                 *scratch, access);
-  im.scratch.release(std::move(scratch));
-
-  // candidates are descending by distance; take the k nearest.
+  auto& best = scratch->best;
+  std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
   std::vector<Neighbor> out;
-  out.reserve(std::min(k, candidates.size()));
-  for (auto it = candidates.rbegin();
-       it != candidates.rend() && out.size() < k; ++it) {
-    out.push_back({dist.to_ranking(it->dist), data_->id(it->node)});
+  out.reserve(std::min(k, best.size()));
+  for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {
+    out.push_back({dist.to_ranking(best[i].dist), data_->id(best[i].node)});
   }
+  im.scratch.release(std::move(scratch));
   return out;
 }
 
@@ -682,21 +459,22 @@ HnswIndex HnswIndex::from_bytes(std::span<const std::byte> bytes,
   p.ef_search = r.read<std::uint64_t>();
   p.level_mult = r.read<double>();
   p.seed = r.read<std::uint64_t>();
-  p.metric = simd::Metric(r.read<std::int32_t>());
+  const auto metric = r.read<std::int32_t>();
+  ANNSIM_CHECK_MSG(metric >= 0 && metric <= std::int32_t(simd::Metric::kCosine),
+                   "HNSW file: unknown metric " << metric);
+  p.metric = simd::Metric(metric);
+  ANNSIM_CHECK_MSG(p.M >= 2, "HNSW file: M = " << p.M << " is below 2");
   const auto n = r.read<std::uint64_t>();
   ANNSIM_CHECK_MSG(n == data->size(), "HNSW file does not match dataset size");
 
   // Deserialize straight into the frozen flat form: the linked graph (and
   // its per-node locks) are never materialized for replicas.
   auto impl = std::make_unique<Impl>(n, /*mutable_graph=*/false);
-  impl->max_level = r.read<std::int32_t>();
-  impl->entry_point = r.read<std::uint32_t>();
-  FlatGraph g;
-  g.init(n, r.remaining() / sizeof(LocalId));
-  for (std::uint64_t i = 0; i < n; ++i) g.add_node(r);
-  g.set_entry(impl->entry_point, impl->max_level);
+  FlatGraph& g = impl->flat;
+  g.read(r, n, r.remaining() / sizeof(LocalId));
+  impl->max_level = g.max_level();
+  impl->entry_point = g.entry_point();
   impl->n_inserted.store(g.n_inserted());
-  impl->flat = std::move(g);
   impl->frozen.store(true, std::memory_order_release);
   return HnswIndex(data, p, std::move(impl));
 }

@@ -61,6 +61,15 @@ TEST(Serialize, VectorUnderflowThrows) {
   EXPECT_THROW(r.read_vector<double>(), Error);
 }
 
+TEST(Serialize, VectorLengthOverflowThrows) {
+  // n * sizeof(float) wraps to 800 bytes; the length must still be refused.
+  BinaryWriter w;
+  w.write(std::uint64_t{0x40000000000000C8});
+  for (int i = 0; i < 200; ++i) w.write(1.0f);
+  BinaryReader r(w.bytes());
+  EXPECT_THROW(r.read_vector<float>(), Error);
+}
+
 TEST(Serialize, RemainingTracksPosition) {
   BinaryWriter w;
   w.write(std::uint32_t{1});

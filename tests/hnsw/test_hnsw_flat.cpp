@@ -1,8 +1,10 @@
 /// \file test_hnsw_flat.cpp
 /// \brief Differential suite for the frozen FlatGraph representation: the
 /// read-optimized search path (CSR slab, batched kernels, deferred sqrt) must
-/// be bit-identical to the mutable linked-graph path, and serialization must
-/// round-trip through the flat form losslessly.
+/// be bit-identical to the mutable linked-graph path under both of its
+/// adjacency accessors (locked while inserts may run, in place once
+/// complete), and serialization must round-trip through the flat form
+/// losslessly.
 
 #include <gtest/gtest.h>
 
@@ -107,6 +109,31 @@ TEST_P(FlatDifferential, BytesRoundTripPreservesResults) {
   }
   // A second freeze-serialize cycle must be byte-stable.
   EXPECT_EQ(restored.to_bytes(), bytes);
+}
+
+TEST_P(FlatDifferential, LockedLinkedSearchBitIdenticalToFrozen) {
+  // Half the rows inserted into an index over all of them: search reads the
+  // linked graph through the locked accessor (n_inserted < size). Levels
+  // depend only on seed and node id, so the graph equals the one built over
+  // just that half.
+  const auto metric = GetParam();
+  auto w = data::make_sift_like(1200, 40, 37);
+  const std::size_t half = w.base.size() / 2;
+  HnswIndex partial(&w.base, test_params(metric));
+  for (std::size_t i = 0; i < half; ++i) partial.insert(LocalId(i));
+  ASSERT_FALSE(partial.is_frozen());
+  ASSERT_LT(partial.size(), w.base.size());
+
+  const auto head = w.base.slice(0, half);
+  HnswIndex frozen(&head, test_params(metric));
+  frozen.build();
+  for (std::size_t q = 0; q < w.queries.size(); ++q) {
+    for (std::size_t ef : {std::size_t(10), std::size_t(48), std::size_t(96)}) {
+      auto rl = partial.search(w.queries.row(q), 10, ef);
+      auto rf = frozen.search(w.queries.row(q), 10, ef);
+      expect_identical_results(rf, rl, simd::metric_name(metric));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Metrics, FlatDifferential,
