@@ -36,6 +36,7 @@
 
 namespace annsim::core {
 
+struct BatchBounds;
 struct DoneNotice;
 
 /// Who computes F(q) and dispatches jobs (§IV discusses both).
@@ -225,9 +226,9 @@ struct CompressionStats {
 /// Per-query completion hook for batched search: invoked by the master as
 /// soon as query `qid`'s final merged result is known (before `search`
 /// returns). In two-sided mode this fires as each query's last partial
-/// arrives; in one-sided mode all slots finalize together at the end of the
-/// batch epoch; in multiple-owner mode it fires as each owner's answer
-/// arrives. `coverage` counts the partitions searched against those planned;
+/// arrives; in one-sided mode as the master reads a slot whose last planned
+/// partition just landed (a degraded slot is read when the batch ends); in
+/// multiple-owner mode as each owner's answer arrives. `coverage` counts the partitions searched against those planned;
 /// `coverage.degraded()` flags a partial result (possible only under a
 /// finite failure-detection deadline). Runs on a runtime-internal thread —
 /// keep it cheap, and synchronize any state it shares with the caller.
@@ -271,7 +272,9 @@ class DistributedAnnEngine {
 
   /// Batched k-NN search (Algorithms 3-5). `ef` = 0 uses the index default.
   /// `on_query_done`, when set, reports each query's completion to online
-  /// callers (the serving plane) before the batch as a whole returns.
+  /// callers (the serving plane) as soon as its answer is known, on either
+  /// transport, so a slow or dead worker holds back only the queries whose
+  /// jobs it holds.
   /// `efforts`, when non-empty, must hold one EffortOverride per query and
   /// caps that query's beam width / partition fan-out (brownout search;
   /// master-worker dispatch only).
@@ -417,14 +420,17 @@ class DistributedAnnEngine {
                      mpi::FaultInjector* fault, std::vector<char>& alive,
                      std::vector<std::uint64_t>& heartbeats,
                      std::span<const EffortOverride> efforts);
-  void worker_search(mpi::Comm& world, std::size_t k);
+  void worker_search(mpi::Comm& world, std::size_t k,
+                     const BatchBounds& bounds);
   /// Algorithm 4's job loop, shared by both dispatch policies: takes jobs
   /// from `job_source` until EOQ and returns the done notice's counters.
-  /// Results go back by accumulate into `win` when it is given, else
-  /// two-sided on `result_tag` to each job's reply_to. `rank_duty`, when
-  /// set, runs on the rank thread while the team works.
+  /// Results go back by accumulate into `win` when it is given (the one that
+  /// completes a slot also sends the master kTagSlotFull), else two-sided on
+  /// `result_tag` to each job's reply_to. Jobs are checked against `bounds`.
+  /// `rank_duty`, when set, runs on the rank thread while the team works.
   DoneNotice run_job_loop(mpi::Comm& world, int job_source,
                           mpi::Tag result_tag, mpi::Window* win, std::size_t k,
+                          const BatchBounds& bounds,
                           const std::function<void()>& rank_duty);
   /// Receive the done notice of every worker marked alive, per source, and
   /// fold it into `stats`. Returns the workers whose notice missed the
@@ -468,7 +474,8 @@ class DistributedAnnEngine {
                            std::size_t k, std::size_t ef,
                            data::KnnResults& results, SearchStats& stats,
                            const QueryDoneFn& on_query_done);
-  void worker_search_owner(mpi::Comm& world, std::size_t k);
+  void worker_search_owner(mpi::Comm& world, std::size_t k,
+                           const BatchBounds& bounds);
 
   const data::Dataset* base_ = nullptr;  ///< null after load()
   EngineConfig config_;

@@ -25,6 +25,8 @@
 
 namespace annsim::core {
 
+struct BatchBounds;
+
 struct KdEngineConfig {
   std::size_t n_workers = 8;           ///< power of two
   std::size_t threads_per_worker = 2;
@@ -73,7 +75,7 @@ class DistributedKdEngine {
   void master_search(mpi::Comm& world, const data::Dataset& queries,
                      std::size_t k, data::KnnResults& results,
                      KdSearchStats& stats);
-  void worker_search(mpi::Comm& world);
+  void worker_search(mpi::Comm& world, const BatchBounds& bounds);
 
   const data::Dataset* base_;
   KdEngineConfig config_;

@@ -22,6 +22,8 @@ inline constexpr mpi::Tag kTagEoq = 3;      ///< master -> worker: End of Querie
 inline constexpr mpi::Tag kTagDone = 4;     ///< worker -> master: all jobs finished
 inline constexpr mpi::Tag kTagTree = 5;     ///< worker 0 -> master: serialized VP tree
 inline constexpr mpi::Tag kTagOwnerResult = 6;  ///< worker -> owner (multiple-owner mode)
+inline constexpr mpi::Tag kTagSlotFull = 7;  ///< worker -> master: an accumulate
+                                             ///< completed a query's slot
 inline constexpr mpi::Tag kTagOwnerBatch = 8;   ///< master -> owner: its query share
 inline constexpr mpi::Tag kTagReplica = 11;     ///< worker -> worker: partition replica
 inline constexpr mpi::Tag kTagHeartbeat = 12;   ///< worker -> master: liveness beacon
@@ -36,6 +38,15 @@ inline constexpr mpi::Tag kTagDelete = 14;    ///< master -> worker: ids to tomb
 inline constexpr mpi::Tag kTagWriteAck = 15;  ///< worker -> master: write/compact ack
 inline constexpr mpi::Tag kTagCompact = 16;   ///< master -> worker: compaction order
 
+/// The id space of one search batch. Every decoder of a batch message checks
+/// the ids it carries against these bounds and throws annsim::Error on a
+/// stray one, so no decoded id can index past a batch-sized array.
+struct BatchBounds {
+  std::size_t n_queries = 0;     ///< query ids are < n_queries
+  std::size_t n_partitions = 0;  ///< partition ids are < n_partitions
+  std::size_t dim = 0;           ///< every query vector holds dim floats
+};
+
 /// One dispatched search job: query `query_id` on partition `partition`.
 struct QueryJob {
   std::uint32_t query_id = 0;
@@ -43,11 +54,18 @@ struct QueryJob {
   std::uint32_t k = 0;
   std::uint32_t ef = 0;          ///< 0 = index default
   std::uint32_t reply_to = 0;    ///< comm rank that merges the result
+  /// Jobs of this query the master dispatched to a live replica, in
+  /// [1, n_partitions]. The one-sided transport counts it against the slot:
+  /// the accumulate that makes it `fanout` merges sends kTagSlotFull.
+  std::uint32_t fanout = 1;
   std::vector<float> query;      ///< the query vector
 };
 
 [[nodiscard]] std::vector<std::byte> encode_query_job(const QueryJob& job);
-[[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes);
+/// Throws annsim::Error on a malformed payload or when the job falls outside
+/// `bounds`: query_id, partition, fanout or the vector length.
+[[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes,
+                                        const BatchBounds& bounds);
 
 /// A worker's local k-NN result for one job. In multiple-owner mode it also
 /// carries an owner's merged answer to the master; there `partition` holds
@@ -59,7 +77,20 @@ struct LocalResult {
 };
 
 [[nodiscard]] std::vector<std::byte> encode_local_result(const LocalResult& r);
-[[nodiscard]] LocalResult decode_local_result(std::span<const std::byte> bytes);
+/// Throws annsim::Error on a malformed payload or when query_id or partition
+/// falls outside `bounds`.
+[[nodiscard]] LocalResult decode_local_result(std::span<const std::byte> bytes,
+                                              const BatchBounds& bounds);
+/// An owner's merged answer (multiple-owner mode): a LocalResult whose
+/// `partition` holds |F(q)|, so it is checked to be at most n_partitions.
+[[nodiscard]] LocalResult decode_owner_answer(std::span<const std::byte> bytes,
+                                              const BatchBounds& bounds);
+
+/// Slot-full notice (one-sided transport): the payload is the query id.
+[[nodiscard]] std::vector<std::byte> encode_slot_full(std::uint32_t query_id);
+/// Throws annsim::Error on a malformed payload or a query id outside `bounds`.
+[[nodiscard]] std::uint32_t decode_slot_full(std::span<const std::byte> bytes,
+                                             const BatchBounds& bounds);
 
 /// Completion notice: how many jobs this worker processed (Fig 4(b) data).
 struct DoneNotice {
@@ -127,7 +158,13 @@ struct WriteAck {
 // same job must not double-merge the partition. The merge op drops an origin
 // whose partition bit is already set. The master reads the mask to poll
 // progress under a finite failure-detection deadline and to attribute
-// per-query coverage when the batch ends.
+// per-query coverage.
+//
+// The accumulate also fetches the slot's previous header. The one whose
+// merge is fresh and brings merged_count to the job's fanout completed the
+// slot; its worker sends the master a kTagSlotFull notice, and the master
+// answers that query at once instead of at batch end. The merge is atomic
+// at the target, so each fully covered query gets exactly one notice.
 
 struct SlotLayout {
   /// k neighbors per slot; `partitions` >= 1 sizes the partition mask.

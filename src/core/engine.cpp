@@ -382,19 +382,20 @@ data::KnnResults DistributedAnnEngine::search(
     // under the shared topology lock so a concurrent write/compact round can
     // interleave but heal()'s store mutations cannot.
     std::shared_lock topology(sync_->topology);
+    const BatchBounds bounds{queries.size(), P, queries.dim()};
     run_checked([&](mpi::Comm& world) {
       if (config_.strategy == DispatchStrategy::kMultipleOwner) {
         if (world.rank() == 0) {
           master_search_owner(world, queries, k, ef, results, st, on_query_done);
         } else {
-          worker_search_owner(world, k);
+          worker_search_owner(world, k, bounds);
         }
       } else {
         if (world.rank() == 0) {
           master_search(world, queries, k, ef, results, st, on_query_done,
                         rt.fault_injector(), alive, heartbeats, efforts);
         } else {
-          worker_search(world, k);
+          worker_search(world, k, bounds);
         }
       }
     });
@@ -445,17 +446,20 @@ void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
   if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
     // With failure detection armed, these are by-design abandonable: a
     // worker declared dead (perhaps too eagerly) keeps sending results,
-    // done notices, and beacons that nobody will ever drain. Residue is
-    // still counted in the report, just not a violation. The write plane's
-    // tags join the list because a rank killed mid-round leaves its batch
-    // (or its ack) undrained by design. The injector alone (no detection)
-    // is already enough to abandon: every write-plane recv becomes a
-    // recv_for, and an expired deadline — wall-clock or schedule-forced —
-    // walks away from the peer's in-flight batch or ack. Found by
-    // annsim::explore: gating this list on detection only made every
-    // schedule that fires a round timeout a false unmatched-send violation.
-    o.best_effort_tags = {kTagResult, kTagDone,     kTagHeartbeat, kTagInsert,
-                          kTagDelete, kTagWriteAck, kTagCompact};
+    // done notices, and beacons that nobody will ever drain, and a slot-full
+    // notice outlives the collection loop once a header sweep has answered
+    // its query. Residue is still counted in the report, just not a
+    // violation. The write plane's tags join the list because a rank killed
+    // mid-round leaves its batch (or its ack) undrained by design. The
+    // injector alone (no detection) is already enough to abandon: every
+    // write-plane recv becomes a recv_for, and an expired deadline —
+    // wall-clock or schedule-forced — walks away from the peer's in-flight
+    // batch or ack. Found by annsim::explore: gating this list on detection
+    // only made every schedule that fires a round timeout a false
+    // unmatched-send violation.
+    o.best_effort_tags = {kTagResult, kTagSlotFull, kTagDone,
+                          kTagHeartbeat, kTagInsert, kTagDelete,
+                          kTagWriteAck, kTagCompact};
   }
   rt.configure_check(o);
 }
@@ -477,9 +481,12 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
     // read as a death), and replica streams (healing must complete under
     // drop_probability). The write plane's four tags are control plane too:
     // a dropped insert would silently fork replicas of the same partition.
+    // Slot-full notices ride it so that they cost no op budget: kill points
+    // and drop sequences stay where the accumulates alone put them.
     // Death still silences all of them — see fault.hpp.
     plan.reliable_tags.push_back(kTagEoq);
     plan.reliable_tags.push_back(kTagHeartbeat);
+    plan.reliable_tags.push_back(kTagSlotFull);
     plan.reliable_tags.push_back(kTagReplica);
     plan.reliable_tags.push_back(kTagInsert);
     plan.reliable_tags.push_back(kTagDelete);
@@ -895,6 +902,7 @@ void DistributedAnnEngine::master_search(
   const bool one_sided = config_.one_sided && !config_.exact_routing;
   const bool detect = config_.result_timeout_ms > 0.0;
   const SlotLayout layout{k, P};
+  const BatchBounds bounds{nq, P, queries.dim()};
   const auto timeout = detection_timeout();
   using Clock = std::chrono::steady_clock;
 
@@ -928,20 +936,27 @@ void DistributedAnnEngine::master_search(
     }
     return n;
   };
+  const auto replication = std::uint32_t(config_.replication);
+  // A member must be alive *and* actually hold the replica: a heal that
+  // found a partition unrecoverable revives the worker without it.
+  auto can_serve = [&](std::size_t member, PartitionId d) {
+    return alive[member] && workers_[member].count(d) != 0;
+  };
+  // Jobs of each query sent to a live replica; every job of the query
+  // (failover retries too) carries it, for the one-sided slot-full notice.
+  std::vector<std::uint32_t> fanout(nq, 0);
   auto dispatch_job = [&](std::uint32_t qid, PartitionId d) -> int {
-    const auto r = std::uint32_t(config_.replication);
-    for (std::uint32_t probe = 0; probe < r; ++probe) {
+    for (std::uint32_t probe = 0; probe < replication; ++probe) {
       const std::size_t member = (d + next[d]) % P;
-      next[d] = (next[d] + 1) % r;
-      // A member must be alive *and* actually hold the replica: a heal that
-      // found a partition unrecoverable revives the worker without it.
-      if (!alive[member] || workers_[member].count(d) == 0) continue;
+      next[d] = (next[d] + 1) % replication;
+      if (!can_serve(member, d)) continue;
       QueryJob job;
       job.query_id = qid;
       job.partition = d;
       job.k = std::uint32_t(k);
       job.ef = query_ef(qid);
       job.reply_to = 0;
+      job.fanout = fanout[qid];
       const float* qv = queries.row(qid);
       job.query.assign(qv, qv + queries.dim());
       ScopedPhase p(dispatch_t);
@@ -984,15 +999,33 @@ void DistributedAnnEngine::master_search(
     ++remaining[q];
     ++outstanding;
   };
+  // Plan q's jobs on `parts`, counting the ones a live replica can take
+  // into fanout[q] before the first of them is sent.
+  auto plan_jobs = [&](std::size_t q, std::span<const PartitionId> parts) {
+    for (const PartitionId d : parts) {
+      for (std::uint32_t j = 0; j < replication; ++j) {
+        if (can_serve((d + j) % P, d)) {
+          ++fanout[q];
+          break;
+        }
+      }
+    }
+    for (const PartitionId d : parts) plan_job(q, d);
+  };
 
   // --- finalize: the one place a query's answer and coverage are reported.
-  // Two-sided queries finalize as their last partial lands, so
-  // `on_query_done` streams completions in finish order rather than batch
-  // order — the serving plane's latency signal. That waits until every plan
-  // is final (exact routing's second phase extends the plans).
+  // A query finalizes as soon as its answer is known, so `on_query_done`
+  // streams completions in finish order rather than batch order — the
+  // serving plane's latency signal. Two-sided: as its last partial lands,
+  // once every plan is final (exact routing's second phase extends the
+  // plans). One-sided: as its slot-full notice arrives, or a header sweep
+  // finds its slot complete.
   stats.coverage.assign(nq, {});
   std::size_t finalized = 0;
+  std::vector<char> answered(nq, 0);
   auto finalize = [&](std::size_t q, std::vector<Neighbor> neighbors) {
+    ANNSIM_CHECK_MSG(!answered[q], "query " << q << " finalized twice");
+    answered[q] = 1;
     results[q] = std::move(neighbors);
     const QueryCoverage cov{searched[q], planned[q]};
     stats.coverage[q] = cov;
@@ -1072,38 +1105,79 @@ void DistributedAnnEngine::master_search(
     }
   };
 
-  // --- the transport seam: wait for result progress and feed each job it
-  // shows complete to the table. Two-sided: one result message. One-sided:
-  // one sweep over the slot headers, a job being done once its partition
-  // bit is in its query's mask.
-  const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
-  auto await_results = [&] {
-    if (!one_sided) {
-      auto msg = recv_by_deadline(world, mpi::kAnySource, kTagResult);
-      if (!msg.has_value()) return;
-      ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(msg->payload);
-      if (!complete(r.query_id, r.partition, Clock::now())) return;
-      acc[r.query_id].merge(r.neighbors);
-      settle(r.query_id);
-      return;
+  // One-sided: read q's slot once, feed each job its mask shows to the
+  // table, check the mask against the table, and finalize. (A real MPI master
+  // reads its exposed buffer directly; we go through get() so the C++ memory
+  // model sees the same synchronisation the window's target lock provides.)
+  auto finalize_slot = [&](std::size_t q, Clock::time_point now) {
+    ScopedPhase p(merge_t);
+    DecodedSlot slot = decode_slot(
+        win.get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
+    std::uint32_t landed = 0;
+    bool abandoned = false;
+    for (PartitionId d = 0; d < P; ++d) {
+      if (job_at(q, d).state == JobState::kNone) continue;
+      if (slot.contains_partition(d)) {
+        (void)complete(q, d, now);
+        ++landed;
+      }
+      abandoned = abandoned || job_at(q, d).state == JobState::kAbandoned;
     }
-    bool progress = false;
-    const auto now = Clock::now();
+    ANNSIM_CHECK_MSG(slot.merged_count == landed &&
+                         (abandoned || landed == planned[q]),
+                     "slot " << q << ": merged " << slot.merged_count
+                             << ", mask shows " << landed << " of "
+                             << planned[q] << " planned jobs");
+    searched[q] = landed;
+    finalize(q, std::move(slot.neighbors));
+  };
+  // Under a finite deadline: one pass over the unfinished slots' headers. It
+  // credits per-job progress to the stall deadline, and answers each query
+  // it finds complete — also one whose notice died with its sender.
+  auto sweep_slots = [&](Clock::time_point now) {
     for (std::size_t q = 0; q < nq; ++q) {
       if (remaining[q] == 0) continue;
       const SlotHeader hdr = decode_slot_header(
           win.get(0, layout.slot_offset(q), layout.header_bytes()), layout);
       for (PartitionId d = 0; d < P; ++d) {
-        if (hdr.contains_partition(d) && complete(q, d, now)) progress = true;
+        if (hdr.contains_partition(d)) (void)complete(q, d, now);
       }
+      if (remaining[q] == 0 && searched[q] == planned[q]) finalize_slot(q, now);
     }
-    if (!progress) sleep_approx(poll);
   };
-  // Under an infinite deadline one-sided results need no collection: the
-  // done notices are the completion signal, and finalize reads every job off
-  // the slot masks. Polling there would only take a core from the workers.
-  const bool collect_results = !one_sided || detect;
+
+  // --- the transport seam: wait for result progress and feed each job it
+  // shows complete to the table. Two-sided: one result message. One-sided:
+  // one slot-full notice, whose query is answered at once; under a finite
+  // deadline the wait is bounded and the slot headers are swept at most once
+  // per poll.
+  const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
+  auto last_sweep = Clock::now();
+  auto await_results = [&] {
+    if (!one_sided) {
+      auto msg = recv_by_deadline(world, mpi::kAnySource, kTagResult);
+      if (!msg.has_value()) return;
+      ScopedPhase p(merge_t);
+      LocalResult r = decode_local_result(msg->payload, bounds);
+      if (!complete(r.query_id, r.partition, Clock::now())) return;
+      acc[r.query_id].merge(r.neighbors);
+      settle(r.query_id);
+      return;
+    }
+    // Same rule as recv_by_deadline: an infinite deadline blocks.
+    auto msg = detect ? world.recv_for(mpi::kAnySource, kTagSlotFull, poll)
+                      : world.recv(mpi::kAnySource, kTagSlotFull);
+    const auto now = Clock::now();
+    if (msg.has_value()) {
+      const std::uint32_t q = decode_slot_full(msg->payload, bounds);
+      // The sweep may have answered it first.
+      if (!answered[q]) finalize_slot(q, now);
+    }
+    if (detect && now - last_sweep >= poll) {
+      last_sweep = now;
+      sweep_slots(now);
+    }
+  };
   auto collect = [&] {
     const auto arm_time = Clock::now();
     std::fill(last_activity.begin(), last_activity.end(), arm_time);
@@ -1127,7 +1201,7 @@ void DistributedAnnEngine::master_search(
       route_t.start();
       auto plan = tree.route_topk(queries.row(q), query_probes(q));
       route_t.stop();
-      for (PartitionId d : plan.partitions) plan_job(q, d);
+      plan_jobs(q, plan.partitions);
     }
   } else {
     // Two-phase exact F(q): nearest partition first, then every partition
@@ -1137,16 +1211,15 @@ void DistributedAnnEngine::master_search(
       route_t.start();
       first[q] = tree.route_nearest(queries.row(q));
       route_t.stop();
-      plan_job(q, first[q]);
+      plan_jobs(q, {&first[q], 1});
     }
     collect();  // phase 1 (two-sided); plans are not final yet
     for (std::size_t q = 0; q < nq; ++q) {
       route_t.start();
       auto parts = tree.route_ball(queries.row(q), acc[q].worst_dist());
       route_t.stop();
-      for (PartitionId d : parts) {
-        if (d != first[q]) plan_job(q, d);
-      }
+      std::erase(parts, first[q]);
+      plan_jobs(q, parts);
     }
   }
   plans_final = true;
@@ -1168,7 +1241,7 @@ void DistributedAnnEngine::master_search(
     }
   };
   send_eoq_when_final();
-  if (collect_results) collect();
+  collect();
   send_eoq_when_final();
 
   // --- completion notices (also carry the Fig 4(b) per-process job counts).
@@ -1179,31 +1252,14 @@ void DistributedAnnEngine::master_search(
   }
 
   if (one_sided) {
-    // Every accumulate has landed, so each slot's mask is final. It also
-    // absorbs merges that landed after their worker was (too eagerly)
-    // declared dead. (A real MPI master reads its exposed buffer directly;
-    // we go through get() so the C++ memory model sees the same
-    // synchronisation the window's target lock provides.)
-    ScopedPhase p(merge_t);
+    // Every accumulate has landed, so each slot's mask is final. Answer the
+    // queries no notice or sweep answered: degraded ones — read only now, so
+    // merges that landed after their worker was (too eagerly) declared dead
+    // still count — and any whose notice died with its sender.
     win.lock_shared(0);
+    const auto now = Clock::now();
     for (std::size_t q = 0; q < nq; ++q) {
-      DecodedSlot slot = decode_slot(
-          win.get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
-      std::uint32_t landed = 0;
-      bool abandoned = false;
-      for (PartitionId d = 0; d < P; ++d) {
-        const JobState state = job_at(q, d).state;
-        if (state == JobState::kNone) continue;
-        abandoned = abandoned || state == JobState::kAbandoned;
-        if (slot.contains_partition(d)) ++landed;
-      }
-      ANNSIM_CHECK_MSG(slot.merged_count == landed &&
-                           (abandoned || landed == planned[q]),
-                       "slot " << q << ": merged " << slot.merged_count
-                               << ", mask shows " << landed << " of "
-                               << planned[q] << " planned jobs");
-      searched[q] = landed;
-      finalize(q, std::move(slot.neighbors));
+      if (!answered[q]) finalize_slot(q, now);
     }
     win.unlock(0);
   }
@@ -1256,7 +1312,8 @@ std::vector<std::size_t> DistributedAnnEngine::collect_done_notices(
 }
 
 // Algorithm 4: the worker routine of master-worker dispatch.
-void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
+void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
+                                         const BatchBounds& bounds) {
   const bool one_sided = config_.one_sided && !config_.exact_routing;
   mpi::Window win;
   if (one_sided) {
@@ -1290,8 +1347,9 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
     });
   }
 
-  const DoneNotice notice = run_job_loop(world, /*job_source=*/0, kTagResult,
-                                         one_sided ? &win : nullptr, k, {});
+  const DoneNotice notice =
+      run_job_loop(world, /*job_source=*/0, kTagResult,
+                   one_sided ? &win : nullptr, k, bounds, {});
   over.store(true, std::memory_order_release);
   if (beacon.joinable()) beacon.join();
   if (one_sided) win.unlock(0);
@@ -1306,7 +1364,8 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
 // Done flag once one of them takes the End of Queries.
 DoneNotice DistributedAnnEngine::run_job_loop(
     mpi::Comm& world, int job_source, mpi::Tag result_tag, mpi::Window* win,
-    std::size_t k, const std::function<void()>& rank_duty) {
+    std::size_t k, const BatchBounds& bounds,
+    const std::function<void()>& rank_duty) {
   const std::size_t me = std::size_t(world.rank()) - 1;
   const SlotLayout layout{k, config_.n_workers};
   const auto merge_op = knn_slot_merge(layout);
@@ -1318,6 +1377,7 @@ DoneNotice DistributedAnnEngine::run_job_loop(
 
   auto thread_main = [&] {
     double my_compute = 0.0, my_comm = 0.0;
+    std::vector<std::byte> prev;  // the slot as each accumulate found it
     for (;;) {
       // A tag set, not a wildcard: the worker names exactly what it is
       // willing to consume, so a stray control message can never be
@@ -1342,7 +1402,7 @@ DoneNotice DistributedAnnEngine::run_job_loop(
         break;
       }
 
-      const QueryJob job = decode_query_job(m.payload);
+      const QueryJob job = decode_query_job(m.payload, bounds);
       const auto it = workers_[me].find(job.partition);
       ANNSIM_CHECK_MSG(it != workers_[me].end(),
                        "worker " << me << " has no replica of partition "
@@ -1353,9 +1413,20 @@ DoneNotice DistributedAnnEngine::run_job_loop(
 
       WallTimer tm;
       if (win != nullptr) {
+        prev.clear();  // stays empty when the fabric drops the accumulate
         win->get_accumulate(0, layout.slot_offset(job.query_id),
                             encode_slot_update(local, layout, job.partition),
-                            merge_op);
+                            merge_op, &prev);
+        // The fresh merge that brings the slot to the query's fanout
+        // completed it: ring the master, which answers the query at once.
+        // A duplicate (partition bit already set) merged nothing.
+        if (!prev.empty()) {
+          const SlotHeader before = decode_slot_header(prev, layout);
+          if (!before.contains_partition(job.partition) &&
+              before.merged_count + 1 == job.fanout) {
+            (void)world.isend(0, kTagSlotFull, encode_slot_full(job.query_id));
+          }
+        }
       } else {
         LocalResult r;
         r.query_id = job.query_id;

@@ -31,6 +31,7 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
                                                const QueryDoneFn& on_query_done) {
   const std::size_t P = config_.n_workers;
   const std::size_t nq = queries.size();
+  const BatchBounds bounds{nq, P, queries.dim()};
   PhaseTimer dispatch_t, merge_t;
 
   // --- scatter query batches to owners.
@@ -58,7 +59,7 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
   for (std::size_t i = 0; i < nq; ++i) {
     mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
     ScopedPhase p(merge_t);
-    LocalResult r = decode_local_result(m.payload);
+    LocalResult r = decode_owner_answer(m.payload, bounds);
     const QueryCoverage cov{r.partition, r.partition};  // |F(q)| merged
     results[r.query_id] = std::move(r.neighbors);
     stats.coverage[r.query_id] = cov;
@@ -83,7 +84,8 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
 }
 
 void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
-                                               std::size_t k) {
+                                               std::size_t k,
+                                               const BatchBounds& bounds) {
   const std::size_t P = config_.n_workers;
   const std::size_t me = std::size_t(world.rank()) - 1;
   const auto& tree = *router_;  // shared VP tree (replicated in the paper)
@@ -120,8 +122,8 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
           tree.route_topk(job.query.data(), std::min(config_.n_probe, P))
               .partitions;
       route_t.stop();
-      mine.emplace(job.query_id,
-                   Owned{TopK(k), std::uint32_t(plan.size())});
+      job.fanout = std::uint32_t(plan.size());
+      mine.emplace(job.query_id, Owned{TopK(k), job.fanout});
       for (PartitionId d : plan) {
         job.partition = d;
         (void)world.isend(int(d) + 1, kTagQuery, encode_query_job(job));
@@ -132,8 +134,11 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
     // Merge partial results for my queries as they return.
     for (std::uint64_t i = 0; i < my_dispatched; ++i) {
       mpi::Message m = world.recv(mpi::kAnySource, kTagOwnerResult);
-      LocalResult r = decode_local_result(m.payload);
-      mine.at(r.query_id).acc.merge(r.neighbors);
+      LocalResult r = decode_local_result(m.payload, bounds);
+      const auto it = mine.find(r.query_id);
+      ANNSIM_CHECK_MSG(it != mine.end(), "worker " << me << " does not own query "
+                                                    << r.query_id);
+      it->second.acc.merge(r.neighbors);
     }
     for (auto& [qid, owned] : mine) {
       LocalResult r;
@@ -145,7 +150,7 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
   };
 
   DoneNotice notice = run_job_loop(world, mpi::kAnySource, kTagOwnerResult,
-                                   nullptr, k, owner_duties);
+                                   nullptr, k, bounds, owner_duties);
   notice.route_seconds = route_t.total_seconds();
   BinaryWriter w;
   w.write(notice);

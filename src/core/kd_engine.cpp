@@ -87,11 +87,12 @@ data::KnnResults DistributedKdEngine::search(const data::Dataset& queries,
 
   WallTimer timer;
   mpi::Runtime rt(int(config_.n_workers) + 1);
+  const BatchBounds bounds{queries.size(), config_.n_workers, queries.dim()};
   rt.run([&](mpi::Comm& world) {
     if (world.rank() == 0) {
       master_search(world, queries, k, results, st);
     } else {
-      worker_search(world);
+      worker_search(world, bounds);
     }
   });
   st.total_seconds = timer.seconds();
@@ -106,6 +107,7 @@ void DistributedKdEngine::master_search(mpi::Comm& world,
                                         KdSearchStats& stats) {
   const std::size_t P = config_.n_workers;
   const std::size_t nq = queries.size();
+  const BatchBounds bounds{nq, P, queries.dim()};
   const auto& tree = *router_;
   PhaseTimer route_t, dispatch_t, merge_t;
 
@@ -137,7 +139,7 @@ void DistributedKdEngine::master_search(mpi::Comm& world,
   for (std::size_t i = 0; i < nq; ++i) {
     mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
     ScopedPhase p(merge_t);
-    LocalResult r = decode_local_result(m.payload);
+    LocalResult r = decode_local_result(m.payload, bounds);
     if (r.neighbors.size() >= k) radius[r.query_id] = r.neighbors[k - 1].dist;
     acc[r.query_id].merge(r.neighbors);
   }
@@ -163,7 +165,7 @@ void DistributedKdEngine::master_search(mpi::Comm& world,
   for (std::uint64_t i = 0; i < phase2_jobs; ++i) {
     mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
     ScopedPhase p(merge_t);
-    LocalResult r = decode_local_result(m.payload);
+    LocalResult r = decode_local_result(m.payload, bounds);
     acc[r.query_id].merge(r.neighbors);
   }
 
@@ -187,7 +189,8 @@ void DistributedKdEngine::master_search(mpi::Comm& world,
   stats.mean_partitions_per_query = nq ? double(total_jobs) / double(nq) : 0.0;
 }
 
-void DistributedKdEngine::worker_search(mpi::Comm& world) {
+void DistributedKdEngine::worker_search(mpi::Comm& world,
+                                        const BatchBounds& bounds) {
   const std::size_t me = std::size_t(world.rank()) - 1;
   const Shard& shard = shards_[me];
 
@@ -219,7 +222,7 @@ void DistributedKdEngine::worker_search(mpi::Comm& world) {
         done.store(true, std::memory_order_release);
         break;
       }
-      const QueryJob job = decode_query_job(m.payload);
+      const QueryJob job = decode_query_job(m.payload, bounds);
       ANNSIM_CHECK(job.partition == PartitionId(me));
       WallTimer tc;
       auto local = shard.index->search(job.query.data(), job.k);

@@ -7,6 +7,34 @@
 
 namespace annsim::core {
 
+namespace {
+
+void check_query_id(std::uint32_t query_id, const BatchBounds& bounds) {
+  ANNSIM_CHECK_MSG(query_id < bounds.n_queries,
+                   "query id " << query_id << " outside a batch of "
+                               << bounds.n_queries);
+}
+
+void check_partition(PartitionId partition, const BatchBounds& bounds) {
+  ANNSIM_CHECK_MSG(std::size_t(partition) < bounds.n_partitions,
+                   "partition " << partition << " outside "
+                                << bounds.n_partitions << " partitions");
+}
+
+LocalResult read_local_result(std::span<const std::byte> bytes,
+                              const BatchBounds& bounds) {
+  BinaryReader r(bytes);
+  LocalResult out;
+  out.query_id = r.read<std::uint32_t>();
+  out.partition = r.read<PartitionId>();
+  out.neighbors = r.read_vector<Neighbor>();
+  ANNSIM_CHECK(r.exhausted());
+  check_query_id(out.query_id, bounds);
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::byte> encode_query_job(const QueryJob& job) {
   BinaryWriter w;
   w.write(job.query_id);
@@ -14,11 +42,13 @@ std::vector<std::byte> encode_query_job(const QueryJob& job) {
   w.write(job.k);
   w.write(job.ef);
   w.write(job.reply_to);
+  w.write(job.fanout);
   w.write_vector(job.query);
   return w.take();
 }
 
-QueryJob decode_query_job(std::span<const std::byte> bytes) {
+QueryJob decode_query_job(std::span<const std::byte> bytes,
+                          const BatchBounds& bounds) {
   BinaryReader r(bytes);
   QueryJob job;
   job.query_id = r.read<std::uint32_t>();
@@ -26,8 +56,17 @@ QueryJob decode_query_job(std::span<const std::byte> bytes) {
   job.k = r.read<std::uint32_t>();
   job.ef = r.read<std::uint32_t>();
   job.reply_to = r.read<std::uint32_t>();
+  job.fanout = r.read<std::uint32_t>();
   job.query = r.read_vector<float>();
   ANNSIM_CHECK(r.exhausted());
+  check_query_id(job.query_id, bounds);
+  check_partition(job.partition, bounds);
+  ANNSIM_CHECK_MSG(job.fanout >= 1 && job.fanout <= bounds.n_partitions,
+                   "job fanout " << job.fanout << " outside [1, "
+                                 << bounds.n_partitions << "]");
+  ANNSIM_CHECK_MSG(job.query.size() == bounds.dim,
+                   "query vector of " << job.query.size() << " floats, want "
+                                      << bounds.dim);
   return job;
 }
 
@@ -39,14 +78,36 @@ std::vector<std::byte> encode_local_result(const LocalResult& r) {
   return w.take();
 }
 
-LocalResult decode_local_result(std::span<const std::byte> bytes) {
-  BinaryReader r(bytes);
-  LocalResult out;
-  out.query_id = r.read<std::uint32_t>();
-  out.partition = r.read<PartitionId>();
-  out.neighbors = r.read_vector<Neighbor>();
-  ANNSIM_CHECK(r.exhausted());
+LocalResult decode_local_result(std::span<const std::byte> bytes,
+                                const BatchBounds& bounds) {
+  LocalResult out = read_local_result(bytes, bounds);
+  check_partition(out.partition, bounds);
   return out;
+}
+
+LocalResult decode_owner_answer(std::span<const std::byte> bytes,
+                                const BatchBounds& bounds) {
+  LocalResult out = read_local_result(bytes, bounds);
+  ANNSIM_CHECK_MSG(std::size_t(out.partition) <= bounds.n_partitions,
+                   "owner answer merged " << out.partition << " of "
+                                          << bounds.n_partitions
+                                          << " partitions");
+  return out;
+}
+
+std::vector<std::byte> encode_slot_full(std::uint32_t query_id) {
+  BinaryWriter w;
+  w.write(query_id);
+  return w.take();
+}
+
+std::uint32_t decode_slot_full(std::span<const std::byte> bytes,
+                               const BatchBounds& bounds) {
+  BinaryReader r(bytes);
+  const auto query_id = r.read<std::uint32_t>();
+  ANNSIM_CHECK(r.exhausted());
+  check_query_id(query_id, bounds);
+  return query_id;
 }
 
 std::vector<std::byte> encode_write_batch(const WriteBatch& b) {

@@ -166,7 +166,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   // Controlled runs need every engine thread to be a tracked rank: one
   // search thread per worker and no failure-detection beacon helpers. The
   // infinite deadline (0) also keeps the master from polling slots: it
-  // blocks on done notices, so one-sided search is schedulable too. The
+  // blocks on slot-full notices, so one-sided search is schedulable too. The
   // query mix searches one-sided, the transport the benchmark runs; the
   // mixed mix keeps two-sided, so both collection transports are explored.
   ec.threads_per_worker = 1;

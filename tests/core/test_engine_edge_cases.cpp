@@ -210,6 +210,30 @@ TEST(EngineEdge, OneSidedTrafficShowsRmaPerJob) {
   EXPECT_EQ(st.traffic.rma_ops, st.total_jobs + w.queries.size());
 }
 
+TEST(EngineEdge, OneSidedSendsOneSlotFullNoticePerQuery) {
+  // A thread team folds several jobs of one query concurrently; the atomic
+  // merge still lets exactly one accumulate see the slot complete, so the
+  // p2p traffic is one message per job, one notice per query, and EOQ plus
+  // a done notice per worker.
+  auto w = data::make_sift_like(600, 30, 514);
+  auto cfg = small_config();
+  cfg.threads_per_worker = 2;
+  cfg.replication = 2;
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+  std::vector<int> fired(w.queries.size(), 0);
+  SearchStats st;
+  (void)eng.search(w.queries, 5, 0, &st,
+                   [&](std::size_t qid, const std::vector<Neighbor>&,
+                       const QueryCoverage&) { ++fired[qid]; });
+  const std::uint64_t P = cfg.n_workers;
+  EXPECT_EQ(st.traffic.p2p_messages,
+            st.total_jobs + w.queries.size() + 2 * P);
+  for (std::size_t q = 0; q < w.queries.size(); ++q) {
+    EXPECT_EQ(fired[q], 1) << "query " << q;
+  }
+}
+
 TEST(EngineEdge, BuildDeterminismAcrossEngines) {
   auto w = data::make_sift_like(900, 20, 511);
   DistributedAnnEngine a(&w.base, small_config());

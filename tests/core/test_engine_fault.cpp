@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -153,6 +155,51 @@ TEST_P(EngineFaultSided, UnreplicatedKillDegradesOnlyAffectedQueries) {
   // Worker 1's partition sat in some plans beyond its two delivered jobs.
   EXPECT_GT(degraded, 0u);
   EXPECT_LT(degraded, w.queries.size());
+}
+
+TEST_P(EngineFaultSided, DeadWorkerHoldsBackOnlyItsOwnQueries) {
+  // Streaming answers: a query none of whose jobs sat on the dead worker is
+  // answered as soon as its last partition lands — long before the failure
+  // deadline, and before every query the death left degraded.
+  const bool one_sided = GetParam();
+  auto w = data::make_sift_like(800, 25, 604);
+  auto cfg = chaos_config(4);
+  cfg.one_sided = one_sided;
+  cfg.replication = 1;
+  cfg.result_timeout_ms = 250.0;
+  cfg.fault.seed = 78;
+  cfg.fault.kills.push_back({/*rank=*/2, /*after_ops=*/2, mpi::kNeverFires});
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> stamp(w.queries.size());
+  std::vector<QueryCoverage> seen(w.queries.size());
+  const auto start = Clock::now();
+  SearchStats st;
+  (void)eng.search(w.queries, 10, 0, &st,
+                   [&](std::size_t qid, const std::vector<Neighbor>&,
+                       const QueryCoverage& cov) {
+                     stamp[qid] = Clock::now();
+                     seen[qid] = cov;
+                   });
+
+  const auto deadline = start + std::chrono::milliseconds(250);
+  auto first_degraded = Clock::time_point::max();
+  auto last_full = Clock::time_point::min();
+  std::size_t degraded = 0;
+  for (std::size_t q = 0; q < w.queries.size(); ++q) {
+    if (seen[q].degraded()) {
+      ++degraded;
+      first_degraded = std::min(first_degraded, stamp[q]);
+    } else {
+      EXPECT_LT(stamp[q], deadline) << "query " << q << " answered late";
+      last_full = std::max(last_full, stamp[q]);
+    }
+  }
+  ASSERT_GT(degraded, 0u);
+  ASSERT_LT(degraded, w.queries.size());
+  EXPECT_LT(last_full, first_degraded);
 }
 
 TEST_P(EngineFaultSided, DegradedHookReportsCoverage) {

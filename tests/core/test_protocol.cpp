@@ -9,6 +9,10 @@
 namespace annsim::core {
 namespace {
 
+// 43 queries, 8 partitions, 3-d vectors: every id the tests below encode
+// sits on the edge of (or just past) these bounds.
+const BatchBounds kBounds{43, 8, 3};
+
 TEST(Protocol, QueryJobRoundTrip) {
   QueryJob job;
   job.query_id = 42;
@@ -16,21 +20,27 @@ TEST(Protocol, QueryJobRoundTrip) {
   job.k = 10;
   job.ef = 128;
   job.reply_to = 3;
+  job.fanout = 8;
   job.query = {1.f, 2.f, 3.f};
   auto bytes = encode_query_job(job);
-  QueryJob back = decode_query_job(bytes);
+  QueryJob back = decode_query_job(bytes, kBounds);
   EXPECT_EQ(back.query_id, 42u);
   EXPECT_EQ(back.partition, 7u);
   EXPECT_EQ(back.k, 10u);
   EXPECT_EQ(back.ef, 128u);
   EXPECT_EQ(back.reply_to, 3u);
+  EXPECT_EQ(back.fanout, 8u);
   EXPECT_EQ(back.query, job.query);
 }
 
 TEST(Protocol, QueryJobRejectsTrailingGarbage) {
-  auto bytes = encode_query_job({});
+  QueryJob job;
+  job.partition = 0;
+  job.query = {1.f, 2.f, 3.f};
+  auto bytes = encode_query_job(job);
+  EXPECT_NO_THROW((void)decode_query_job(bytes, kBounds));
   bytes.push_back(std::byte{1});
-  EXPECT_THROW((void)decode_query_job(bytes), Error);
+  EXPECT_THROW((void)decode_query_job(bytes, kBounds), Error);
 }
 
 TEST(Protocol, LocalResultRoundTrip) {
@@ -39,7 +49,7 @@ TEST(Protocol, LocalResultRoundTrip) {
   r.partition = 2;
   r.neighbors = {{0.5f, 100}, {1.5f, 200}};
   auto bytes = encode_local_result(r);
-  LocalResult back = decode_local_result(bytes);
+  LocalResult back = decode_local_result(bytes, kBounds);
   EXPECT_EQ(back.query_id, 5u);
   EXPECT_EQ(back.partition, 2u);
   EXPECT_EQ(back.neighbors, r.neighbors);

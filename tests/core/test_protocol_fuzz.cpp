@@ -20,6 +20,9 @@ std::vector<std::byte> random_bytes(std::size_t n, Rng& rng) {
   return out;
 }
 
+// Bounds for the decoders: a batch of 16 queries over 8 partitions, 4-d.
+const BatchBounds kBounds{16, 8, 4};
+
 template <typename Decoder>
 void expect_error_or_valid(const std::vector<std::byte>& bytes,
                            Decoder decode) {
@@ -34,7 +37,8 @@ TEST(ProtocolFuzz, QueryJobRandomBytesNeverCrash) {
   Rng rng(1);
   for (int rep = 0; rep < 500; ++rep) {
     const auto bytes = random_bytes(rng.uniform_below(64), rng);
-    expect_error_or_valid(bytes, [](const auto& b) { return decode_query_job(b); });
+    expect_error_or_valid(
+        bytes, [](const auto& b) { return decode_query_job(b, kBounds); });
   }
 }
 
@@ -42,19 +46,22 @@ TEST(ProtocolFuzz, LocalResultRandomBytesNeverCrash) {
   Rng rng(2);
   for (int rep = 0; rep < 500; ++rep) {
     const auto bytes = random_bytes(rng.uniform_below(64), rng);
-    expect_error_or_valid(bytes,
-                          [](const auto& b) { return decode_local_result(b); });
+    expect_error_or_valid(
+        bytes, [](const auto& b) { return decode_local_result(b, kBounds); });
   }
 }
 
 TEST(ProtocolFuzz, TruncatedQueryJobThrows) {
   QueryJob job;
+  job.partition = 0;
   job.query = {1.f, 2.f, 3.f, 4.f};
   const auto full = encode_query_job(job);
+  EXPECT_NO_THROW((void)decode_query_job(full, kBounds));
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::byte> truncated(full.begin(),
                                      full.begin() + std::ptrdiff_t(cut));
-    EXPECT_THROW((void)decode_query_job(truncated), Error) << "cut=" << cut;
+    EXPECT_THROW((void)decode_query_job(truncated, kBounds), Error)
+        << "cut=" << cut;
   }
 }
 
@@ -65,7 +72,8 @@ TEST(ProtocolFuzz, TruncatedLocalResultThrows) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::byte> truncated(full.begin(),
                                      full.begin() + std::ptrdiff_t(cut));
-    EXPECT_THROW((void)decode_local_result(truncated), Error) << "cut=" << cut;
+    EXPECT_THROW((void)decode_local_result(truncated, kBounds), Error)
+        << "cut=" << cut;
   }
 }
 
@@ -78,8 +86,118 @@ TEST(ProtocolFuzz, OversizedLengthFieldThrows) {
   w.write(std::uint32_t{10});           // k
   w.write(std::uint32_t{0});            // ef
   w.write(std::uint32_t{0});            // reply_to
+  w.write(std::uint32_t{1});            // fanout
   w.write(std::uint64_t{1} << 60);      // vector length
-  EXPECT_THROW((void)decode_query_job(w.bytes()), Error);
+  EXPECT_THROW((void)decode_query_job(w.bytes(), kBounds), Error);
+}
+
+// ---- ids outside the batch ------------------------------------------------
+//
+// A well-formed message may still name a query, partition or fan-out the
+// batch does not have, or carry a query vector of the wrong dimension. The
+// receiver indexes batch-sized arrays with those ids, so each decoder must
+// reject them with annsim::Error and accept the last valid value.
+
+QueryJob edge_job() {
+  QueryJob job;
+  job.query_id = std::uint32_t(kBounds.n_queries - 1);
+  job.partition = PartitionId(kBounds.n_partitions - 1);
+  job.k = 10;
+  job.fanout = std::uint32_t(kBounds.n_partitions);
+  job.query.assign(kBounds.dim, 0.5f);
+  return job;
+}
+
+TEST(ProtocolFuzz, QueryJobOutsideTheBatchThrows) {
+  EXPECT_NO_THROW((void)decode_query_job(encode_query_job(edge_job()), kBounds));
+  auto expect_rejected = [](const QueryJob& job, const char* what) {
+    EXPECT_THROW((void)decode_query_job(encode_query_job(job), kBounds), Error)
+        << what;
+  };
+  QueryJob j = edge_job();
+  j.query_id = std::uint32_t(kBounds.n_queries);
+  expect_rejected(j, "query id == n_queries");
+  j = edge_job();
+  j.partition = PartitionId(kBounds.n_partitions);
+  expect_rejected(j, "partition == n_partitions");
+  j = edge_job();
+  j.partition = kInvalidPartition;
+  expect_rejected(j, "invalid partition");
+  j = edge_job();
+  j.fanout = 0;
+  expect_rejected(j, "fanout 0");
+  j = edge_job();
+  j.fanout = std::uint32_t(kBounds.n_partitions + 1);
+  expect_rejected(j, "fanout > n_partitions");
+  j = edge_job();
+  j.query.pop_back();
+  expect_rejected(j, "short query vector");
+  j = edge_job();
+  j.query.push_back(1.f);
+  expect_rejected(j, "long query vector");
+  j = edge_job();
+  j.query.clear();
+  expect_rejected(j, "empty query vector");
+}
+
+TEST(ProtocolFuzz, LocalResultOutsideTheBatchThrows) {
+  LocalResult r;
+  r.query_id = std::uint32_t(kBounds.n_queries - 1);
+  r.partition = PartitionId(kBounds.n_partitions - 1);
+  r.neighbors = {{1.f, 1}};
+  EXPECT_NO_THROW((void)decode_local_result(encode_local_result(r), kBounds));
+  LocalResult bad = r;
+  bad.query_id = std::uint32_t(kBounds.n_queries);
+  EXPECT_THROW((void)decode_local_result(encode_local_result(bad), kBounds),
+               Error);
+  bad = r;
+  bad.partition = PartitionId(kBounds.n_partitions);
+  EXPECT_THROW((void)decode_local_result(encode_local_result(bad), kBounds),
+               Error);
+}
+
+TEST(ProtocolFuzz, OwnerAnswerBoundsItsCountNotAPartition) {
+  // An owner's answer carries |F(q)| in `partition`: all partitions merged
+  // is valid, one more is not, and the query id is bounded as usual.
+  LocalResult r;
+  r.query_id = std::uint32_t(kBounds.n_queries - 1);
+  r.partition = PartitionId(kBounds.n_partitions);
+  EXPECT_NO_THROW((void)decode_owner_answer(encode_local_result(r), kBounds));
+  EXPECT_THROW((void)decode_local_result(encode_local_result(r), kBounds),
+               Error);
+  LocalResult bad = r;
+  bad.partition = PartitionId(kBounds.n_partitions + 1);
+  EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
+               Error);
+  bad = r;
+  bad.query_id = std::uint32_t(kBounds.n_queries);
+  EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
+               Error);
+}
+
+TEST(ProtocolFuzz, SlotFullNoticeIsBoundedAndExact) {
+  const auto last = std::uint32_t(kBounds.n_queries - 1);
+  EXPECT_EQ(decode_slot_full(encode_slot_full(last), kBounds), last);
+  EXPECT_THROW((void)decode_slot_full(
+                   encode_slot_full(std::uint32_t(kBounds.n_queries)), kBounds),
+               Error);
+  const auto full = encode_slot_full(last);
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::byte> truncated(full.begin(),
+                                           full.begin() + std::ptrdiff_t(cut));
+    EXPECT_THROW((void)decode_slot_full(truncated, kBounds), Error)
+        << "cut=" << cut;
+  }
+  auto padded = full;
+  padded.push_back(std::byte{0});
+  EXPECT_THROW((void)decode_slot_full(padded, kBounds), Error);
+
+  Rng rng(3);
+  for (int rep = 0; rep < 500; ++rep) {
+    const auto bytes = random_bytes(rng.uniform_below(8), rng);
+    expect_error_or_valid(
+        bytes, [](const auto& b) { return decode_slot_full(b, kBounds); });
+  }
 }
 
 TEST(ProtocolFuzz, SlotDecodeRejectsShortBuffers) {

@@ -52,6 +52,29 @@ std::vector<float> qvec(const data::Dataset& ds, std::size_t i) {
   return {p, p + ds.dim()};
 }
 
+/// The first `n` queries whose routing plan holds both partitions 0 and 1,
+/// the two replicas worker 1 hosts under replication 2. The master hands
+/// each partition's jobs round-robin over its two replicas, so over a run of
+/// such queries the pointers of partitions 0 and 1 advance in lockstep and
+/// every query sends worker 1 exactly one of its jobs: while worker 1 is dead
+/// each of these queries waits out the result timeout before failing over,
+/// whereas a query whose jobs avoid it is answered without it.
+std::vector<std::size_t> queries_needing_worker1(
+    const core::DistributedAnnEngine& engine, const data::Dataset& queries,
+    std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < queries.size() && out.size() < n; ++i) {
+    const auto parts = engine.router()
+                           .route_topk(queries.row(i), engine.config().n_probe)
+                           .partitions;
+    auto holds = [&](PartitionId p) {
+      return std::find(parts.begin(), parts.end(), p) != parts.end();
+    };
+    if (holds(0) && holds(1)) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(ServerOverloadConfig, FieldSpecificValidationMessages) {
   auto& s = shared();
   auto expect_msg = [&](ServerConfig sc, const char* needle) {
@@ -220,9 +243,10 @@ TEST(ServerOverload, ExpiredSplitsIntoInQueueAndCompletedLate) {
     EXPECT_EQ(m.completed_late, 0u);
     EXPECT_EQ(m.expired, 1u);
   }
-  // Late completion: detect-mode engine with a killed worker — every search
-  // after the kill stalls on the 60ms result timeout, so a 20ms deadline is
-  // met in the queue (dispatch is immediate) but missed in flight.
+  // Late completion: detect-mode engine with a killed worker. Every query
+  // below needs that worker, so the first search after its op budget runs
+  // out stalls on the 60ms result timeout: a 20ms deadline is met in the
+  // queue (dispatch is immediate) but missed in flight.
   {
     auto cfg = engine_config();
     cfg.replication = 2;
@@ -239,7 +263,9 @@ TEST(ServerOverload, ExpiredSplitsIntoInQueueAndCompletedLate) {
     sc.max_delay_ms = 0.0;
     QueryServer server(&engine, sc);
     bool saw_late_answer = false;
-    for (std::size_t i = 0; i < 4; ++i) {
+    const auto probing = queries_needing_worker1(engine, w.queries, 4);
+    ASSERT_EQ(probing.size(), 4u);
+    for (const std::size_t i : probing) {
       const float* p = w.queries.row(i);
       auto fut = server.submit({p, p + w.queries.dim()}, 5,
                                /*deadline_ms=*/20.0);
@@ -322,15 +348,16 @@ TEST(ServerOverload, InteractiveKeepsMoreEffortThanBestEffort) {
 }
 
 /// Breaker + auto_heal composition needs an engine whose searches go slow
-/// deterministically: detect-mode with a killed worker stalls every batch on
-/// the result timeout until heal() revives it.
+/// deterministically: detect-mode with a killed worker stalls every query
+/// that probes it on the result timeout until heal() revives it.
 TEST(ServerOverloadBreaker, TripsFastFailsThenRecoversThroughProbes) {
   auto cfg = engine_config();
   cfg.replication = 2;               // survivors hold every partition
-  cfg.result_timeout_ms = 60.0;      // detect mode: dead worker = slow batch
+  cfg.result_timeout_ms = 60.0;      // detect mode: dead worker = slow query
   cfg.fault.seed = 7;
-  cfg.fault.kills.push_back({/*global_rank=*/2, /*after_ops=*/2,
-                             mpi::kNeverFires});
+  // Dead from the first dispatched query on, so no job it is sent lands.
+  cfg.fault.kills.push_back({/*global_rank=*/2, mpi::kNeverFires,
+                             /*at_step=*/1});
   data::Workload w = data::make_sift_like(1200, 48, 31);
   core::DistributedAnnEngine engine(&w.base, cfg);
   engine.build();
@@ -349,12 +376,15 @@ TEST(ServerOverloadBreaker, TripsFastFailsThenRecoversThroughProbes) {
     return std::vector<float>(p, p + w.queries.dim());
   };
 
-  // Phase 1 — trip: a batch of 4 tight-deadline requests. The kill fires
-  // under it, the batch stalls on the 60ms result timeout, and all four
-  // complete late: 4 failures in a window of 4 >= threshold 0.5.
+  // Phase 1 — trip: a batch of 4 tight-deadline requests, each needing the
+  // killed worker. The kill fires under it, every query stalls on the 60ms
+  // result timeout, and all four complete late: 4 failures in a window of
+  // 4 >= threshold 0.5.
   {
+    const auto probing = queries_needing_worker1(engine, w.queries, 4);
+    ASSERT_EQ(probing.size(), 4u);
     std::vector<std::future<QueryResponse>> fs;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (const std::size_t i : probing) {
       fs.push_back(server.submit(q(i), 5, /*deadline_ms=*/5.0));
     }
     for (auto& f : fs) {
