@@ -6,15 +6,23 @@
 /// allocations in steady state (the only allocation per search is the
 /// returned result vector itself). The same budget gates the SQ8 tier's
 /// search (same kernel over codes, re-ranked in place) on the first 10k
-/// rows.
+/// rows, and a second budget gates the build: an insert may allocate only
+/// the new node's own adjacency.
+///
+/// Each beam width also reports the traversal's exact work: distance
+/// evaluations and expansions per query, counted by running the shared beam
+/// search over the frozen graph with counting adjacency and distance
+/// callables. The build is single-threaded, so the graph, and with it these
+/// counters, are deterministic: equal counters across two versions of the
+/// library mean the same traversal.
 ///
 /// Plain binary (no google-benchmark) so it can run in CI smoke jobs and
 /// emit a machine-readable report:
 ///
 ///   bench_hnsw_hotpath [--n 50000] [--queries 500] [--out BENCH_hnsw.json]
 ///
-/// Exit status is non-zero if the steady-state allocation budget (one
-/// allocation per search) is exceeded, so CI catches scratch-pool
+/// Exit status is non-zero if either allocation budget (one allocation per
+/// search, three per insert) is exceeded, so CI catches scratch-pool
 /// regressions without parsing the report.
 
 #include <algorithm>
@@ -25,11 +33,14 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/hnsw/hnsw_index.hpp"
+#include "annsim/hnsw/layer_search.hpp"
 #include "annsim/quant/sq_segment.hpp"
 #include "annsim/simd/distance.hpp"
 
@@ -100,6 +111,8 @@ struct EfResult {
   double qps;
   double recall_at_10;
   double allocs_per_search;
+  double dist_evals_per_query;
+  double expansions_per_query;
 };
 
 double recall_at_k(const std::vector<Neighbor>& got,
@@ -143,6 +156,37 @@ double measure_ns_per_distance(const data::Dataset& base, bool scattered) {
   return seconds_since(t0) * 1e9 / double(n_dists);
 }
 
+/// Exact beam work per query at width `ef`: distance evaluations and
+/// expansions (adjacency reads), summed over greedy descent and the layer-0
+/// beam of hnsw::beam_search on the frozen graph.
+std::pair<double, double> traversal_per_query(const hnsw::HnswIndex& index,
+                                              const data::Dataset& base,
+                                              const data::Dataset& queries,
+                                              std::size_t ef) {
+  const hnsw::FlatGraph& g = index.flat_graph();
+  const simd::DistanceComputer dist(index.params().metric, base.dim());
+  hnsw::ScratchPool scratch;
+  auto s = scratch.acquire(g.size(), g.max_degree());
+  std::uint64_t dist_evals = 0;
+  std::uint64_t expansions = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const float* query = queries.row(q);
+    hnsw::beam_search(
+        [&](LocalId v, int layer) {
+          ++expansions;
+          return g.neighbors(v, layer);
+        },
+        [&](const LocalId* ids, std::size_t m, float* out) {
+          dist_evals += m;
+          dist.search_dist_batch(query, base.row(0), base.stride(), ids, m,
+                                 out);
+        },
+        [](LocalId) {}, g.entry_point(), g.max_level(), ef, *s);
+  }
+  const double nq = double(queries.size());
+  return {double(dist_evals) / nq, double(expansions) / nq};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,13 +200,25 @@ int main(int argc, char** argv) {
   hnsw::HnswParams params;
   params.M = 16;
   params.ef_construction = 100;
-  auto t0 = Clock::now();
+  // Single-threaded build: deterministic graph, so the traversal counters
+  // below repeat exactly. Every operator-new across build() counts against
+  // the insert budget: the new node's adjacency (the outer layer vector plus
+  // one list per level, ~2.07 on average at M=16) and freeze()'s handful.
+  constexpr double kAllocBudgetPerInsert = 3.0;
   hnsw::HnswIndex index(&w.base, params);
-  ThreadPool pool;
-  index.build(&pool);
+  const std::uint64_t build_alloc0 =
+      g_alloc_count.load(std::memory_order_relaxed);
+  auto t0 = Clock::now();
+  index.build();
   const double build_s = seconds_since(t0);
-  std::printf("  build: %.2fs (%zu nodes, frozen=%d)\n", build_s, index.size(),
-              int(index.is_frozen()));
+  const double allocs_per_insert =
+      double(g_alloc_count.load(std::memory_order_relaxed) - build_alloc0) /
+      double(opt.n);
+  const bool insert_alloc_ok = allocs_per_insert <= kAllocBudgetPerInsert;
+  std::printf("  build: %.2fs (%zu nodes, frozen=%d, 1 thread) "
+              "allocs/insert=%.3f\n",
+              build_s, index.size(), int(index.is_frozen()),
+              allocs_per_insert);
 
   t0 = Clock::now();
   auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
@@ -203,17 +259,22 @@ int main(int argc, char** argv) {
     er.qps = n_searches / elapsed;
     er.recall_at_10 = recall_sum / double(w.queries.size());
     er.allocs_per_search = double(alloc1 - alloc0) / n_searches;
+    std::tie(er.dist_evals_per_query, er.expansions_per_query) =
+        traversal_per_query(index, w.base, w.queries, ef);
     results.push_back(er);
     if (er.allocs_per_search > kAllocBudgetPerSearch + 0.01) alloc_ok = false;
 
-    std::printf("  ef=%-4zu qps=%-10.0f recall@10=%.4f allocs/search=%.3f\n",
-                er.ef, er.qps, er.recall_at_10, er.allocs_per_search);
+    std::printf("  ef=%-4zu qps=%-10.0f recall@10=%.4f allocs/search=%.3f "
+                "dist_evals/q=%.3f expansions/q=%.3f\n",
+                er.ef, er.qps, er.recall_at_10, er.allocs_per_search,
+                er.dist_evals_per_query, er.expansions_per_query);
   }
 
   // SQ8 segment over the first 10k rows: graph search over codes plus the
   // exact re-rank must stay within the same per-search budget.
   const data::Dataset sq_rows =
       w.base.slice(0, std::min<std::size_t>(opt.n, 10000));
+  ThreadPool pool;
   quant::SqSegmentParams sq_params;
   sq_params.hnsw = params;
   const auto seg = quant::SqSegment::build(sq_rows, sq_params, &pool);
@@ -241,7 +302,11 @@ int main(int argc, char** argv) {
                  opt.n, w.base.dim(), opt.n_queries);
     std::fprintf(f, "  \"M\": %zu,\n  \"ef_construction\": %zu,\n", params.M,
                  params.ef_construction);
+    std::fprintf(f, "  \"build_threads\": 1,\n");
     std::fprintf(f, "  \"build_seconds\": %.3f,\n", build_s);
+    std::fprintf(f, "  \"alloc_budget_per_insert\": %.1f,\n",
+                 kAllocBudgetPerInsert);
+    std::fprintf(f, "  \"allocs_per_insert\": %.3f,\n", allocs_per_insert);
     std::fprintf(f, "  \"ns_per_distance_scattered\": %.3f,\n", ns_scattered);
     std::fprintf(f, "  \"ns_per_distance_contiguous\": %.3f,\n", ns_contig);
     std::fprintf(f, "  \"alloc_budget_per_search\": %.1f,\n",
@@ -253,8 +318,11 @@ int main(int argc, char** argv) {
       const auto& r = results[i];
       std::fprintf(f,
                    "    {\"ef\": %zu, \"qps\": %.1f, \"recall_at_10\": %.4f, "
-                   "\"allocs_per_search\": %.3f}%s\n",
+                   "\"allocs_per_search\": %.3f, "
+                   "\"dist_evals_per_query\": %.3f, "
+                   "\"expansions_per_query\": %.3f}%s\n",
                    r.ef, r.qps, r.recall_at_10, r.allocs_per_search,
+                   r.dist_evals_per_query, r.expansions_per_query,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -274,7 +342,12 @@ int main(int argc, char** argv) {
                  "FAIL: frozen or SQ8 search exceeded the steady-state "
                  "allocation budget (%.1f allocs/search)\n",
                  kAllocBudgetPerSearch);
-    return 1;
   }
-  return 0;
+  if (!insert_alloc_ok) {
+    std::fprintf(stderr,
+                 "FAIL: build exceeded the insert allocation budget "
+                 "(%.3f > %.1f allocs/insert)\n",
+                 allocs_per_insert, kAllocBudgetPerInsert);
+  }
+  return alloc_ok && insert_alloc_ok ? 0 : 1;
 }

@@ -21,7 +21,12 @@
 ///    result emission.
 ///
 /// Both forms are searched by one kernel (layer_search.hpp) that differs
-/// only in how it reads adjacency, so their results are identical.
+/// only in how it reads adjacency, so their results are identical. Its beam
+/// is one sorted candidate pool, left ascending, so results need no final
+/// sort. Inserts run the same kernel and select neighbors in pooled scratch
+/// buffers: once its scratch is warm an insert allocates only the new node's
+/// own adjacency, each list created at full capacity (2M on layer 0, M
+/// above) so back-links never reallocate it.
 
 #include <cstdint>
 #include <memory>

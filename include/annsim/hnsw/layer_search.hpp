@@ -15,56 +15,34 @@
 ///    every candidate;
 ///  * prefetch — `prefetch(node)` warms whatever the next expansion of
 ///    `node` will read (adjacency block, code row), or does nothing.
+///
+/// The beam is one candidate pool kept sorted by (distance, node), each
+/// entry flagged once expanded; it walks exactly the nodes Algorithm 2's
+/// candidate and result heaps would, ties included (see search_layer).
+/// Unvisited neighbors are gathered branch-free: every id is written and
+/// the write cursor advances by VisitedSet::first_visit.
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "annsim/common/types.hpp"
-#include "annsim/simd/distance.hpp"
 
 namespace annsim::hnsw {
 
 /// Candidate ordered by (search-space distance, node): a strict total order,
-/// so heap contents and emission order never depend on heap layout.
+/// so pool contents and emission order never depend on insertion order.
+/// `expanded` is the beam pool's bookkeeping and takes no part in the order.
 struct Cand {
   float dist;
   LocalId node;
+  bool expanded = false;
   friend bool operator<(const Cand& a, const Cand& b) noexcept {
     return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
   }
-  friend bool operator>(const Cand& a, const Cand& b) noexcept { return b < a; }
 };
-
-// Heaps over pooled vectors (std heap algorithms), so their storage is
-// reused across searches. Forced inline: they run once per candidate in the
-// beam loop, and the compiler leaves header functions with this many call
-// sites out of line.
-
-[[gnu::always_inline]] inline void min_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end(), std::greater<>{});
-}
-
-[[gnu::always_inline]] inline Cand min_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end(), std::greater<>{});
-  const Cand c = h.back();
-  h.pop_back();
-  return c;
-}
-
-[[gnu::always_inline]] inline void max_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end());
-}
-
-[[gnu::always_inline]] inline void max_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end());
-  h.pop_back();
-}
 
 /// Epoch-stamped visited set, reusable across searches without clearing.
 class VisitedSet {
@@ -80,13 +58,13 @@ class VisitedSet {
     }
   }
 
-  bool test_and_set(LocalId v) noexcept {
-    if (stamp_[v] == epoch_) return true;
+  /// Marks `v` visited; 1 if this is its first visit this epoch, else 0.
+  /// Branch-free, so a gather can write unconditionally and advance by it.
+  std::size_t first_visit(LocalId v) noexcept {
+    const bool fresh = stamp_[v] != epoch_;
     stamp_[v] = epoch_;
-    return false;
+    return fresh;
   }
-
-  void prefetch(LocalId v) const noexcept { simd::prefetch_line(&stamp_[v]); }
 
  private:
   std::vector<std::uint32_t> stamp_;
@@ -94,15 +72,21 @@ class VisitedSet {
 };
 
 /// Per-search working memory: the visited set plus every buffer the beam
-/// search touches, so a warmed-up search allocates nothing beyond its
-/// returned result.
+/// search and an insert's neighbor selection touch, so a warmed-up search
+/// allocates nothing beyond its returned result and a warmed-up insert
+/// nothing beyond the new node's adjacency.
 struct SearchScratch {
   VisitedSet visited;
   std::vector<LocalId> ids;     ///< unvisited-neighbor gather
   std::vector<float> dists;     ///< batched distances
-  std::vector<Cand> frontier;   ///< min-heap storage
-  std::vector<Cand> best;       ///< max-heap storage: the layer's result
+  std::vector<Cand> best;       ///< the sorted candidate pool: the result
   std::vector<LocalId> links;   ///< a neighbor list copied under its lock
+  // Insert only (HnswIndex::insert).
+  std::vector<LocalId> entries;    ///< the next layer's entry points
+  std::vector<LocalId> neighbors;  ///< the new node's selected neighbors
+  std::vector<Cand> cands;         ///< an overfull list's candidates
+  std::vector<LocalId> kept;       ///< an overfull list, re-selected
+  std::vector<LocalId> pruned;     ///< selection's pruned candidates
 };
 
 /// Pool of SearchScratch so concurrent searches don't allocate per query.
@@ -140,60 +124,88 @@ class ScratchPool {
   std::vector<std::unique_ptr<SearchScratch>> free_;
 };
 
-/// Beam search of width `ef` within one layer from `entries`. Leaves the
-/// best `ef` candidates in `s.best` as a max-heap (search-space distances).
-/// `s.ids` must hold the longest neighbor list `adj` returns.
+/// Inserts `c` into the ascending pool `pool`, whose first `ef` entries are
+/// the beam, and returns its position. Entries past the beam survive only
+/// while their distance ties the beam's worst (see search_layer).
+[[gnu::always_inline]] inline std::size_t pool_insert(std::vector<Cand>& pool,
+                                                      std::size_t ef, Cand c) {
+  const auto at = std::upper_bound(pool.begin(), pool.end(), c);
+  const std::size_t pos = std::size_t(at - pool.begin());
+  pool.insert(at, c);
+  if (pool.size() > ef) {
+    const float worst = pool[ef - 1].dist;
+    while (pool.back().dist > worst) pool.pop_back();
+  }
+  return pos;
+}
+
+/// Beam search of width `ef` (>= 1) within one layer from `entries`. Leaves
+/// the best `ef` candidates in `s.best`, ascending by (distance, node), in
+/// search-space distances. `s.ids` must hold the longest neighbor list `adj`
+/// returns.
+///
+/// The pool's first `ef` entries are the result, and the next candidate to
+/// expand is the first entry not yet expanded. It expands the same nodes in
+/// the same order as Algorithm 2's candidate min-heap and bounded result
+/// max-heap, ties included:
+///  * entry points go in ungated; a neighbor only if the beam is short or
+///    it is strictly closer than the beam's worst;
+///  * a candidate pushed past the beam stays expandable while its distance
+///    equals the new worst (Algorithm 2 stops only once its nearest
+///    candidate is strictly farther than the worst result), and is dropped
+///    once the worst falls below it.
 template <typename Adj, typename DistBatch, typename Prefetch>
 void search_layer(const Adj& adj, const DistBatch& dist_batch,
                   const Prefetch& prefetch, std::span<const LocalId> entries,
                   int layer, std::size_t ef, SearchScratch& s) {
   VisitedSet& visited = s.visited;
   visited.new_epoch();
-  auto& frontier = s.frontier;
-  auto& best = s.best;
-  frontier.clear();
-  best.clear();
+  auto& pool = s.best;
+  pool.clear();
+  LocalId* const ids = s.ids.data();
+  float* const dists = s.dists.data();
 
-  // Entry points, scored in gather-sized batches; each one enters both heaps.
+  // Entry points, scored in gather-sized batches.
   for (std::size_t i = 0; i < entries.size();) {
     std::size_t m = 0;
     for (; i < entries.size() && m < s.ids.size(); ++i) {
-      if (!visited.test_and_set(entries[i])) s.ids[m++] = entries[i];
+      ids[m] = entries[i];
+      m += visited.first_visit(entries[i]);
     }
     if (m == 0) continue;
-    dist_batch(s.ids.data(), m, s.dists.data());
+    dist_batch(ids, m, dists);
     for (std::size_t j = 0; j < m; ++j) {
-      min_push(frontier, {s.dists[j], s.ids[j]});
-      max_push(best, {s.dists[j], s.ids[j]});
-      if (best.size() > ef) max_pop(best);
+      pool_insert(pool, ef, {dists[j], ids[j]});
     }
   }
 
-  while (!frontier.empty()) {
-    if (best.size() >= ef && frontier.front().dist > best.front().dist) break;
-    const Cand c = min_pop(frontier);
-
-    const std::span<const LocalId> neigh = adj(c.node, layer);
-    // Pass 1: prefetch the visited stamps for the whole adjacency list.
-    for (LocalId nb : neigh) visited.prefetch(nb);
-    // Pass 2: gather unvisited neighbors for one batched distance call.
+  std::size_t cursor = 0;  // first unexpanded pool entry
+  while (cursor < pool.size()) {
+    pool[cursor].expanded = true;
+    // Gather unvisited neighbors for one batched distance call.
     std::size_t m = 0;
-    for (LocalId nb : neigh) {
-      if (!visited.test_and_set(nb)) s.ids[m++] = nb;
+    for (LocalId nb : adj(pool[cursor].node, layer)) {
+      ids[m] = nb;
+      m += visited.first_visit(nb);
     }
-    if (m == 0) continue;
-    dist_batch(s.ids.data(), m, s.dists.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      const float d = s.dists[i];
-      if (best.size() < ef || d < best.front().dist) {
-        min_push(frontier, {d, s.ids[i]});
-        max_push(best, {d, s.ids[i]});
-        if (best.size() > ef) max_pop(best);
+    // The next unexpanded entry is the nearest one admitted now, or lies
+    // past the cursor.
+    std::size_t next = cursor + 1;
+    if (m != 0) {
+      dist_batch(ids, m, dists);
+      for (std::size_t i = 0; i < m; ++i) {
+        const float d = dists[i];
+        if (pool.size() < ef || d < pool[ef - 1].dist) {
+          next = std::min(next, pool_insert(pool, ef, {d, ids[i]}));
+        }
       }
     }
-    // Warm the next expansion while the heaps settle.
-    if (!frontier.empty()) prefetch(frontier.front().node);
+    while (next < pool.size() && pool[next].expanded) ++next;
+    cursor = next;
+    // Warm the next expansion.
+    if (cursor < pool.size()) prefetch(pool[cursor].node);
   }
+  if (pool.size() > ef) pool.resize(ef);
 }
 
 /// Greedy descent (beam 1) from `entry` on `top_layer` down to the layer
@@ -210,7 +222,7 @@ LocalId greedy_descent(const Adj& adj, const DistBatch& dist_batch,
 }
 
 /// Full k-NN descent: greedy through the upper layers, then beam `ef` on
-/// layer 0. Leaves the layer-0 beam in `s.best` as a max-heap.
+/// layer 0. Leaves the layer-0 beam in `s.best`, ascending.
 template <typename Adj, typename DistBatch, typename Prefetch>
 void beam_search(const Adj& adj, const DistBatch& dist_batch,
                  const Prefetch& prefetch, LocalId entry, int top_layer,

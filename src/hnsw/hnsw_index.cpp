@@ -60,18 +60,18 @@ auto row_dists(const data::Dataset& data, const simd::DistanceComputer& dist,
   };
 }
 
-/// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan
-/// candidates nearest-first, keep one only if it is closer to the query than
-/// to every already-kept neighbor; backfill with pruned candidates.
+/// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan the
+/// ascending `candidates` nearest-first, keep one only if it is closer to the
+/// query than to every already-kept neighbor; backfill with pruned
+/// candidates. Writes at most `m` ids to `kept`; `pruned` is working memory.
 /// Comparisons happen in search space (order-identical to ranking space).
-std::vector<LocalId> select_neighbors(const data::Dataset& data,
-                                      const simd::DistanceComputer& dist,
-                                      std::vector<Cand> candidates,
-                                      std::size_t m) {
-  std::sort(candidates.begin(), candidates.end());  // ascending distance
-  std::vector<LocalId> kept;
-  std::vector<LocalId> pruned;
-  kept.reserve(m);
+void select_neighbors(const data::Dataset& data,
+                      const simd::DistanceComputer& dist,
+                      std::span<const Cand> candidates, std::size_t m,
+                      std::vector<LocalId>& kept,
+                      std::vector<LocalId>& pruned) {
+  kept.clear();
+  pruned.clear();
   for (const Cand& c : candidates) {
     if (kept.size() >= m) break;
     bool closer_to_kept = false;
@@ -91,7 +91,6 @@ std::vector<LocalId> select_neighbors(const data::Dataset& data,
     if (kept.size() >= m) break;
     kept.push_back(p);  // keepPrunedConnections
   }
-  return kept;
 }
 
 }  // namespace
@@ -173,9 +172,16 @@ void HnswIndex::insert(LocalId node) {
   while (u == 0.0) u = rng.uniform();
   const int level = int(-std::log(u) * params_.level_mult);
 
+  // The node's own adjacency, each list at full capacity (2M on layer 0, M
+  // above) so neither selection nor later back-links reallocate it: these
+  // are the only allocations an insert makes once its scratch is warm.
   {
     std::lock_guard lk(im.locks[node]);
-    im.nodes[node].layers.assign(std::size_t(level) + 1, {});
+    auto& layers = im.nodes[node].layers;
+    layers.resize(std::size_t(level) + 1);
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      layers[l].reserve(l == 0 ? 2 * params_.M : params_.M);
+    }
   }
 
   // Snapshot the entry point / top level.
@@ -197,50 +203,53 @@ void HnswIndex::insert(LocalId node) {
 
   // Linked lists hold at most 2M ids (layer 0), which sizes the gather.
   auto scratch = im.scratch.acquire(data_->size(), 2 * params_.M);
-  const LockedLinks adj{im.nodes, im.locks.get(), scratch->links};
+  SearchScratch& s = *scratch;
+  const LockedLinks adj{im.nodes, im.locks.get(), s.links};
   const auto dist_batch = row_dists(*data_, dist, qv);
 
   // Greedy descent through layers above the node's level.
-  std::vector<LocalId> eps{greedy_descent(adj, dist_batch, kNoPrefetch, entry,
-                                          top_level, level, *scratch)};
+  s.entries.assign(1, greedy_descent(adj, dist_batch, kNoPrefetch, entry,
+                                     top_level, level, s));
 
   // Connect at each layer from min(level, top_level) down to 0.
   for (int layer = std::min(level, top_level); layer >= 0; --layer) {
-    search_layer(adj, dist_batch, kNoPrefetch, eps, layer,
-                 params_.ef_construction, *scratch);
-    auto& candidates = scratch->best;
-    std::sort_heap(candidates.begin(), candidates.end());  // ascending
+    search_layer(adj, dist_batch, kNoPrefetch, s.entries, layer,
+                 params_.ef_construction, s);
+    const auto& candidates = s.best;  // ascending
     const std::size_t m_layer = layer == 0 ? params_.M * 2 : params_.M;
-    auto neighbors =
-        select_neighbors(*data_, dist, candidates, params_.M);
+    select_neighbors(*data_, dist, candidates, params_.M, s.neighbors,
+                     s.pruned);
 
     {
       std::lock_guard lk(im.locks[node]);
-      im.nodes[node].layers[layer] = neighbors;
+      im.nodes[node].layers[layer].assign(s.neighbors.begin(),
+                                          s.neighbors.end());
     }
 
     // Back-links, shrinking the neighbor's list when it overflows.
-    for (LocalId nb : neighbors) {
+    for (LocalId nb : s.neighbors) {
       std::lock_guard lk(im.locks[nb]);
       auto& links = im.nodes[nb].layers[layer];
       if (links.size() < m_layer) {
         links.push_back(node);
       } else {
-        std::vector<Cand> cands;
-        cands.reserve(links.size() + 1);
+        auto& cands = s.cands;
+        cands.clear();
         const float* nbv = data_->row(nb);
         cands.push_back({dist.search_dist(nbv, qv), node});
         for (LocalId x : links) {
           cands.push_back({dist.search_dist(nbv, data_->row(x)), x});
         }
-        links = select_neighbors(*data_, dist, std::move(cands), m_layer);
+        std::sort(cands.begin(), cands.end());  // ascending distance
+        select_neighbors(*data_, dist, cands, m_layer, s.kept, s.pruned);
+        links.assign(s.kept.begin(), s.kept.end());
       }
     }
 
     // Next layer starts from this layer's candidates, farthest first.
-    eps.clear();
+    s.entries.clear();
     for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      eps.push_back(it->node);
+      s.entries.push_back(it->node);
     }
   }
 
@@ -342,8 +351,7 @@ std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
     }
   }
 
-  auto& best = scratch->best;
-  std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
+  const auto& best = scratch->best;  // ascending (dist, node)
   std::vector<Neighbor> out;
   out.reserve(std::min(k, best.size()));
   for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {

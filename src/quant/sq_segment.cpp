@@ -211,13 +211,16 @@ std::vector<Neighbor> SqSegment::scan(const float* query, std::size_t k) const {
                         s->dists.data());
       for (std::size_t i = 0; i < m; ++i) s->dists[i] = 1.0f - s->dists[i];
     }
+    // Bounded max-heap on (dist, row): keeps the `fetch` nearest rows.
     for (std::size_t i = 0; i < m; ++i) {
       const hnsw::Cand c{s->dists[i], std::uint32_t(start + i)};
       if (best.size() < fetch) {
-        hnsw::max_push(best, c);
+        best.push_back(c);
+        std::push_heap(best.begin(), best.end());
       } else if (c < best.front()) {
-        hnsw::max_pop(best);
-        hnsw::max_push(best, c);
+        std::pop_heap(best.begin(), best.end());
+        best.back() = c;
+        std::push_heap(best.begin(), best.end());
       }
     }
   }
