@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "annsim/kdtree/kd_tree.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -25,21 +24,20 @@ void routing_vs_dimension() {
     auto w = data::make_syn(bench::scaled(16384), dim, 100, 256, 888 + dim);
     auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
 
-    vptree::PartitionVpTreeParams vp_params;
+    vptree::PartitionTreeParams vp_params;
     vp_params.target_partitions = 16;
     vp_params.vantage_candidates = 16;
     vp_params.vantage_sample = 64;
-    auto vp = vptree::PartitionVpTree::build(w.base, vp_params);
+    auto vp = vptree::PartitionTree::build(w.base, vp_params);
 
-    std::vector<PartitionId> assignment;
-    auto kd = kdtree::PartitionKdTree::build(w.base, {.target_partitions = 16},
-                                             &assignment);
+    auto kd = vptree::PartitionTree::build(
+        w.base, {.target_partitions = 16}, vptree::PartitionTreeKind::kKdTree);
 
     double vp_visits = 0, kd_visits = 0;
     for (std::size_t q = 0; q < w.queries.size(); ++q) {
       const float radius = gt[q].back().dist;
       vp_visits += double(vp.tree.route_ball(w.queries.row(q), radius).size());
-      kd_visits += double(kd.route_ball(w.queries.row(q), radius).size());
+      kd_visits += double(kd.tree.route_ball(w.queries.row(q), radius).size());
     }
     std::printf("%8zu %22.2f %22.2f\n", dim,
                 vp_visits / double(w.queries.size()),
@@ -67,14 +65,14 @@ void radius_shrink() {
   auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
 
   for (std::size_t parts : {64u, 1024u}) {
-    vptree::PartitionVpTreeParams vp_params;
+    vptree::PartitionTreeParams vp_params;
     vp_params.target_partitions = parts;
     vp_params.vantage_candidates = 8;
     vp_params.vantage_sample = 64;
-    auto vp = vptree::PartitionVpTree::build(w.base, vp_params);
-    std::vector<PartitionId> assignment;
-    auto kd = kdtree::PartitionKdTree::build(
-        w.base, {.target_partitions = parts}, &assignment);
+    auto vp = vptree::PartitionTree::build(w.base, vp_params);
+    auto kd = vptree::PartitionTree::build(
+        w.base, {.target_partitions = parts},
+        vptree::PartitionTreeKind::kKdTree);
 
     std::printf("\nP = %zu partitions\n", parts);
     std::printf("%14s %18s %18s %10s\n", "radius scale", "VP parts/query",
@@ -85,7 +83,8 @@ void radius_shrink() {
         const float radius = gt[q].back().dist * float(scale);
         vp_visits +=
             double(vp.tree.route_ball(w.queries.row(q), radius).size());
-        kd_visits += double(kd.route_ball(w.queries.row(q), radius).size());
+        kd_visits +=
+            double(kd.tree.route_ball(w.queries.row(q), radius).size());
       }
       vp_visits /= double(w.queries.size());
       kd_visits /= double(w.queries.size());
@@ -116,15 +115,15 @@ void vantage_heuristic() {
     return double(hit) / double(total);
   };
 
-  vptree::PartitionVpTreeParams heuristic;
+  vptree::PartitionTreeParams heuristic;
   heuristic.target_partitions = 32;
   heuristic.vantage_candidates = 100;  // the paper's candidate count
   heuristic.vantage_sample = 256;
-  auto with_heuristic = vptree::PartitionVpTree::build(w.base, heuristic);
+  auto with_heuristic = vptree::PartitionTree::build(w.base, heuristic);
 
-  vptree::PartitionVpTreeParams random = heuristic;
+  vptree::PartitionTreeParams random = heuristic;
   random.vantage_candidates = 1;  // a single sampled candidate == random
-  auto with_random = vptree::PartitionVpTree::build(w.base, random);
+  auto with_random = vptree::PartitionTree::build(w.base, random);
 
   std::printf("%10s %22s %22s\n", "n_probe", "heuristic coverage",
               "random-vp coverage");

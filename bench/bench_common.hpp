@@ -17,7 +17,7 @@
 #include "annsim/cluster/calibration.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::bench {
 
@@ -59,7 +59,7 @@ inline const cluster::CalibratedCosts& costs() {
 /// Build the VP router over `base` at `n_partitions` and route every query
 /// with `n_probe` best-first probes — the plans the DES replays.
 struct RoutedWorkload {
-  vptree::PartitionVpTree tree;
+  vptree::PartitionTree tree;
   std::vector<PartitionId> assignment;
   std::vector<std::size_t> partition_sizes;
   std::vector<std::vector<PartitionId>> plans;
@@ -70,13 +70,13 @@ inline RoutedWorkload route_workload(const data::Dataset& base,
                                      std::size_t n_partitions,
                                      std::size_t n_probe,
                                      std::uint64_t seed = 11) {
-  vptree::PartitionVpTreeParams params;
+  vptree::PartitionTreeParams params;
   params.target_partitions = n_partitions;
   // Keep vantage scoring cheap for large trees; quality is insensitive.
   params.vantage_candidates = 8;
   params.vantage_sample = 64;
   params.seed = seed;
-  auto built = vptree::PartitionVpTree::build(base, params);
+  auto built = vptree::PartitionTree::build(base, params);
   RoutedWorkload out{std::move(built.tree), std::move(built.assignment),
                      std::move(built.partition_sizes), {}};
   out.plans.resize(queries.size());

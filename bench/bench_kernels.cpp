@@ -11,7 +11,7 @@
 #include "annsim/data/recipes.hpp"
 #include "annsim/hnsw/hnsw_index.hpp"
 #include "annsim/simd/distance.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace {
 
@@ -202,11 +202,11 @@ BENCHMARK(BM_HnswInsert)->Iterations(20000);
 void BM_VpRouteTopk(benchmark::State& state) {
   static auto w = data::make_sift_like(32768, 256, 15);
   static auto built = [] {
-    vptree::PartitionVpTreeParams params;
+    vptree::PartitionTreeParams params;
     params.target_partitions = 1024;
     params.vantage_candidates = 8;
     params.vantage_sample = 64;
-    return vptree::PartitionVpTree::build(w.base, params);
+    return vptree::PartitionTree::build(w.base, params);
   }();
   std::size_t q = 0;
   for (auto _ : state) {

@@ -4,9 +4,12 @@
 ///   DEEP1B     @ 8192 cores: 7.1 s vs 80.9 s (11.4x), recall 0.85
 ///   ANN_GIST1M @ 24 cores:   0.54 s vs 4.6 s (8.5x),  recall 0.91
 ///
-/// Functional plane: both engines run for real on the simulated MPI runtime
+/// Functional plane: both methods run for real on the simulated MPI runtime
 /// over a downscaled corpus, in the paper's F(q) semantics (the sufficient
-/// partition set for exact reconstruction) — wall-clock plus measured recall.
+/// partition set for exact reconstruction) — wall-clock plus measured recall
+/// and partitions searched per query. The KD column is the exactFq engine
+/// configuration with only the router and the local index swapped for KD
+/// trees, so the two exact columns differ in nothing else.
 ///
 /// Model plane: both routers route the real query set with ball radii
 /// *rescaled to billion-point density*. On a downscaled corpus the k-th
@@ -25,7 +28,6 @@
 #include "annsim/common/timer.hpp"
 #include "annsim/data/analysis.hpp"
 #include "annsim/core/engine.hpp"
-#include "annsim/core/kd_engine.hpp"
 #include "annsim/des/search_sim.hpp"
 #include "bench_common.hpp"
 
@@ -69,9 +71,12 @@ void functional_plane(const Spec& spec) {
   core::DistributedAnnEngine ours_exact(&w.base, cfg_exact);
   ours_exact.build();
 
-  core::KdEngineConfig kcfg;
-  kcfg.n_workers = 16;
-  core::DistributedKdEngine kd(&w.base, kcfg);
+  // PANDA's exact distributed KD-tree: a KD router over exact local KD
+  // trees, on the exactFq column's two-phase protocol.
+  auto cfg_kd = cfg_exact;
+  cfg_kd.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
+  cfg_kd.local_index = core::LocalIndexKind::kKdTree;
+  core::DistributedAnnEngine kd(&w.base, cfg_kd);
   kd.build();
 
   WallTimer t1;
@@ -79,17 +84,20 @@ void functional_plane(const Spec& spec) {
   auto res = ours.search(w.queries, 10, 0, &ost);
   const double ours_s = t1.seconds();
   WallTimer t1e;
-  auto res_exact = ours_exact.search(w.queries, 10);
+  core::SearchStats est;
+  auto res_exact = ours_exact.search(w.queries, 10, 0, &est);
   const double exact_s = t1e.seconds();
   WallTimer t2;
-  core::KdSearchStats kst;
-  auto kres = kd.search(w.queries, 10, &kst);
+  core::SearchStats kst;
+  auto kres = kd.search(w.queries, 10, 0, &kst);
   const double kd_s = t2.seconds();
-  (void)kres;
 
-  std::printf("%-12s %10.3f %8.2f %12.3f %8.2f %10.3f %9.1fx\n", spec.name,
-              ours_s, data::mean_recall(res, gt, 10), exact_s,
-              data::mean_recall(res_exact, gt, 10), kd_s, kd_s / ours_s);
+  std::printf("%-12s %9.3f %6.2f %11.3f %6.2f %7.1f %8.3f %6.2f %7.1f %8.1fx\n",
+              spec.name, ours_s, data::mean_recall(res, gt, 10), exact_s,
+              data::mean_recall(res_exact, gt, 10),
+              est.mean_partitions_per_query, kd_s,
+              data::mean_recall(kres, gt, 10), kst.mean_partitions_per_query,
+              kd_s / ours_s);
 }
 
 void model_plane(const Spec& spec) {
@@ -105,16 +113,15 @@ void model_plane(const Spec& spec) {
 
   // --- routers on the same downscaled corpus.
   auto routed = bench::route_workload(w.base, w.queries, P, 1);
-  std::vector<PartitionId> assignment;
-  auto kd_tree = kdtree::PartitionKdTree::build(
-      w.base, {.target_partitions = P}, &assignment);
+  auto kd_tree = vptree::PartitionTree::build(
+      w.base, {.target_partitions = P}, vptree::PartitionTreeKind::kKdTree);
 
   std::vector<std::vector<PartitionId>> vp_plans(w.queries.size());
   std::vector<std::vector<PartitionId>> kd_plans(w.queries.size());
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     const float radius = gt[q].back().dist * float(radius_scale);
     vp_plans[q] = routed.tree.route_ball(w.queries.row(q), radius);
-    kd_plans[q] = kd_tree.route_ball(w.queries.row(q), radius);
+    kd_plans[q] = kd_tree.tree.route_ball(w.queries.row(q), radius);
   }
   auto vp_tiled = bench::tile_plans(vp_plans, spec.n_queries);
   auto kd_tiled = bench::tile_plans(kd_plans, spec.n_queries);
@@ -155,8 +162,9 @@ int main() {
 
   bench::print_header(
       "Table III (functional plane): measured wall-clock, downscaled, 16 workers");
-  std::printf("%-12s %10s %8s %12s %8s %10s %9s\n", "dataset", "ours (s)",
-              "recall", "exactFq (s)", "recall", "KD (s)", "speedup");
+  std::printf("%-12s %9s %6s %11s %6s %7s %8s %6s %7s %9s\n", "dataset",
+              "ours (s)", "recall", "exactFq (s)", "recall", "parts/q",
+              "KD (s)", "recall", "parts/q", "speedup");
   functional_plane(sift);
   functional_plane(deep);
   functional_plane(gist);

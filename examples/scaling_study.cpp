@@ -15,7 +15,7 @@
 #include "annsim/cluster/calibration.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/des/search_sim.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 int main(int argc, char** argv) {
   using namespace annsim;
@@ -42,11 +42,11 @@ int main(int argc, char** argv) {
   std::printf("\n%8s %8s %16s %16s %14s\n", "cores", "nodes", "r=1 batch (s)",
               "r=3 batch (s)", "queries/s (r=3)");
   for (std::size_t cores : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
-    vptree::PartitionVpTreeParams params;
+    vptree::PartitionTreeParams params;
     params.target_partitions = cores;
     params.vantage_candidates = 8;
     params.vantage_sample = 64;
-    auto built = vptree::PartitionVpTree::build(w.base, params);
+    auto built = vptree::PartitionTree::build(w.base, params);
 
     std::vector<std::vector<PartitionId>> plans(w.queries.size());
     for (std::size_t q = 0; q < w.queries.size(); ++q) {

@@ -4,7 +4,9 @@
 /// VP-tree partitioning, per-partition HNSW indexes, master-worker batched
 /// search (Algorithms 3-4), one-sided result accumulation (§IV-C1),
 /// replication-based load balancing (Algorithm 5), and the multiple-owner
-/// dispatch variant (§IV).
+/// dispatch variant (§IV). Table III's exact KD-tree baseline (PANDA) is a
+/// configuration of the same engine: `partitioner.tree = kKdTree`,
+/// `local_index = kKdTree`, `exact_routing = true`.
 ///
 /// The engine runs SPMD phases on the simulated MPI runtime with
 /// `n_workers + 1` ranks (rank 0 = master process; worker w = rank w+1, and
@@ -32,7 +34,7 @@
 #include "annsim/recovery/checkpoint.hpp"
 #include "annsim/recovery/health.hpp"
 #include "annsim/recovery/write_log.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::core {
 
@@ -136,7 +138,8 @@ struct EngineConfig {
 
 struct BuildStats {
   double total_seconds = 0.0;
-  double vp_tree_seconds = 0.0;      ///< max across workers
+  double vp_tree_seconds = 0.0;      ///< router build: max across workers
+                                     ///< (VP), or the master's (KD)
   double hnsw_seconds = 0.0;         ///< max across workers
   double replication_seconds = 0.0;  ///< max across workers
   std::vector<std::size_t> partition_sizes;
@@ -263,8 +266,9 @@ class DistributedAnnEngine {
   DistributedAnnEngine(DistributedAnnEngine&&) noexcept = default;
   DistributedAnnEngine& operator=(DistributedAnnEngine&&) noexcept = default;
 
-  /// Distributed construction: VP-tree partitioning (Algorithms 1-2), local
-  /// HNSW builds, and partition replication.
+  /// Distributed construction: VP-tree partitioning (Algorithms 1-2), or
+  /// the KD baseline's master-built tree, then local index builds and
+  /// partition replication.
   void build();
 
   [[nodiscard]] bool built() const noexcept { return router_.has_value(); }
@@ -287,7 +291,7 @@ class DistributedAnnEngine {
   // ---- streaming writes (local_index == kSegmented only) ----
 
   /// Insert a batch of vectors into the live index. The master routes each
-  /// row to its nearest partition (same VP-tree as queries) and ships it to
+  /// row to its nearest partition (same router as queries) and ships it to
   /// every live replica of that partition over the reserved write tags; the
   /// replicas absorb it into their mutable delta. Returns the assigned
   /// global ids — immediately searchable. Thread-safe against concurrent
@@ -313,7 +317,7 @@ class DistributedAnnEngine {
   [[nodiscard]] CompressionStats compression_stats() const;
 
   /// The master's routing tree (valid after build()).
-  [[nodiscard]] const vptree::PartitionVpTree& router() const;
+  [[nodiscard]] const vptree::PartitionTree& router() const;
 
   [[nodiscard]] std::vector<std::size_t> partition_sizes() const;
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
@@ -479,7 +483,7 @@ class DistributedAnnEngine {
 
   const data::Dataset* base_ = nullptr;  ///< null after load()
   EngineConfig config_;
-  std::optional<vptree::PartitionVpTree> router_;
+  std::optional<vptree::PartitionTree> router_;
   std::vector<WorkerStore> workers_;  ///< indexed by worker id (0..P-1)
   BuildStats build_stats_;
   /// Fault state shared across search runtimes (batches): a rank killed in

@@ -4,8 +4,9 @@
 /// "Our approach is extensible in that any algorithm can be used for local
 /// indexing and searching instead of HNSW" (§VI).
 ///
-/// Three implementations ship: HNSW (the paper's choice), an exact
-/// brute-force scan, and an exact VP-tree. Workers build/serialize replicas
+/// Implementations: HNSW (the paper's choice), an exact brute-force scan,
+/// exact VP- and KD-trees, IVF-PQ, and the live-mutable segmented index.
+/// Workers build/serialize replicas
 /// through this interface, so swapping the local algorithm never touches the
 /// distributed machinery.
 
@@ -36,6 +37,7 @@ enum class LocalIndexKind : std::uint8_t {
   kVpTree = 2,      ///< exact metric-tree search
   kIvfPq = 3,       ///< compressed (IVF-PQ): tiny memory, recall ceiling
   kSegmented = 4,   ///< live-mutable: frozen segments + delta + tombstones
+  kKdTree = 5,      ///< exact KD-tree search (the Table III baseline's)
 };
 
 [[nodiscard]] const char* local_index_kind_name(LocalIndexKind kind) noexcept;

@@ -13,14 +13,18 @@
 
 #include "annsim/data/dataset.hpp"
 #include "annsim/mpi/mpi.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::core {
 
 struct PartitionerConfig {
-  /// Vantage-point candidates sampled per rank (paper: 100).
+  /// The router's split rule. kVpTree runs Algorithms 1-2 across the
+  /// workers; kKdTree (the Table III baseline) builds the KD-median tree at
+  /// the master and hands each worker its partition's rows.
+  vptree::PartitionTreeKind tree = vptree::PartitionTreeKind::kVpTree;
+  /// Vantage-point candidates sampled per rank (paper: 100). VP only.
   std::size_t vantage_candidates = 100;
-  /// Evaluation rows sampled per candidate-scoring pass.
+  /// Evaluation rows sampled per candidate-scoring pass. VP only.
   std::size_t vantage_sample = 256;
   std::uint64_t seed = 11;
   simd::Metric metric = simd::Metric::kL2;

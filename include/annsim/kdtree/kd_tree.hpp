@@ -3,15 +3,16 @@
 /// \brief KD-tree: the exact-search baseline family (PANDA, Patwary et al.
 /// IPDPS'16) that Table III compares against.
 ///
-/// Two classes mirror the VP-tree module: `KdTree` is an exact local k-NN
-/// index (median split on the widest-spread coordinate, backtracking search),
-/// and `PartitionKdTree` is the KD analogue of the partition router — its
-/// leaves are data partitions, and exact global search must visit every
-/// partition whose half-space cell intersects the query ball, which is the
+/// `KdTree` is the baseline's exact local k-NN index (median split on the
+/// widest-spread coordinate, backtracking search). Its partition router is
+/// vptree::PartitionTree built with PartitionTreeKind::kKdTree, which splits
+/// on the same coordinate: exact global search must visit every partition
+/// whose half-space cell intersects the query ball, which is the
 /// high-dimensional explosion the paper demonstrates.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "annsim/common/types.hpp"
@@ -19,6 +20,12 @@
 #include "annsim/simd/distance.hpp"
 
 namespace annsim::kdtree {
+
+/// The coordinate with the largest value spread over `rows` (sampled) — the
+/// classic widest-dimension split rule PANDA uses, shared by KdTree and the
+/// KD partition router.
+[[nodiscard]] std::uint32_t widest_axis(const data::Dataset& data,
+                                        std::span<const std::size_t> rows);
 
 struct KdTreeParams {
   std::size_t leaf_size = 16;  ///< switch to linear scan below this size
@@ -55,46 +62,6 @@ class KdTree {
   std::vector<std::size_t> rows_;
   std::vector<Node> nodes_;
   std::int32_t root_ = -1;
-};
-
-struct PartitionKdTreeParams {
-  std::size_t target_partitions = 8;  ///< power of two
-  simd::Metric metric = simd::Metric::kL2;
-};
-
-/// KD-median partition router (leaves = partitions), the global index of the
-/// PANDA-style baseline.
-class PartitionKdTree {
- public:
-  struct Node {
-    std::uint32_t axis = 0;
-    float split = 0.f;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    PartitionId leaf = kInvalidPartition;
-  };
-
-  static PartitionKdTree build(const data::Dataset& data,
-                               const PartitionKdTreeParams& params,
-                               std::vector<PartitionId>* assignment_out);
-
-  /// All partitions whose cell intersects ball(query, radius): the exact
-  /// visit set for exact distributed k-NN.
-  [[nodiscard]] std::vector<PartitionId> route_ball(const float* query,
-                                                    float radius) const;
-
-  [[nodiscard]] PartitionId route_nearest(const float* query) const;
-
-  [[nodiscard]] std::size_t n_partitions() const noexcept { return n_partitions_; }
-
- private:
-  PartitionKdTree() = default;
-
-  std::vector<Node> nodes_;
-  std::int32_t root_ = -1;
-  std::size_t n_partitions_ = 0;
-  std::size_t dim_ = 0;
-  simd::Metric metric_ = simd::Metric::kL2;
 };
 
 }  // namespace annsim::kdtree

@@ -144,6 +144,24 @@ void validate_engine_config(const EngineConfig& config) {
                    "round)");
 }
 
+namespace {
+
+/// The local index parameters every replica of `config` is built or
+/// restored with.
+LocalIndexParams local_index_params(const EngineConfig& config) {
+  LocalIndexParams lp;
+  lp.kind = config.local_index;
+  lp.hnsw = config.hnsw;
+  lp.ivfpq = config.ivfpq;
+  lp.metric = config.hnsw.metric;
+  lp.segment_delta_capacity = config.segment_delta_capacity;
+  lp.quantize_frozen = config.quantize_frozen;
+  lp.float_cache_fraction = config.float_cache_fraction;
+  return lp;
+}
+
+}  // namespace
+
 DistributedAnnEngine::DistributedAnnEngine(const data::Dataset* base,
                                            EngineConfig config)
     : base_(base), config_(std::move(config)) {
@@ -156,7 +174,7 @@ DistributedAnnEngine::DistributedAnnEngine(const data::Dataset* base,
 
 DistributedAnnEngine::~DistributedAnnEngine() = default;
 
-const vptree::PartitionVpTree& DistributedAnnEngine::router() const {
+const vptree::PartitionTree& DistributedAnnEngine::router() const {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
   return *router_;
 }
@@ -185,6 +203,25 @@ void DistributedAnnEngine::build() {
   std::vector<std::byte> tree_bytes;
 
   WallTimer total_timer;
+  // The KD baseline's router is built here, at the master, over the whole
+  // corpus (PANDA builds it distributedly; DESIGN.md records the
+  // substitution); each worker then takes its partition's rows.
+  std::optional<vptree::PartitionBuildResult> master_tree;
+  std::vector<std::vector<std::size_t>> master_rows;
+  if (config_.partitioner.tree == vptree::PartitionTreeKind::kKdTree) {
+    WallTimer tree_timer;
+    vptree::PartitionTreeParams tp;
+    tp.target_partitions = P;
+    tp.metric = config_.partitioner.metric;
+    master_tree.emplace(vptree::PartitionTree::build(
+        *base_, tp, vptree::PartitionTreeKind::kKdTree));
+    master_rows.resize(P);
+    for (std::size_t i = 0; i < n; ++i) {
+      master_rows[master_tree->assignment[i]].push_back(i);
+    }
+    vp_seconds.assign(P, tree_timer.seconds());
+  }
+
   mpi::Runtime rt(int(P) + 1);
   configure_runtime_check(rt);
   auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
@@ -201,39 +238,39 @@ void DistributedAnnEngine::build() {
     mpi::Comm grp = world.split(wr == 0 ? 0 : 1);
 
     if (wr == 0) {
-      // Master: receive the assembled routing tree from worker 0.
-      mpi::Message m = world.recv(1, kTagTree);
-      tree_bytes = std::move(m.payload);
+      // Master: receive the VP tree worker 0 assembled (a KD tree is built).
+      if (!master_tree.has_value()) {
+        mpi::Message m = world.recv(1, kTagTree);
+        tree_bytes = std::move(m.payload);
+      }
       return;
     }
 
     const std::size_t w = std::size_t(wr) - 1;
-    // Initial equi-partition of D across the P worker cores (§IV).
-    data::Dataset slice = base_->slice(w * n / P, (w + 1) * n / P);
+    Replica primary;
+    if (master_tree.has_value()) {
+      primary.data =
+          std::make_unique<data::Dataset>(base_->subset(master_rows[w]));
+    } else {
+      // Initial equi-partition of D across the P worker cores (§IV).
+      data::Dataset slice = base_->slice(w * n / P, (w + 1) * n / P);
 
-    // Algorithms 1-2: distributed VP-tree construction.
-    PartitionerResult res =
-        build_distributed_vp_tree(grp, std::move(slice), config_.partitioner);
-    vp_seconds[w] = res.build_seconds;
-    ANNSIM_CHECK(res.partition_id == PartitionId(w));
-    if (grp.rank() == 0) {
-      world.send(0, kTagTree, res.serialized_tree);
+      // Algorithms 1-2: distributed VP-tree construction.
+      PartitionerResult res =
+          build_distributed_vp_tree(grp, std::move(slice), config_.partitioner);
+      vp_seconds[w] = res.build_seconds;
+      ANNSIM_CHECK(res.partition_id == PartitionId(w));
+      if (grp.rank() == 0) {
+        world.send(0, kTagTree, res.serialized_tree);
+      }
+      primary.data = std::make_unique<data::Dataset>(std::move(res.partition));
     }
 
     // Local index over the owned partition (HNSW by default; §VI allows
     // any algorithm here).
     WallTimer hnsw_timer;
-    Replica primary;
-    primary.data = std::make_unique<data::Dataset>(std::move(res.partition));
-    LocalIndexParams lp;
-    lp.kind = config_.local_index;
-    lp.hnsw = config_.hnsw;
+    LocalIndexParams lp = local_index_params(config_);
     lp.hnsw.seed = Rng(config_.seed).split(w).next();
-    lp.ivfpq = config_.ivfpq;
-    lp.metric = config_.hnsw.metric;
-    lp.segment_delta_capacity = config_.segment_delta_capacity;
-    lp.quantize_frozen = config_.quantize_frozen;
-    lp.float_cache_fraction = config_.float_cache_fraction;
     if (config_.parallel_local_build && config_.threads_per_worker > 1) {
       // The paper's hybrid model: each MPI process builds its local index
       // with an OpenMP-style thread team.
@@ -274,15 +311,8 @@ void DistributedAnnEngine::build() {
         Replica rep;
         rep.data = std::make_unique<data::Dataset>(
             unpack_dataset(data_bytes, base_->dim()));
-        LocalIndexParams rep_lp;
-        rep_lp.kind = config_.local_index;
-        rep_lp.hnsw = config_.hnsw;
-        rep_lp.ivfpq = config_.ivfpq;
-        rep_lp.metric = config_.hnsw.metric;
-        rep_lp.segment_delta_capacity = config_.segment_delta_capacity;
-        rep_lp.quantize_frozen = config_.quantize_frozen;
-        rep_lp.float_cache_fraction = config_.float_cache_fraction;
-        rep.index = local_index_from_bytes(index_bytes, rep.data.get(), rep_lp);
+        rep.index = local_index_from_bytes(index_bytes, rep.data.get(),
+                                           local_index_params(config_));
         workers_[w].emplace(pid, std::move(rep));
       }
     }
@@ -290,8 +320,12 @@ void DistributedAnnEngine::build() {
     workers_[w].emplace(PartitionId(w), std::move(primary));
   });
 
-  BinaryReader rd(tree_bytes);
-  router_.emplace(vptree::PartitionVpTree::deserialize(rd));
+  if (master_tree.has_value()) {
+    router_.emplace(std::move(master_tree->tree));
+  } else {
+    BinaryReader rd(tree_bytes);
+    router_.emplace(vptree::PartitionTree::deserialize(rd));
+  }
 
   build_stats_.total_seconds = total_timer.seconds();
   build_stats_.vp_tree_seconds = *std::max_element(vp_seconds.begin(), vp_seconds.end());
@@ -1621,14 +1655,7 @@ recovery::HealReport DistributedAnnEngine::heal() {
     }
   }
 
-  LocalIndexParams lp;
-  lp.kind = config_.local_index;
-  lp.hnsw = config_.hnsw;
-  lp.ivfpq = config_.ivfpq;
-  lp.metric = config_.hnsw.metric;
-  lp.segment_delta_capacity = config_.segment_delta_capacity;
-  lp.quantize_frozen = config_.quantize_frozen;
-  lp.float_cache_fraction = config_.float_cache_fraction;
+  const LocalIndexParams lp = local_index_params(config_);
 
   // 3. Prefer the checkpoint store: a durable snapshot restores locally with
   //    no cluster traffic at all (the LANNS model — reload, don't rebuild).
@@ -2003,23 +2030,24 @@ DistributedAnnEngine DistributedAnnEngine::load(
   eng.config_.float_cache_fraction = r.read<double>();
   eng.next_stream_id_ = r.read<GlobalId>();
   eng.next_lsn_ = r.read<std::uint64_t>();
+  // The file is as untrusted as any caller: hold the decoded config to the
+  // constructor's rules before anything sizes itself from it.
+  validate_engine_config(eng.config_);
 
   auto tree_bytes = r.read_vector<std::byte>();
   BinaryReader tr(tree_bytes);
-  eng.router_.emplace(vptree::PartitionVpTree::deserialize(tr));
+  eng.router_.emplace(vptree::PartitionTree::deserialize(tr));
+  ANNSIM_CHECK_MSG(eng.router_->n_partitions() == eng.config_.n_workers,
+                   "engine file router has " << eng.router_->n_partitions()
+                                             << " partitions for "
+                                             << eng.config_.n_workers
+                                             << " workers");
 
   const auto n_workers = r.read<std::uint64_t>();
   ANNSIM_CHECK(n_workers == eng.config_.n_workers);
   eng.workers_.resize(n_workers);
   eng.partition_last_lsn_.assign(n_workers, 0);
-  LocalIndexParams lp;
-  lp.kind = eng.config_.local_index;
-  lp.hnsw = eng.config_.hnsw;
-  lp.ivfpq = eng.config_.ivfpq;
-  lp.metric = eng.config_.hnsw.metric;
-  lp.segment_delta_capacity = eng.config_.segment_delta_capacity;
-  lp.quantize_frozen = eng.config_.quantize_frozen;
-  lp.float_cache_fraction = eng.config_.float_cache_fraction;
+  const LocalIndexParams lp = local_index_params(eng.config_);
   for (auto& store : eng.workers_) {
     const auto n_replicas = r.read<std::uint64_t>();
     for (std::uint64_t i = 0; i < n_replicas; ++i) {

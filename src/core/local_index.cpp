@@ -2,6 +2,7 @@
 
 #include "annsim/common/error.hpp"
 #include "annsim/common/serialize.hpp"
+#include "annsim/kdtree/kd_tree.hpp"
 #include "annsim/segment/segmented_index.hpp"
 
 namespace annsim::core {
@@ -97,6 +98,26 @@ class VpTreeLocalIndex final : public LocalIndex {
   vptree::VpTree tree_;
 };
 
+class KdTreeLocalIndex final : public LocalIndex {
+ public:
+  KdTreeLocalIndex(const data::Dataset* data, simd::Metric metric)
+      : tree_(data, {.metric = metric}) {}
+
+  std::vector<Neighbor> search(const float* query, std::size_t k,
+                               std::size_t /*ef*/) const override {
+    return tree_.search(query, k);
+  }
+
+  LocalIndexKind kind() const noexcept override { return LocalIndexKind::kKdTree; }
+  std::size_t size() const noexcept override { return tree_.size(); }
+
+  // The tree rebuilds deterministically from the data; ship nothing.
+  std::vector<std::byte> to_bytes() const override { return {}; }
+
+ private:
+  kdtree::KdTree tree_;
+};
+
 class IvfPqLocalIndex final : public LocalIndex {
  public:
   IvfPqLocalIndex(const data::Dataset* data, pq::IvfPqParams params)
@@ -182,6 +203,7 @@ const char* local_index_kind_name(LocalIndexKind kind) noexcept {
     case LocalIndexKind::kVpTree: return "vptree";
     case LocalIndexKind::kIvfPq: return "ivfpq";
     case LocalIndexKind::kSegmented: return "segmented";
+    case LocalIndexKind::kKdTree: return "kdtree";
   }
   return "?";
 }
@@ -202,6 +224,8 @@ std::unique_ptr<LocalIndex> build_local_index(const data::Dataset* data,
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
     case LocalIndexKind::kVpTree:
       return std::make_unique<VpTreeLocalIndex>(data, params.metric);
+    case LocalIndexKind::kKdTree:
+      return std::make_unique<KdTreeLocalIndex>(data, params.metric);
     case LocalIndexKind::kIvfPq:
       ANNSIM_CHECK_MSG(params.metric == simd::Metric::kL2,
                        "IVF-PQ local index supports L2 only");
@@ -228,6 +252,8 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
     case LocalIndexKind::kVpTree:
       return std::make_unique<VpTreeLocalIndex>(data, params.metric);
+    case LocalIndexKind::kKdTree:
+      return std::make_unique<KdTreeLocalIndex>(data, params.metric);
     case LocalIndexKind::kIvfPq:
       return std::make_unique<IvfPqLocalIndex>(data, params.ivfpq);
     case LocalIndexKind::kSegmented: {

@@ -206,7 +206,7 @@ DecodedPath unpack_path(std::span<const std::byte> bytes) {
 }
 
 /// Assemble the router tree from all ranks' paths (rank 0 only).
-std::int32_t assemble(std::vector<vptree::PartitionVpTree::Node>& nodes,
+std::int32_t assemble(std::vector<vptree::PartitionTree::Node>& nodes,
                       std::vector<const DecodedPath*> paths, std::size_t depth) {
   ANNSIM_CHECK(!paths.empty());
   const std::int32_t id = std::int32_t(nodes.size());
@@ -342,17 +342,17 @@ PartitionerResult build_distributed_vp_tree(mpi::Comm& comm,
     ptrs.reserve(decoded.size());
     for (const auto& d : decoded) ptrs.push_back(&d);
 
-    std::vector<vptree::PartitionVpTree::Node> nodes;
-    const std::int32_t root = assemble(nodes, std::move(ptrs), 0);
+    std::vector<vptree::PartitionTree::Node> nodes;
+    (void)assemble(nodes, std::move(ptrs), 0);
 
-    vptree::PartitionVpTreeParams tree_params;
+    vptree::PartitionTreeParams tree_params;
     tree_params.target_partitions = std::size_t(comm.size());
     tree_params.vantage_candidates = config.vantage_candidates;
     tree_params.vantage_sample = config.vantage_sample;
     tree_params.seed = config.seed;
     tree_params.metric = config.metric;
-    vptree::PartitionVpTree tree(std::move(nodes), root,
-                                 std::size_t(comm.size()), dim, tree_params);
+    vptree::PartitionTree tree(std::move(nodes), std::size_t(comm.size()),
+                               dim, tree_params);
     BinaryWriter w;
     tree.serialize(w);
     result.serialized_tree = w.take();

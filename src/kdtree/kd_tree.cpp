@@ -1,17 +1,12 @@
 #include "annsim/kdtree/kd_tree.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "annsim/common/error.hpp"
 #include "annsim/common/topk.hpp"
 
 namespace annsim::kdtree {
 
-namespace {
-
-/// Axis with the largest value spread over rows[begin,end) — the classic
-/// widest-dimension split rule PANDA uses.
 std::uint32_t widest_axis(const data::Dataset& data,
                           std::span<const std::size_t> rows) {
   const std::size_t dim = data.dim();
@@ -34,8 +29,6 @@ std::uint32_t widest_axis(const data::Dataset& data,
   }
   return best_axis;
 }
-
-}  // namespace
 
 /// TopK plus eval counter passed down the recursion.
 class KdTopK {
@@ -120,104 +113,6 @@ std::vector<Neighbor> KdTree::search(const float* query, std::size_t k,
   KdTopK ref(k, evals_out);
   search_node(root_, query, ref);
   return ref.topk_.take_sorted();
-}
-
-// ------------------------------------------------------- PartitionKdTree ---
-
-namespace {
-
-struct KdPartitionBuilder {
-  const data::Dataset& data;
-  std::vector<PartitionKdTree::Node> nodes;
-  std::vector<PartitionId> assignment;
-  PartitionId next_partition = 0;
-
-  explicit KdPartitionBuilder(const data::Dataset& d)
-      : data(d), assignment(d.size(), kInvalidPartition) {}
-
-  std::int32_t build(std::vector<std::size_t>& rows, std::size_t begin,
-                     std::size_t end, std::size_t parts) {
-    const std::int32_t id = std::int32_t(nodes.size());
-    nodes.emplace_back();
-    if (parts == 1) {
-      nodes[id].leaf = next_partition++;
-      for (std::size_t i = begin; i < end; ++i) {
-        assignment[rows[i]] = nodes[id].leaf;
-      }
-      return id;
-    }
-    ANNSIM_CHECK(end - begin >= parts);
-    const std::span<const std::size_t> range(rows.data() + begin, end - begin);
-    const std::uint32_t axis = widest_axis(data, range);
-    const std::size_t mid = begin + (end - begin) / 2;
-    std::nth_element(rows.begin() + std::ptrdiff_t(begin),
-                     rows.begin() + std::ptrdiff_t(mid),
-                     rows.begin() + std::ptrdiff_t(end),
-                     [&](std::size_t a, std::size_t b) {
-                       return data.row(a)[axis] < data.row(b)[axis];
-                     });
-    nodes[id].axis = axis;
-    nodes[id].split = data.row(rows[mid])[axis];
-    const std::int32_t left = build(rows, begin, mid, parts / 2);
-    const std::int32_t right = build(rows, mid, end, parts - parts / 2);
-    nodes[id].left = left;
-    nodes[id].right = right;
-    return id;
-  }
-};
-
-}  // namespace
-
-PartitionKdTree PartitionKdTree::build(const data::Dataset& data,
-                                       const PartitionKdTreeParams& params,
-                                       std::vector<PartitionId>* assignment_out) {
-  ANNSIM_CHECK(params.target_partitions >= 1);
-  ANNSIM_CHECK_MSG(std::has_single_bit(params.target_partitions),
-                   "target_partitions must be a power of two");
-  ANNSIM_CHECK(data.size() >= params.target_partitions);
-
-  KdPartitionBuilder b(data);
-  std::vector<std::size_t> rows(data.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-  const std::int32_t root = b.build(rows, 0, rows.size(), params.target_partitions);
-
-  PartitionKdTree t;
-  t.nodes_ = std::move(b.nodes);
-  t.root_ = root;
-  t.n_partitions_ = params.target_partitions;
-  t.dim_ = data.dim();
-  t.metric_ = params.metric;
-  if (assignment_out != nullptr) *assignment_out = std::move(b.assignment);
-  return t;
-}
-
-std::vector<PartitionId> PartitionKdTree::route_ball(const float* query,
-                                                     float radius) const {
-  ANNSIM_CHECK(root_ >= 0);
-  std::vector<PartitionId> out;
-  std::vector<std::int32_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& n = nodes_[std::size_t(stack.back())];
-    stack.pop_back();
-    if (n.leaf != kInvalidPartition) {
-      out.push_back(n.leaf);
-      continue;
-    }
-    if (query[n.axis] - radius <= n.split) stack.push_back(n.left);
-    if (query[n.axis] + radius >= n.split) stack.push_back(n.right);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-PartitionId PartitionKdTree::route_nearest(const float* query) const {
-  ANNSIM_CHECK(root_ >= 0);
-  std::int32_t cur = root_;
-  for (;;) {
-    const Node& n = nodes_[std::size_t(cur)];
-    if (n.leaf != kInvalidPartition) return n.leaf;
-    cur = query[n.axis] < n.split ? n.left : n.right;
-  }
 }
 
 }  // namespace annsim::kdtree

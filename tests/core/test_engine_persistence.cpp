@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "annsim/core/engine.hpp"
@@ -124,6 +128,68 @@ TEST_F(EnginePersistence, BruteForceEngineRoundTrips) {
   auto after = loaded.search(w.queries, 5);
   for (std::size_t q = 0; q < before.size(); ++q) {
     EXPECT_EQ(before[q], after[q]);
+  }
+}
+
+TEST_F(EnginePersistence, LoadValidatesTheDecodedConfig) {
+  auto w = data::make_sift_like(800, 5, 307);
+  auto cfg = config();
+  cfg.n_workers = 4;
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+  eng.save(path_);
+  std::vector<char> image(std::filesystem::file_size(path_));
+  {
+    std::ifstream in(path_, std::ios::binary);
+    in.read(image.data(), std::streamsize(image.size()));
+  }
+  // The file opens with the magic (u32), then n_workers, replication and
+  // n_probe (u64 each): values the constructor would refuse must not load.
+  struct Field {
+    std::size_t at;
+    std::uint64_t value;
+    const char* message;
+  };
+  for (const Field& f : {Field{12, 0, "replication must be nonzero"},
+                         Field{20, 0, "n_probe must be nonzero"},
+                         Field{4, 3, "n_workers must be a power of two"}}) {
+    auto bytes = image;
+    std::memcpy(bytes.data() + f.at, &f.value, sizeof(f.value));
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), std::streamsize(bytes.size()));
+    }
+    try {
+      (void)DistributedAnnEngine::load(path_);
+      ADD_FAILURE() << "loaded a file with " << f.message;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(f.message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(EnginePersistence, KdBaselineEngineRoundTrips) {
+  // A KD-routed engine persists through the same router image as a VP one.
+  auto w = data::make_sift_like(1000, 20, 308);
+  auto cfg = config();
+  cfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
+  cfg.local_index = LocalIndexKind::kKdTree;
+  cfg.exact_routing = true;
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+  SearchStats before_st;
+  auto before = eng.search(w.queries, 10, 0, &before_st);
+  eng.save(path_);
+  auto loaded = DistributedAnnEngine::load(path_);
+  EXPECT_EQ(loaded.config().local_index, LocalIndexKind::kKdTree);
+  SearchStats after_st;
+  auto after = loaded.search(w.queries, 10, 0, &after_st);
+  EXPECT_EQ(before_st.total_jobs, after_st.total_jobs);
+  for (std::size_t q = 0; q < before.size(); ++q) {
+    EXPECT_EQ(before[q], after[q]) << "query " << q;
+    EXPECT_EQ(loaded.router().route_nearest(w.queries.row(q)),
+              eng.router().route_nearest(w.queries.row(q)));
   }
 }
 

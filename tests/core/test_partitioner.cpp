@@ -131,7 +131,7 @@ TEST_P(DistributedBuild, PartitionsAreDisjointCompleteAndBalanced) {
   // The serialized tree exists on rank 0 and routes consistently.
   ASSERT_FALSE(tree_bytes.empty());
   BinaryReader rd(tree_bytes);
-  auto tree = vptree::PartitionVpTree::deserialize(rd);
+  auto tree = vptree::PartitionTree::deserialize(rd);
   EXPECT_EQ(tree.n_partitions(), std::size_t(P));
 }
 
@@ -157,7 +157,7 @@ TEST(DistributedBuildTree, RoutesPointsToTheirPartition) {
   });
 
   BinaryReader rd(tree_bytes);
-  auto tree = vptree::PartitionVpTree::deserialize(rd);
+  auto tree = vptree::PartitionTree::deserialize(rd);
 
   // Map global id -> owning partition.
   std::vector<PartitionId> owner(w.base.size(), kInvalidPartition);
@@ -194,7 +194,7 @@ TEST(DistributedBuildTree, SufficientRoutingForTrueNeighbors) {
     if (c.rank() == 0) tree_bytes = std::move(res.serialized_tree);
   });
   BinaryReader rd(tree_bytes);
-  auto tree = vptree::PartitionVpTree::deserialize(rd);
+  auto tree = vptree::PartitionTree::deserialize(rd);
 
   std::vector<PartitionId> owner(w.base.size(), kInvalidPartition);
   for (std::size_t p = 0; p < partitions.size(); ++p) {

@@ -10,7 +10,6 @@
 
 #include "annsim/cluster/calibration.hpp"
 #include "annsim/core/engine.hpp"
-#include "annsim/core/kd_engine.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/des/search_sim.hpp"
@@ -50,12 +49,16 @@ TEST(EndToEnd, FullPipelineRecallAndExactBaseline) {
   const double recall = data::mean_recall(res, p.gt, 10);
   EXPECT_GT(recall, 0.8);
 
-  core::KdEngineConfig kcfg;
+  // The PANDA baseline: KD router, exact local KD trees, exact routing.
+  core::EngineConfig kcfg;
   kcfg.n_workers = 16;
-  core::DistributedKdEngine kd(&p.w.base, kcfg);
+  kcfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
+  kcfg.local_index = core::LocalIndexKind::kKdTree;
+  kcfg.exact_routing = true;
+  core::DistributedAnnEngine kd(&p.w.base, kcfg);
   kd.build();
-  core::KdSearchStats kst;
-  auto kres = kd.search(p.w.queries, 10, &kst);
+  core::SearchStats kst;
+  auto kres = kd.search(p.w.queries, 10, 0, &kst);
   EXPECT_DOUBLE_EQ(data::mean_recall(kres, p.gt, 10), 1.0);
 
   // The Table III mechanism on real (downscaled) data: at 128-d, exact KD

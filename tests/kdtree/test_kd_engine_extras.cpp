@@ -4,13 +4,24 @@
 #include <gtest/gtest.h>
 
 #include "annsim/common/error.hpp"
-#include "annsim/core/kd_engine.hpp"
+#include "annsim/core/engine.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/kdtree/kd_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::kdtree {
 namespace {
+
+/// The KD baseline engine: KD router, exact local KD trees, exact routing.
+core::EngineConfig kd_config(std::size_t n_workers) {
+  core::EngineConfig cfg;
+  cfg.n_workers = n_workers;
+  cfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
+  cfg.local_index = core::LocalIndexKind::kKdTree;
+  cfg.exact_routing = true;
+  return cfg;
+}
 
 TEST(KdTreeExtras, LeafSizeOneStillExact) {
   auto w = data::make_syn(400, 6, 0, 10, 901);
@@ -42,8 +53,9 @@ TEST(KdTreeExtras, ConstantAxisData) {
 
 TEST(KdTreeExtras, PartitionRouterSingleLeaf) {
   auto w = data::make_sift_like(64, 5, 902);
-  std::vector<PartitionId> assignment;
-  auto tree = PartitionKdTree::build(w.base, {.target_partitions = 1}, &assignment);
+  auto tree = vptree::PartitionTree::build(w.base, {.target_partitions = 1},
+                                           vptree::PartitionTreeKind::kKdTree)
+                  .tree;
   EXPECT_EQ(tree.n_partitions(), 1u);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     EXPECT_EQ(tree.route_nearest(w.queries.row(q)), 0u);
@@ -53,9 +65,7 @@ TEST(KdTreeExtras, PartitionRouterSingleLeaf) {
 
 TEST(KdEngineExtras, RepeatedSearchesDeterministic) {
   auto w = data::make_sift_like(800, 15, 903);
-  core::KdEngineConfig cfg;
-  cfg.n_workers = 4;
-  core::DistributedKdEngine eng(&w.base, cfg);
+  core::DistributedAnnEngine eng(&w.base, kd_config(4));
   eng.build();
   auto a = eng.search(w.queries, 5);
   auto b = eng.search(w.queries, 5);
@@ -64,14 +74,14 @@ TEST(KdEngineExtras, RepeatedSearchesDeterministic) {
 
 TEST(KdEngineExtras, DoubleBuildThrows) {
   auto w = data::make_sift_like(300, 5, 904);
-  core::DistributedKdEngine eng(&w.base, {.n_workers = 4});
+  core::DistributedAnnEngine eng(&w.base, kd_config(4));
   eng.build();
   EXPECT_THROW(eng.build(), Error);
 }
 
 TEST(KdEngineExtras, KOne) {
   auto w = data::make_sift_like(500, 10, 905);
-  core::DistributedKdEngine eng(&w.base, {.n_workers = 4});
+  core::DistributedAnnEngine eng(&w.base, kd_config(4));
   eng.build();
   auto res = eng.search(w.queries, 1);
   auto gt = data::brute_force_knn(w.base, w.queries, 1, simd::Metric::kL2);

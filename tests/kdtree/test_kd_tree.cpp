@@ -6,6 +6,7 @@
 
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::kdtree {
 namespace {
@@ -91,12 +92,17 @@ TEST(KdTree, PruningCollapsesInLowDimOnly) {
   EXPECT_GT(frac_high, 2.0 * frac_low);
 }
 
-// ------------------------------------------------------ PartitionKdTree ---
+// ----------------------------------------------- KD partition router ---
 
-TEST(PartitionKdTree, BalancedBuild) {
+vptree::PartitionBuildResult build_kd_router(const data::Dataset& base,
+                                             std::size_t parts) {
+  return vptree::PartitionTree::build(base, {.target_partitions = parts},
+                                      vptree::PartitionTreeKind::kKdTree);
+}
+
+TEST(KdPartitionRouter, BalancedBuild) {
   auto w = data::make_sift_like(1024, 5, 65);
-  std::vector<PartitionId> assignment;
-  auto tree = PartitionKdTree::build(w.base, {.target_partitions = 8}, &assignment);
+  auto [tree, assignment, partition_sizes] = build_kd_router(w.base, 8);
   EXPECT_EQ(tree.n_partitions(), 8u);
   std::vector<std::size_t> sizes(8, 0);
   for (auto a : assignment) {
@@ -106,17 +112,14 @@ TEST(PartitionKdTree, BalancedBuild) {
   for (auto s : sizes) EXPECT_EQ(s, 128u);
 }
 
-TEST(PartitionKdTree, RejectsNonPowerOfTwo) {
+TEST(KdPartitionRouter, RejectsNonPowerOfTwo) {
   auto w = data::make_sift_like(100, 1, 66);
-  EXPECT_THROW(
-      (void)PartitionKdTree::build(w.base, {.target_partitions = 3}, nullptr),
-      Error);
+  EXPECT_THROW((void)build_kd_router(w.base, 3), Error);
 }
 
-TEST(PartitionKdTree, RouteNearestMatchesAssignment) {
+TEST(KdPartitionRouter, RouteNearestMatchesAssignment) {
   auto w = data::make_sift_like(1000, 1, 67);
-  std::vector<PartitionId> assignment;
-  auto tree = PartitionKdTree::build(w.base, {.target_partitions = 8}, &assignment);
+  auto [tree, assignment, partition_sizes] = build_kd_router(w.base, 8);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < w.base.size(); ++i) {
     if (tree.route_nearest(w.base.row(i)) == assignment[i]) ++agree;
@@ -126,10 +129,9 @@ TEST(PartitionKdTree, RouteNearestMatchesAssignment) {
   EXPECT_GE(agree, w.base.size() * 97 / 100);
 }
 
-TEST(PartitionKdTree, RouteBallCoversTrueNeighbors) {
+TEST(KdPartitionRouter, RouteBallCoversTrueNeighbors) {
   auto w = data::make_sift_like(1200, 25, 68);
-  std::vector<PartitionId> assignment;
-  auto tree = PartitionKdTree::build(w.base, {.target_partitions = 8}, &assignment);
+  auto [tree, assignment, partition_sizes] = build_kd_router(w.base, 8);
   auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     const float radius = gt[q].back().dist * (1.f + 1e-5f);
@@ -141,14 +143,12 @@ TEST(PartitionKdTree, RouteBallCoversTrueNeighbors) {
   }
 }
 
-TEST(PartitionKdTree, HighDimVisitsMorePartitionsThanLowDim) {
+TEST(KdPartitionRouter, HighDimVisitsMorePartitionsThanLowDim) {
   // The Table III mechanism, stated as a property of the two routers.
   auto low = data::make_syn(2048, 4, 0, 30, 69);
   auto high = data::make_sift_like(2048, 30, 69);
   auto visited_frac = [](const data::Workload& w) {
-    std::vector<PartitionId> assignment;
-    auto tree =
-        PartitionKdTree::build(w.base, {.target_partitions = 16}, &assignment);
+    const auto tree = build_kd_router(w.base, 16).tree;
     auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
     std::size_t total = 0;
     for (std::size_t q = 0; q < w.queries.size(); ++q) {

@@ -5,14 +5,14 @@
 
 #include "annsim/common/error.hpp"
 #include "annsim/data/recipes.hpp"
-#include "annsim/vptree/partition_vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 #include "annsim/vptree/vp_tree.hpp"
 
 namespace annsim::vptree {
 namespace {
 
-PartitionVpTreeParams params(std::size_t parts) {
-  PartitionVpTreeParams p;
+PartitionTreeParams params(std::size_t parts) {
+  PartitionTreeParams p;
   p.target_partitions = parts;
   p.vantage_candidates = 8;
   p.vantage_sample = 32;
@@ -24,18 +24,18 @@ TEST(VpTreeRobustness, DeserializeRejectsBadMagic) {
   w.write(std::uint32_t{0xDEADBEEF});
   auto bytes = w.take();
   BinaryReader r(bytes);
-  EXPECT_THROW((void)PartitionVpTree::deserialize(r), Error);
+  EXPECT_THROW((void)PartitionTree::deserialize(r), Error);
 }
 
 TEST(VpTreeRobustness, DeserializeRejectsTruncated) {
   auto w = data::make_sift_like(256, 1, 701);
-  auto built = PartitionVpTree::build(w.base, params(4));
+  auto built = PartitionTree::build(w.base, params(4));
   BinaryWriter wtr;
   built.tree.serialize(wtr);
   auto bytes = wtr.take();
   bytes.resize(bytes.size() / 3);
   BinaryReader r(bytes);
-  EXPECT_THROW((void)PartitionVpTree::deserialize(r), Error);
+  EXPECT_THROW((void)PartitionTree::deserialize(r), Error);
 }
 
 TEST(VpTreeRobustness, AllDuplicatePointsStillPartition) {
@@ -43,7 +43,7 @@ TEST(VpTreeRobustness, AllDuplicatePointsStillPartition) {
   // still terminate and produce the requested partition count.
   data::Dataset d(64, 4);
   for (std::size_t i = 0; i < d.size(); ++i) d.row(i)[0] = 3.f;
-  auto built = PartitionVpTree::build(d, params(4));
+  auto built = PartitionTree::build(d, params(4));
   EXPECT_EQ(built.tree.n_partitions(), 4u);
   std::size_t total = 0;
   for (auto s : built.partition_sizes) total += s;
@@ -63,7 +63,7 @@ TEST(VpTreeRobustness, DuplicateHeavyDataExactSearch) {
 
 TEST(VpTreeRobustness, RouteBallZeroRadiusHitsContainingPartition) {
   auto w = data::make_sift_like(512, 1, 702);
-  auto built = PartitionVpTree::build(w.base, params(8));
+  auto built = PartitionTree::build(w.base, params(8));
   for (std::size_t i = 0; i < 64; ++i) {
     auto parts = built.tree.route_ball(w.base.row(i), 0.f);
     ASSERT_GE(parts.size(), 1u);
@@ -81,7 +81,7 @@ TEST(VpTreeRobustness, ExtremeAspectData) {
     d.row(i)[0] = float(i) * 100.f;
     for (std::size_t j = 1; j < 8; ++j) d.row(i)[j] = rng.uniformf();
   }
-  auto built = PartitionVpTree::build(d, params(8));
+  auto built = PartitionTree::build(d, params(8));
   // Routing a base point with a small ball must stay selective.
   std::size_t total = 0;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -97,19 +97,19 @@ TEST(VpTreeRobustness, MinimumViableDataset) {
   for (std::size_t i = 0; i < d.size(); ++i) {
     for (std::size_t j = 0; j < 3; ++j) d.row(i)[j] = float(rng.normal());
   }
-  auto built = PartitionVpTree::build(d, params(4));
+  auto built = PartitionTree::build(d, params(4));
   EXPECT_EQ(built.tree.n_partitions(), 4u);
   for (auto s : built.partition_sizes) EXPECT_EQ(s, 2u);
 }
 
 TEST(VpTreeRobustness, BuildRejectsTooFewPoints) {
   data::Dataset d(3, 2);
-  EXPECT_THROW((void)PartitionVpTree::build(d, params(4)), Error);
+  EXPECT_THROW((void)PartitionTree::build(d, params(4)), Error);
 }
 
 TEST(VpTreeRobustness, NodesExposedForDistributedAssembly) {
   auto w = data::make_sift_like(256, 1, 705);
-  auto built = PartitionVpTree::build(w.base, params(4));
+  auto built = PartitionTree::build(w.base, params(4));
   const auto& nodes = built.tree.nodes();
   EXPECT_EQ(nodes.size(), 7u);  // 3 internal + 4 leaves
   std::size_t leaves = 0, internals = 0;
