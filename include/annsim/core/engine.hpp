@@ -141,7 +141,9 @@ struct BuildStats {
   double vp_tree_seconds = 0.0;      ///< router build: max across workers
                                      ///< (VP), or the master's (KD)
   double hnsw_seconds = 0.0;         ///< max across workers
-  double replication_seconds = 0.0;  ///< max across workers
+  /// Replica packing, sending and decoding: max across workers. Excludes
+  /// the wait for a peer's local build, which recv would otherwise count.
+  double replication_seconds = 0.0;
   std::vector<std::size_t> partition_sizes;
 };
 

@@ -3,11 +3,11 @@
 /// \brief Read-optimized frozen HNSW adjacency: one contiguous CSR-style
 /// LocalId slab with per-node/per-layer offsets and inline neighbor counts.
 ///
-/// The mutable build-time graph (`vector<vector<LocalId>>` per node) is
-/// cache-hostile: every beam expansion chases two pointers and copies a heap
-/// vector. After construction the graph never changes, so `HnswIndex::freeze`
-/// compacts it into this immutable form. Beam expansion then iterates a
-/// `std::span` straight out of the slab — zero copies, zero locks, and the
+/// The mutable build-time graph holds fixed-capacity blocks with room for
+/// back-links, a kept count and each link's distance, and is read under
+/// per-node locks while inserts run. After construction the graph never
+/// changes, so `HnswIndex::freeze` compacts it into this immutable form.
+/// Beam expansion then iterates a `std::span` straight out of the slab — zero copies, zero locks, and the
 /// adjacency block of the next candidate can be software-prefetched.
 ///
 /// Slab layout (LocalId = u32 throughout):
@@ -30,6 +30,7 @@
 /// the entry point sits on the top layer; read() rejects images that break
 /// this, so a decoded graph is always safe to traverse.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,9 +49,16 @@ class FlatGraph {
   /// an estimate of total stored LocalIds (counts included).
   void init(std::size_t n, std::size_t slab_hint);
 
-  /// Append node `next_id`'s adjacency (one vector per layer, layer 0 first).
-  /// Nodes must be added in increasing id order.
-  void add_node(std::span<const std::vector<LocalId>> layers);
+  /// Append the next node's adjacency: `n_layers` lists, `list(l)` returning
+  /// layer l's neighbor span. Nodes must be added in increasing id order.
+  template <typename ListOf>
+  void add_node(std::size_t n_layers, const ListOf& list) {
+    const std::size_t v = begin_node(n_layers);
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const std::span<const LocalId> ids = list(l);
+      std::copy(ids.begin(), ids.end(), append_block(v, l, ids.size()));
+    }
+  }
 
   /// Decode a whole graph of `n` nodes from the ANN1 wire layout: i32
   /// max_level, u32 entry point, then per node a u32 layer count and per

@@ -11,8 +11,11 @@
 /// the paper relies on multi-threaded local construction.
 ///
 /// The index has two graph representations:
-///  * a mutable linked form (`vector<vector<LocalId>>` per node) used during
-///    construction, searchable concurrently with inserts;
+///  * a mutable linked form used during construction, searchable
+///    concurrently with inserts: every row's level is drawn from (seed, row)
+///    up front, so its lists are fixed-capacity blocks in two slabs
+///    allocated at construction (2M ids per row on layer 0, M per upper
+///    layer), each link stored with its distance to the list's owner;
 ///  * a read-optimized frozen form (`FlatGraph`, a contiguous CSR slab) that
 ///    `build()` / `from_bytes()` switch to automatically. The frozen search
 ///    path iterates adjacency spans with zero copies and zero locks, batches
@@ -24,9 +27,10 @@
 /// only in how it reads adjacency, so their results are identical. Its beam
 /// is one sorted candidate pool, left ascending, so results need no final
 /// sort. Inserts run the same kernel and select neighbors in pooled scratch
-/// buffers: once its scratch is warm an insert allocates only the new node's
-/// own adjacency, each list created at full capacity (2M on layer 0, M
-/// above) so back-links never reallocate it.
+/// buffers, so once its scratch is warm an insert allocates nothing. A list
+/// that a back-link overflows is re-selected incrementally from its stored
+/// distances and kept count (neighbor_select.hpp), building the same graph
+/// as the full heuristic over recomputed distances.
 
 #include <cstdint>
 #include <memory>
@@ -80,6 +84,7 @@ struct HnswStats {
 class HnswIndex {
  public:
   /// The index references `data` (not owned); it must outlive the index.
+  /// Draws every row's level and allocates all of the linked graph's lists.
   HnswIndex(const data::Dataset* data, HnswParams params);
   ~HnswIndex();
 
@@ -101,6 +106,11 @@ class HnswIndex {
   /// the mutable form. Requires quiescence: no concurrent insert() or
   /// search() calls may be in flight. Idempotent; called by build().
   void freeze();
+
+  /// Verifies every list of the linked graph: ids in range, none twice, and
+  /// a kept count no larger than the list. Throws annsim::Error naming the
+  /// first bad list. Requires quiescence; a frozen index passes trivially.
+  void check_links() const;
 
   /// True once the read-optimized frozen representation is active.
   [[nodiscard]] bool is_frozen() const noexcept;

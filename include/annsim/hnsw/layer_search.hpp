@@ -74,19 +74,20 @@ class VisitedSet {
 /// Per-search working memory: the visited set plus every buffer the beam
 /// search and an insert's neighbor selection touch, so a warmed-up search
 /// allocates nothing beyond its returned result and a warmed-up insert
-/// nothing beyond the new node's adjacency.
+/// nothing at all.
 struct SearchScratch {
   VisitedSet visited;
   std::vector<LocalId> ids;     ///< unvisited-neighbor gather
   std::vector<float> dists;     ///< batched distances
   std::vector<Cand> best;       ///< the sorted candidate pool: the result
   std::vector<LocalId> links;   ///< a neighbor list copied under its lock
-  // Insert only (HnswIndex::insert).
-  std::vector<LocalId> entries;    ///< the next layer's entry points
-  std::vector<LocalId> neighbors;  ///< the new node's selected neighbors
-  std::vector<Cand> cands;         ///< an overfull list's candidates
-  std::vector<LocalId> kept;       ///< an overfull list, re-selected
-  std::vector<LocalId> pruned;     ///< selection's pruned candidates
+  // Insert only (HnswIndex::insert, neighbor_select.hpp).
+  std::vector<LocalId> entries;  ///< the next layer's entry points
+  std::vector<Cand> neighbors;   ///< the new node's selected neighbors
+  std::vector<Cand> cands;       ///< an overfull list's sorted candidates
+  std::vector<Cand> kept;        ///< an overfull list, re-selected
+  std::vector<Cand> pruned;      ///< selection's pruned candidates
+  std::vector<Cand> fresh;       ///< re-selection's newly kept entries
 };
 
 /// Pool of SearchScratch so concurrent searches don't allocate per query.

@@ -290,10 +290,12 @@ void DistributedAnnEngine::build() {
     }
 
     // §IV-C2: replicate partition w onto its workgroup
-    // W_w = {w, w+1, ..., w+r-1 mod P}.
-    WallTimer repl_timer;
+    // W_w = {w, w+1, ..., w+r-1 mod P}. Only the pack, send and decode work
+    // is timed: recv waits for the peer's own local build to end.
+    double repl_s = 0.0;
     const std::size_t r = config_.replication;
     if (r > 1) {
+      WallTimer pack_timer;
       BinaryWriter pack;
       pack.write(PartitionId(w));
       pack.write_vector(pack_dataset(*primary.data));
@@ -302,8 +304,10 @@ void DistributedAnnEngine::build() {
         const int dest = int((w + j) % P);
         grp.send(dest, kTagReplica, pack.bytes());
       }
+      repl_s += pack_timer.seconds();
       for (std::size_t j = 1; j < r; ++j) {
         mpi::Message m = grp.recv(mpi::kAnySource, kTagReplica);
+        WallTimer decode_timer;
         BinaryReader rd(m.payload);
         const auto pid = rd.read<PartitionId>();
         const auto data_bytes = rd.read_vector<std::byte>();
@@ -314,9 +318,10 @@ void DistributedAnnEngine::build() {
         rep.index = local_index_from_bytes(index_bytes, rep.data.get(),
                                            local_index_params(config_));
         workers_[w].emplace(pid, std::move(rep));
+        repl_s += decode_timer.seconds();
       }
     }
-    repl_seconds[w] = repl_timer.seconds();
+    repl_seconds[w] = repl_s;
     workers_[w].emplace(PartitionId(w), std::move(primary));
   });
 

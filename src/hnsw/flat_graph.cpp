@@ -46,14 +46,6 @@ LocalId* FlatGraph::append_block(std::size_t v, std::size_t layer,
   return slab_.data() + off + 1;
 }
 
-void FlatGraph::add_node(std::span<const std::vector<LocalId>> layers) {
-  const std::size_t v = begin_node(layers.size());
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    std::copy(layers[l].begin(), layers[l].end(),
-              append_block(v, l, layers[l].size()));
-  }
-}
-
 void FlatGraph::read(BinaryReader& r, std::size_t n, std::size_t slab_hint) {
   const auto max_level = r.read<std::int32_t>();
   const auto entry = r.read<LocalId>();

@@ -11,26 +11,100 @@
 #include "annsim/common/topk.hpp"
 #include "annsim/hnsw/flat_graph.hpp"
 #include "annsim/hnsw/layer_search.hpp"
+#include "annsim/hnsw/neighbor_select.hpp"
 
 namespace annsim::hnsw {
 
 namespace {
 
-/// One node of the mutable linked graph: layers[l] = neighbor list (layer 0
-/// capacity 2M, others M).
-struct Node {
-  std::vector<std::vector<LocalId>> layers;  // size = level + 1
-  bool inserted = false;
+/// A row's HNSW level, floor(-ln(U) * mL), drawn from the seed and the row
+/// id alone so every insertion order and thread count agrees.
+int draw_level(const HnswParams& p, LocalId v) {
+  Rng rng = Rng(p.seed).split(v);
+  double u = 0.0;
+  while (u == 0.0) u = rng.uniform();
+  return int(-std::log(u) * p.level_mult);
+}
+
+/// Fixed-capacity LinkList blocks in one allocation: block b's header and
+/// ids at words[b * (2 + cap)], its distances at dists[b * cap].
+class LinkSlab {
+ public:
+  LinkSlab() = default;
+  LinkSlab(std::size_t n_blocks, std::size_t cap)
+      : cap_(cap), words_(n_blocks * (2 + cap)), dists_(n_blocks * cap) {}
+
+  [[nodiscard]] LinkList list(std::size_t b) noexcept {
+    return {words_.data() + b * (2 + cap_), dists_.data() + b * cap_};
+  }
+  [[nodiscard]] const LocalId* head(std::size_t b) const noexcept {
+    return words_.data() + b * (2 + cap_);
+  }
+  [[nodiscard]] std::span<const LocalId> ids(std::size_t b) const noexcept {
+    const LocalId* h = head(b);
+    return {h + 2, h[0]};
+  }
+
+ private:
+  std::size_t cap_ = 0;
+  std::vector<LocalId> words_;
+  std::vector<float> dists_;
+};
+
+/// The mutable linked graph. Every row's level is drawn up front, so all of
+/// its lists are allocated at construction: one layer-0 block per row
+/// (capacity 2M) and `level` upper blocks per row (capacity M), each in one
+/// slab. An insert allocates nothing.
+struct LinkedGraph {
+  LinkedGraph() = default;
+  LinkedGraph(std::size_t n, const HnswParams& p)
+      : level(n), upper_start(n), inserted(n, 0) {
+    std::size_t n_upper = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      level[v] = draw_level(p, LocalId(v));
+      upper_start[v] = n_upper;
+      n_upper += std::size_t(level[v]);
+    }
+    layer0 = LinkSlab(n, 2 * p.M);
+    upper = LinkSlab(n_upper, p.M);
+  }
+
+  /// v's list at `layer` (at most its level).
+  [[nodiscard]] LinkList list(LocalId v, int layer) noexcept {
+    return layer == 0 ? layer0.list(v) : upper.list(upper_block(v, layer));
+  }
+  /// v's neighbors at `layer` (empty above its level or before its insert).
+  [[nodiscard]] std::span<const LocalId> ids(LocalId v, int layer) const noexcept {
+    if (layer == 0) return layer0.ids(v);
+    if (layer > level[v]) return {};
+    return upper.ids(upper_block(v, layer));
+  }
+  /// The kept count of v's list at `layer` (at most its level).
+  [[nodiscard]] std::uint32_t kept(LocalId v, int layer) const noexcept {
+    return (layer == 0 ? layer0.head(v) : upper.head(upper_block(v, layer)))[1];
+  }
+  /// Layers v holds in the ANN1 wire format: none until it is inserted.
+  [[nodiscard]] std::size_t n_layers(LocalId v) const noexcept {
+    return inserted[v] ? std::size_t(level[v]) + 1 : 0;
+  }
+  void prefetch0(LocalId v) const noexcept { simd::prefetch_line(layer0.head(v)); }
+  [[nodiscard]] std::size_t upper_block(LocalId v, int layer) const noexcept {
+    return upper_start[v] + std::size_t(layer) - 1;
+  }
+
+  std::vector<std::int32_t> level;
+  std::vector<std::size_t> upper_start;  ///< v's first block in `upper`
+  std::vector<std::uint8_t> inserted;
+  LinkSlab layer0;
+  LinkSlab upper;
 };
 
 /// Linked-graph adjacency once the graph is complete: no link can change
 /// again, so lists are read in place, zero-copy and lock-free.
 struct InPlaceLinks {
-  const std::vector<Node>& nodes;
+  const LinkedGraph& g;
   std::span<const LocalId> operator()(LocalId v, int layer) const {
-    const auto& node = nodes[v];
-    if (std::size_t(layer) >= node.layers.size()) return {};
-    return node.layers[layer];
+    return g.ids(v, layer);
   }
 };
 
@@ -38,19 +112,16 @@ struct InPlaceLinks {
 /// the node's lock into a reused buffer (capacity retained across
 /// expansions, so the steady-state cost is a memcpy).
 struct LockedLinks {
-  const std::vector<Node>& nodes;
+  const LinkedGraph& g;
   std::mutex* locks;
   std::vector<LocalId>& copy;
   std::span<const LocalId> operator()(LocalId v, int layer) const {
     std::lock_guard lk(locks[v]);
-    const auto& node = nodes[v];
-    if (std::size_t(layer) >= node.layers.size()) return {};
-    copy.assign(node.layers[layer].begin(), node.layers[layer].end());
+    const auto ids = g.ids(v, layer);
+    copy.assign(ids.begin(), ids.end());
     return copy;
   }
 };
-
-constexpr auto kNoPrefetch = [](LocalId) noexcept {};
 
 /// Batched search-space distances from `query` to dataset rows.
 auto row_dists(const data::Dataset& data, const simd::DistanceComputer& dist,
@@ -60,49 +131,16 @@ auto row_dists(const data::Dataset& data, const simd::DistanceComputer& dist,
   };
 }
 
-/// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan the
-/// ascending `candidates` nearest-first, keep one only if it is closer to the
-/// query than to every already-kept neighbor; backfill with pruned
-/// candidates. Writes at most `m` ids to `kept`; `pruned` is working memory.
-/// Comparisons happen in search space (order-identical to ranking space).
-void select_neighbors(const data::Dataset& data,
-                      const simd::DistanceComputer& dist,
-                      std::span<const Cand> candidates, std::size_t m,
-                      std::vector<LocalId>& kept,
-                      std::vector<LocalId>& pruned) {
-  kept.clear();
-  pruned.clear();
-  for (const Cand& c : candidates) {
-    if (kept.size() >= m) break;
-    bool closer_to_kept = false;
-    for (LocalId s : kept) {
-      if (dist.search_dist(data.row(c.node), data.row(s)) < c.dist) {
-        closer_to_kept = true;
-        break;
-      }
-    }
-    if (closer_to_kept) {
-      pruned.push_back(c.node);
-    } else {
-      kept.push_back(c.node);
-    }
-  }
-  for (LocalId p : pruned) {
-    if (kept.size() >= m) break;
-    kept.push_back(p);  // keepPrunedConnections
-  }
-}
-
 }  // namespace
 
 struct HnswIndex::Impl {
-  Impl(std::size_t n, bool mutable_graph)
-      : nodes(mutable_graph ? n : 0),
-        locks(mutable_graph ? std::make_unique<std::mutex[]>(n) : nullptr) {}
+  Impl() = default;
+  Impl(std::size_t n, const HnswParams& p)
+      : graph(n, p), locks(std::make_unique<std::mutex[]>(n)) {}
 
-  /// The linked graph, one Node per dataset row. Populated only while the
-  /// index is mutable; freeze() releases it.
-  std::vector<Node> nodes;
+  /// The linked graph. Populated only while the index is mutable; freeze()
+  /// releases it.
+  LinkedGraph graph;
   std::unique_ptr<std::mutex[]> locks;
   mutable ScratchPool scratch;
 
@@ -117,15 +155,14 @@ struct HnswIndex::Impl {
 };
 
 HnswIndex::HnswIndex(const data::Dataset* data, HnswParams params)
-    : data_(data),
-      params_(params),
-      impl_(std::make_unique<Impl>(data->size(), /*mutable_graph=*/true)) {
+    : data_(data), params_(params) {
   ANNSIM_CHECK(data_ != nullptr);
   ANNSIM_CHECK(params_.M >= 2);
   ANNSIM_CHECK(params_.ef_construction >= params_.M);
   if (params_.level_mult <= 0.0) {
     params_.level_mult = 1.0 / std::log(double(params_.M));
   }
+  impl_ = std::make_unique<Impl>(data_->size(), params_);
 }
 
 HnswIndex::HnswIndex(const data::Dataset* data, HnswParams params,
@@ -160,29 +197,16 @@ void HnswIndex::insert(LocalId node) {
        << " nodes); inserts are only legal in the mutable linked form";
     throw FrozenIndexError(os.str());
   }
-  ANNSIM_CHECK_MSG(!im.nodes[node].inserted, "node inserted twice: " << node);
+  LinkedGraph& g = im.graph;
+  {
+    std::lock_guard lk(im.locks[node]);
+    ANNSIM_CHECK_MSG(!g.inserted[node], "node inserted twice: " << node);
+    g.inserted[node] = 1;
+  }
 
   const simd::DistanceComputer dist(params_.metric, data_->dim());
   const float* qv = data_->row(node);
-
-  // Level assignment: floor(-ln(U) * mL), derived deterministically from the
-  // seed and the node id so parallel builds are reproducible.
-  Rng rng = Rng(params_.seed).split(node);
-  double u = 0.0;
-  while (u == 0.0) u = rng.uniform();
-  const int level = int(-std::log(u) * params_.level_mult);
-
-  // The node's own adjacency, each list at full capacity (2M on layer 0, M
-  // above) so neither selection nor later back-links reallocate it: these
-  // are the only allocations an insert makes once its scratch is warm.
-  {
-    std::lock_guard lk(im.locks[node]);
-    auto& layers = im.nodes[node].layers;
-    layers.resize(std::size_t(level) + 1);
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      layers[l].reserve(l == 0 ? 2 * params_.M : params_.M);
-    }
-  }
+  const int level = g.level[node];
 
   // Snapshot the entry point / top level.
   LocalId entry;
@@ -195,7 +219,6 @@ void HnswIndex::insert(LocalId node) {
       // First node becomes the entry point.
       im.entry_point = node;
       im.max_level = level;
-      im.nodes[node].inserted = true;
       im.n_inserted.fetch_add(1, std::memory_order_release);
       return;
     }
@@ -204,45 +227,44 @@ void HnswIndex::insert(LocalId node) {
   // Linked lists hold at most 2M ids (layer 0), which sizes the gather.
   auto scratch = im.scratch.acquire(data_->size(), 2 * params_.M);
   SearchScratch& s = *scratch;
-  const LockedLinks adj{im.nodes, im.locks.get(), s.links};
+  const LockedLinks adj{g, im.locks.get(), s.links};
   const auto dist_batch = row_dists(*data_, dist, qv);
+  const auto prefetch = [&g](LocalId v) { g.prefetch0(v); };
+  const auto pair_dist = [this, &dist](LocalId a, LocalId b) {
+    return dist.search_dist(data_->row(a), data_->row(b));
+  };
 
   // Greedy descent through layers above the node's level.
-  s.entries.assign(1, greedy_descent(adj, dist_batch, kNoPrefetch, entry,
+  s.entries.assign(1, greedy_descent(adj, dist_batch, prefetch, entry,
                                      top_level, level, s));
 
   // Connect at each layer from min(level, top_level) down to 0.
   for (int layer = std::min(level, top_level); layer >= 0; --layer) {
-    search_layer(adj, dist_batch, kNoPrefetch, s.entries, layer,
+    search_layer(adj, dist_batch, prefetch, s.entries, layer,
                  params_.ef_construction, s);
     const auto& candidates = s.best;  // ascending
     const std::size_t m_layer = layer == 0 ? params_.M * 2 : params_.M;
-    select_neighbors(*data_, dist, candidates, params_.M, s.neighbors,
-                     s.pruned);
-
+    const std::size_t n_kept = select_neighbors(candidates, params_.M,
+                                                pair_dist, s.neighbors, s.pruned);
     {
       std::lock_guard lk(im.locks[node]);
-      im.nodes[node].layers[layer].assign(s.neighbors.begin(),
-                                          s.neighbors.end());
+      g.list(node, layer).assign(s.neighbors, n_kept);
     }
 
-    // Back-links, shrinking the neighbor's list when it overflows.
-    for (LocalId nb : s.neighbors) {
-      std::lock_guard lk(im.locks[nb]);
-      auto& links = im.nodes[nb].layers[layer];
-      if (links.size() < m_layer) {
-        links.push_back(node);
+    // Back-links, each reusing its link's distance (the kernels are
+    // symmetric bit for bit); an overflowing list is re-selected. A
+    // concurrent insert of `nb` may have linked it to `node` already; a
+    // single-threaded build never has.
+    for (const Cand& nb : s.neighbors) {
+      std::lock_guard lk(im.locks[nb.node]);
+      LinkList links = g.list(nb.node, layer);
+      const auto ids = links.ids();
+      if (std::find(ids.begin(), ids.end(), node) != ids.end()) continue;
+      const Cand back{nb.dist, node};
+      if (links.count() < m_layer) {
+        links.push_back(back);
       } else {
-        auto& cands = s.cands;
-        cands.clear();
-        const float* nbv = data_->row(nb);
-        cands.push_back({dist.search_dist(nbv, qv), node});
-        for (LocalId x : links) {
-          cands.push_back({dist.search_dist(nbv, data_->row(x)), x});
-        }
-        std::sort(cands.begin(), cands.end());  // ascending distance
-        select_neighbors(*data_, dist, cands, m_layer, s.kept, s.pruned);
-        links.assign(s.kept.begin(), s.kept.end());
+        reselect(links, m_layer, back, pair_dist, s);
       }
     }
 
@@ -259,10 +281,6 @@ void HnswIndex::insert(LocalId node) {
       im.max_level = level;
       im.entry_point = node;
     }
-  }
-  {
-    std::lock_guard lk(im.locks[node]);
-    im.nodes[node].inserted = true;
   }
   // Release so a searcher that observes the final count (acquire) sees every
   // link this insert wrote and may then read the graph without locks.
@@ -290,23 +308,52 @@ void HnswIndex::freeze() {
   Impl& im = *impl_;
   if (im.frozen.load(std::memory_order_acquire)) return;
 
+  const LinkedGraph& lg = im.graph;
+  const std::size_t n = lg.level.size();
   std::size_t slab_hint = 0;
-  for (const auto& node : im.nodes) {
-    for (const auto& layer : node.layers) slab_hint += 1 + layer.size();
+  for (LocalId v = 0; v < n; ++v) {
+    for (std::size_t l = 0; l < lg.n_layers(v); ++l) {
+      slab_hint += 1 + lg.ids(v, int(l)).size();
+    }
   }
   FlatGraph g;
-  g.init(im.nodes.size(), slab_hint);
-  for (const auto& node : im.nodes) {
-    g.add_node(std::span<const std::vector<LocalId>>(node.layers));
+  g.init(n, slab_hint);
+  for (LocalId v = 0; v < n; ++v) {
+    g.add_node(lg.n_layers(v),
+               [&lg, v](std::size_t l) { return lg.ids(v, int(l)); });
   }
   g.set_entry(im.entry_point, im.max_level);
   im.flat = std::move(g);
 
   // Drop the mutable linked form; the flat graph is now the only
   // representation (inserts are rejected from here on).
-  im.nodes.clear();
-  im.nodes.shrink_to_fit();
+  im.graph = LinkedGraph();
   im.frozen.store(true, std::memory_order_release);
+}
+
+void HnswIndex::check_links() const {
+  const Impl& im = *impl_;
+  if (im.frozen.load(std::memory_order_acquire)) return;
+  const LinkedGraph& g = im.graph;
+  const std::size_t n = g.level.size();
+  std::vector<LocalId> sorted;
+  for (LocalId v = 0; v < n; ++v) {
+    for (std::size_t l = 0; l < g.n_layers(v); ++l) {
+      const auto ids = g.ids(v, int(l));
+      const std::uint32_t kept = g.kept(v, int(l));
+      const std::size_t cap = l == 0 ? 2 * params_.M : params_.M;
+      sorted.assign(ids.begin(), ids.end());
+      std::sort(sorted.begin(), sorted.end());
+      ANNSIM_CHECK_MSG(
+          ids.size() <= cap && kept <= ids.size() &&
+              (sorted.empty() || sorted.back() < n) &&
+              std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+          "linked graph: node " << v << " layer " << l << " holds "
+                                << ids.size() << " links (kept " << kept
+                                << ") out of range, repeated or over "
+                                << "capacity " << cap);
+    }
+  }
 }
 
 std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
@@ -342,12 +389,14 @@ std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
     // Once every row is inserted no link can change again (rows insert
     // exactly once); the acquire load pairs with the inserters' release
     // increments, so the lists may be read in place.
+    const LinkedGraph& g = im.graph;
+    const auto prefetch = [&g](LocalId v) { g.prefetch0(v); };
     if (im.n_inserted.load(std::memory_order_acquire) == data_->size()) {
-      beam_search(InPlaceLinks{im.nodes}, dist_batch, kNoPrefetch, entry,
-                  top_level, ef, *scratch);
+      beam_search(InPlaceLinks{g}, dist_batch, prefetch, entry, top_level, ef,
+                  *scratch);
     } else {
-      beam_search(LockedLinks{im.nodes, im.locks.get(), scratch->links},
-                  dist_batch, kNoPrefetch, entry, top_level, ef, *scratch);
+      beam_search(LockedLinks{g, im.locks.get(), scratch->links}, dist_batch,
+                  prefetch, entry, top_level, ef, *scratch);
     }
   }
 
@@ -394,12 +443,14 @@ HnswStats HnswIndex::stats() const {
       ++n0;
     }
   } else {
-    for (const auto& node : im.nodes) {
-      if (node.layers.empty()) continue;
-      for (std::size_t l = 0; l < node.layers.size(); ++l) {
+    const LinkedGraph& g = im.graph;
+    for (LocalId v = 0; v < g.level.size(); ++v) {
+      const std::size_t n_layers = g.n_layers(v);
+      if (n_layers == 0) continue;
+      for (std::size_t l = 0; l < n_layers; ++l) {
         if (l < s.nodes_per_level.size()) ++s.nodes_per_level[l];
       }
-      deg0 += node.layers[0].size();
+      deg0 += g.ids(v, 0).size();
       ++n0;
     }
   }
@@ -424,11 +475,11 @@ std::vector<std::byte> HnswIndex::to_bytes() const {
   if (im.frozen.load(std::memory_order_acquire)) {
     im.flat.write_nodes(w);  // same wire format, emitted from the slab
   } else {
-    for (const auto& node : im.nodes) {
-      w.write(std::uint32_t(node.layers.size()));
-      for (const auto& layer : node.layers) {
-        w.write_span(std::span<const LocalId>(layer));
-      }
+    const LinkedGraph& g = im.graph;
+    for (LocalId v = 0; v < g.level.size(); ++v) {
+      const std::size_t n_layers = g.n_layers(v);
+      w.write(std::uint32_t(n_layers));
+      for (std::size_t l = 0; l < n_layers; ++l) w.write_span(g.ids(v, int(l)));
     }
   }
   return w.take();
@@ -477,7 +528,7 @@ HnswIndex HnswIndex::from_bytes(std::span<const std::byte> bytes,
 
   // Deserialize straight into the frozen flat form: the linked graph (and
   // its per-node locks) are never materialized for replicas.
-  auto impl = std::make_unique<Impl>(n, /*mutable_graph=*/false);
+  auto impl = std::make_unique<Impl>();
   FlatGraph& g = impl->flat;
   g.read(r, n, r.remaining() / sizeof(LocalId));
   impl->max_level = g.max_level();

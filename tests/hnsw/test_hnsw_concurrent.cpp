@@ -2,7 +2,9 @@
 /// \brief Concurrent insert + search on the mutable linked graph. Separate
 /// binary so the TSan CI job can exercise it by name; the entry-point
 /// snapshot race this guards against (entry_point/max_level read without
-/// entry_mu) was TSan-visible before the fix.
+/// entry_mu) was TSan-visible before the fix. The pool build at M = 4 races
+/// list re-selection (ids, distances and kept counts rewritten under the
+/// node lock) against linked-graph searches.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +75,39 @@ TEST(HnswConcurrent, SearchDuringInsertIsRaceFree) {
   index.freeze();
   auto res = index.search(w.queries.row(0), 10, /*ef=*/64);
   EXPECT_EQ(res.size(), 10u);
+}
+
+TEST(HnswConcurrent, PoolBuildAtSmallMReselectsListsSafely) {
+  // M = 4: layer-0 lists hold 8 links, so nearly every insert overflows and
+  // re-selects some neighbor's list while readers walk the linked graph.
+  auto w = data::make_sift_like(5000, 20, 71);
+  HnswParams p;
+  p.M = 4;
+  p.ef_construction = 16;
+  p.seed = 3;
+  HnswIndex index(&w.base, p);
+  index.insert(0);  // fixes the entry point, as build() does
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t q = t; !done.load(std::memory_order_acquire); ++q) {
+        const auto res = index.search(w.queries.row(q % w.queries.size()), 5);
+        EXPECT_LE(res.size(), 5u);
+      }
+    });
+  }
+  ThreadPool pool(4);
+  pool.parallel_for(1, w.base.size(),
+                    [&](std::size_t i) { index.insert(LocalId(i)); });
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(index.size(), w.base.size());
+  EXPECT_NO_THROW(index.check_links());
+  index.freeze();
+  EXPECT_EQ(index.search(w.queries.row(0), 10, 64).size(), 10u);
 }
 
 TEST(HnswConcurrent, ParallelBuildThenConcurrentFrozenSearches) {
