@@ -75,7 +75,7 @@ void functional_plane(const Spec& spec) {
   // trees, on the exactFq column's two-phase protocol.
   auto cfg_kd = cfg_exact;
   cfg_kd.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
-  cfg_kd.local_index = core::LocalIndexKind::kKdTree;
+  cfg_kd.local_index = core::LocalIndexKind::kExactTree;
   core::DistributedAnnEngine kd(&w.base, cfg_kd);
   kd.build();
 

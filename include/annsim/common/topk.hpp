@@ -2,7 +2,7 @@
 /// \file topk.hpp
 /// \brief Bounded max-heap collecting the k best (smallest-distance) candidates.
 ///
-/// Every search routine in the library — brute force, HNSW, VP-tree, KD-tree,
+/// Every search routine in the library — brute force, HNSW, the exact tree,
 /// and the master-side merge of partial results — funnels candidates through
 /// TopK, so merge semantics are identical everywhere.
 

@@ -6,7 +6,8 @@
 /// replication-based load balancing (Algorithm 5), and the multiple-owner
 /// dispatch variant (§IV). Table III's exact KD-tree baseline (PANDA) is a
 /// configuration of the same engine: `partitioner.tree = kKdTree`,
-/// `local_index = kKdTree`, `exact_routing = true`.
+/// `local_index = kExactTree` (which takes the KD split rule from
+/// `partitioner.tree`), `exact_routing = true`.
 ///
 /// The engine runs SPMD phases on the simulated MPI runtime with
 /// `n_workers + 1` ranks (rank 0 = master process; worker w = rank w+1, and
@@ -63,7 +64,8 @@ struct EngineConfig {
   bool parallel_local_build = false;
 
   /// Per-partition search algorithm (§VI: "any algorithm can be used for
-  /// local indexing"). kBruteForce + exact_routing = exact distributed k-NN.
+  /// local indexing"). kBruteForce or kExactTree + exact_routing = exact
+  /// distributed k-NN; kExactTree splits as `partitioner.tree` does.
   LocalIndexKind local_index = LocalIndexKind::kHnsw;
   hnsw::HnswParams hnsw;
   pq::IvfPqParams ivfpq;  ///< used when local_index == kIvfPq

@@ -4,14 +4,15 @@
 /// "Our approach is extensible in that any algorithm can be used for local
 /// indexing and searching instead of HNSW" (§VI).
 ///
-/// Implementations: HNSW (the paper's choice), an exact brute-force scan,
-/// exact VP- and KD-trees, IVF-PQ, and the live-mutable segmented index.
-/// Workers build/serialize replicas
-/// through this interface, so swapping the local algorithm never touches the
-/// distributed machinery.
+/// Implementations: HNSW (the paper's choice), an exact brute-force scan, an
+/// exact tree (a bucket-leaf vptree::PartitionTree with the VP or KD split
+/// rule), IVF-PQ, and the live-mutable segmented index. Workers
+/// build/serialize replicas through this interface, so swapping the local
+/// algorithm never touches the distributed machinery.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,7 +22,7 @@
 #include "annsim/hnsw/hnsw_index.hpp"
 #include "annsim/pq/ivfpq_index.hpp"
 #include "annsim/simd/distance.hpp"
-#include "annsim/vptree/vp_tree.hpp"
+#include "annsim/vptree/partition_tree.hpp"
 
 namespace annsim::segment {
 class SegmentedIndex;
@@ -29,16 +30,21 @@ class SegmentedIndex;
 
 namespace annsim::core {
 
-/// Which algorithm serves local k-NN inside each partition.
+/// Which algorithm serves local k-NN inside each partition. Values 2 and 5
+/// are retired and must not be reused: engine files holding them are
+/// rejected.
 enum class LocalIndexKind : std::uint8_t {
   kHnsw = 0,        ///< approximate, the paper's configuration
   kBruteForce = 1,  ///< exact linear scan (turns the engine into exact k-NN
                     ///< when combined with exact_routing)
-  kVpTree = 2,      ///< exact metric-tree search
   kIvfPq = 3,       ///< compressed (IVF-PQ): tiny memory, recall ceiling
   kSegmented = 4,   ///< live-mutable: frozen segments + delta + tombstones
-  kKdTree = 5,      ///< exact KD-tree search (the Table III baseline's)
+  kExactTree = 6,   ///< exact best-first tree search; VP or KD split rule
+                    ///< (with the KD rule, the Table III baseline's)
 };
+
+/// True for the values above; false for a removed or unknown kind byte.
+[[nodiscard]] bool is_local_index_kind(LocalIndexKind kind) noexcept;
 
 [[nodiscard]] const char* local_index_kind_name(LocalIndexKind kind) noexcept;
 
@@ -98,6 +104,8 @@ struct LocalIndexParams {
   hnsw::HnswParams hnsw;    ///< used when kind == kHnsw or kSegmented
   pq::IvfPqParams ivfpq;    ///< used when kind == kIvfPq (L2 only)
   simd::Metric metric = simd::Metric::kL2;
+  /// kExactTree's split rule; the engine passes its partitioner's.
+  vptree::PartitionTreeKind tree = vptree::PartitionTreeKind::kVpTree;
   /// Delta capacity per segmented replica (kind == kSegmented).
   std::size_t segment_delta_capacity = 1024;
   /// kSegmented only: store frozen segments as SQ8 codes with an exact float
@@ -105,6 +113,41 @@ struct LocalIndexParams {
   bool quantize_frozen = false;
   /// Fraction of quantized rows kept as exact floats for re-ranking.
   double float_cache_fraction = 0.02;
+};
+
+/// kExactTree: exact k-NN over a PartitionTree whose leaves are buckets of
+/// about vptree::kBucketRows rows, searched best-first until the next leaf's
+/// lower bound exceeds the k-th distance so far. Equal bounds are visited, so
+/// (dist, id) ties resolve as brute force resolves them. The tree rebuilds
+/// deterministically from the data, so replicas ship no bytes.
+class ExactTreeIndex final : public LocalIndex {
+ public:
+  ExactTreeIndex(const data::Dataset* data, simd::Metric metric,
+                 vptree::PartitionTreeKind rule);
+
+  std::vector<Neighbor> search(const float* query, std::size_t k,
+                               std::size_t /*ef*/) const override {
+    return search_exact(query, k);
+  }
+  /// search() that also reports the distance evaluations it spent (leaf rows
+  /// scanned plus VP split distances) through `evals_out` when non-null (the
+  /// pruning-quality measure).
+  [[nodiscard]] std::vector<Neighbor> search_exact(
+      const float* query, std::size_t k, std::size_t* evals_out = nullptr) const;
+
+  LocalIndexKind kind() const noexcept override {
+    return LocalIndexKind::kExactTree;
+  }
+  std::size_t size() const noexcept override { return data_->size(); }
+  std::vector<std::byte> to_bytes() const override { return {}; }
+
+ private:
+  const data::Dataset* data_;
+  simd::DistanceComputer dist_;
+  std::optional<vptree::PartitionTree> tree_;  ///< absent over no rows
+  /// Leaf l owns rows_[leaf_begin_[l], leaf_begin_[l + 1]).
+  std::vector<std::uint32_t> leaf_begin_;
+  std::vector<std::uint32_t> rows_;  ///< data rows grouped by leaf
 };
 
 /// Build a fresh index over `data` (runs the build immediately). A pool

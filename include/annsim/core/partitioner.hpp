@@ -27,7 +27,6 @@ struct PartitionerConfig {
   /// Evaluation rows sampled per candidate-scoring pass. VP only.
   std::size_t vantage_sample = 256;
   std::uint64_t seed = 11;
-  simd::Metric metric = simd::Metric::kL2;
 };
 
 /// Per-rank outcome of the distributed construction.
@@ -44,9 +43,11 @@ struct PartitionerResult {
 
 /// Run the distributed construction on `comm` (called by every rank of the
 /// worker communicator, SPMD). `initial` is this rank's equal share of the
-/// dataset; comm.size() must be a power of two.
+/// dataset; comm.size() must be a power of two. `metric` must be L2 or L1
+/// (the engine passes its hnsw.metric).
 [[nodiscard]] PartitionerResult build_distributed_vp_tree(
-    mpi::Comm& comm, data::Dataset initial, const PartitionerConfig& config);
+    mpi::Comm& comm, data::Dataset initial, const PartitionerConfig& config,
+    simd::Metric metric);
 
 /// Exact distributed selection of the median of a distributed value set
 /// (the paper's "distributed version of the median of medians algorithm":

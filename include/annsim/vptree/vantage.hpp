@@ -1,8 +1,9 @@
 #pragma once
 /// \file vantage.hpp
 /// \brief The vantage-point selection heuristic of Yianilos (SODA'93), shared
-/// by the sequential VP-tree, the partition router, and the *distributed*
-/// construction (Algorithm 1 of the paper runs this same routine per rank).
+/// by the sequential PartitionTree builder (router and exact local tree) and
+/// the *distributed* construction (Algorithm 1 of the paper runs this same
+/// routine per rank).
 
 #include <cstddef>
 #include <span>

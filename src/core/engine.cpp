@@ -50,6 +50,14 @@ void validate_engine_config(const EngineConfig& config) {
   }
   ANNSIM_CHECK_MSG(simd::is_true_metric(config.hnsw.metric),
                    "VP-tree partitioning requires a true metric (L2 or L1)");
+  ANNSIM_CHECK_MSG(is_local_index_kind(config.local_index),
+                   "local_index " << int(config.local_index)
+                                  << " is not a local index kind");
+  ANNSIM_CHECK_MSG(
+      config.partitioner.tree == vptree::PartitionTreeKind::kVpTree ||
+          config.partitioner.tree == vptree::PartitionTreeKind::kKdTree,
+      "partitioner.tree " << int(config.partitioner.tree)
+                          << " is not a split rule");
   if (config.local_index == LocalIndexKind::kIvfPq) {
     ANNSIM_CHECK_MSG(config.hnsw.metric == simd::Metric::kL2,
                      "IVF-PQ local indexes support L2 only");
@@ -146,6 +154,10 @@ void validate_engine_config(const EngineConfig& config) {
 
 namespace {
 
+/// Engine image magic, "ANIF": the image with the partitioner settings.
+/// "ANIE" images, which lack them, fail on the magic.
+constexpr std::uint32_t kEngineMagic = 0x414E4946;
+
 /// The local index parameters every replica of `config` is built or
 /// restored with.
 LocalIndexParams local_index_params(const EngineConfig& config) {
@@ -154,6 +166,7 @@ LocalIndexParams local_index_params(const EngineConfig& config) {
   lp.hnsw = config.hnsw;
   lp.ivfpq = config.ivfpq;
   lp.metric = config.hnsw.metric;
+  lp.tree = config.partitioner.tree;
   lp.segment_delta_capacity = config.segment_delta_capacity;
   lp.quantize_frozen = config.quantize_frozen;
   lp.float_cache_fraction = config.float_cache_fraction;
@@ -169,7 +182,6 @@ DistributedAnnEngine::DistributedAnnEngine(const data::Dataset* base,
   validate_engine_config(config_);
   ANNSIM_CHECK_MSG(base_->size() >= config_.n_workers * 2,
                    "dataset too small for the requested partition count");
-  config_.partitioner.metric = config_.hnsw.metric;
 }
 
 DistributedAnnEngine::~DistributedAnnEngine() = default;
@@ -212,7 +224,7 @@ void DistributedAnnEngine::build() {
     WallTimer tree_timer;
     vptree::PartitionTreeParams tp;
     tp.target_partitions = P;
-    tp.metric = config_.partitioner.metric;
+    tp.metric = config_.hnsw.metric;
     master_tree.emplace(vptree::PartitionTree::build(
         *base_, tp, vptree::PartitionTreeKind::kKdTree));
     master_rows.resize(P);
@@ -257,7 +269,8 @@ void DistributedAnnEngine::build() {
 
       // Algorithms 1-2: distributed VP-tree construction.
       PartitionerResult res =
-          build_distributed_vp_tree(grp, std::move(slice), config_.partitioner);
+          build_distributed_vp_tree(grp, std::move(slice), config_.partitioner,
+                                    config_.hnsw.metric);
       vp_seconds[w] = res.build_seconds;
       ANNSIM_CHECK(res.partition_id == PartitionId(w));
       if (grp.rank() == 0) {
@@ -1932,7 +1945,7 @@ void DistributedAnnEngine::save(const std::string& path) const {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
   std::shared_lock topology(sync_->topology);
   BinaryWriter w;
-  w.write(std::uint32_t{0x414E4945});  // "ANIE"
+  w.write(kEngineMagic);
   w.write(std::uint64_t(config_.n_workers));
   w.write(std::uint64_t(config_.replication));
   w.write(std::uint64_t(config_.n_probe));
@@ -1941,6 +1954,10 @@ void DistributedAnnEngine::save(const std::string& path) const {
   w.write(std::uint8_t(config_.strategy == DispatchStrategy::kMultipleOwner));
   w.write(std::uint64_t(config_.threads_per_worker));
   w.write(std::uint8_t(config_.local_index));
+  w.write(std::uint8_t(config_.partitioner.tree));
+  w.write(std::uint64_t(config_.partitioner.vantage_candidates));
+  w.write(std::uint64_t(config_.partitioner.vantage_sample));
+  w.write(config_.partitioner.seed);
   w.write(std::uint64_t(config_.hnsw.M));
   w.write(std::uint64_t(config_.hnsw.ef_construction));
   w.write(std::uint64_t(config_.hnsw.ef_search));
@@ -2002,8 +2019,9 @@ DistributedAnnEngine DistributedAnnEngine::load(
   ANNSIM_CHECK(in.good());
 
   BinaryReader r(bytes);
-  ANNSIM_CHECK_MSG(r.read<std::uint32_t>() == 0x414E4945,
-                   "bad engine file magic");
+  ANNSIM_CHECK_MSG(r.read<std::uint32_t>() == kEngineMagic,
+                   "bad engine file magic (an image older than the current "
+                   "format, or not an engine file)");
   DistributedAnnEngine eng;
   eng.config_.n_workers = r.read<std::uint64_t>();
   eng.config_.replication = r.read<std::uint64_t>();
@@ -2015,6 +2033,11 @@ DistributedAnnEngine DistributedAnnEngine::load(
                              : DispatchStrategy::kMasterWorker;
   eng.config_.threads_per_worker = r.read<std::uint64_t>();
   eng.config_.local_index = LocalIndexKind(r.read<std::uint8_t>());
+  eng.config_.partitioner.tree =
+      vptree::PartitionTreeKind(r.read<std::uint8_t>());
+  eng.config_.partitioner.vantage_candidates = r.read<std::uint64_t>();
+  eng.config_.partitioner.vantage_sample = r.read<std::uint64_t>();
+  eng.config_.partitioner.seed = r.read<std::uint64_t>();
   eng.config_.hnsw.M = r.read<std::uint64_t>();
   eng.config_.hnsw.ef_construction = r.read<std::uint64_t>();
   eng.config_.hnsw.ef_search = r.read<std::uint64_t>();

@@ -1,8 +1,11 @@
 #include "annsim/core/local_index.hpp"
 
+#include <limits>
+#include <string_view>
+
 #include "annsim/common/error.hpp"
 #include "annsim/common/serialize.hpp"
-#include "annsim/kdtree/kd_tree.hpp"
+#include "annsim/common/topk.hpp"
 #include "annsim/segment/segmented_index.hpp"
 
 namespace annsim::core {
@@ -73,49 +76,6 @@ class BruteForceLocalIndex final : public LocalIndex {
  private:
   hnsw::BruteForceIndex index_;
   std::size_t n_;
-};
-
-class VpTreeLocalIndex final : public LocalIndex {
- public:
-  VpTreeLocalIndex(const data::Dataset* data, simd::Metric metric) : tree_([&] {
-    vptree::VpTreeParams p;
-    p.metric = metric;
-    return vptree::VpTree(data, p);
-  }()) {}
-
-  std::vector<Neighbor> search(const float* query, std::size_t k,
-                               std::size_t /*ef*/) const override {
-    return tree_.search(query, k);
-  }
-
-  LocalIndexKind kind() const noexcept override { return LocalIndexKind::kVpTree; }
-  std::size_t size() const noexcept override { return tree_.size(); }
-
-  // The tree rebuilds deterministically from the data; ship nothing.
-  std::vector<std::byte> to_bytes() const override { return {}; }
-
- private:
-  vptree::VpTree tree_;
-};
-
-class KdTreeLocalIndex final : public LocalIndex {
- public:
-  KdTreeLocalIndex(const data::Dataset* data, simd::Metric metric)
-      : tree_(data, {.metric = metric}) {}
-
-  std::vector<Neighbor> search(const float* query, std::size_t k,
-                               std::size_t /*ef*/) const override {
-    return tree_.search(query, k);
-  }
-
-  LocalIndexKind kind() const noexcept override { return LocalIndexKind::kKdTree; }
-  std::size_t size() const noexcept override { return tree_.size(); }
-
-  // The tree rebuilds deterministically from the data; ship nothing.
-  std::vector<std::byte> to_bytes() const override { return {}; }
-
- private:
-  kdtree::KdTree tree_;
 };
 
 class IvfPqLocalIndex final : public LocalIndex {
@@ -196,14 +156,68 @@ segment::SegmentedParams segmented_params(const LocalIndexParams& params) {
 
 }  // namespace
 
+ExactTreeIndex::ExactTreeIndex(const data::Dataset* data, simd::Metric metric,
+                               vptree::PartitionTreeKind rule)
+    : data_(data), dist_(metric, data->dim()) {
+  ANNSIM_CHECK_MSG(simd::is_true_metric(metric),
+                   "the exact tree requires a true metric (L2 or L1)");
+  if (data_->empty()) return;
+  ANNSIM_CHECK(data_->size() <= std::numeric_limits<std::uint32_t>::max());
+  auto built = vptree::PartitionTree::build_buckets(*data_, metric, rule);
+  // Counting sort of the rows by leaf.
+  const std::size_t n_leaves = built.partition_sizes.size();
+  leaf_begin_.assign(n_leaves + 1, 0);
+  for (std::size_t l = 0; l < n_leaves; ++l) {
+    const std::size_t size = built.partition_sizes[l];
+    ANNSIM_CHECK(size <= vptree::kBucketRows);
+    leaf_begin_[l + 1] = leaf_begin_[l] + std::uint32_t(size);
+  }
+  std::vector<std::uint32_t> cursor(leaf_begin_.begin(), leaf_begin_.end() - 1);
+  rows_.resize(data_->size());
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    rows_[cursor[built.assignment[i]]++] = std::uint32_t(i);
+  }
+  tree_.emplace(std::move(built.tree));
+}
+
+std::vector<Neighbor> ExactTreeIndex::search_exact(
+    const float* query, std::size_t k, std::size_t* evals_out) const {
+  ANNSIM_CHECK(k > 0);
+  if (evals_out != nullptr) *evals_out = 0;
+  if (!tree_.has_value()) return {};
+  TopK topk(k);
+  std::size_t scanned = 0;
+  const auto scan_leaf = [&](PartitionId leaf, float lb) {
+    // A leaf bound equal to the k-th distance may still hold a tie that
+    // wins on id, so only a strictly larger bound ends the search.
+    if (lb > topk.worst_dist()) return false;
+    const std::uint32_t begin = leaf_begin_[leaf];
+    const std::size_t m = leaf_begin_[leaf + 1] - begin;
+    float dists[vptree::kBucketRows];
+    dist_.search_dist_batch(query, data_->row(0), data_->stride(),
+                            rows_.data() + begin, m, dists);
+    for (std::size_t j = 0; j < m; ++j) {
+      topk.push(dist_.to_ranking(dists[j]), data_->id(rows_[begin + j]));
+    }
+    scanned += m;
+    return true;
+  };
+  const std::size_t split_evals = tree_->best_first(query, scan_leaf);
+  if (evals_out != nullptr) *evals_out = scanned + split_evals;
+  return topk.take_sorted();
+}
+
+bool is_local_index_kind(LocalIndexKind kind) noexcept {
+  return std::string_view(local_index_kind_name(kind)) != "?";
+}
+
 const char* local_index_kind_name(LocalIndexKind kind) noexcept {
   switch (kind) {
     case LocalIndexKind::kHnsw: return "hnsw";
     case LocalIndexKind::kBruteForce: return "bruteforce";
-    case LocalIndexKind::kVpTree: return "vptree";
     case LocalIndexKind::kIvfPq: return "ivfpq";
     case LocalIndexKind::kSegmented: return "segmented";
-    case LocalIndexKind::kKdTree: return "kdtree";
+    case LocalIndexKind::kExactTree: return "exacttree";
   }
   return "?";
 }
@@ -222,10 +236,8 @@ std::unique_ptr<LocalIndex> build_local_index(const data::Dataset* data,
     }
     case LocalIndexKind::kBruteForce:
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
-    case LocalIndexKind::kVpTree:
-      return std::make_unique<VpTreeLocalIndex>(data, params.metric);
-    case LocalIndexKind::kKdTree:
-      return std::make_unique<KdTreeLocalIndex>(data, params.metric);
+    case LocalIndexKind::kExactTree:
+      return std::make_unique<ExactTreeIndex>(data, params.metric, params.tree);
     case LocalIndexKind::kIvfPq:
       ANNSIM_CHECK_MSG(params.metric == simd::Metric::kL2,
                        "IVF-PQ local index supports L2 only");
@@ -250,10 +262,8 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
           hnsw::HnswIndex::from_bytes(bytes, data));
     case LocalIndexKind::kBruteForce:
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
-    case LocalIndexKind::kVpTree:
-      return std::make_unique<VpTreeLocalIndex>(data, params.metric);
-    case LocalIndexKind::kKdTree:
-      return std::make_unique<KdTreeLocalIndex>(data, params.metric);
+    case LocalIndexKind::kExactTree:
+      return std::make_unique<ExactTreeIndex>(data, params.metric, params.tree);
     case LocalIndexKind::kIvfPq:
       return std::make_unique<IvfPqLocalIndex>(data, params.ivfpq);
     case LocalIndexKind::kSegmented: {

@@ -26,8 +26,8 @@ struct PathStep {
 std::vector<float> select_vantage_distributed(mpi::Comm& comm,
                                               const data::Dataset& local,
                                               const PartitionerConfig& config,
-                                              Rng& rng) {
-  const simd::DistanceComputer dist(config.metric, local.dim());
+                                              simd::Metric metric, Rng& rng) {
+  const simd::DistanceComputer dist(metric, local.dim());
 
   std::vector<float> my_candidate(local.dim(), 0.f);
   if (!local.empty()) {
@@ -238,10 +238,11 @@ std::int32_t assemble(std::vector<vptree::PartitionTree::Node>& nodes,
 
 PartitionerResult build_distributed_vp_tree(mpi::Comm& comm,
                                             data::Dataset initial,
-                                            const PartitionerConfig& config) {
+                                            const PartitionerConfig& config,
+                                            simd::Metric metric) {
   ANNSIM_CHECK_MSG(std::has_single_bit(std::size_t(comm.size())),
                    "worker count must be a power of two");
-  ANNSIM_CHECK_MSG(simd::is_true_metric(config.metric),
+  ANNSIM_CHECK_MSG(simd::is_true_metric(metric),
                    "VP partitioning requires a true metric");
   WallTimer timer;
 
@@ -255,10 +256,11 @@ PartitionerResult build_distributed_vp_tree(mpi::Comm& comm,
   // Algorithm 2: recurse, halving the rank group each level.
   mpi::Comm group = comm;  // copies are views onto the same communicator
   while (group.size() > 1) {
-    const simd::DistanceComputer dist(config.metric, dim);
+    const simd::DistanceComputer dist(metric, dim);
 
     // --- Algorithm 1: distributed vantage-point selection.
-    std::vector<float> vp = select_vantage_distributed(group, local, config, rng);
+    std::vector<float> vp =
+        select_vantage_distributed(group, local, config, metric, rng);
 
     // --- distances to the vantage point; distributed median -> mu.
     std::vector<float> dists(local.size());
@@ -350,7 +352,7 @@ PartitionerResult build_distributed_vp_tree(mpi::Comm& comm,
     tree_params.vantage_candidates = config.vantage_candidates;
     tree_params.vantage_sample = config.vantage_sample;
     tree_params.seed = config.seed;
-    tree_params.metric = config.metric;
+    tree_params.metric = metric;
     vptree::PartitionTree tree(std::move(nodes), std::size_t(comm.size()),
                                dim, tree_params);
     BinaryWriter w;

@@ -1,11 +1,9 @@
 #include "annsim/vptree/partition_tree.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <queue>
+#include <limits>
 
 #include "annsim/common/error.hpp"
-#include "annsim/kdtree/kd_tree.hpp"
 #include "annsim/vptree/vantage.hpp"
 
 namespace annsim::vptree {
@@ -13,6 +11,31 @@ namespace annsim::vptree {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50545232;  // "PTR2"
+
+/// The coordinate with the largest value spread over `rows` (sampled) — the
+/// classic widest-dimension split rule PANDA uses.
+std::uint32_t widest_axis(const data::Dataset& data,
+                          std::span<const std::size_t> rows) {
+  const std::size_t dim = data.dim();
+  std::uint32_t best_axis = 0;
+  float best_spread = -1.f;
+  for (std::size_t a = 0; a < dim; ++a) {
+    float lo = std::numeric_limits<float>::infinity();
+    float hi = -std::numeric_limits<float>::infinity();
+    // Sample up to 256 rows; exact spread is not needed for a good split.
+    const std::size_t step = std::max<std::size_t>(1, rows.size() / 256);
+    for (std::size_t i = 0; i < rows.size(); i += step) {
+      const float v = data.row(rows[i])[a];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    if (hi - lo > best_spread) {
+      best_spread = hi - lo;
+      best_axis = std::uint32_t(a);
+    }
+  }
+  return best_axis;
+}
 
 struct Builder {
   const data::Dataset& data;
@@ -59,13 +82,14 @@ struct Builder {
       const float* vp = data.row(vp_row);
       split.vp.assign(vp, vp + data.dim());
     } else {
-      split.axis = kdtree::widest_axis(data, range);
+      split.axis = widest_axis(data, range);
     }
 
     // Median split: left = below the median of t (for VP, inside the
     // vantage sphere — the paper equates the median radius with the
-    // equipartitioning sphere).
-    const std::size_t mid = begin + (end - begin) / 2;
+    // equipartitioning sphere). Rows split in proportion to each side's
+    // partitions, which is the median when `parts` is a power of two.
+    const std::size_t mid = begin + (end - begin) * (parts / 2) / parts;
     std::nth_element(rows.begin() + std::ptrdiff_t(begin),
                      rows.begin() + std::ptrdiff_t(mid),
                      rows.begin() + std::ptrdiff_t(end),
@@ -81,6 +105,28 @@ struct Builder {
     return id;
   }
 };
+
+PartitionBuildResult build_tree(const data::Dataset& data,
+                                const PartitionTreeParams& params,
+                                PartitionTreeKind kind) {
+  ANNSIM_CHECK(data.size() >= params.target_partitions);
+  Builder b(data, params, kind);
+  std::vector<std::size_t> rows(data.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  (void)b.build(rows, 0, rows.size(), params.target_partitions);
+
+  PartitionBuildResult result{
+      PartitionTree(std::move(b.nodes), params.target_partitions, data.dim(),
+                    params),
+      std::move(b.assignment),
+      {}};
+  result.partition_sizes.assign(params.target_partitions, 0);
+  for (PartitionId p : result.assignment) {
+    ANNSIM_CHECK(p != kInvalidPartition);
+    ++result.partition_sizes[p];
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -133,27 +179,22 @@ PartitionTree::PartitionTree(std::vector<Node> nodes, std::size_t n_partitions,
 PartitionBuildResult PartitionTree::build(const data::Dataset& data,
                                           const PartitionTreeParams& params,
                                           PartitionTreeKind kind) {
-  ANNSIM_CHECK(params.target_partitions >= 1);
   ANNSIM_CHECK_MSG(std::has_single_bit(params.target_partitions),
                    "target_partitions must be a power of two");
-  ANNSIM_CHECK(data.size() >= params.target_partitions);
+  return build_tree(data, params, kind);
+}
 
-  Builder b(data, params, kind);
-  std::vector<std::size_t> rows(data.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-  (void)b.build(rows, 0, rows.size(), params.target_partitions);
-
-  PartitionBuildResult result{
-      PartitionTree(std::move(b.nodes), params.target_partitions, data.dim(),
-                    params),
-      std::move(b.assignment),
-      {}};
-  result.partition_sizes.assign(params.target_partitions, 0);
-  for (PartitionId p : result.assignment) {
-    ANNSIM_CHECK(p != kInvalidPartition);
-    ++result.partition_sizes[p];
-  }
-  return result;
+PartitionBuildResult PartitionTree::build_buckets(const data::Dataset& data,
+                                                  simd::Metric metric,
+                                                  PartitionTreeKind kind) {
+  ANNSIM_CHECK(!data.empty());
+  PartitionTreeParams params;
+  params.target_partitions = (data.size() + kBucketRows - 1) / kBucketRows;
+  params.vantage_candidates = 16;
+  params.vantage_sample = 64;
+  params.seed = 7;
+  params.metric = metric;
+  return build_tree(data, params, kind);
 }
 
 std::vector<PartitionId> PartitionTree::route_ball(const float* query,
@@ -189,41 +230,12 @@ PartitionId PartitionTree::route_nearest(const float* query) const {
 RoutingDecision PartitionTree::route_topk(const float* query,
                                           std::size_t max_partitions) const {
   ANNSIM_CHECK(max_partitions >= 1);
-  const simd::DistanceComputer dist(params_.metric, dim_);
-
-  // Best-first traversal on the lower-bound distance from the query to each
-  // subtree's region (|t - mu| across the separating sphere or plane). A
-  // query exactly on a split (t == mu) bounds both sides at the same value;
-  // the side route_nearest does not take is marked and yields that tie, so
-  // the first partition listed is always route_nearest's.
-  struct Entry {
-    float lb;
-    bool off_nearest;  ///< below a split the query sits exactly on
-    std::int32_t node;
-  };
-  const auto worse = [](const Entry& a, const Entry& b) noexcept {
-    // Min-heap on the lower bound; marked entries lose ties.
-    return a.lb > b.lb || (a.lb == b.lb && a.off_nearest && !b.off_nearest);
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> heap(worse);
-  heap.push({0.f, false, 0});
-
   RoutingDecision out;
-  while (!heap.empty() && out.partitions.size() < max_partitions) {
-    const Entry e = heap.top();
-    heap.pop();
-    const Node& n = nodes_[std::size_t(e.node)];
-    if (n.leaf != kInvalidPartition) {
-      out.partitions.push_back(n.leaf);
-      out.lower_bounds.push_back(e.lb);
-      continue;
-    }
-    const float t = n.split_value(query, dist);
-    const float left_lb = t < n.mu ? e.lb : std::max(e.lb, t - n.mu);
-    const float right_lb = t >= n.mu ? e.lb : std::max(e.lb, n.mu - t);
-    heap.push({left_lb, e.off_nearest || t == n.mu, n.left});
-    heap.push({right_lb, e.off_nearest, n.right});
-  }
+  (void)best_first(query, [&](PartitionId leaf, float lb) {
+    out.partitions.push_back(leaf);
+    out.lower_bounds.push_back(lb);
+    return out.partitions.size() < max_partitions;
+  });
   return out;
 }
 

@@ -67,6 +67,11 @@ TEST_F(EnginePersistence, LoadedEngineRetainsConfigAndStats) {
   EXPECT_EQ(loaded.config().replication, 2u);
   EXPECT_EQ(loaded.config().n_probe, 3u);
   EXPECT_EQ(loaded.config().hnsw.M, 8u);
+  EXPECT_EQ(loaded.config().partitioner.tree,
+            vptree::PartitionTreeKind::kVpTree);
+  EXPECT_EQ(loaded.config().partitioner.vantage_candidates, 8u);
+  EXPECT_EQ(loaded.config().partitioner.vantage_sample, 64u);
+  EXPECT_EQ(loaded.config().partitioner.seed, eng.config().partitioner.seed);
   EXPECT_EQ(loaded.partition_sizes(), eng.partition_sizes());
   EXPECT_DOUBLE_EQ(loaded.build_stats().total_seconds,
                    eng.build_stats().total_seconds);
@@ -115,6 +120,28 @@ TEST_F(EnginePersistence, LoadRejectsCorruptFile) {
   EXPECT_THROW((void)DistributedAnnEngine::load(path_), Error);
 }
 
+TEST_F(EnginePersistence, LoadRejectsThePreviousImageFormat) {
+  // "ANIE" images carry no partitioner settings; they must fail on the
+  // magic rather than decode shifted fields.
+  auto w = data::make_sift_like(500, 5, 309);
+  DistributedAnnEngine eng(&w.base, config());
+  eng.build();
+  eng.save(path_);
+  {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t old_magic = 0x414E4945;
+    f.write(reinterpret_cast<const char*>(&old_magic), sizeof(old_magic));
+  }
+  try {
+    (void)DistributedAnnEngine::load(path_);
+    ADD_FAILURE() << "loaded an image in the previous format";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad engine file magic"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(EnginePersistence, BruteForceEngineRoundTrips) {
   auto w = data::make_deep_like(800, 10, 306);
   auto cfg = config();
@@ -144,17 +171,25 @@ TEST_F(EnginePersistence, LoadValidatesTheDecodedConfig) {
     in.read(image.data(), std::streamsize(image.size()));
   }
   // The file opens with the magic (u32), then n_workers, replication and
-  // n_probe (u64 each): values the constructor would refuse must not load.
+  // n_probe (u64 each), three flag bytes, threads_per_worker (u64), the
+  // local index kind byte at 39 and the split rule byte at 40: values the
+  // constructor would refuse must not load. Bytes 2 and 5 named the retired
+  // VP- and KD-tree local kinds.
   struct Field {
     std::size_t at;
     std::uint64_t value;
+    std::size_t width;
     const char* message;
   };
-  for (const Field& f : {Field{12, 0, "replication must be nonzero"},
-                         Field{20, 0, "n_probe must be nonzero"},
-                         Field{4, 3, "n_workers must be a power of two"}}) {
+  for (const Field& f :
+       {Field{12, 0, 8, "replication must be nonzero"},
+        Field{20, 0, 8, "n_probe must be nonzero"},
+        Field{4, 3, 8, "n_workers must be a power of two"},
+        Field{39, 2, 1, "local_index 2 is not a local index kind"},
+        Field{39, 5, 1, "local_index 5 is not a local index kind"},
+        Field{40, 2, 1, "partitioner.tree 2 is not a split rule"}}) {
     auto bytes = image;
-    std::memcpy(bytes.data() + f.at, &f.value, sizeof(f.value));
+    std::memcpy(bytes.data() + f.at, &f.value, f.width);
     {
       std::ofstream out(path_, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), std::streamsize(bytes.size()));
@@ -174,7 +209,7 @@ TEST_F(EnginePersistence, KdBaselineEngineRoundTrips) {
   auto w = data::make_sift_like(1000, 20, 308);
   auto cfg = config();
   cfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
-  cfg.local_index = LocalIndexKind::kKdTree;
+  cfg.local_index = LocalIndexKind::kExactTree;
   cfg.exact_routing = true;
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
@@ -182,7 +217,9 @@ TEST_F(EnginePersistence, KdBaselineEngineRoundTrips) {
   auto before = eng.search(w.queries, 10, 0, &before_st);
   eng.save(path_);
   auto loaded = DistributedAnnEngine::load(path_);
-  EXPECT_EQ(loaded.config().local_index, LocalIndexKind::kKdTree);
+  EXPECT_EQ(loaded.config().local_index, LocalIndexKind::kExactTree);
+  EXPECT_EQ(loaded.config().partitioner.tree,
+            vptree::PartitionTreeKind::kKdTree);
   SearchStats after_st;
   auto after = loaded.search(w.queries, 10, 0, &after_st);
   EXPECT_EQ(before_st.total_jobs, after_st.total_jobs);

@@ -17,7 +17,7 @@ EngineConfig kd_config(std::size_t n_workers) {
   EngineConfig cfg;
   cfg.n_workers = n_workers;
   cfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
-  cfg.local_index = LocalIndexKind::kKdTree;
+  cfg.local_index = LocalIndexKind::kExactTree;
   cfg.exact_routing = true;
   return cfg;
 }

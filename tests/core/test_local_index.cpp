@@ -11,9 +11,12 @@
 namespace annsim::core {
 namespace {
 
-LocalIndexParams params_of(LocalIndexKind kind) {
+LocalIndexParams params_of(
+    LocalIndexKind kind,
+    vptree::PartitionTreeKind tree = vptree::PartitionTreeKind::kVpTree) {
   LocalIndexParams p;
   p.kind = kind;
+  p.tree = tree;
   p.hnsw.M = 8;
   p.hnsw.ef_construction = 60;
   p.hnsw.ef_search = 64;
@@ -21,6 +24,10 @@ LocalIndexParams params_of(LocalIndexKind kind) {
 }
 
 class LocalIndexKinds : public ::testing::TestWithParam<LocalIndexKind> {};
+
+TEST_P(LocalIndexKinds, IsAKnownKind) {
+  EXPECT_TRUE(is_local_index_kind(GetParam()));
+}
 
 TEST_P(LocalIndexKinds, BuildsAndReportsKind) {
   auto w = data::make_sift_like(500, 10, 201);
@@ -58,19 +65,29 @@ TEST_P(LocalIndexKinds, BytesRoundTripPreservesResults) {
 INSTANTIATE_TEST_SUITE_P(Kinds, LocalIndexKinds,
                          ::testing::Values(LocalIndexKind::kHnsw,
                                            LocalIndexKind::kBruteForce,
-                                           LocalIndexKind::kVpTree));
+                                           LocalIndexKind::kExactTree));
 
 TEST(LocalIndex, ExactKindsMatchGroundTruth) {
   auto w = data::make_deep_like(600, 15, 204);
   auto gt = data::brute_force_knn(w.base, w.queries, 8, simd::Metric::kL2);
-  for (auto kind : {LocalIndexKind::kBruteForce, LocalIndexKind::kVpTree}) {
-    auto index = build_local_index(&w.base, params_of(kind));
+  struct Case {
+    LocalIndexKind kind;
+    vptree::PartitionTreeKind tree;
+  };
+  for (const Case c : {Case{LocalIndexKind::kBruteForce,
+                            vptree::PartitionTreeKind::kVpTree},
+                       Case{LocalIndexKind::kExactTree,
+                            vptree::PartitionTreeKind::kVpTree},
+                       Case{LocalIndexKind::kExactTree,
+                            vptree::PartitionTreeKind::kKdTree}}) {
+    auto index = build_local_index(&w.base, params_of(c.kind, c.tree));
     for (std::size_t q = 0; q < w.queries.size(); ++q) {
       auto res = index->search(w.queries.row(q), 8, 0);
       ASSERT_EQ(res.size(), 8u);
       for (std::size_t i = 0; i < 8; ++i) {
         EXPECT_EQ(res[i].id, gt[q][i].id)
-            << local_index_kind_name(kind) << " q=" << q << " i=" << i;
+            << local_index_kind_name(c.kind) << " rule " << int(c.tree)
+            << " q=" << q << " i=" << i;
       }
     }
   }
@@ -79,7 +96,10 @@ TEST(LocalIndex, ExactKindsMatchGroundTruth) {
 TEST(LocalIndex, KindNamesStable) {
   EXPECT_STREQ(local_index_kind_name(LocalIndexKind::kHnsw), "hnsw");
   EXPECT_STREQ(local_index_kind_name(LocalIndexKind::kBruteForce), "bruteforce");
-  EXPECT_STREQ(local_index_kind_name(LocalIndexKind::kVpTree), "vptree");
+  EXPECT_STREQ(local_index_kind_name(LocalIndexKind::kExactTree), "exacttree");
+  // The retired tree kinds' bytes name no kind.
+  EXPECT_FALSE(is_local_index_kind(LocalIndexKind(2)));
+  EXPECT_FALSE(is_local_index_kind(LocalIndexKind(5)));
 }
 
 TEST(EngineLocalIndex, BruteForceWithExactRoutingIsExact) {
@@ -101,12 +121,12 @@ TEST(EngineLocalIndex, BruteForceWithExactRoutingIsExact) {
   EXPECT_DOUBLE_EQ(data::mean_recall(res, gt, 10), 1.0);
 }
 
-TEST(EngineLocalIndex, VpTreeLocalIndexWorksWithReplication) {
+TEST(EngineLocalIndex, ExactTreeLocalIndexWorksWithReplication) {
   auto w = data::make_sift_like(1600, 20, 206);
   EngineConfig cfg;
   cfg.n_workers = 4;
   cfg.replication = 2;
-  cfg.local_index = LocalIndexKind::kVpTree;
+  cfg.local_index = LocalIndexKind::kExactTree;
   cfg.n_probe = 2;
   cfg.partitioner.vantage_candidates = 8;
   cfg.partitioner.vantage_sample = 64;

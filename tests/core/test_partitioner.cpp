@@ -104,7 +104,8 @@ TEST_P(DistributedBuild, PartitionsAreDisjointCompleteAndBalanced) {
     const auto w_rank = std::size_t(c.rank());
     data::Dataset slice = w.base.slice(w_rank * w.base.size() / std::size_t(P),
                                        (w_rank + 1) * w.base.size() / std::size_t(P));
-    auto res = build_distributed_vp_tree(c, std::move(slice), cfg);
+    auto res = build_distributed_vp_tree(c, std::move(slice), cfg,
+                                         simd::Metric::kL2);
     EXPECT_EQ(res.partition_id, PartitionId(c.rank()));
     EXPECT_GT(res.build_seconds, 0.0);
     partitions[w_rank] = std::move(res.partition);
@@ -151,7 +152,8 @@ TEST(DistributedBuildTree, RoutesPointsToTheirPartition) {
     const auto w_rank = std::size_t(c.rank());
     data::Dataset slice = w.base.slice(w_rank * w.base.size() / P,
                                        (w_rank + 1) * w.base.size() / P);
-    auto res = build_distributed_vp_tree(c, std::move(slice), cfg);
+    auto res = build_distributed_vp_tree(c, std::move(slice), cfg,
+                                         simd::Metric::kL2);
     partitions[w_rank] = std::move(res.partition);
     if (c.rank() == 0) tree_bytes = std::move(res.serialized_tree);
   });
@@ -189,7 +191,8 @@ TEST(DistributedBuildTree, SufficientRoutingForTrueNeighbors) {
     const auto w_rank = std::size_t(c.rank());
     data::Dataset slice = w.base.slice(w_rank * w.base.size() / P,
                                        (w_rank + 1) * w.base.size() / P);
-    auto res = build_distributed_vp_tree(c, std::move(slice), cfg);
+    auto res = build_distributed_vp_tree(c, std::move(slice), cfg,
+                                         simd::Metric::kL2);
     partitions[w_rank] = std::move(res.partition);
     if (c.rank() == 0) tree_bytes = std::move(res.serialized_tree);
   });
@@ -225,7 +228,8 @@ TEST(DistributedBuild, RejectsNonPowerOfTwoWorkers) {
   EXPECT_THROW(rt.run([&](mpi::Comm& c) {
     data::Dataset slice = w.base.slice(std::size_t(c.rank()) * 100,
                                        std::size_t(c.rank() + 1) * 100);
-    (void)build_distributed_vp_tree(c, std::move(slice), {});
+    (void)build_distributed_vp_tree(c, std::move(slice), {},
+                                    simd::Metric::kL2);
   }),
                Error);
 }
@@ -244,7 +248,8 @@ TEST(DistributedBuild, DeterministicAcrossRuns) {
       const auto w_rank = std::size_t(c.rank());
       data::Dataset slice = w.base.slice(w_rank * w.base.size() / P,
                                          (w_rank + 1) * w.base.size() / P);
-      auto res = build_distributed_vp_tree(c, std::move(slice), cfg);
+      auto res = build_distributed_vp_tree(c, std::move(slice), cfg,
+                                         simd::Metric::kL2);
       std::vector<GlobalId> mine(res.partition.ids().begin(),
                                  res.partition.ids().end());
       std::sort(mine.begin(), mine.end());

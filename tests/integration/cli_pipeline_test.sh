@@ -33,6 +33,17 @@ awk -v r="$RECALL2" 'BEGIN { exit !(r > 0.9999) }' || {
   exit 1
 }
 
+# The exact tree local index must return the same exact answers, and the
+# saved engine must report its kind.
+"$CLI" build "$DIR/demo_base.fvecs" "$DIR/tree.idx" --workers 4 --nprobe 4 \
+  --local exacttree
+"$CLI" info "$DIR/tree.idx" | grep -q "local=exacttree"
+"$CLI" search "$DIR/tree.idx" "$DIR/demo_query.fvecs" 10 "$DIR/res4.ivecs"
+cmp "$DIR/res2.ivecs" "$DIR/res4.ivecs" || {
+  echo "FAIL: exact tree answers differ from brute force"
+  exit 1
+}
+
 # Quantized configuration: --quantize sq8 stores frozen segments as SQ8
 # codes with an exact re-rank cache; recall must survive the compression
 # and the index must save/load/search round-trip.

@@ -49,11 +49,12 @@ TEST(EndToEnd, FullPipelineRecallAndExactBaseline) {
   const double recall = data::mean_recall(res, p.gt, 10);
   EXPECT_GT(recall, 0.8);
 
-  // The PANDA baseline: KD router, exact local KD trees, exact routing.
+  // The PANDA baseline: KD router, exact local trees with the KD split rule,
+  // exact routing.
   core::EngineConfig kcfg;
   kcfg.n_workers = 16;
   kcfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
-  kcfg.local_index = core::LocalIndexKind::kKdTree;
+  kcfg.local_index = core::LocalIndexKind::kExactTree;
   kcfg.exact_routing = true;
   core::DistributedAnnEngine kd(&p.w.base, kcfg);
   kd.build();

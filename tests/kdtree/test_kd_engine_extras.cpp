@@ -7,34 +7,20 @@
 #include "annsim/core/engine.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
-#include "annsim/kdtree/kd_tree.hpp"
 #include "annsim/vptree/partition_tree.hpp"
 
-namespace annsim::kdtree {
+namespace annsim::vptree {
 namespace {
 
-/// The KD baseline engine: KD router, exact local KD trees, exact routing.
+/// The KD baseline engine: KD router, exact local trees with the KD split
+/// rule, exact routing.
 core::EngineConfig kd_config(std::size_t n_workers) {
   core::EngineConfig cfg;
   cfg.n_workers = n_workers;
   cfg.partitioner.tree = vptree::PartitionTreeKind::kKdTree;
-  cfg.local_index = core::LocalIndexKind::kKdTree;
+  cfg.local_index = core::LocalIndexKind::kExactTree;
   cfg.exact_routing = true;
   return cfg;
-}
-
-TEST(KdTreeExtras, LeafSizeOneStillExact) {
-  auto w = data::make_syn(400, 6, 0, 10, 901);
-  KdTreeParams p;
-  p.leaf_size = 1;
-  KdTree tree(&w.base, p);
-  auto gt = data::brute_force_knn(w.base, w.queries, 5, simd::Metric::kL2);
-  for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    auto res = tree.search(w.queries.row(q), 5);
-    for (std::size_t i = 0; i < res.size(); ++i) {
-      EXPECT_EQ(res[i].id, gt[q][i].id);
-    }
-  }
 }
 
 TEST(KdTreeExtras, ConstantAxisData) {
@@ -44,11 +30,15 @@ TEST(KdTreeExtras, ConstantAxisData) {
   for (std::size_t i = 0; i < 64; ++i) {
     for (std::size_t j = 0; j < 4; ++j) d.row(i)[j] = 2.f;
   }
-  KdTree tree(&d, {});
+  const core::ExactTreeIndex tree(&d, simd::Metric::kL2,
+                                  vptree::PartitionTreeKind::kKdTree);
   float q[4] = {2.f, 2.f, 2.f, 2.f};
-  auto res = tree.search(q, 10);
-  EXPECT_EQ(res.size(), 10u);
-  for (const auto& nb : res) EXPECT_NEAR(nb.dist, 0.f, 1e-6f);
+  auto res = tree.search_exact(q, 10);
+  ASSERT_EQ(res.size(), 10u);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    EXPECT_EQ(res[i].dist, 0.f);
+    EXPECT_EQ(res[i].id, i);  // ties resolve on id
+  }
 }
 
 TEST(KdTreeExtras, PartitionRouterSingleLeaf) {
@@ -92,4 +82,4 @@ TEST(KdEngineExtras, KOne) {
 }
 
 }  // namespace
-}  // namespace annsim::kdtree
+}  // namespace annsim::vptree

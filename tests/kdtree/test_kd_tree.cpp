@@ -1,22 +1,29 @@
-#include "annsim/kdtree/kd_tree.hpp"
-
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "annsim/common/error.hpp"
+#include "annsim/core/local_index.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/vptree/partition_tree.hpp"
 
-namespace annsim::kdtree {
+namespace annsim::vptree {
 namespace {
 
-TEST(KdTree, ExactOnLowDim) {
+/// The Table III baseline's exact local index: the exact tree with the KD
+/// split rule.
+core::ExactTreeIndex kd_tree(const data::Dataset& base,
+                             simd::Metric metric = simd::Metric::kL2) {
+  return core::ExactTreeIndex(&base, metric, vptree::PartitionTreeKind::kKdTree);
+}
+
+TEST(ExactKdTree, ExactOnLowDim) {
   auto w = data::make_syn(1500, 8, 0, 30, 61);
-  KdTree tree(&w.base, {});
+  const auto tree = kd_tree(w.base);
   auto gt = data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    auto res = tree.search(w.queries.row(q), 10);
+    auto res = tree.search_exact(w.queries.row(q), 10);
     ASSERT_EQ(res.size(), 10u);
     for (std::size_t i = 0; i < 10; ++i) {
       EXPECT_EQ(res[i].id, gt[q][i].id) << "q=" << q << " i=" << i;
@@ -24,64 +31,63 @@ TEST(KdTree, ExactOnLowDim) {
   }
 }
 
-TEST(KdTree, ExactOnHighDim) {
+TEST(ExactKdTree, ExactOnHighDim) {
   auto w = data::make_sift_like(800, 15, 62);
-  KdTree tree(&w.base, {});
+  const auto tree = kd_tree(w.base);
   auto gt = data::brute_force_knn(w.base, w.queries, 5, simd::Metric::kL2);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    auto res = tree.search(w.queries.row(q), 5);
+    auto res = tree.search_exact(w.queries.row(q), 5);
+    ASSERT_EQ(res.size(), 5u);
     for (std::size_t i = 0; i < res.size(); ++i) {
       EXPECT_EQ(res[i].id, gt[q][i].id);
     }
   }
 }
 
-TEST(KdTree, ExactUnderL1) {
+TEST(ExactKdTree, ExactUnderL1) {
   auto w = data::make_syn(600, 6, 0, 15, 63);
-  KdTreeParams p;
-  p.metric = simd::Metric::kL1;
-  KdTree tree(&w.base, p);
+  const auto tree = kd_tree(w.base, simd::Metric::kL1);
   auto gt = data::brute_force_knn(w.base, w.queries, 5, simd::Metric::kL1);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    auto res = tree.search(w.queries.row(q), 5);
+    auto res = tree.search_exact(w.queries.row(q), 5);
+    ASSERT_EQ(res.size(), 5u);
     for (std::size_t i = 0; i < res.size(); ++i) {
       EXPECT_EQ(res[i].id, gt[q][i].id);
     }
   }
 }
 
-TEST(KdTree, RejectsNonCoordinateMetric) {
+TEST(ExactKdTree, RejectsNonCoordinateMetric) {
   data::Dataset d(10, 4);
-  KdTreeParams p;
-  p.metric = simd::Metric::kCosine;
-  EXPECT_THROW(KdTree(&d, p), Error);
+  EXPECT_THROW((void)kd_tree(d, simd::Metric::kCosine), Error);
 }
 
-TEST(KdTree, EmptyAndSingle) {
+TEST(ExactKdTree, EmptyAndSingle) {
   data::Dataset empty(0, 3);
-  KdTree t0(&empty, {});
+  const auto t0 = kd_tree(empty);
   float q[3] = {};
-  EXPECT_TRUE(t0.search(q, 2).empty());
+  EXPECT_TRUE(t0.search_exact(q, 2).empty());
 
   data::Dataset one(1, 3);
-  KdTree t1(&one, {});
-  auto res = t1.search(q, 2);
+  const auto t1 = kd_tree(one);
+  auto res = t1.search_exact(q, 2);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].id, 0u);
 }
 
-TEST(KdTree, PruningCollapsesInLowDimOnly) {
+TEST(ExactKdTree, PruningCollapsesInLowDimOnly) {
   // The paper's central claim: KD pruning works at low dimension and decays
   // at high dimension. Compare the visited fraction at dim 4 vs dim 128.
   auto low = data::make_syn(2000, 4, 0, 20, 64);
   auto high = data::make_sift_like(2000, 20, 64);
-  KdTree t_low(&low.base, {});
-  KdTree t_high(&high.base, {});
-  auto mean_evals = [](const KdTree& t, const data::Dataset& queries) {
+  const auto t_low = kd_tree(low.base);
+  const auto t_high = kd_tree(high.base);
+  auto mean_evals = [](const core::ExactTreeIndex& t,
+                       const data::Dataset& queries) {
     std::size_t total = 0;
     for (std::size_t q = 0; q < queries.size(); ++q) {
       std::size_t evals = 0;
-      (void)t.search(queries.row(q), 10, &evals);
+      (void)t.search_exact(queries.row(q), 10, &evals);
       total += evals;
     }
     return double(total) / double(queries.size());
@@ -163,4 +169,4 @@ TEST(KdPartitionRouter, HighDimVisitsMorePartitionsThanLowDim) {
 }
 
 }  // namespace
-}  // namespace annsim::kdtree
+}  // namespace annsim::vptree

@@ -44,6 +44,11 @@ TEST(PartitionTree, RejectsNonPowerOfTwo) {
   EXPECT_THROW((void)PartitionTree::build(w.base, params(6)), Error);
 }
 
+TEST(PartitionTree, RejectsZeroPartitions) {
+  auto w = data::make_sift_like(100, 1, 43);
+  EXPECT_THROW((void)PartitionTree::build(w.base, params(0)), Error);
+}
+
 TEST(PartitionTree, RejectsNonMetric) {
   auto w = data::make_sift_like(100, 1, 44);
   auto p = params(4);

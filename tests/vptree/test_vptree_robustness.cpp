@@ -6,7 +6,6 @@
 #include "annsim/common/error.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/vptree/partition_tree.hpp"
-#include "annsim/vptree/vp_tree.hpp"
 
 namespace annsim::vptree {
 namespace {
@@ -48,17 +47,6 @@ TEST(VpTreeRobustness, AllDuplicatePointsStillPartition) {
   std::size_t total = 0;
   for (auto s : built.partition_sizes) total += s;
   EXPECT_EQ(total, 64u);
-}
-
-TEST(VpTreeRobustness, DuplicateHeavyDataExactSearch) {
-  data::Dataset d(100, 2);
-  for (std::size_t i = 0; i < 50; ++i) d.row(i)[0] = 1.f;   // 50 dups
-  for (std::size_t i = 50; i < 100; ++i) d.row(i)[0] = float(i);
-  VpTree tree(&d, {});
-  float q[2] = {1.f, 0.f};
-  auto res = tree.search(q, 50);
-  ASSERT_EQ(res.size(), 50u);
-  for (const auto& nb : res) EXPECT_NEAR(nb.dist, 0.f, 1e-6f);
 }
 
 TEST(VpTreeRobustness, RouteBallZeroRadiusHitsContainingPartition) {

@@ -49,7 +49,7 @@ using namespace annsim;
                "  annsim gt <base.fvecs> <query.fvecs> <k> <out.ivecs>\n"
                "  annsim build <base.fvecs> <out.idx> [--workers N] "
                "[--replication R] [--nprobe P] [--M m] [--efc e] [--local "
-               "hnsw|bruteforce|vptree|ivfpq|segmented] [--delta-cap C] "
+               "hnsw|bruteforce|exacttree|ivfpq|segmented] [--delta-cap C] "
                "[--quantize sq8] [--float-cache F] [--two-sided]\n"
                "  annsim search <index.idx> <query.fvecs> <k> <out.ivecs> "
                "[--ef E]\n"
@@ -164,7 +164,7 @@ int cmd_gt(int argc, char** argv) {
 core::LocalIndexKind parse_local(const std::string& s) {
   if (s == "hnsw") return core::LocalIndexKind::kHnsw;
   if (s == "bruteforce") return core::LocalIndexKind::kBruteForce;
-  if (s == "vptree") return core::LocalIndexKind::kVpTree;
+  if (s == "exacttree") return core::LocalIndexKind::kExactTree;
   if (s == "ivfpq") return core::LocalIndexKind::kIvfPq;
   if (s == "segmented") return core::LocalIndexKind::kSegmented;
   std::fprintf(stderr, "unknown local index kind: %s\n", s.c_str());
