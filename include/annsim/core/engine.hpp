@@ -9,11 +9,15 @@
 /// `local_index = kExactTree` (which takes the KD split rule from
 /// `partitioner.tree`), `exact_routing = true`.
 ///
-/// The engine runs SPMD phases on the simulated MPI runtime with
+/// The engine runs SPMD operations on the simulated MPI runtime with
 /// `n_workers + 1` ranks (rank 0 = master process; worker w = rank w+1, and
-/// partition w lives on worker w after construction). Because the runtime is
-/// threads-as-ranks, per-worker state (partitions, local indexes) persists in
-/// engine-owned storage between the build phase and search phases.
+/// partition w lives on worker w after construction). The worker ranks are
+/// persistent, as the paper's MPI processes are: the engine starts them on
+/// first use and joins them in its destructor, and each loops over the
+/// operations the master sends it (DESIGN.md §4.15). The thread that calls
+/// an operation acts as rank 0 for it. Because the runtime is
+/// threads-as-ranks, per-worker state (partitions, local indexes) lives in
+/// engine-owned storage.
 
 #include <chrono>
 #include <cstdint>
@@ -30,6 +34,7 @@
 #include "annsim/core/partitioner.hpp"
 #include "annsim/data/dataset.hpp"
 #include "annsim/data/ground_truth.hpp"
+#include "annsim/common/serialize.hpp"
 #include "annsim/hnsw/hnsw_index.hpp"
 #include "annsim/mpi/mpi.hpp"
 #include "annsim/recovery/checkpoint.hpp"
@@ -83,7 +88,8 @@ struct EngineConfig {
   std::uint64_t seed = 123;
 
   // ---- fault tolerance (see fault.hpp for the failure model) ----
-  /// Fault schedule injected into the search runtime (chaos runs). Runtime
+  /// Fault schedule injected into the engine's operations after build (chaos
+  /// runs). Runtime
   /// ranks: 0 is the master, worker w is rank w + 1 — kill rules must name
   /// worker ranks. An enabled plan requires `result_timeout_ms > 0`, or the
   /// master would hang waiting on a silent worker. The engine marks the
@@ -127,13 +133,14 @@ struct EngineConfig {
   std::size_t checkpoint_every_rounds = 1;
 
   // ---- usage-correctness checking (annsim::check) ----
-  /// Run every engine runtime (build, search batches, heal) under the MPI
+  /// Run every engine operation (build, search batches, writes, heal) under
+  /// the MPI
   /// usage verifier. ANNSIM_MPI_CHECK=1 in the environment force-enables
   /// this too. The engine declares its control-plane tags (EOQ, done,
   /// heartbeat) reserved and, when failure detection is armed, marks the
   /// by-design-abandonable data-plane tags best-effort — see DESIGN.md §4.9.
   bool mpi_check = false;
-  /// Checked runtimes throw on violations (fatal). Set false to collect
+  /// Checked operations throw on violations (fatal). Set false to collect
   /// and inspect `DistributedAnnEngine::check_report()` instead.
   bool check_fatal = true;
 };
@@ -171,7 +178,7 @@ struct SearchStats {
   std::vector<std::uint64_t> jobs_per_worker;  ///< Fig 4(b) raw data
   std::uint64_t total_jobs = 0;
   double mean_partitions_per_query = 0.0;
-  mpi::TrafficStats traffic;  ///< runtime traffic during this search
+  mpi::TrafficStats traffic;  ///< this search's own traffic (a delta)
 
   // ---- fault tolerance (counters stay 0 at result_timeout_ms == 0) ----
   std::uint64_t retries = 0;          ///< jobs re-dispatched after a death
@@ -237,8 +244,9 @@ struct CompressionStats {
 /// partition just landed (a degraded slot is read when the batch ends); in
 /// multiple-owner mode as each owner's answer arrives. `coverage` counts the partitions searched against those planned;
 /// `coverage.degraded()` flags a partial result (possible only under a
-/// finite failure-detection deadline). Runs on a runtime-internal thread —
-/// keep it cheap, and synchronize any state it shares with the caller.
+/// finite failure-detection deadline). Runs on the thread that called
+/// search(), which is rank 0 of the batch: keep it cheap, since collection
+/// waits for it.
 using QueryDoneFn =
     std::function<void(std::size_t qid, const std::vector<Neighbor>& result,
                        const QueryCoverage& coverage)>;
@@ -267,6 +275,8 @@ class DistributedAnnEngine {
 
   DistributedAnnEngine(const DistributedAnnEngine&) = delete;
   DistributedAnnEngine& operator=(const DistributedAnnEngine&) = delete;
+  /// A moved engine keeps its rank threads: they serve whichever engine
+  /// object issues the next operation.
   DistributedAnnEngine(DistributedAnnEngine&&) noexcept = default;
   DistributedAnnEngine& operator=(DistributedAnnEngine&&) noexcept = default;
 
@@ -385,30 +395,36 @@ class DistributedAnnEngine {
   /// batch. Safe to call with nothing to heal (reports zeros).
   recovery::HealReport heal();
 
-  /// Cumulative annsim::check report across every runtime this engine ran
-  /// (build, each search batch, heal). Empty unless checking is enabled via
-  /// `EngineConfig::mpi_check` or ANNSIM_MPI_CHECK=1.
+  /// Cumulative annsim::check report across every operation this engine ran
+  /// (build, each search batch, write round, compaction, heal). Empty unless
+  /// checking is enabled via `EngineConfig::mpi_check` or ANNSIM_MPI_CHECK=1.
   [[nodiscard]] check::CheckReport check_report() const;
 
-  /// Arm (or disarm) the MPI usage checker on every runtime this engine
-  /// creates from now on. `fatal=false` accumulates violations into
-  /// check_report() instead of throwing at runtime finalize — the mode the
+  /// Arm (or disarm) the MPI usage checker. Joins the engine's rank threads
+  /// (their reports fold into check_report()); the next operation starts
+  /// them again under the new setting. `fatal=false` accumulates violations
+  /// into check_report() instead of throwing at operation end — the mode the
   /// CLI benches use so a violation is reported once, at exit.
-  void set_mpi_check(bool enabled, bool fatal = true) noexcept {
-    config_.mpi_check = enabled;
-    config_.check_fatal = fatal;
-  }
+  void set_mpi_check(bool enabled, bool fatal = true);
 
-  /// Install a schedule controller (annsim::explore) on every runtime this
-  /// engine creates from now on: message deliveries, timed waits, and RMA
-  /// ops route through its choice points, so an armed controller decides the
-  /// interleaving. Pass nullptr to detach. Controlled runs require
-  /// `threads_per_worker == 1` and `result_timeout_ms == 0` — every engine
-  /// thread must be a tracked rank, or helper threads would race around the
-  /// controller instead of being scheduled by it.
-  void set_schedule(std::shared_ptr<mpi::ScheduleController> schedule) noexcept {
-    schedule_ = std::move(schedule);
-  }
+  /// Install a schedule controller (annsim::explore). Joins the engine's
+  /// rank threads; the next operation starts them again, and under an armed
+  /// controller that start claims the cohort, calling thread included, so
+  /// every later operation is one controlled run in which message
+  /// deliveries, timed waits and RMA ops are the controller's choice points,
+  /// the operation boundaries too. Pass nullptr, from the thread that issued
+  /// the controlled operations, to end the run: the worker ranks shut down
+  /// under the controller and the next operation starts them free-running.
+  /// Controlled runs require `threads_per_worker == 1` (every engine thread
+  /// must be a tracked rank, or a search team would race around the
+  /// controller) and, for searches, `result_timeout_ms == 0` (the detection
+  /// deadlines read the wall clock, which the controller does not drive).
+  void set_schedule(std::shared_ptr<mpi::ScheduleController> schedule);
+
+  /// Rank threads this engine has started over its lifetime. A free-running
+  /// engine starts each of its two cohorts once: 2 * n_workers after it has
+  /// run a search and a build or write operation.
+  [[nodiscard]] std::uint64_t rank_threads_started() const;
 
  private:
   DistributedAnnEngine() = default;  // for load()
@@ -421,6 +437,48 @@ class DistributedAnnEngine {
   };
   /// All replicas a worker hosts, keyed by partition id.
   using WorkerStore = std::map<PartitionId, Replica>;
+
+  struct BuildRound;
+  /// One persistent cohort: a runtime whose P worker ranks loop over the
+  /// operations this engine sends them (DESIGN.md §4.15).
+  struct Lane {
+    std::mutex mu;  ///< one operation (or start/stop) at a time
+    std::unique_ptr<mpi::Runtime> rt;  ///< null until the first operation
+    /// The engine the current operation runs for, set under `mu` before the
+    /// control message goes out, so a moved engine keeps its cohorts.
+    DistributedAnnEngine* engine = nullptr;
+    /// Search lane, one-sided transport: every rank's handle on the result
+    /// window, by rank (created by the first one-sided batch).
+    std::vector<mpi::Window> windows;
+    std::size_t window_bytes = 0;  ///< the current batch's slots
+    /// Build only: the round's shared inputs and per-worker outputs.
+    BuildRound* build = nullptr;
+    std::uint64_t retired_threads = 0;  ///< threads of stopped runtimes
+  };
+  /// Run one operation on `lane` with the calling thread as rank 0,
+  /// starting the lane's cohort on first use. `op` is the control message
+  /// each worker's loop (worker_op) dispatches on; `injector` gates the
+  /// operation's traffic (null: fault-free); `before`, when set, runs
+  /// under the lane's lock just before the control message goes out.
+  /// Returns the operation's traffic.
+  mpi::TrafficStats run_op(Lane& lane, std::span<const std::byte> op,
+                           std::shared_ptr<mpi::FaultInjector> injector,
+                           const std::function<void(mpi::Comm&)>& master,
+                           const std::function<void()>& before = {});
+  /// The worker ranks' one loop body: run the operation `op` names.
+  void worker_op(mpi::Comm& world, std::span<const std::byte> op);
+  void worker_build(mpi::Comm& world);
+  void worker_write(mpi::Comm& world, const std::vector<char>& alive);
+  void worker_compact(mpi::Comm& world, const std::vector<char>& alive);
+  void worker_heal(mpi::Comm& world, BinaryReader& transfers);
+  /// Stop both cohorts and fold their check reports into check_report_.
+  void retire_lanes();
+  /// The rank's handle on the search lane's result window, created
+  /// collectively by the first one-sided batch.
+  mpi::Window& result_window(mpi::Comm& world);
+  /// Size the result window for a batch of `bytes` and zero those slots:
+  /// rank 0 grows its region only when a batch outgrows it.
+  void prepare_result_window(std::size_t bytes);
 
   void master_search(mpi::Comm& world, const data::Dataset& queries,
                      std::size_t k, std::size_t ef, data::KnnResults& results,
@@ -436,6 +494,8 @@ class DistributedAnnEngine {
   /// completes a slot also sends the master kTagSlotFull), else two-sided on
   /// `result_tag` to each job's reply_to. Jobs are checked against `bounds`.
   /// `rank_duty`, when set, runs on the rank thread while the team works.
+  /// Under a finite detection deadline the loop also beats the master's
+  /// liveness beacon, between jobs and while it waits for one.
   DoneNotice run_job_loop(mpi::Comm& world, int job_source,
                           mpi::Tag result_tag, mpi::Window* win, std::size_t k,
                           const BatchBounds& bounds,
@@ -452,18 +512,23 @@ class DistributedAnnEngine {
                                                mpi::Tag tag) const;
   [[nodiscard]] std::chrono::microseconds detection_timeout() const;
   /// Lazily create (or return) the engine-owned fault injector shared by
-  /// every search runtime, so death flags and op budgets persist across
+  /// every operation, so death flags and op budgets persist across
   /// batches. Null when the config's fault plan is inert.
   std::shared_ptr<mpi::FaultInjector> shared_injector();
   /// Install the verifier on an engine runtime per config_/environment
   /// (reserved + best-effort tag sets included). No-op when checking is off.
   void configure_runtime_check(mpi::Runtime& rt) const;
-  /// Fold a finished runtime's report into the engine-lifetime report.
-  void absorb_check_report(const mpi::Runtime& rt);
   /// One write round over the p2p plane: routes `rows` (when non-null) and
   /// broadcasts `deletes`. Shared implementation of insert()/remove().
   WriteStats apply_writes(const data::Dataset* rows,
                           std::span<const GlobalId> deletes);
+  /// A write-plane receive: recv_for under the round deadline once an
+  /// injector is armed (a dead peer is silent), else a blocking recv.
+  std::optional<mpi::Message> recv_write_plane(mpi::Comm& world, int source,
+                                               mpi::Tag tag) const;
+  /// Group-commit worker `w`'s WAL frames for the round (true without a
+  /// WAL); false means a disk fault fired and the worker must stay silent.
+  bool commit_wal(std::size_t w);
   /// Liveness snapshot for the write plane, derived from the fault injector
   /// (not ClusterHealth, which belongs to the search plane's thread).
   std::vector<char> write_plane_alive(const mpi::FaultInjector* injector) const;
@@ -490,13 +555,13 @@ class DistributedAnnEngine {
   std::optional<vptree::PartitionTree> router_;
   std::vector<WorkerStore> workers_;  ///< indexed by worker id (0..P-1)
   BuildStats build_stats_;
-  /// Fault state shared across search runtimes (batches): a rank killed in
+  /// Fault state shared by both cohorts and every batch: a rank killed in
   /// batch n stays dead in batch n+1 until heal() revives it.
   std::shared_ptr<mpi::FaultInjector> injector_;
-  /// Schedule controller installed on every engine runtime (null = free-run).
+  /// Schedule controller installed on the engine's cohorts (null = free-run).
   std::shared_ptr<mpi::ScheduleController> schedule_;
   recovery::ClusterHealth health_;  ///< persistent liveness record
-  check::CheckReport check_report_;  ///< merged across engine runtimes
+  check::CheckReport check_report_;  ///< merged from retired cohorts
   /// Next global id handed to a streamed insert. Starts one past the largest
   /// build-corpus id and never reuses a value, even across save/load.
   GlobalId next_stream_id_ = 0;
@@ -533,6 +598,14 @@ class DistributedAnnEngine {
     std::mutex checkpoint;
   };
   std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
+
+  /// The two persistent cohorts. Searches run on one; build, write rounds,
+  /// compaction and heal streams, which write_api or the exclusive topology
+  /// lock already serialize, run on the other, so a search keeps
+  /// overlapping a background compaction. Declared last: destroyed first,
+  /// joining the rank threads before anything they read goes away.
+  std::unique_ptr<Lane> search_lane_ = std::make_unique<Lane>();
+  std::unique_ptr<Lane> admin_lane_ = std::make_unique<Lane>();
 };
 
 }  // namespace annsim::core

@@ -173,12 +173,20 @@ class FaultInjector {
  private:
   struct RankState {
     std::atomic<std::uint64_t> ops{0};
-    std::atomic<bool> dead{false};
+    /// Index of the first op dropped because the rank died; kNeverFires
+    /// while alive. Ops claimed below it were sent before the death.
+    std::atomic<std::uint64_t> dead_from{kNeverFires};
     std::uint64_t kill_after_ops = kNeverFires;
     std::uint64_t kill_at_step = kNeverFires;
     std::atomic<std::uint64_t> disk_fault_lsn{kNeverFires};
     DiskFaultKind disk_fault_kind = DiskFaultKind::kCrashAtLsn;
+
+    [[nodiscard]] bool dead() const noexcept {
+      return dead_from.load(std::memory_order_acquire) != kNeverFires;
+    }
   };
+  /// Mark `rs` dead from op index `from_op` on (the lowest mark wins).
+  static void mark_dead(RankState& rs, std::uint64_t from_op);
 
   FaultPlan plan_;
   int n_ranks_ = 0;

@@ -15,7 +15,10 @@
 ///  * communicator splitting (`split`) — the distributed VP-tree construction
 ///    recurses on halves of the process set,
 ///  * one-sided RMA windows with passive-target shared locks and atomic
-///    `get_accumulate` (§IV-C1, Fig 2).
+///    `get_accumulate` (§IV-C1, Fig 2),
+///  * a persistent world (`Runtime::start` / `operate` / `stop`): worker
+///    ranks that outlive one operation and loop over operations sent on a
+///    control tag, as the paper's MPI processes loop over query batches.
 ///
 /// Semantics preserved from MPI: per-(source,comm) FIFO message ordering,
 /// tag/source matching with wildcards, non-overtaking matching, collective
@@ -73,6 +76,15 @@ struct TrafficStats {
     collective_bytes += o.collective_bytes;
     return *this;
   }
+  TrafficStats& operator-=(const TrafficStats& o) noexcept {
+    p2p_messages -= o.p2p_messages;
+    p2p_bytes -= o.p2p_bytes;
+    rma_ops -= o.rma_ops;
+    rma_bytes -= o.rma_bytes;
+    collective_ops -= o.collective_ops;
+    collective_bytes -= o.collective_bytes;
+    return *this;
+  }
 };
 
 namespace detail {
@@ -111,6 +123,7 @@ class Request {
 
  private:
   friend class Comm;
+  friend class Runtime;
   explicit Request(std::shared_ptr<detail::RecvState> state);
   std::shared_ptr<detail::RecvState> state_;  ///< null => completed send
 };
@@ -151,6 +164,15 @@ class Window {
   /// This rank's exposed region.
   [[nodiscard]] std::span<std::byte> local_data();
   [[nodiscard]] std::size_t local_size() const;
+
+  /// Grow this rank's exposed region to at least `bytes` (MPI_Win_attach of
+  /// a larger buffer to a dynamic window). Local, not collective; legal only
+  /// while no origin holds an access epoch at this rank. Existing bytes keep
+  /// their values and new ones are zero.
+  void grow_local(std::size_t bytes);
+
+  /// True once the window was created (a default Window is empty).
+  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
  private:
   friend class Comm;
@@ -280,6 +302,9 @@ class Comm {
 
 /// Owns the rank threads. `run` executes `rank_main(comm)` once per rank and
 /// joins; the first exception thrown by any rank is rethrown to the caller.
+/// `start` instead keeps ranks 1..n-1 alive across operations: each loops,
+/// receiving the next operation on the runtime's control tag, and the thread
+/// that calls `operate` acts as rank 0 for that operation.
 class Runtime {
  public:
   explicit Runtime(int n_ranks);
@@ -288,10 +313,10 @@ class Runtime {
   /// Injector state (op counters, death flags) persists across run() calls.
   Runtime(int n_ranks, const FaultPlan& plan);
   /// Construct with a pre-existing injector so fault state (death flags, op
-  /// counters, step clock) survives *across* Runtimes — the engine creates a
-  /// fresh Runtime per search batch, but a worker declared dead in batch 3
-  /// must still be dead in batch 4 unless somebody revived it. A null
-  /// injector behaves exactly like the plain constructor.
+  /// counters, step clock) survives *across* Runtimes — the engine's two
+  /// rank cohorts share one, so a worker killed in a search is still dead in
+  /// the next write round unless somebody revived it. A null injector
+  /// behaves exactly like the plain constructor.
   Runtime(int n_ranks, std::shared_ptr<FaultInjector> injector);
   ~Runtime();
 
@@ -301,6 +326,33 @@ class Runtime {
   [[nodiscard]] int size() const noexcept;
 
   void run(const std::function<void(Comm&)>& rank_main);
+
+  // --- persistent world ---
+  /// What a persistent worker rank runs for one operation: `op_comm` is the
+  /// operation's communicator (the world's group in a fresh matching
+  /// context, so a message one operation leaves behind can never match in
+  /// the next) and `op` the bytes rank 0 passed to operate().
+  using OpHandler =
+      std::function<void(Comm& op_comm, std::span<const std::byte> op)>;
+  /// Spawn ranks 1..n-1 once; each loops over operations until stop(). Under
+  /// an armed schedule controller the whole cohort, calling thread
+  /// included, is claimed here, so one controlled run spans every operation
+  /// until stop(), which must then come from the same thread.
+  void start(OpHandler on_op);
+  /// Run one operation with the calling thread as rank 0: send `op` to every
+  /// worker on the control tag (one message each, counted as p2p traffic and
+  /// never fault-gated), run `master(op_comm)`, and return once every worker
+  /// finished its handler. Operations on one runtime serialize. Exceptions
+  /// and checker findings are reported as run() reports them; the world
+  /// stays usable for the next operation. Returns the operation's own
+  /// traffic (the counters are cumulative, so this is their delta).
+  TrafficStats operate(std::span<const std::byte> op,
+                       const std::function<void(Comm&)>& master);
+  /// Shut the world down and join its threads (idempotent; ~Runtime calls it).
+  void stop();
+  [[nodiscard]] bool started() const noexcept;
+  /// Rank threads this runtime ever spawned, run() and start() alike.
+  [[nodiscard]] std::uint64_t threads_started() const noexcept;
 
   /// Sum of all ranks' traffic counters (valid after run()).
   [[nodiscard]] TrafficStats total_traffic() const;
@@ -317,6 +369,9 @@ class Runtime {
   void set_schedule(std::shared_ptr<ScheduleController> schedule);
   [[nodiscard]] std::shared_ptr<ScheduleController> schedule() const noexcept;
 
+  /// Install (or, with nullptr, remove) the fault injector between runs or
+  /// operations — the engine builds fault-free, then arms its shared one.
+  void set_fault_injector(std::shared_ptr<FaultInjector> injector);
   /// The installed fault injector, or nullptr when constructed without a
   /// plan (or with an inert one). Use it to advance the logical step clock
   /// or inspect which ranks have died.

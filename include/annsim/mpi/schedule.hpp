@@ -25,9 +25,12 @@
 /// and are recorded in the trace; forced commits are folded into the digest
 /// but cost nothing to replay.
 ///
-/// Threads never spawned by Runtime::run (engine helper threads, failure
-/// beacons) are not tracked: their operations pass through uncontrolled.
-/// Exploration scenarios therefore run each rank single-threaded.
+/// Threads the runtime did not claim (engine helper threads such as a
+/// worker's search team) are not tracked: their operations pass through
+/// uncontrolled. Exploration scenarios therefore run each rank
+/// single-threaded. A persistent world (Runtime::start) claims its worker
+/// threads once and its calling thread as rank 0, so one controlled run
+/// spans every operation issued on it.
 
 #include <atomic>
 #include <cstdint>
@@ -124,10 +127,17 @@ class ScheduleController {
 
   // --- runtime-facing hooks (called by the mpi layer, not by users) ---
 
-  /// Claim `n_threads` about-to-spawn rank threads. Returns false (and
-  /// claims nothing) when not armed. Counting the whole cohort *before* any
-  /// thread starts keeps the scheduler from firing on a partial view.
+  /// Claim `n_threads` about-to-spawn rank threads, in addition to any
+  /// cohort already claimed. Returns false (and claims nothing) when not
+  /// armed. Counting the whole cohort *before* any thread starts keeps the
+  /// scheduler from firing on a partial view.
   bool begin_run(int n_threads);
+  /// Claim the calling thread itself (a persistent world's rank 0). Nested
+  /// claims by the same thread count once; each needs a release_caller().
+  /// Returns false (and claims nothing) when not armed.
+  bool claim_caller();
+  /// Drop one claim_caller(); the last one finishes the thread.
+  void release_caller();
   /// Mark the calling thread as one of the claimed cohort.
   void attach_thread();
   /// The calling thread is done (normally or unwinding). When the last
@@ -140,8 +150,14 @@ class ScheduleController {
   /// Queue a delivery decided later by the scheduler. Returns false (nothing
   /// queued) when the calling thread is not controlled — the caller then
   /// delivers directly. `commit` performs the actual mailbox delivery; it
-  /// runs under the controller lock and must not block.
-  bool submit(ChoiceEvent ev, std::function<void()> commit);
+  /// runs under the controller lock and must not block. `owner` names the
+  /// runtime whose mailbox `commit` writes (see flush_owner).
+  bool submit(ChoiceEvent ev, std::function<void()> commit,
+              const void* owner = nullptr);
+  /// Commit, in canonical order, every queued delivery of `owner`: a
+  /// runtime shutting down while another cohort stays tracked flushes its
+  /// own channels before its mailboxes go away.
+  void flush_owner(const void* owner);
 
   /// Park until `ready()` holds. Returns false when the calling thread is
   /// not controlled (caller falls back to its own blocking wait). `ready` is
@@ -175,7 +191,7 @@ class ScheduleController {
 
   void park_and_wait(std::unique_lock<std::mutex>& lk, Parked& entry);
   void schedule_locked();
-  void flush_channels_locked();
+  void flush_channels_locked(const void* owner = nullptr, bool all = true);
   void fail_locked(bool deadlock, std::string why);
   void fold_digest_locked(const ChoiceEvent& ev);
   [[nodiscard]] std::string dump_locked() const;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -196,7 +197,74 @@ std::vector<std::size_t> DistributedAnnEngine::partition_sizes() const {
   return build_stats_.partition_sizes;
 }
 
+// ---------------------------------------------------------------- worlds ---
+//
+// Every operation is one control message per worker rank plus the calling
+// thread as rank 0 (DESIGN.md §4.15). The message names the operation;
+// worker_op is the one loop body that runs it.
+
+namespace {
+
+enum class OpKind : std::uint8_t { kBuild, kSearch, kWrite, kCompact, kHeal };
+
+/// One replica a heal streams from a surviving worker to a revived one.
+struct HealTransfer {
+  std::size_t src;
+  std::size_t dst;
+  PartitionId partition;
+};
+
+/// A control message under construction: the kind, then its parameters.
+BinaryWriter op_message(OpKind kind) {
+  BinaryWriter w;
+  w.reserve(64);
+  w.write(kind);
+  return w;
+}
+
+}  // namespace
+
+void DistributedAnnEngine::worker_op(mpi::Comm& world,
+                                     std::span<const std::byte> op) {
+  BinaryReader rd(op);
+  const auto kind = rd.read<OpKind>();
+  switch (kind) {
+    case OpKind::kBuild:
+      worker_build(world);
+      return;
+    case OpKind::kSearch: {
+      const auto k = rd.read<std::uint32_t>();
+      const BatchBounds bounds{rd.read<std::uint64_t>(), config_.n_workers,
+                               rd.read<std::uint64_t>()};
+      if (config_.strategy == DispatchStrategy::kMultipleOwner) {
+        worker_search_owner(world, k, bounds);
+      } else {
+        worker_search(world, k, bounds);
+      }
+      return;
+    }
+    case OpKind::kWrite:
+      worker_write(world, rd.read_vector<char>());
+      return;
+    case OpKind::kCompact:
+      worker_compact(world, rd.read_vector<char>());
+      return;
+    case OpKind::kHeal:
+      worker_heal(world, rd);
+      return;
+  }
+  ANNSIM_CHECK_MSG(false, "unknown engine operation " << int(kind));
+}
+
 // ----------------------------------------------------------------- build ---
+
+/// What the build operation's ranks share: the KD baseline's master-built
+/// row assignment, and one output slot per worker.
+struct DistributedAnnEngine::BuildRound {
+  std::vector<std::vector<std::size_t>> master_rows;  ///< KD only
+  std::vector<double> vp_seconds, hnsw_seconds, repl_seconds;
+  std::vector<std::size_t> part_sizes;
+};
 
 void DistributedAnnEngine::build() {
   ANNSIM_CHECK_MSG(!router_.has_value(), "engine already built");
@@ -209,9 +277,11 @@ void DistributedAnnEngine::build() {
   workers_.resize(P);
   partition_last_lsn_.assign(P, 0);
 
-  std::vector<double> vp_seconds(P, 0.0), hnsw_seconds(P, 0.0),
-      repl_seconds(P, 0.0);
-  std::vector<std::size_t> part_sizes(P, 0);
+  BuildRound round;
+  round.vp_seconds.assign(P, 0.0);
+  round.hnsw_seconds.assign(P, 0.0);
+  round.repl_seconds.assign(P, 0.0);
+  round.part_sizes.assign(P, 0);
   std::vector<std::byte> tree_bytes;
 
   WallTimer total_timer;
@@ -219,7 +289,6 @@ void DistributedAnnEngine::build() {
   // corpus (PANDA builds it distributedly; DESIGN.md records the
   // substitution); each worker then takes its partition's rows.
   std::optional<vptree::PartitionBuildResult> master_tree;
-  std::vector<std::vector<std::size_t>> master_rows;
   if (config_.partitioner.tree == vptree::PartitionTreeKind::kKdTree) {
     WallTimer tree_timer;
     vptree::PartitionTreeParams tp;
@@ -227,116 +296,25 @@ void DistributedAnnEngine::build() {
     tp.metric = config_.hnsw.metric;
     master_tree.emplace(vptree::PartitionTree::build(
         *base_, tp, vptree::PartitionTreeKind::kKdTree));
-    master_rows.resize(P);
+    round.master_rows.resize(P);
     for (std::size_t i = 0; i < n; ++i) {
-      master_rows[master_tree->assignment[i]].push_back(i);
+      round.master_rows[master_tree->assignment[i]].push_back(i);
     }
-    vp_seconds.assign(P, tree_timer.seconds());
+    round.vp_seconds.assign(P, tree_timer.seconds());
   }
 
-  mpi::Runtime rt(int(P) + 1);
-  configure_runtime_check(rt);
-  auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-    try {
-      rt.run(body);
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
-  };
-  run_checked([&](mpi::Comm& world) {
-    const int wr = world.rank();
-    mpi::Comm grp = world.split(wr == 0 ? 0 : 1);
-
-    if (wr == 0) {
-      // Master: receive the VP tree worker 0 assembled (a KD tree is built).
-      if (!master_tree.has_value()) {
-        mpi::Message m = world.recv(1, kTagTree);
-        tree_bytes = std::move(m.payload);
-      }
-      return;
-    }
-
-    const std::size_t w = std::size_t(wr) - 1;
-    Replica primary;
-    if (master_tree.has_value()) {
-      primary.data =
-          std::make_unique<data::Dataset>(base_->subset(master_rows[w]));
-    } else {
-      // Initial equi-partition of D across the P worker cores (§IV).
-      data::Dataset slice = base_->slice(w * n / P, (w + 1) * n / P);
-
-      // Algorithms 1-2: distributed VP-tree construction.
-      PartitionerResult res =
-          build_distributed_vp_tree(grp, std::move(slice), config_.partitioner,
-                                    config_.hnsw.metric);
-      vp_seconds[w] = res.build_seconds;
-      ANNSIM_CHECK(res.partition_id == PartitionId(w));
-      if (grp.rank() == 0) {
-        world.send(0, kTagTree, res.serialized_tree);
-      }
-      primary.data = std::make_unique<data::Dataset>(std::move(res.partition));
-    }
-
-    // Local index over the owned partition (HNSW by default; §VI allows
-    // any algorithm here).
-    WallTimer hnsw_timer;
-    LocalIndexParams lp = local_index_params(config_);
-    lp.hnsw.seed = Rng(config_.seed).split(w).next();
-    if (config_.parallel_local_build && config_.threads_per_worker > 1) {
-      // The paper's hybrid model: each MPI process builds its local index
-      // with an OpenMP-style thread team.
-      ThreadPool pool(config_.threads_per_worker);
-      primary.index = build_local_index(primary.data.get(), lp, &pool);
-    } else {
-      primary.index = build_local_index(primary.data.get(), lp);
-    }
-    hnsw_seconds[w] = hnsw_timer.seconds();
-    part_sizes[w] = primary.data->size();
-    if (config_.local_index == LocalIndexKind::kSegmented) {
-      // A segmented index owns a copy of its rows, so keep the replica's
-      // Dataset an empty husk (dim only) rather than storing them twice;
-      // replication and checkpointing ship the index image, which is
-      // self-contained.
-      primary.data = std::make_unique<data::Dataset>(0, base_->dim());
-    }
-
-    // §IV-C2: replicate partition w onto its workgroup
-    // W_w = {w, w+1, ..., w+r-1 mod P}. Only the pack, send and decode work
-    // is timed: recv waits for the peer's own local build to end.
-    double repl_s = 0.0;
-    const std::size_t r = config_.replication;
-    if (r > 1) {
-      WallTimer pack_timer;
-      BinaryWriter pack;
-      pack.write(PartitionId(w));
-      pack.write_vector(pack_dataset(*primary.data));
-      pack.write_vector(primary.index->to_bytes());
-      for (std::size_t j = 1; j < r; ++j) {
-        const int dest = int((w + j) % P);
-        grp.send(dest, kTagReplica, pack.bytes());
-      }
-      repl_s += pack_timer.seconds();
-      for (std::size_t j = 1; j < r; ++j) {
-        mpi::Message m = grp.recv(mpi::kAnySource, kTagReplica);
-        WallTimer decode_timer;
-        BinaryReader rd(m.payload);
-        const auto pid = rd.read<PartitionId>();
-        const auto data_bytes = rd.read_vector<std::byte>();
-        const auto index_bytes = rd.read_vector<std::byte>();
-        Replica rep;
-        rep.data = std::make_unique<data::Dataset>(
-            unpack_dataset(data_bytes, base_->dim()));
-        rep.index = local_index_from_bytes(index_bytes, rep.data.get(),
-                                           local_index_params(config_));
-        workers_[w].emplace(pid, std::move(rep));
-        repl_s += decode_timer.seconds();
-      }
-    }
-    repl_seconds[w] = repl_s;
-    workers_[w].emplace(PartitionId(w), std::move(primary));
-  });
+  // Construction is fault-free: the injector arms after it.
+  admin_lane_->build = &round;
+  (void)run_op(*admin_lane_, op_message(OpKind::kBuild).take(), nullptr,
+               [&](mpi::Comm& world) {
+                 (void)world.split(0);
+                 // Master: receive the VP tree worker 0 assembled (a KD tree
+                 // is built).
+                 if (!master_tree.has_value()) {
+                   mpi::Message m = world.recv(1, kTagTree);
+                   tree_bytes = std::move(m.payload);
+                 }
+               });
 
   if (master_tree.has_value()) {
     router_.emplace(std::move(master_tree->tree));
@@ -346,11 +324,14 @@ void DistributedAnnEngine::build() {
   }
 
   build_stats_.total_seconds = total_timer.seconds();
-  build_stats_.vp_tree_seconds = *std::max_element(vp_seconds.begin(), vp_seconds.end());
-  build_stats_.hnsw_seconds = *std::max_element(hnsw_seconds.begin(), hnsw_seconds.end());
+  build_stats_.vp_tree_seconds =
+      *std::max_element(round.vp_seconds.begin(), round.vp_seconds.end());
+  build_stats_.hnsw_seconds =
+      *std::max_element(round.hnsw_seconds.begin(), round.hnsw_seconds.end());
   build_stats_.replication_seconds =
-      *std::max_element(repl_seconds.begin(), repl_seconds.end());
-  build_stats_.partition_sizes = std::move(part_sizes);
+      *std::max_element(round.repl_seconds.begin(), round.repl_seconds.end());
+  build_stats_.partition_sizes = std::move(round.part_sizes);
+  admin_lane_->build = nullptr;
 
   health_.reset(P);
   // Streamed inserts draw ids from one monotone counter that starts past
@@ -360,6 +341,91 @@ void DistributedAnnEngine::build() {
   next_stream_id_ = base_->size() == 0 ? 0 : max_id + 1;
   open_wals();         // no-op unless wal_dir is configured
   save_checkpoints();  // no-op unless checkpoint_dir is configured
+}
+
+void DistributedAnnEngine::worker_build(mpi::Comm& world) {
+  BuildRound& round = *admin_lane_->build;
+  const std::size_t P = config_.n_workers;
+  const std::size_t n = base_->size();
+  mpi::Comm grp = world.split(1);
+  const std::size_t w = std::size_t(world.rank()) - 1;
+  Replica primary;
+  if (!round.master_rows.empty()) {
+    primary.data =
+        std::make_unique<data::Dataset>(base_->subset(round.master_rows[w]));
+  } else {
+    // Initial equi-partition of D across the P worker cores (§IV).
+    data::Dataset slice = base_->slice(w * n / P, (w + 1) * n / P);
+
+    // Algorithms 1-2: distributed VP-tree construction.
+    PartitionerResult res =
+        build_distributed_vp_tree(grp, std::move(slice), config_.partitioner,
+                                  config_.hnsw.metric);
+    round.vp_seconds[w] = res.build_seconds;
+    ANNSIM_CHECK(res.partition_id == PartitionId(w));
+    if (grp.rank() == 0) {
+      world.send(0, kTagTree, res.serialized_tree);
+    }
+    primary.data = std::make_unique<data::Dataset>(std::move(res.partition));
+  }
+
+  // Local index over the owned partition (HNSW by default; §VI allows
+  // any algorithm here).
+  WallTimer hnsw_timer;
+  LocalIndexParams lp = local_index_params(config_);
+  lp.hnsw.seed = Rng(config_.seed).split(w).next();
+  if (config_.parallel_local_build && config_.threads_per_worker > 1) {
+    // The paper's hybrid model: each MPI process builds its local index
+    // with an OpenMP-style thread team.
+    ThreadPool pool(config_.threads_per_worker);
+    primary.index = build_local_index(primary.data.get(), lp, &pool);
+  } else {
+    primary.index = build_local_index(primary.data.get(), lp);
+  }
+  round.hnsw_seconds[w] = hnsw_timer.seconds();
+  round.part_sizes[w] = primary.data->size();
+  if (config_.local_index == LocalIndexKind::kSegmented) {
+    // A segmented index owns a copy of its rows, so keep the replica's
+    // Dataset an empty husk (dim only) rather than storing them twice;
+    // replication and checkpointing ship the index image, which is
+    // self-contained.
+    primary.data = std::make_unique<data::Dataset>(0, base_->dim());
+  }
+
+  // §IV-C2: replicate partition w onto its workgroup
+  // W_w = {w, w+1, ..., w+r-1 mod P}. Only the pack, send and decode work
+  // is timed: recv waits for the peer's own local build to end.
+  double repl_s = 0.0;
+  const std::size_t r = config_.replication;
+  if (r > 1) {
+    WallTimer pack_timer;
+    BinaryWriter pack;
+    pack.write(PartitionId(w));
+    pack.write_vector(pack_dataset(*primary.data));
+    pack.write_vector(primary.index->to_bytes());
+    for (std::size_t j = 1; j < r; ++j) {
+      const int dest = int((w + j) % P);
+      grp.send(dest, kTagReplica, pack.bytes());
+    }
+    repl_s += pack_timer.seconds();
+    for (std::size_t j = 1; j < r; ++j) {
+      mpi::Message m = grp.recv(mpi::kAnySource, kTagReplica);
+      WallTimer decode_timer;
+      BinaryReader rd(m.payload);
+      const auto pid = rd.read<PartitionId>();
+      const auto data_bytes = rd.read_vector<std::byte>();
+      const auto index_bytes = rd.read_vector<std::byte>();
+      Replica rep;
+      rep.data = std::make_unique<data::Dataset>(
+          unpack_dataset(data_bytes, base_->dim()));
+      rep.index = local_index_from_bytes(index_bytes, rep.data.get(),
+                                         local_index_params(config_));
+      workers_[w].emplace(pid, std::move(rep));
+      repl_s += decode_timer.seconds();
+    }
+  }
+  round.repl_seconds[w] = repl_s;
+  workers_[w].emplace(PartitionId(w), std::move(primary));
 }
 
 // ------------------------------------------------------------------ plan ---
@@ -398,10 +464,10 @@ data::KnnResults DistributedAnnEngine::search(
   st.jobs_per_worker.assign(config_.n_workers, 0);
 
   WallTimer timer;
-  // One injector is shared across every search runtime so fault state (op
+  // One injector is shared across every operation so fault state (op
   // budgets, death flags, the step clock) persists between batches: a rank
   // killed in batch n is still silent in batch n+1 unless heal() revived it.
-  mpi::Runtime rt(int(config_.n_workers) + 1, shared_injector());
+  auto injector = shared_injector();
   if (config_.fault.enabled()) {
     // Log the seed so any chaos run is replayable bit-for-bit.
     ANNSIM_INFO("fault injection armed: seed=" << config_.fault.seed
@@ -419,42 +485,36 @@ data::KnnResults DistributedAnnEngine::search(
   for (std::size_t w = 0; w < P; ++w) alive[w] = health_.alive(w) ? 1 : 0;
   std::vector<std::uint64_t> heartbeats(P, 0);
 
-  configure_runtime_check(rt);
-  auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-    try {
-      rt.run(body);
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
-  };
   {
     // Reads of the worker stores (every rank thread touches workers_) run
     // under the shared topology lock so a concurrent write/compact round can
     // interleave but heal()'s store mutations cannot.
     std::shared_lock topology(sync_->topology);
-    const BatchBounds bounds{queries.size(), P, queries.dim()};
-    run_checked([&](mpi::Comm& world) {
-      if (config_.strategy == DispatchStrategy::kMultipleOwner) {
-        if (world.rank() == 0) {
-          master_search_owner(world, queries, k, ef, results, st, on_query_done);
-        } else {
-          worker_search_owner(world, k, bounds);
-        }
-      } else {
-        if (world.rank() == 0) {
-          master_search(world, queries, k, ef, results, st, on_query_done,
-                        rt.fault_injector(), alive, heartbeats, efforts);
-        } else {
-          worker_search(world, k, bounds);
-        }
-      }
-    });
+    BinaryWriter op = op_message(OpKind::kSearch);
+    op.write(std::uint32_t(k));
+    op.write(std::uint64_t(queries.size()));
+    op.write(std::uint64_t(queries.dim()));
+    const bool one_sided = config_.one_sided && !config_.exact_routing;
+    st.traffic = run_op(
+        *search_lane_, op.bytes(), injector,
+        [&](mpi::Comm& world) {
+          if (config_.strategy == DispatchStrategy::kMultipleOwner) {
+            master_search_owner(world, queries, k, ef, results, st,
+                                on_query_done);
+          } else {
+            master_search(world, queries, k, ef, results, st, on_query_done,
+                          injector.get(), alive, heartbeats, efforts);
+          }
+        },
+        [&] {
+          if (one_sided) {
+            prepare_result_window(SlotLayout{k, P}.window_bytes(queries.size()));
+          }
+        });
   }
 
-  // Fold the batch's outcome into the persistent health record — after
-  // rt.run() so every rank thread has been joined and touching worker
+  // Fold the batch's outcome into the persistent health record — after the
+  // operation, when every worker is back in its loop and touching worker
   // stores cannot race. A newly dead worker's in-memory replicas die with
   // it; heal() restores them from checkpoint or from a surviving peer.
   if (config_.result_timeout_ms > 0.0 &&
@@ -472,82 +532,8 @@ data::KnnResults DistributedAnnEngine::search(
   }
 
   st.total_seconds = timer.seconds();
-  st.traffic = rt.total_traffic();
   if (stats != nullptr) *stats = st;
   return results;
-}
-
-check::CheckReport DistributedAnnEngine::check_report() const {
-  std::lock_guard lock(sync_->check);
-  return check_report_;
-}
-
-void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
-  // Every engine runtime flows through here right after construction, so the
-  // schedule controller rides along with the checker install.
-  if (schedule_ != nullptr) rt.set_schedule(schedule_);
-  if (!config_.mpi_check && !check::env_check_enabled()) return;
-  check::CheckOptions o;
-  o.enabled = true;
-  o.fatal = config_.check_fatal;
-  // The engine's control plane: termination, completion notices, liveness
-  // beacons. Data-plane code must never send these plainly (or swallow them
-  // through a wildcard) — the reserved-tag and wildcard rules enforce it.
-  o.reserved_tags = {kTagEoq,    kTagDone,   kTagHeartbeat,
-                     kTagInsert, kTagDelete, kTagWriteAck, kTagCompact};
-  if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
-    // With failure detection armed, these are by-design abandonable: a
-    // worker declared dead (perhaps too eagerly) keeps sending results,
-    // done notices, and beacons that nobody will ever drain, and a slot-full
-    // notice outlives the collection loop once a header sweep has answered
-    // its query. Residue is still counted in the report, just not a
-    // violation. The write plane's tags join the list because a rank killed
-    // mid-round leaves its batch (or its ack) undrained by design. The
-    // injector alone (no detection) is already enough to abandon: every
-    // write-plane recv becomes a recv_for, and an expired deadline —
-    // wall-clock or schedule-forced — walks away from the peer's in-flight
-    // batch or ack. Found by annsim::explore: gating this list on detection
-    // only made every schedule that fires a round timeout a false
-    // unmatched-send violation.
-    o.best_effort_tags = {kTagResult, kTagSlotFull, kTagDone,
-                          kTagHeartbeat, kTagInsert, kTagDelete,
-                          kTagWriteAck, kTagCompact};
-  }
-  rt.configure_check(o);
-}
-
-void DistributedAnnEngine::absorb_check_report(const mpi::Runtime& rt) {
-  if (!rt.check_enabled()) return;
-  std::lock_guard lock(sync_->check);
-  check_report_.merge(rt.check_report());
-}
-
-std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
-  // Searches (scheduler thread) and writes/compactions (writer or background
-  // threads) may race on first use; the lock makes creation once-only.
-  std::lock_guard lock(sync_->injector);
-  if (injector_ == nullptr && config_.fault.enabled()) {
-    mpi::FaultPlan plan = config_.fault;
-    // The control plane rides the reliable fabric: End-of-Queries (a worker
-    // that never hears it spins forever), heartbeats (a dropped beat would
-    // read as a death), and replica streams (healing must complete under
-    // drop_probability). The write plane's four tags are control plane too:
-    // a dropped insert would silently fork replicas of the same partition.
-    // Slot-full notices ride it so that they cost no op budget: kill points
-    // and drop sequences stay where the accumulates alone put them.
-    // Death still silences all of them — see fault.hpp.
-    plan.reliable_tags.push_back(kTagEoq);
-    plan.reliable_tags.push_back(kTagHeartbeat);
-    plan.reliable_tags.push_back(kTagSlotFull);
-    plan.reliable_tags.push_back(kTagReplica);
-    plan.reliable_tags.push_back(kTagInsert);
-    plan.reliable_tags.push_back(kTagDelete);
-    plan.reliable_tags.push_back(kTagWriteAck);
-    plan.reliable_tags.push_back(kTagCompact);
-    injector_ = std::make_shared<mpi::FaultInjector>(
-        plan, int(config_.n_workers) + 1);
-  }
-  return injector_;
 }
 
 // ---------------------------------------------------------------- writes ---
@@ -657,128 +643,31 @@ WriteStats DistributedAnnEngine::apply_writes(
   }
   const std::vector<std::byte> del_bytes = encode_delete_batch(dels);
 
-  // A concurrent chaos search can advance the kill clock mid-round, and a
-  // dead rank is silent on every tag (reliable ones included) — so with an
-  // injector armed every blocking recv becomes recv_for.
-  const auto round_timeout = std::chrono::microseconds(std::llround(
-      std::max(config_.result_timeout_ms, 1000.0) * 1000.0));
-
   std::vector<WriteAck> acks(P);
   std::vector<char> acked(P, 0);
-  mpi::Runtime rt(int(P) + 1, injector);
-  configure_runtime_check(rt);
   {
     std::shared_lock topology(sync_->topology);
-    try {
-      rt.run([&](mpi::Comm& world) {
-        const int rank = world.rank();
-        if (rank == 0) {
-          // Both tags always go out (possibly empty) so the worker's recv
-          // pairing is fixed regardless of round content.
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            (void)world.isend_reserved(int(w) + 1, kTagInsert,
-                                       encode_write_batch(batches[w]));
-            (void)world.isend_reserved(int(w) + 1, kTagDelete, del_bytes);
-          }
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            std::optional<mpi::Message> m;
-            if (injector != nullptr) {
-              m = world.recv_for(int(w) + 1, kTagWriteAck, round_timeout);
-            } else {
-              m = world.recv(int(w) + 1, kTagWriteAck);
-            }
-            // A missing ack means the worker died mid-round; the search
-            // plane will observe the silence and fold the death.
-            if (!m.has_value()) continue;
-            acks[w] = decode_write_ack(m->payload);
-            acked[w] = 1;
-          }
-          return;
-        }
-        const std::size_t w = std::size_t(rank) - 1;
-        if (!alive[w]) return;
-        std::optional<mpi::Message> mi, md;
-        if (injector != nullptr) {
-          mi = world.recv_for(0, kTagInsert, round_timeout);
-          if (mi.has_value()) {
-            md = world.recv_for(0, kTagDelete, round_timeout);
-          }
-        } else {
-          mi = world.recv(0, kTagInsert);
-          md = world.recv(0, kTagDelete);
-        }
-        if (!mi.has_value() || !md.has_value()) return;  // killed mid-round
-        const WriteBatch batch = decode_write_batch(mi->payload);
-        const DeleteBatch dele = decode_delete_batch(md->payload);
-        WriteAck ack;
-        WorkerStore& store = workers_[w];
-        recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
-        for (const auto& row : batch.rows) {
-          auto it = store.find(row.partition);
-          // A missing partition means an observed death cleared this store
-          // and heal() has not run yet; the row lands on the other replicas.
-          if (it == store.end()) continue;
-          it->second.index->insert(row.vec, row.id);
-          if (wal != nullptr) {
-            wal->append_insert(row.lsn, row.partition, row.id, row.vec);
-          }
-          ++ack.inserted;
-        }
-        for (std::size_t d = 0; d < dele.ids.size(); ++d) {
-          const GlobalId id = dele.ids[d];
-          for (auto& [pid, rep] : store) {
-            if (rep.index->erase(id)) {
-              if (wal != nullptr) wal->append_delete(dele.lsns[d], pid, id);
-              ++ack.erased;
-            }
-          }
-        }
-        for (const auto& [pid, rep] : store) {
-          ack.max_delta_fill = std::max(ack.max_delta_fill,
-                                        std::uint64_t(rep.index->delta_fill()));
-        }
-        // Round watermark: a mark frame at the highest LSN this worker was
-        // sent, even when none of its frames reached it (rows for cleared
-        // partitions, deletes with no local hit). The synced mark is the
-        // worker's proof of currency — heal() compares last_synced_lsn()
-        // against each partition's last issued LSN to decide whether this
-        // log can replay the tail or the replica must stream from a peer.
-        if (wal != nullptr) {
-          std::uint64_t round_mark = 0;
-          for (const auto& row : batch.rows) {
-            round_mark = std::max(round_mark, row.lsn);
-          }
-          if (!dele.lsns.empty()) {
-            round_mark = std::max(round_mark, dele.lsns.back());
-          }
-          if (round_mark > 0) {
-            wal->append_compact_mark(round_mark, PartitionId(0));
-          }
-        }
-        // Durability point: group-commit the round's log frames (one fsync)
-        // before acking. A failed commit — disk fault fired — means the
-        // worker dies silently; the master's recv_for observes the missing
-        // ack exactly like an MPI death.
-        if (wal != nullptr) {
-          mpi::FaultInjector* inj = injector.get();
-          const int wal_rank = rank;
-          const bool committed = wal->commit(
-              [inj, wal_rank](
-                  std::uint64_t lsn) -> std::optional<mpi::DiskFaultKind> {
-                if (inj == nullptr) return std::nullopt;
-                return inj->disk_fault_at(wal_rank, lsn);
-              });
-          if (!committed) return;  // acked ⇒ durable, so no ack here
-        }
-        world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
-      });
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
+    BinaryWriter op = op_message(OpKind::kWrite);
+    op.write_vector(alive);
+    (void)run_op(*admin_lane_, op.bytes(), injector, [&](mpi::Comm& world) {
+      // Both tags always go out (possibly empty) so the worker's recv
+      // pairing is fixed regardless of round content.
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        (void)world.isend_reserved(int(w) + 1, kTagInsert,
+                                   encode_write_batch(batches[w]));
+        (void)world.isend_reserved(int(w) + 1, kTagDelete, del_bytes);
+      }
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        // A missing ack means the worker died mid-round; the search plane
+        // will observe the silence and fold the death.
+        const auto m = recv_write_plane(world, int(w) + 1, kTagWriteAck);
+        if (!m.has_value()) continue;
+        acks[w] = decode_write_ack(m->payload);
+        acked[w] = 1;
+      }
+    });
   }
 
   for (std::size_t w = 0; w < P; ++w) {
@@ -811,6 +700,92 @@ WriteStats DistributedAnnEngine::apply_writes(
   return ws;
 }
 
+std::optional<mpi::Message> DistributedAnnEngine::recv_write_plane(
+    mpi::Comm& world, int source, mpi::Tag tag) const {
+  // A concurrent chaos search can advance the kill clock mid-round, and a
+  // dead rank is silent on every tag (reliable ones included) — so with an
+  // injector armed every blocking recv becomes recv_for.
+  if (injector_ == nullptr) return world.recv(source, tag);
+  const auto round_timeout = std::chrono::microseconds(std::llround(
+      std::max(config_.result_timeout_ms, 1000.0) * 1000.0));
+  return world.recv_for(source, tag, round_timeout);
+}
+
+bool DistributedAnnEngine::commit_wal(std::size_t w) {
+  recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
+  if (wal == nullptr) return true;
+  // Durability point: group-commit the round's log frames (one fsync)
+  // before acking. A failed commit — disk fault fired — means the worker
+  // dies silently; the master's recv_for observes the missing ack exactly
+  // like an MPI death.
+  mpi::FaultInjector* inj = injector_.get();
+  const int wal_rank = int(w) + 1;
+  return wal->commit(
+      [inj, wal_rank](std::uint64_t lsn) -> std::optional<mpi::DiskFaultKind> {
+        if (inj == nullptr) return std::nullopt;
+        return inj->disk_fault_at(wal_rank, lsn);
+      });
+}
+
+void DistributedAnnEngine::worker_write(mpi::Comm& world,
+                                        const std::vector<char>& alive) {
+  const std::size_t w = std::size_t(world.rank()) - 1;
+  if (!alive[w]) return;
+  const auto mi = recv_write_plane(world, 0, kTagInsert);
+  if (!mi.has_value()) return;  // killed mid-round
+  const auto md = recv_write_plane(world, 0, kTagDelete);
+  if (!md.has_value()) return;
+  const WriteBatch batch = decode_write_batch(mi->payload);
+  const DeleteBatch dele = decode_delete_batch(md->payload);
+  WriteAck ack;
+  WorkerStore& store = workers_[w];
+  recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
+  for (const auto& row : batch.rows) {
+    auto it = store.find(row.partition);
+    // A missing partition means an observed death cleared this store and
+    // heal() has not run yet; the row lands on the other replicas.
+    if (it == store.end()) continue;
+    it->second.index->insert(row.vec, row.id);
+    if (wal != nullptr) {
+      wal->append_insert(row.lsn, row.partition, row.id, row.vec);
+    }
+    ++ack.inserted;
+  }
+  for (std::size_t d = 0; d < dele.ids.size(); ++d) {
+    const GlobalId id = dele.ids[d];
+    for (auto& [pid, rep] : store) {
+      if (rep.index->erase(id)) {
+        if (wal != nullptr) wal->append_delete(dele.lsns[d], pid, id);
+        ++ack.erased;
+      }
+    }
+  }
+  for (const auto& [pid, rep] : store) {
+    ack.max_delta_fill =
+        std::max(ack.max_delta_fill, std::uint64_t(rep.index->delta_fill()));
+  }
+  // Round watermark: a mark frame at the highest LSN this worker was sent,
+  // even when none of its frames reached it (rows for cleared partitions,
+  // deletes with no local hit). The synced mark is the worker's proof of
+  // currency — heal() compares last_synced_lsn() against each partition's
+  // last issued LSN to decide whether this log can replay the tail or the
+  // replica must stream from a peer.
+  if (wal != nullptr) {
+    std::uint64_t round_mark = 0;
+    for (const auto& row : batch.rows) {
+      round_mark = std::max(round_mark, row.lsn);
+    }
+    if (!dele.lsns.empty()) {
+      round_mark = std::max(round_mark, dele.lsns.back());
+    }
+    if (round_mark > 0) {
+      wal->append_compact_mark(round_mark, PartitionId(0));
+    }
+  }
+  if (!commit_wal(w)) return;  // acked ⇒ durable, so no ack here
+  world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
+}
+
 std::uint64_t DistributedAnnEngine::compact() {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
   ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kSegmented,
@@ -822,8 +797,6 @@ std::uint64_t DistributedAnnEngine::compact() {
 
   auto injector = shared_injector();
   const std::vector<char> alive = write_plane_alive(injector.get());
-  const auto round_timeout = std::chrono::microseconds(std::llround(
-      std::max(config_.result_timeout_ms, 1000.0) * 1000.0));
 
   std::uint64_t total = 0;
   // One LSN for the whole compaction order: the compact-mark frames let
@@ -832,75 +805,49 @@ std::uint64_t DistributedAnnEngine::compact() {
   const std::uint64_t compact_lsn = next_lsn_++;
   BinaryWriter compact_payload;
   compact_payload.write(compact_lsn);
-  mpi::Runtime rt(int(P) + 1, injector);
-  configure_runtime_check(rt);
   {
     std::shared_lock topology(sync_->topology);
-    try {
-      rt.run([&](mpi::Comm& world) {
-        const int rank = world.rank();
-        if (rank == 0) {
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            (void)world.isend_reserved(int(w) + 1, kTagCompact,
-                                       compact_payload.bytes());
-          }
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            std::optional<mpi::Message> m;
-            if (injector != nullptr) {
-              m = world.recv_for(int(w) + 1, kTagWriteAck, round_timeout);
-            } else {
-              m = world.recv(int(w) + 1, kTagWriteAck);
-            }
-            if (!m.has_value()) continue;
-            total += decode_write_ack(m->payload).compactions;
-          }
-          return;
-        }
-        const std::size_t w = std::size_t(rank) - 1;
-        if (!alive[w]) return;
-        std::optional<mpi::Message> m;
-        if (injector != nullptr) {
-          m = world.recv_for(0, kTagCompact, round_timeout);
-        } else {
-          m = world.recv(0, kTagCompact);
-        }
-        if (!m.has_value()) return;  // killed mid-round
-        BinaryReader rd(m->payload);
-        const auto order_lsn = rd.read<std::uint64_t>();
-        WriteAck ack;
-        recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
-        for (auto& [pid, rep] : workers_[w]) {
-          // Single-threaded rebuild keeps compaction deterministic; searches
-          // keep serving the old view until the hot-swap publish.
-          if (rep.index->compact(nullptr)) {
-            if (wal != nullptr) wal->append_compact_mark(order_lsn, pid);
-            ++ack.compactions;
-          }
-        }
-        if (wal != nullptr) {
-          mpi::FaultInjector* inj = injector.get();
-          const int wal_rank = rank;
-          const bool committed = wal->commit(
-              [inj, wal_rank](
-                  std::uint64_t lsn) -> std::optional<mpi::DiskFaultKind> {
-                if (inj == nullptr) return std::nullopt;
-                return inj->disk_fault_at(wal_rank, lsn);
-              });
-          if (!committed) return;
-        }
-        world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
-      });
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
+    BinaryWriter op = op_message(OpKind::kCompact);
+    op.write_vector(alive);
+    (void)run_op(*admin_lane_, op.bytes(), injector, [&](mpi::Comm& world) {
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        (void)world.isend_reserved(int(w) + 1, kTagCompact,
+                                   compact_payload.bytes());
+      }
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        const auto m = recv_write_plane(world, int(w) + 1, kTagWriteAck);
+        if (!m.has_value()) continue;
+        total += decode_write_ack(m->payload).compactions;
+      }
+    });
   }
 
   if (total > 0 && !config_.checkpoint_dir.empty()) save_checkpoints();
   return total;
+}
+
+void DistributedAnnEngine::worker_compact(mpi::Comm& world,
+                                          const std::vector<char>& alive) {
+  const std::size_t w = std::size_t(world.rank()) - 1;
+  if (!alive[w]) return;
+  const auto m = recv_write_plane(world, 0, kTagCompact);
+  if (!m.has_value()) return;  // killed mid-round
+  BinaryReader rd(m->payload);
+  const auto order_lsn = rd.read<std::uint64_t>();
+  WriteAck ack;
+  recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
+  for (auto& [pid, rep] : workers_[w]) {
+    // Single-threaded rebuild keeps compaction deterministic; searches
+    // keep serving the old view until the hot-swap publish.
+    if (rep.index->compact(nullptr)) {
+      if (wal != nullptr) wal->append_compact_mark(order_lsn, pid);
+      ++ack.compactions;
+    }
+  }
+  if (!commit_wal(w)) return;
+  world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
 }
 
 std::size_t DistributedAnnEngine::max_delta_fill() const {
@@ -958,12 +905,33 @@ void DistributedAnnEngine::master_search(
   const auto timeout = detection_timeout();
   using Clock = std::chrono::steady_clock;
 
-  mpi::Window win;
-  if (one_sided) {
-    win = world.create_window(layout.window_bytes(nq));
-  }
+  // The window outlives the batch; search() sized it and zeroed this
+  // batch's slots before the workers heard of the batch.
+  mpi::Window* win = one_sided ? &result_window(world) : nullptr;
 
   PhaseTimer route_t, dispatch_t, merge_t;
+
+  // A batch that throws (a QueryDoneFn, a failed check) must still end, or
+  // the world would wait on its workers forever: on unwind, close the
+  // master's epoch and send every worker EOQ if it has not gone out yet.
+  bool eoq_sent = false;
+  bool epoch_open = false;
+  struct EndOnUnwind {
+    std::function<void()> end;
+    int unwinding = std::uncaught_exceptions();
+    ~EndOnUnwind() {
+      if (std::uncaught_exceptions() > unwinding) end();
+    }
+  } end_on_unwind{[&] {
+    try {
+      if (epoch_open) win->unlock(0);
+      for (std::size_t w = 0; w < P && !eoq_sent; ++w) {
+        (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
+      }
+    } catch (...) {
+      // The operation already fails with the first error.
+    }
+  }};
 
   // --- Algorithm 5 scaffolding: one round-robin pointer per workgroup
   // W_i = {p_i, p_{i+1 mod P}, ..., p_{i+r-1 mod P}}. Members declared dead
@@ -1164,7 +1132,7 @@ void DistributedAnnEngine::master_search(
   auto finalize_slot = [&](std::size_t q, Clock::time_point now) {
     ScopedPhase p(merge_t);
     DecodedSlot slot = decode_slot(
-        win.get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
+        win->get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
     std::uint32_t landed = 0;
     bool abandoned = false;
     for (PartitionId d = 0; d < P; ++d) {
@@ -1190,7 +1158,7 @@ void DistributedAnnEngine::master_search(
     for (std::size_t q = 0; q < nq; ++q) {
       if (remaining[q] == 0) continue;
       const SlotHeader hdr = decode_slot_header(
-          win.get(0, layout.slot_offset(q), layout.header_bytes()), layout);
+          win->get(0, layout.slot_offset(q), layout.header_bytes()), layout);
       for (PartitionId d = 0; d < P; ++d) {
         if (hdr.contains_partition(d)) (void)complete(q, d, now);
       }
@@ -1234,14 +1202,20 @@ void DistributedAnnEngine::master_search(
     const auto arm_time = Clock::now();
     std::fill(last_activity.begin(), last_activity.end(), arm_time);
     std::fill(last_heartbeat.begin(), last_heartbeat.end(), arm_time);
-    if (one_sided) win.lock_shared(0);
+    if (one_sided) {
+      win->lock_shared(0);
+      epoch_open = true;
+    }
     while (outstanding > 0) {
       await_results();
       const auto now = Clock::now();
       drain_heartbeats(now);
       check_deadlines(now);
     }
-    if (one_sided) win.unlock(0);
+    if (one_sided) {
+      win->unlock(0);
+      epoch_open = false;
+    }
   };
 
   if (!config_.exact_routing) {
@@ -1283,7 +1257,6 @@ void DistributedAnnEngine::master_search(
   // EOQ goes out as soon as no job can still need a retry: right after
   // dispatch under an infinite deadline, after collection under a finite
   // one, so live workers can serve failover jobs until the batch ends.
-  bool eoq_sent = false;
   auto send_eoq_when_final = [&] {
     if (eoq_sent || (detect && outstanding > 0)) return;
     eoq_sent = true;
@@ -1308,12 +1281,14 @@ void DistributedAnnEngine::master_search(
     // queries no notice or sweep answered: degraded ones — read only now, so
     // merges that landed after their worker was (too eagerly) declared dead
     // still count — and any whose notice died with its sender.
-    win.lock_shared(0);
+    win->lock_shared(0);
+    epoch_open = true;
     const auto now = Clock::now();
     for (std::size_t q = 0; q < nq; ++q) {
       if (!answered[q]) finalize_slot(q, now);
     }
-    win.unlock(0);
+    win->unlock(0);
+    epoch_open = false;
   }
   ANNSIM_CHECK(finalized == nq);
 
@@ -1367,44 +1342,16 @@ std::vector<std::size_t> DistributedAnnEngine::collect_done_notices(
 void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
                                          const BatchBounds& bounds) {
   const bool one_sided = config_.one_sided && !config_.exact_routing;
-  mpi::Window win;
+  mpi::Window* win = nullptr;
   if (one_sided) {
-    win = world.create_window(0);
+    win = &result_window(world);
     // Passive-target access epoch at the master, shared mode (§IV-C1): one
     // epoch for the whole batch, shared by this worker's thread team.
-    win.lock_shared(0);
+    win->lock_shared(0);
   }
-
-  // Liveness beacon (finite deadline only): beat on a reliable tag until the
-  // batch terminates. The fabric never drops a beat, so the only way the
-  // master stops hearing this worker is the worker actually dying — which is
-  // exactly what the injector does to a killed rank's sends, reliable or not.
-  std::atomic<bool> over{false};
-  std::thread beacon;
-  if (config_.result_timeout_ms > 0.0) {
-    const auto interval = std::max(detection_timeout() / 4,
-                                   std::chrono::microseconds(100));
-    beacon = std::thread([&, interval] {
-      const auto slice = std::min<std::chrono::microseconds>(
-          interval, std::chrono::microseconds(1000));
-      while (!over.load(std::memory_order_acquire)) {
-        (void)world.isend_reserved(0, kTagHeartbeat, {});
-        // Sleep the interval in slices so termination stays prompt.
-        const auto wake = std::chrono::steady_clock::now() + interval;
-        while (!over.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < wake) {
-          sleep_approx(slice);
-        }
-      }
-    });
-  }
-
   const DoneNotice notice =
-      run_job_loop(world, /*job_source=*/0, kTagResult,
-                   one_sided ? &win : nullptr, k, bounds, {});
-  over.store(true, std::memory_order_release);
-  if (beacon.joinable()) beacon.join();
-  if (one_sided) win.unlock(0);
+      run_job_loop(world, /*job_source=*/0, kTagResult, win, k, bounds, {});
+  if (one_sided) win->unlock(0);
 
   BinaryWriter w;
   w.write(notice);
@@ -1426,26 +1373,61 @@ DoneNotice DistributedAnnEngine::run_job_loop(
   std::atomic<std::uint64_t> jobs{0};
   std::mutex agg_mu;
   double compute_s = 0.0, comm_s = 0.0;
+  // A one-thread team runs inline on the rank thread itself. This is what
+  // keeps the worker schedulable under annsim::explore: a spawned team
+  // member would be an untracked helper racing around the controller,
+  // whereas the rank thread parks at every choice point.
+  const bool inline_team = config_.threads_per_worker == 1 && !rank_duty;
+
+  // Liveness beacon (finite deadline only): the team beats on a reliable
+  // tag between jobs and while it waits for one. The fabric never drops a
+  // beat, so the only way the master stops hearing this worker is the
+  // worker actually dying — which is exactly what the injector does to a
+  // killed rank's sends, reliable or not.
+  using Clock = std::chrono::steady_clock;
+  const bool beacon = config_.result_timeout_ms > 0.0;
+  const auto beat_every =
+      std::max(detection_timeout() / 4, std::chrono::microseconds(100));
+  std::atomic<Clock::rep> next_beat{Clock::now().time_since_epoch().count()};
+  auto maybe_beat = [&] {
+    if (!beacon) return;
+    const Clock::rep now = Clock::now().time_since_epoch().count();
+    Clock::rep due = next_beat.load(std::memory_order_relaxed);
+    if (now < due) return;
+    const Clock::rep next =
+        now + std::chrono::duration_cast<Clock::duration>(beat_every).count();
+    // One beat per interval, whichever team member gets there first.
+    if (!next_beat.compare_exchange_strong(due, next)) return;
+    (void)world.isend_reserved(0, kTagHeartbeat, {});
+  };
 
   auto thread_main = [&] {
     double my_compute = 0.0, my_comm = 0.0;
     std::vector<std::byte> prev;  // the slot as each accumulate found it
     for (;;) {
+      maybe_beat();
       // A tag set, not a wildcard: the worker names exactly what it is
       // willing to consume, so a stray control message can never be
       // swallowed as a query (annsim::check's wildcard-recv rule).
       mpi::Request req = world.irecv_tags(job_source, {kTagQuery, kTagEoq});
-      Backoff backoff;
       bool cancelled = false;
-      while (!req.test()) {
-        if (done.load(std::memory_order_acquire)) {
-          if (req.cancel()) {
-            cancelled = true;
-            break;
+      if (inline_team && !beacon) {
+        req.wait();  // the lone thread just blocks until the next job
+      } else if (inline_team) {
+        while (!req.wait_for(beat_every)) maybe_beat();
+      } else {
+        Backoff backoff;
+        while (!req.test()) {
+          if (done.load(std::memory_order_acquire)) {
+            if (req.cancel()) {
+              cancelled = true;
+              break;
+            }
+            // Completed concurrently with the flag: fall through and take it.
           }
-          // Completed concurrently with the flag: fall through and take it.
+          maybe_beat();
+          backoff.pause();
         }
-        backoff.pause();
       }
       if (cancelled) break;
       mpi::Message m = req.take();
@@ -1495,11 +1477,7 @@ DoneNotice DistributedAnnEngine::run_job_loop(
     comm_s += my_comm;
   };
 
-  if (config_.threads_per_worker == 1 && !rank_duty) {
-    // A one-thread team runs inline on the rank thread itself. This is what
-    // keeps the worker schedulable under annsim::explore: a spawned team
-    // member would be an untracked helper racing around the controller,
-    // whereas the rank thread parks at every choice point.
+  if (inline_team) {
     thread_main();
   } else {
     std::vector<std::thread> team;
@@ -1756,12 +1734,7 @@ recovery::HealReport DistributedAnnEngine::heal() {
   // 4. No checkpoint: stream each missing replica from a surviving copy over
   //    the p2p data plane (kTagReplica, reliable — re-replication completes
   //    even while drop_probability is eating data-plane traffic).
-  struct Transfer {
-    std::size_t src;
-    std::size_t dst;
-    PartitionId partition;
-  };
-  std::vector<Transfer> transfers;
+  std::vector<HealTransfer> transfers;
   for (const RestoreJob& job : stream_plan) {
     std::size_t src = P;  // sentinel: no usable source
     for (std::size_t v = 0; v < P && src == P; ++v) {
@@ -1781,51 +1754,16 @@ recovery::HealReport DistributedAnnEngine::heal() {
     transfers.push_back({src, job.worker, job.partition});
   }
   if (!transfers.empty()) {
-    const auto stream_timeout = std::chrono::microseconds(std::max<std::int64_t>(
-        std::int64_t(config_.result_timeout_ms * 1000.0), 1'000'000));
-    mpi::Runtime rt(int(P) + 1, shared_injector());
-    configure_runtime_check(rt);
-    auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-      try {
-        rt.run(body);
-      } catch (...) {
-        absorb_check_report(rt);
-        throw;
-      }
-      absorb_check_report(rt);
-    };
-    run_checked([&](mpi::Comm& world) {
-      if (world.rank() == 0) return;
-      const std::size_t me = std::size_t(world.rank()) - 1;
-      // Sends first (they never block in-process), then receives in plan
-      // order — per-source FIFO makes the pairing deterministic.
-      for (const Transfer& tr : transfers) {
-        if (tr.src != me) continue;
-        const Replica& rep = workers_[me].at(tr.partition);
-        BinaryWriter pack;
-        pack.write(tr.partition);
-        pack.write_vector(pack_dataset(*rep.data));
-        pack.write_vector(rep.index->to_bytes());
-        world.send(int(tr.dst) + 1, kTagReplica, pack.bytes());
-      }
-      for (const Transfer& tr : transfers) {
-        if (tr.dst != me) continue;
-        auto m = world.recv_for(int(tr.src) + 1, kTagReplica, stream_timeout);
-        ANNSIM_CHECK_MSG(m.has_value(), "replica stream of partition "
-                                            << tr.partition << " from worker "
-                                            << tr.src << " timed out");
-        BinaryReader rd(m->payload);
-        const auto pid = rd.read<PartitionId>();
-        ANNSIM_CHECK(pid == tr.partition);
-        const auto data_bytes = rd.read_vector<std::byte>();
-        const auto index_bytes = rd.read_vector<std::byte>();
-        Replica rep;
-        rep.data = std::make_unique<data::Dataset>(
-            unpack_dataset(data_bytes, router_->dim()));
-        rep.index = local_index_from_bytes(index_bytes, rep.data.get(), lp);
-        workers_[me].emplace(pid, std::move(rep));
-      }
-    });
+    BinaryWriter op = op_message(OpKind::kHeal);
+    op.write(std::uint64_t(transfers.size()));
+    for (const HealTransfer& tr : transfers) {
+      op.write(std::uint64_t(tr.src));
+      op.write(std::uint64_t(tr.dst));
+      op.write(tr.partition);
+    }
+    // The master only waits: the streams run worker to worker.
+    (void)run_op(*admin_lane_, op.bytes(), shared_injector(),
+                 [](mpi::Comm&) {});
     report.replicas_restored_from_peer = transfers.size();
   }
 
@@ -1840,6 +1778,47 @@ recovery::HealReport DistributedAnnEngine::heal() {
   report.seconds = timer.seconds();
   ANNSIM_INFO(recovery::to_string(report));
   return report;
+}
+
+void DistributedAnnEngine::worker_heal(mpi::Comm& world, BinaryReader& rd) {
+  std::vector<HealTransfer> transfers(rd.read<std::uint64_t>());
+  for (HealTransfer& tr : transfers) {
+    tr.src = rd.read<std::uint64_t>();
+    tr.dst = rd.read<std::uint64_t>();
+    tr.partition = rd.read<PartitionId>();
+  }
+  const auto stream_timeout = std::chrono::microseconds(std::max<std::int64_t>(
+      std::int64_t(config_.result_timeout_ms * 1000.0), 1'000'000));
+  const LocalIndexParams lp = local_index_params(config_);
+  const std::size_t me = std::size_t(world.rank()) - 1;
+  // Sends first (they never block in-process), then receives in plan order
+  // — per-source FIFO makes the pairing deterministic.
+  for (const HealTransfer& tr : transfers) {
+    if (tr.src != me) continue;
+    const Replica& rep = workers_[me].at(tr.partition);
+    BinaryWriter pack;
+    pack.write(tr.partition);
+    pack.write_vector(pack_dataset(*rep.data));
+    pack.write_vector(rep.index->to_bytes());
+    world.send(int(tr.dst) + 1, kTagReplica, pack.bytes());
+  }
+  for (const HealTransfer& tr : transfers) {
+    if (tr.dst != me) continue;
+    auto m = world.recv_for(int(tr.src) + 1, kTagReplica, stream_timeout);
+    ANNSIM_CHECK_MSG(m.has_value(), "replica stream of partition "
+                                        << tr.partition << " from worker "
+                                        << tr.src << " timed out");
+    BinaryReader pr(m->payload);
+    const auto pid = pr.read<PartitionId>();
+    ANNSIM_CHECK(pid == tr.partition);
+    const auto data_bytes = pr.read_vector<std::byte>();
+    const auto index_bytes = pr.read_vector<std::byte>();
+    Replica rep;
+    rep.data = std::make_unique<data::Dataset>(
+        unpack_dataset(data_bytes, router_->dim()));
+    rep.index = local_index_from_bytes(index_bytes, rep.data.get(), lp);
+    workers_[me].emplace(pid, std::move(rep));
+  }
 }
 
 // ------------------------------------------------------------ durability ---

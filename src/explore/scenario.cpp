@@ -164,8 +164,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   ec.replication = cfg.replication;
   ec.n_probe = std::min<std::size_t>(cfg.workers, 2);
   // Controlled runs need every engine thread to be a tracked rank: one
-  // search thread per worker and no failure-detection beacon helpers. The
-  // infinite deadline (0) also keeps the master from polling slots: it
+  // search thread per worker. The infinite deadline (0) keeps the search
+  // master off the wall-clock detection deadlines and from polling slots: it
   // blocks on slot-full notices, so one-sided search is schedulable too. The
   // query mix searches one-sided, the transport the benchmark runs; the
   // mixed mix keeps two-sided, so both collection transports are explored.
@@ -195,8 +195,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
     kill.after_ops = 2;
     ec.fault.kills.push_back(kill);
     // A kill that actually fires requires the failure detector. That is safe
-    // here because this mix never searches under control — detection's beacon
-    // helpers only spawn on the query plane — while the write plane's
+    // here because this mix never searches under control — the detection
+    // deadlines only run on the query plane — while the write plane's
     // recv_for deadline stays a schedulable choice point either way.
     ec.result_timeout_ms = 1000.0;
   }
@@ -215,10 +215,25 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   std::vector<GlobalId> acked_deletes;
   data::KnnResults controlled_results;
 
+  // The engine's rank cohorts start under the armed controller at the
+  // first operation and shut down under it at the end of the body, so the
+  // whole op mix is one controlled run: the explorer reaches interleavings
+  // between operations (control messages, a round's residue) as well as
+  // inside them.
   engine.set_schedule(ctrl);
   result.outcome = run_controlled(
       *ctrl, std::move(strategy),
       [&] {
+        struct EndRun {
+          core::DistributedAnnEngine& engine;
+          ~EndRun() {
+            try {
+              engine.set_schedule(nullptr);
+            } catch (...) {
+              // disarm() reports a cohort that failed to shut down.
+            }
+          }
+        } end_run{engine};
         switch (cfg.mix) {
           case Mix::kWrite: {
             const auto rows1 =
@@ -280,7 +295,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
         }
       },
       opts);
-  engine.set_schedule(nullptr);
 
   // ---- oracles (free-running). A schedule failure above still runs them:
   // a deadlocked schedule must not have broken durability either.

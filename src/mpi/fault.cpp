@@ -67,6 +67,14 @@ FaultInjector::FaultInjector(FaultPlan plan, int n_ranks)
   }
 }
 
+void FaultInjector::mark_dead(RankState& rs, std::uint64_t from_op) {
+  // Keep the lowest mark: racing triggers agree on the earliest dropped op.
+  std::uint64_t cur = rs.dead_from.load(std::memory_order_acquire);
+  while (from_op < cur && !rs.dead_from.compare_exchange_weak(
+                              cur, from_op, std::memory_order_acq_rel)) {
+  }
+}
+
 bool FaultInjector::allow_op(int global_rank) {
   return classify_op(global_rank) != Delivery::kDrop;
 }
@@ -75,10 +83,17 @@ Delivery FaultInjector::classify_op(int global_rank) {
   ANNSIM_CHECK(global_rank >= 0 && global_rank < n_ranks_);
   auto& rs = ranks_[std::size_t(global_rank)];
   const std::uint64_t op = rs.ops.fetch_add(1, std::memory_order_acq_rel);
-  if (rs.dead.load(std::memory_order_acquire)) return Delivery::kDrop;
-  if (op >= rs.kill_after_ops ||
-      step_.load(std::memory_order_acquire) >= rs.kill_at_step) {
-    rs.dead.store(true, std::memory_order_release);
+  // The verdict depends on the claimed index, never on when the claiming
+  // thread got round to reading the death mark: a thread preempted between
+  // claiming op 99 and checking must still deliver it when another thread's
+  // op 100 exhausts a 100-op budget meanwhile.
+  if (op >= rs.dead_from.load(std::memory_order_acquire)) return Delivery::kDrop;
+  if (op >= rs.kill_after_ops) {
+    mark_dead(rs, rs.kill_after_ops);
+    return Delivery::kDrop;
+  }
+  if (step_.load(std::memory_order_acquire) >= rs.kill_at_step) {
+    mark_dead(rs, op);
     return Delivery::kDrop;
   }
   if (plan_.drop_probability > 0.0 &&
@@ -107,13 +122,17 @@ Delivery FaultInjector::classify_op(int global_rank) {
 bool FaultInjector::allow_reliable_op(int global_rank) {
   ANNSIM_CHECK(global_rank >= 0 && global_rank < n_ranks_);
   auto& rs = ranks_[std::size_t(global_rank)];
-  if (rs.dead.load(std::memory_order_acquire)) return false;
+  if (rs.dead()) return false;
   // Evaluate kill triggers without claiming an op index: a rank whose budget
   // already ran out (or whose step came) is dead even if its next send
   // happens to be a control-plane message.
-  if (rs.ops.load(std::memory_order_acquire) >= rs.kill_after_ops ||
-      step_.load(std::memory_order_acquire) >= rs.kill_at_step) {
-    rs.dead.store(true, std::memory_order_release);
+  const std::uint64_t ops = rs.ops.load(std::memory_order_acquire);
+  if (ops >= rs.kill_after_ops) {
+    mark_dead(rs, rs.kill_after_ops);
+    return false;
+  }
+  if (step_.load(std::memory_order_acquire) >= rs.kill_at_step) {
+    mark_dead(rs, ops);
     return false;
   }
   return true;
@@ -130,7 +149,7 @@ std::optional<DiskFaultKind> FaultInjector::disk_fault_at(int global_rank,
                                                  std::memory_order_acq_rel)) {
     return std::nullopt;
   }
-  rs.dead.store(true, std::memory_order_release);
+  mark_dead(rs, rs.ops.load(std::memory_order_acquire));
   return rs.disk_fault_kind;
 }
 
@@ -142,7 +161,7 @@ void FaultInjector::revive(int global_rank) {
   rs.kill_after_ops = kNeverFires;
   rs.kill_at_step = kNeverFires;
   rs.disk_fault_lsn.store(kNeverFires, std::memory_order_release);
-  rs.dead.store(false, std::memory_order_release);
+  rs.dead_from.store(kNeverFires, std::memory_order_release);
 }
 
 bool FaultInjector::is_reliable(std::int32_t tag) const noexcept {
@@ -152,13 +171,13 @@ bool FaultInjector::is_reliable(std::int32_t tag) const noexcept {
 
 bool FaultInjector::is_dead(int global_rank) const {
   ANNSIM_CHECK(global_rank >= 0 && global_rank < n_ranks_);
-  return ranks_[std::size_t(global_rank)].dead.load(std::memory_order_acquire);
+  return ranks_[std::size_t(global_rank)].dead();
 }
 
 std::vector<int> FaultInjector::dead_ranks() const {
   std::vector<int> out;
   for (int r = 0; r < n_ranks_; ++r) {
-    if (ranks_[std::size_t(r)].dead.load(std::memory_order_acquire)) {
+    if (ranks_[std::size_t(r)].dead()) {
       out.push_back(r);
     }
   }

@@ -25,6 +25,17 @@ inline constexpr Tag kTagBcast = -12;
 inline constexpr Tag kTagGather = -13;
 inline constexpr Tag kTagScatter = -14;
 inline constexpr Tag kTagAlltoallv = -15;
+/// The persistent world's control plane: one message per worker per
+/// operation. Internal (never fault-gated, exempt from the tag rules) but
+/// counted as p2p traffic, because it is one.
+inline constexpr Tag kTagControl = -16;
+/// Control payload's first byte.
+inline constexpr std::byte kControlOp{0};
+inline constexpr std::byte kControlShutdown{1};
+/// Matching context of the persistent world's n-th operation: above every
+/// id split() hands out, and known to both sides in advance (each worker
+/// counts operations), so the control message itself travels in it.
+inline constexpr std::uint64_t kContextBase = std::uint64_t{1} << 62;
 
 /// In-flight message inside a mailbox.
 struct Envelope {
@@ -299,6 +310,31 @@ RecvState::~RecvState() {
   }
 }
 
+/// A persistent world's cohort (Runtime::start).
+struct World {
+  std::function<void(Comm&, std::span<const std::byte>)> on_op;
+  std::vector<std::thread> threads;  ///< rank i + 1 runs threads[i]
+  std::shared_ptr<ScheduleController> sched;  ///< non-null: cohort claimed
+  std::thread::id caller;  ///< the thread whose claim stop() releases
+
+  std::mutex op_mu;  ///< one operation at a time
+  std::uint64_t op_seq = 0;  ///< operations (and the shutdown) sent so far
+
+  std::mutex mu;  ///< guards everything below
+  std::condition_variable cv;
+  std::vector<std::uint64_t> done_op;  ///< per worker: last finished op
+  std::vector<char> exited;            ///< per worker: loop ended
+  std::exception_ptr op_error;         ///< first handler exception of the op
+
+  /// Every worker finished operation `n` or left its loop.
+  [[nodiscard]] bool settled(std::uint64_t n) const {
+    for (std::size_t i = 0; i < done_op.size(); ++i) {
+      if (done_op[i] < n && exited[i] == 0) return false;
+    }
+    return true;
+  }
+};
+
 struct RuntimeState {
   int n_ranks = 0;
   std::vector<std::unique_ptr<Mailbox>> mailboxes;   ///< per global rank
@@ -313,6 +349,9 @@ struct RuntimeState {
 
   std::mutex win_mu;
   std::map<std::uint64_t, std::shared_ptr<WindowState>> windows;
+
+  std::unique_ptr<World> world;  ///< null unless start() is live
+  std::atomic<std::uint64_t> threads_started{0};
 };
 
 namespace {
@@ -607,7 +646,7 @@ Request Comm::isend_impl(int dest, Tag tag, std::span<const std::byte> payload,
   env.payload.assign(payload.begin(), payload.end());
 
   auto& stats = rt_->traffic[std::size_t(sender)];
-  if (tag >= 0) {
+  if (tag >= 0 || tag == detail::kTagControl) {
     stats.p2p_messages.fetch_add(1, std::memory_order_relaxed);
     stats.p2p_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
   } else {
@@ -648,15 +687,21 @@ Request Comm::isend_impl(int dest, Tag tag, std::span<const std::byte> payload,
     ev.tag = tag;
     ev.comm_id = comm_id_;
     if (verdict == Delivery::kDuplicate) {
-      (void)sc->submit(ev, [bx = &box, env] {
-        auto copy = env;
-        detail::deliver(*bx, std::move(copy));
-      });
+      (void)sc->submit(
+          ev,
+          [bx = &box, env] {
+            auto copy = env;
+            detail::deliver(*bx, std::move(copy));
+          },
+          rt_.get());
     }
     const bool overtake = verdict == Delivery::kReorder;
-    (void)sc->submit(ev, [bx = &box, env = std::move(env), overtake]() mutable {
-      detail::deliver(*bx, std::move(env), overtake);
-    });
+    (void)sc->submit(
+        ev,
+        [bx = &box, env = std::move(env), overtake]() mutable {
+          detail::deliver(*bx, std::move(env), overtake);
+        },
+        rt_.get());
     return Request{};
   }
   if (verdict == Delivery::kDuplicate) {
@@ -665,9 +710,9 @@ Request Comm::isend_impl(int dest, Tag tag, std::span<const std::byte> payload,
   detail::deliver(box, std::move(env),
                   /*overtake=*/verdict == Delivery::kReorder);
   if (auto& sc = rt_->sched; sc != nullptr) {
-    // An untracked thread (engine helper, beacon) delivered directly while a
-    // controlled run may be quiescent: let the scheduler re-scan its parked
-    // predicates so a wait this delivery resolved actually wakes.
+    // An untracked thread (an engine search team member) delivered directly
+    // while a controlled run may be quiescent: let the scheduler re-scan its
+    // parked predicates so a wait this delivery resolved actually wakes.
     sc->poke();
   }
   return Request{};  // in-process: the send buffer is copied, so complete
@@ -1062,6 +1107,18 @@ std::size_t Window::local_size() const {
   return state_->buffers[std::size_t(my_rank_)].size();
 }
 
+void Window::grow_local(std::size_t bytes) {
+  ANNSIM_CHECK(state_ != nullptr);
+  auto& ws = *state_;
+  for (const auto& origin : ws.locked) {
+    ANNSIM_CHECK_MSG(origin[std::size_t(my_rank_)] == 0,
+                     "Window::grow_local during an open access epoch");
+  }
+  std::lock_guard lk(*ws.target_mu[std::size_t(my_rank_)]);
+  auto& buf = ws.buffers[std::size_t(my_rank_)];
+  if (buf.size() < bytes) buf.resize(bytes);
+}
+
 // ------------------------------------------------------------- Runtime ---
 
 Runtime::Runtime(int n_ranks) : state_(std::make_shared<detail::RuntimeState>()) {
@@ -1085,16 +1142,26 @@ Runtime::Runtime(int n_ranks, const FaultPlan& plan) : Runtime(n_ranks) {
 
 Runtime::Runtime(int n_ranks, std::shared_ptr<FaultInjector> injector)
     : Runtime(n_ranks) {
-  if (injector != nullptr) {
-    ANNSIM_CHECK_MSG(injector->n_ranks() == n_ranks,
-                     "shared FaultInjector covers " << injector->n_ranks()
-                                                    << " ranks but the runtime has "
-                                                    << n_ranks);
-    state_->fault = std::move(injector);
-  }
+  set_fault_injector(std::move(injector));
 }
 
-Runtime::~Runtime() = default;
+void Runtime::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
+  if (injector != nullptr) {
+    ANNSIM_CHECK_MSG(injector->n_ranks() == state_->n_ranks,
+                     "shared FaultInjector covers "
+                         << injector->n_ranks() << " ranks but the runtime has "
+                         << state_->n_ranks);
+  }
+  state_->fault = std::move(injector);
+}
+
+Runtime::~Runtime() {
+  try {
+    stop();
+  } catch (...) {
+    // A destructor cannot report; the threads are joined either way.
+  }
+}
 
 int Runtime::size() const noexcept { return state_->n_ranks; }
 
@@ -1123,64 +1190,118 @@ namespace detail {
 namespace {
 
 /// Post-join finalize sweep: request leaks (via RecvState dtors when the
-/// pending lists drop), unmatched sends, open RMA epochs. Only runs with the
-/// checker installed; without it, run() leaves mailboxes and windows exactly
-/// as before (messages may legally outlive a run for a caller that never
-/// finalizes). Returns the number of violations found across the whole
-/// Runtime lifetime so run() can decide whether *this* run added any.
-void finalize_checked_run(RuntimeState& st, Checker& chk) {
-  const bool aborted = chk.aborted.load(std::memory_order_acquire);
+/// pending lists drop), unmatched sends, open RMA epochs. After run() it
+/// covers the whole runtime and only runs with the checker installed;
+/// without it, run() leaves mailboxes and windows exactly as before
+/// (messages may legally outlive a run for a caller that never finalizes).
+/// After one operation of a persistent world, `in_scope` limits it to the
+/// operation's contexts, and the operation's residue is purged with or
+/// without the checker, since no later operation can match it. `end` marks
+/// the last sweep of the runtime: its windows die with it.
+void sweep(RuntimeState& st, Checker* chk,
+           const std::function<bool(std::uint64_t)>& in_scope, bool end) {
+  const bool aborted =
+      chk != nullptr && chk->aborted.load(std::memory_order_acquire);
+  auto scoped = [&](std::uint64_t comm_id) {
+    return !in_scope || in_scope(comm_id);
+  };
 
   // Dropping the pending recvs here fires the request-leak detection in
   // ~RecvState (which takes chk.mu) — destroy outside the mailbox locks.
   std::vector<std::shared_ptr<RecvState>> doomed;
   for (auto& box : st.mailboxes) {
     std::lock_guard lk(box->mu);
-    for (auto& sp : box->pending) doomed.push_back(std::move(sp));
-    box->pending.clear();
+    for (auto it = box->pending.begin(); it != box->pending.end();) {
+      if (!scoped((*it)->comm_id)) {
+        ++it;
+        continue;
+      }
+      doomed.push_back(std::move(*it));
+      it = box->pending.erase(it);
+    }
   }
   doomed.clear();
 
-  std::lock_guard lk(chk.mu);
-  chk.report.runs += 1;
+  auto purge = [&](std::list<Envelope>& queue, int dest) {
+    for (auto it = queue.begin(); it != queue.end();) {
+      if (!scoped(it->comm_id)) {
+        ++it;
+        continue;
+      }
+      if (chk != nullptr) {
+        const Envelope& env = *it;
+        if (env.tag >= 0 && chk->is_best_effort(env.tag)) {
+          ++chk->report.best_effort_residue;
+        } else {
+          ++chk->report.unmatched_histogram[{env.tag, dest}];
+          std::ostringstream os;
+          os << "message from rank " << env.source_global << " to rank "
+             << dest << " on tag " << env.tag << " (" << env.payload.size()
+             << " bytes) never received";
+          chk->violate_locked(check::Rule::kUnmatchedSend, env.source_global,
+                              dest, env.tag, os.str());
+        }
+      }
+      it = queue.erase(it);
+    }
+  };
 
-  if (!aborted) {
-    // Unmatched sends: anything still queued was sent but never received.
+  if (chk == nullptr) {
+    if (!in_scope) return;
     for (int dest = 0; dest < st.n_ranks; ++dest) {
       auto& box = *st.mailboxes[std::size_t(dest)];
       std::lock_guard blk(box.mu);
-      for (const auto& env : box.queue) {
-        if (env.tag >= 0 && chk.is_best_effort(env.tag)) {
-          ++chk.report.best_effort_residue;
-          continue;
-        }
-        ++chk.report.unmatched_histogram[{env.tag, dest}];
-        std::ostringstream os;
-        os << "message from rank " << env.source_global << " to rank " << dest
-           << " on tag " << env.tag << " (" << env.payload.size()
-           << " bytes) never received";
-        chk.violate_locked(check::Rule::kUnmatchedSend, env.source_global, dest,
-                           env.tag, os.str());
-      }
-      box.queue.clear();
+      purge(box.queue, dest);
     }
+    if (end) {
+      std::lock_guard wlk(st.win_mu);
+      st.windows.clear();
+    }
+    return;
+  }
 
-    // Open access epochs: the windows die with this finalize, so an epoch
-    // still open now is "window destroyed while locked".
-    std::lock_guard wlk(st.win_mu);
-    for (const auto& [id, ws] : st.windows) {
-      for (std::size_t o = 0; o < ws->locked.size(); ++o) {
-        for (std::size_t t = 0; t < ws->locked[o].size(); ++t) {
-          if (ws->locked[o][t] == 0) continue;
-          std::ostringstream os;
-          os << "window " << id << ": access epoch at target "
-             << ws->members[t] << " still open at finalize";
-          chk.violate_locked(check::Rule::kRmaEpochLeak, ws->members[o],
-                             ws->members[t], kAnyTag, os.str());
-        }
+  std::lock_guard lk(chk->mu);
+  chk->report.runs += 1;
+  if (aborted) return;
+  // Unmatched sends: anything still queued was sent but never received.
+  for (int dest = 0; dest < st.n_ranks; ++dest) {
+    auto& box = *st.mailboxes[std::size_t(dest)];
+    std::lock_guard blk(box.mu);
+    purge(box.queue, dest);
+  }
+  // Open access epochs. At the end the windows die, so an epoch still open
+  // is "window destroyed while locked"; between operations it is an epoch
+  // the operation never closed.
+  std::lock_guard wlk(st.win_mu);
+  for (const auto& [id, ws] : st.windows) {
+    for (std::size_t o = 0; o < ws->locked.size(); ++o) {
+      for (std::size_t t = 0; t < ws->locked[o].size(); ++t) {
+        if (ws->locked[o][t] == 0) continue;
+        std::ostringstream os;
+        os << "window " << id << ": access epoch at target " << ws->members[t]
+           << " still open at finalize";
+        chk->violate_locked(check::Rule::kRmaEpochLeak, ws->members[o],
+                            ws->members[t], kAnyTag, os.str());
       }
     }
-    st.windows.clear();
+  }
+  if (end) st.windows.clear();
+}
+
+/// Rethrow `first_error`, else throw the checker's report when it is fatal
+/// and found something since `violations_before`.
+void report_outcome(RuntimeState& st, const std::exception_ptr& first_error,
+                    std::uint64_t violations_before) {
+  if (first_error) std::rethrow_exception(first_error);
+  if (auto& chk = st.checker; chk != nullptr) {
+    check::CheckReport report;
+    {
+      std::lock_guard lk(chk->mu);
+      report = chk->report;
+    }
+    if (chk->opts.fatal && report.total_violations() > violations_before) {
+      throw Error(check::to_string(report));
+    }
   }
 }
 
@@ -1188,6 +1309,8 @@ void finalize_checked_run(RuntimeState& st, Checker& chk) {
 }  // namespace detail
 
 void Runtime::run(const std::function<void(Comm&)>& rank_main) {
+  ANNSIM_CHECK_MSG(state_->world == nullptr,
+                   "Runtime::run while a persistent world is live");
   const int n = state_->n_ranks;
   std::vector<int> world(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) world[std::size_t(i)] = i;
@@ -1206,6 +1329,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
 
   std::vector<std::thread> threads;
   threads.reserve(std::size_t(n));
+  state_->threads_started.fetch_add(std::uint64_t(n), std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
       if (controlled) sched->attach_thread();
@@ -1220,17 +1344,210 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     });
   }
   for (auto& t : threads) t.join();
+  // Another cohort (a persistent world) may keep the controller tracking:
+  // deliver what is still queued for this runtime's mailboxes now.
+  if (controlled) sched->flush_owner(state_.get());
 
-  if (auto& chk = state_->checker; chk != nullptr) {
-    detail::finalize_checked_run(*state_, *chk);
-    if (first_error) std::rethrow_exception(first_error);
-    const auto report = check_report();
-    if (chk->opts.fatal && report.total_violations() > violations_before) {
-      throw Error(check::to_string(report));
-    }
-    return;
+  if (auto* chk = state_->checker.get(); chk != nullptr) {
+    detail::sweep(*state_, chk, {}, /*end=*/true);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  detail::report_outcome(*state_, first_error, violations_before);
+}
+
+// --------------------------------------------------------- persistent ---
+
+namespace {
+
+std::vector<int> world_members(int n) {
+  std::vector<int> members(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) members[std::size_t(i)] = i;
+  return members;
+}
+
+/// Block until `w.settled(n)`. A controlled caller parks at a choice point
+/// so the scheduler can run the workers; once the controller has failed,
+/// every choice point throws and the workers leave their loops, so the
+/// caller falls back to a plain wait. Returns the controller's error, if any.
+std::exception_ptr await_settled(detail::World& w, std::uint64_t n) {
+  std::exception_ptr err;
+  if (w.sched != nullptr) {
+    try {
+      if (w.sched->wait_point(0, [&w, n] {
+            std::lock_guard lk(w.mu);
+            return w.settled(n);
+          })) {
+        return err;
+      }
+    } catch (...) {
+      err = std::current_exception();
+    }
+  }
+  std::unique_lock lk(w.mu);
+  w.cv.wait(lk, [&w, n] { return w.settled(n); });
+  return err;
+}
+
+}  // namespace
+
+void Runtime::start(OpHandler on_op) {
+  ANNSIM_CHECK_MSG(state_->world == nullptr, "Runtime::start: already started");
+  const int n = state_->n_ranks;
+  auto w = std::make_unique<detail::World>();
+  w->on_op = std::move(on_op);
+  w->done_op.assign(std::size_t(n - 1), 0);
+  w->exited.assign(std::size_t(n - 1), 0);
+  // Claim the cohort before any thread spawns (see run()): the workers, and
+  // the calling thread as rank 0 of every operation until stop().
+  if (state_->sched != nullptr && state_->sched->claim_caller()) {
+    w->sched = state_->sched;
+    w->caller = std::this_thread::get_id();
+    (void)w->sched->begin_run(n - 1);
+  }
+  detail::World* wp = w.get();
+  state_->world = std::move(w);
+  state_->threads_started.fetch_add(std::uint64_t(n - 1),
+                                    std::memory_order_relaxed);
+  wp->threads.reserve(std::size_t(n - 1));
+  for (int rank = 1; rank < n; ++rank) {
+    wp->threads.emplace_back([this, wp, rank, n] {
+      if (wp->sched != nullptr) wp->sched->attach_thread();
+      const std::size_t me = std::size_t(rank) - 1;
+      const std::vector<int> members = world_members(n);
+      for (std::uint64_t op = 1;; ++op) {
+        Comm comm(state_, detail::kContextBase + op, members, rank);
+        Message ctl;
+        {
+          auto st = detail::post_recv(*state_->mailboxes[std::size_t(rank)],
+                                      comm.comm_id_, 0, detail::kTagControl,
+                                      {});
+          st->sched = state_->sched;
+          st->posted_rank = rank;
+          st->posted_source_global = 0;
+          st->checker = state_->checker;
+          Request req(std::move(st));
+          try {
+            req.wait();
+            ctl = req.take();
+          } catch (...) {
+            // The controller failed or the checker diagnosed a deadlock:
+            // this cohort can run nothing more.
+            (void)req.cancel();
+            break;
+          }
+        }
+        if (ctl.payload.empty() || ctl.payload[0] == detail::kControlShutdown) {
+          break;
+        }
+        try {
+          wp->on_op(comm, std::span<const std::byte>(ctl.payload).subspan(1));
+        } catch (...) {
+          std::lock_guard lk(wp->mu);
+          if (!wp->op_error) wp->op_error = std::current_exception();
+        }
+        {
+          std::lock_guard lk(wp->mu);
+          wp->done_op[me] = op;
+        }
+        wp->cv.notify_all();
+      }
+      {
+        std::lock_guard lk(wp->mu);
+        wp->exited[me] = 1;
+      }
+      wp->cv.notify_all();
+      if (wp->sched != nullptr) wp->sched->finish_thread();
+    });
+  }
+}
+
+TrafficStats Runtime::operate(std::span<const std::byte> op,
+                              const std::function<void(Comm&)>& master) {
+  ANNSIM_CHECK_MSG(state_->world != nullptr, "Runtime::operate: not started");
+  detail::World& w = *state_->world;
+  std::lock_guard op_lock(w.op_mu);
+  const TrafficStats before = total_traffic();
+  const std::uint64_t violations_before =
+      state_->checker ? check_report().total_violations() : 0;
+  const std::uint64_t first_split_id =
+      state_->next_comm_id.load(std::memory_order_relaxed);
+  const std::uint64_t n = ++w.op_seq;
+  {
+    std::lock_guard lk(w.mu);
+    w.op_error = nullptr;
+  }
+
+  Comm comm(state_, detail::kContextBase + n, world_members(state_->n_ranks), 0);
+  std::vector<std::byte> ctl;
+  ctl.reserve(op.size() + 1);
+  ctl.push_back(detail::kControlOp);
+  ctl.insert(ctl.end(), op.begin(), op.end());
+  for (int i = 1; i < state_->n_ranks; ++i) {
+    (void)comm.isend_impl(i, detail::kTagControl, ctl, /*internal=*/true,
+                          /*reserved_ok=*/true);
+  }
+
+  std::exception_ptr first_error;
+  try {
+    master(comm);
+  } catch (...) {
+    first_error = std::current_exception();
+  }
+  std::exception_ptr sched_error = await_settled(w, n);
+  {
+    std::lock_guard lk(w.mu);
+    if (!first_error) first_error = w.op_error;
+  }
+  if (!first_error) first_error = sched_error;
+
+  // The operation's contexts: its own, and any communicator it split off.
+  const std::uint64_t ctx = comm.comm_id_;
+  detail::sweep(*state_, state_->checker.get(),
+                [ctx, first_split_id](std::uint64_t id) {
+                  return id == ctx ||
+                         (id >= first_split_id && id < detail::kContextBase);
+                },
+                /*end=*/false);
+  detail::report_outcome(*state_, first_error, violations_before);
+  TrafficStats delta = total_traffic();
+  delta -= before;
+  return delta;
+}
+
+void Runtime::stop() {
+  if (state_->world == nullptr) return;
+  detail::World& w = *state_->world;
+  {
+    std::lock_guard op_lock(w.op_mu);
+    const std::uint64_t n = ++w.op_seq;
+    Comm comm(state_, detail::kContextBase + n,
+              world_members(state_->n_ranks), 0);
+    const std::byte shutdown[1] = {detail::kControlShutdown};
+    for (int i = 1; i < state_->n_ranks; ++i) {
+      bool gone;
+      {
+        std::lock_guard lk(w.mu);
+        gone = w.exited[std::size_t(i) - 1] != 0;
+      }
+      if (!gone) {
+        (void)comm.isend_impl(i, detail::kTagControl, shutdown,
+                              /*internal=*/true, /*reserved_ok=*/true);
+      }
+    }
+    (void)await_settled(w, ~std::uint64_t{0});
+  }
+  for (auto& t : w.threads) t.join();
+  if (w.sched != nullptr) {
+    w.sched->flush_owner(state_.get());
+    if (w.caller == std::this_thread::get_id()) w.sched->release_caller();
+  }
+  state_->world.reset();
+  detail::sweep(*state_, state_->checker.get(), {}, /*end=*/true);
+}
+
+bool Runtime::started() const noexcept { return state_->world != nullptr; }
+
+std::uint64_t Runtime::threads_started() const noexcept {
+  return state_->threads_started.load(std::memory_order_relaxed);
 }
 
 TrafficStats Runtime::total_traffic() const {

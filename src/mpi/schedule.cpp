@@ -15,6 +15,8 @@ namespace {
 /// nothing — are naturally untracked, and a stale registration can never leak
 /// across controllers.
 thread_local ScheduleController* t_controller = nullptr;
+/// Nesting depth of claim_caller() on the current thread.
+thread_local int t_caller_claims = 0;
 
 const char* kind_name(ChoiceKind k) {
   switch (k) {
@@ -53,6 +55,7 @@ struct ScheduleController::Parked {
 struct ScheduleController::ChannelEntry {
   ChoiceEvent ev;
   std::function<void()> commit;
+  const void* owner = nullptr;
 };
 
 ScheduleController::ScheduleController() = default;
@@ -96,13 +99,28 @@ bool ScheduleController::armed() const noexcept {
 bool ScheduleController::begin_run(int n_threads) {
   std::lock_guard lk(mu_);
   if (!armed_.load(std::memory_order_relaxed)) return false;
-  ANNSIM_CHECK_MSG(tracked_ == 0, "begin_run: previous cohort still live");
-  tracked_ = n_threads;
-  runnable_ = n_threads;
+  tracked_ += n_threads;
+  runnable_ += n_threads;
   return true;
 }
 
 void ScheduleController::attach_thread() { t_controller = this; }
+
+bool ScheduleController::claim_caller() {
+  if (controls_this_thread()) {
+    ++t_caller_claims;
+    return true;
+  }
+  if (!begin_run(1)) return false;
+  attach_thread();
+  t_caller_claims = 1;
+  return true;
+}
+
+void ScheduleController::release_caller() {
+  if (t_controller != this || t_caller_claims == 0) return;
+  if (--t_caller_claims == 0) finish_thread();
+}
 
 void ScheduleController::finish_thread() {
   t_controller = nullptr;
@@ -120,13 +138,19 @@ bool ScheduleController::controls_this_thread() const noexcept {
   return t_controller == this && armed_.load(std::memory_order_acquire);
 }
 
-bool ScheduleController::submit(ChoiceEvent ev, std::function<void()> commit) {
+bool ScheduleController::submit(ChoiceEvent ev, std::function<void()> commit,
+                                const void* owner) {
   if (!controls_this_thread()) return false;
   std::lock_guard lk(mu_);
   const ChannelKey key{ev.source, ev.dest, ev.comm_id};
   ev.seq = channel_seq_[key]++;
-  channels_[key].push_back(ChannelEntry{ev, std::move(commit)});
+  channels_[key].push_back(ChannelEntry{ev, std::move(commit), owner});
   return true;
+}
+
+void ScheduleController::flush_owner(const void* owner) {
+  std::lock_guard lk(mu_);
+  flush_channels_locked(owner, /*all=*/false);
 }
 
 void ScheduleController::park_and_wait(std::unique_lock<std::mutex>& lk,
@@ -249,15 +273,20 @@ void ScheduleController::fail_locked(bool deadlock, std::string why) {
 /// each sent-but-unreceived message in its destination queue (the checker's
 /// unmatched-send sweep reads the mailboxes, and uncontrolled callers are
 /// allowed to receive a message in a *later* run).
-void ScheduleController::flush_channels_locked() {
+void ScheduleController::flush_channels_locked(const void* owner, bool all) {
   for (auto& [key, ch] : channels_) {
-    for (auto& entry : ch) {
-      fold_digest_locked(entry.ev);
+    for (auto it = ch.begin(); it != ch.end();) {
+      if (!all && it->owner != owner) {
+        ++it;
+        continue;
+      }
+      fold_digest_locked(it->ev);
       ++trace_.commits;
-      entry.commit();
+      it->commit();
+      it = ch.erase(it);
     }
   }
-  channels_.clear();
+  if (all) channels_.clear();
 }
 
 /// The scheduler. Runs with mu_ held whenever every tracked thread is parked.

@@ -213,8 +213,8 @@ TEST(EngineEdge, OneSidedTrafficShowsRmaPerJob) {
 TEST(EngineEdge, OneSidedSendsOneSlotFullNoticePerQuery) {
   // A thread team folds several jobs of one query concurrently; the atomic
   // merge still lets exactly one accumulate see the slot complete, so the
-  // p2p traffic is one message per job, one notice per query, and EOQ plus
-  // a done notice per worker.
+  // p2p traffic is one message per job, one notice per query, and the
+  // batch's control message, EOQ and a done notice per worker.
   auto w = data::make_sift_like(600, 30, 514);
   auto cfg = small_config();
   cfg.threads_per_worker = 2;
@@ -228,7 +228,7 @@ TEST(EngineEdge, OneSidedSendsOneSlotFullNoticePerQuery) {
                        const QueryCoverage&) { ++fired[qid]; });
   const std::uint64_t P = cfg.n_workers;
   EXPECT_EQ(st.traffic.p2p_messages,
-            st.total_jobs + w.queries.size() + 2 * P);
+            st.total_jobs + w.queries.size() + 3 * P);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     EXPECT_EQ(fired[q], 1) << "query " << q;
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -445,6 +446,35 @@ TEST(MpiFault, ThreadTeamRacesOnOneRankKillExactlyOnce) {
     }
   });
   EXPECT_EQ(rt.failed_ranks(), std::vector<int>{0});
+}
+
+TEST(MpiFault, KillBudgetDeliversExactlyItsOpsUnderAnyInterleaving) {
+  // The budget is decided by the op index a thread claims, not by when it
+  // reads the death mark: a thread preempted between claiming an op below
+  // the budget and checking must still deliver it after another thread's op
+  // exhausted the budget. More threads than cores and many rounds make that
+  // preemption common.
+  constexpr int kThreads = 8;
+  constexpr int kSendsPerThread = 40;
+  constexpr std::uint64_t kBudget = 150;
+  for (int round = 0; round < 400; ++round) {
+    FaultPlan plan;
+    plan.kills.push_back({/*rank=*/0, kBudget, kNeverFires});
+    FaultInjector inj(plan, 2);
+    std::atomic<int> delivered{0};
+    std::vector<std::thread> team;
+    for (int t = 0; t < kThreads; ++t) {
+      team.emplace_back([&, t] {
+        for (int i = 0; i < kSendsPerThread; ++i) {
+          if (inj.allow_op(0)) delivered.fetch_add(1);
+          if (i % 4 == t % 4) std::this_thread::yield();
+        }
+      });
+    }
+    for (auto& t : team) t.join();
+    EXPECT_EQ(delivered.load(), int(kBudget)) << "round " << round;
+    EXPECT_TRUE(inj.is_dead(0));
+  }
 }
 
 TEST(MpiFault, DiskFaultFiresOnceAtLsnAndKillsTheRank) {
