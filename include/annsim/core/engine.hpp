@@ -145,6 +145,8 @@ struct EngineConfig {
   bool check_fatal = true;
 };
 
+/// Timings of this process's build(); they are not saved, so a loaded
+/// engine reports zeros and only its partition sizes.
 struct BuildStats {
   double total_seconds = 0.0;
   double vp_tree_seconds = 0.0;      ///< router build: max across workers
@@ -342,25 +344,31 @@ class DistributedAnnEngine {
   [[nodiscard]] std::vector<std::vector<PartitionId>> plan_queries(
       const data::Dataset& queries) const;
 
-  /// Persist the built index (router + every partition's data and local
-  /// index) to one file; `load` restores a search-ready engine without the
-  /// original corpus. The engine file does not record a checkpoint
-  /// directory; pass `checkpoint_dir` to re-arm durable snapshots on the
-  /// loaded engine (it checkpoints every partition immediately). Pass
-  /// `wal_dir` to re-attach the write-ahead logs: the logs are recovered
-  /// (torn tails truncated) and any records past the engine file's LSN are
-  /// replayed into the segmented replicas before the engine is returned —
-  /// the crash-restart path that makes every acked write reappear.
+  /// Persist the built index to the directory `path`, replacing an image
+  /// already there. The layout is a CheckpointStore with one snapshot per
+  /// partition, not per replica (`partition_<p>/`, from the partition's
+  /// first live workgroup member, the way save_checkpoints() picks), plus
+  /// `engine.bin`: the config, the router image, the id and LSN counters,
+  /// the partition sizes and each snapshot's manifest checksum, itself
+  /// checksummed. Equal engines save equal bytes. The image is staged in a
+  /// hidden sibling and renamed into place, and save() waits for the write
+  /// round in flight, so an image is always at a round boundary.
+  ///
+  /// `load` restores a search-ready engine without the original corpus:
+  /// every member of each partition's workgroup gets its replica from the
+  /// partition's snapshot through the step heal() restores checkpoints with
+  /// (a partition that had no copy at save time stays missing). A snapshot
+  /// that is not the one the manifest names fails with annsim::Error. Pass
+  /// `checkpoint_dir` to re-arm durable snapshots on the loaded engine (it
+  /// checkpoints every partition immediately). Pass `wal_dir` to re-attach
+  /// the write-ahead logs: the logs are recovered (torn tails truncated) and
+  /// each replica replays its worker's records past its snapshot's
+  /// watermark before the engine is returned — the crash-restart path that
+  /// makes every acked write reappear.
   void save(const std::string& path) const;
   static DistributedAnnEngine load(const std::string& path,
                                    const std::string& checkpoint_dir = "",
                                    const std::string& wal_dir = "");
-
-  /// Attach per-worker write-ahead logs under `dir` (see
-  /// EngineConfig::wal_dir). Existing logs are recovered and replayed into
-  /// the live replicas, so calling this on a freshly built engine is a
-  /// no-op beyond arming durability. Requires local_index == kSegmented.
-  void enable_wal(const std::string& dir, bool group_commit = true);
 
   /// Is `id` present (and not tombstoned) in any hosted segmented replica?
   /// The WAL replay path uses this for idempotence; exposed because
@@ -532,17 +540,26 @@ class DistributedAnnEngine {
   /// Liveness snapshot for the write plane, derived from the fault injector
   /// (not ClusterHealth, which belongs to the search plane's thread).
   std::vector<char> write_plane_alive(const mpi::FaultInjector* injector) const;
+  /// What snapshot_partitions() committed for one partition.
+  struct PartitionSnapshot {
+    std::uint64_t watermark = 0;          ///< WAL LSN the snapshot covers
+    std::uint64_t manifest_checksum = 0;  ///< names the committed snapshot
+  };
+  /// Snapshot each partition that still has a copy into `store`, from its
+  /// first live workgroup member (a dead host only when no live copy is
+  /// left); empty entries had no copy. Caller holds the topology lock.
+  std::vector<std::optional<PartitionSnapshot>> snapshot_partitions(
+      const recovery::CheckpointStore& store) const;
+  /// The one way a replica comes back from a checkpoint, for heal() and
+  /// load(): decode `snap` into worker `w`'s store, then replay w's WAL
+  /// records for that partition past the snapshot's watermark (idempotent:
+  /// inserts skip ids already present). Returns the records replayed.
+  /// Caller holds the topology lock exclusively (or owns the engine).
+  std::size_t restore_replica(
+      std::size_t w, const recovery::CheckpointStore::LoadedPartition& snap);
   /// Open (recovering if present) each worker's WAL under config_.wal_dir.
-  /// No-op when wal_dir is empty or the logs are already open.
+  /// No-op when wal_dir is empty.
   void open_wals();
-  /// Replay worker `w`'s WAL records with lsn > `after_lsn` into its hosted
-  /// replicas (idempotent: inserts skip ids already present). When
-  /// `only_partition` is set, records for other partitions are skipped —
-  /// the per-replica filter heal() uses after a checkpoint restore. Returns
-  /// records applied. Caller holds the topology lock.
-  std::size_t replay_wal_into_worker(
-      std::size_t w, std::uint64_t after_lsn,
-      std::optional<PartitionId> only_partition = std::nullopt);
   void master_search_owner(mpi::Comm& world, const data::Dataset& queries,
                            std::size_t k, std::size_t ef,
                            data::KnnResults& results, SearchStats& stats,
@@ -587,7 +604,8 @@ class DistributedAnnEngine {
   ///     compact rounds), exclusive when the stores mutate (post-batch death
   ///     fold clearing a dead worker's store, heal() restoring it).
   ///   - write_api: serializes insert/remove/compact rounds end to end
-  ///     (protects next_stream_id_ and keeps one write round in flight).
+  ///     (protects next_stream_id_ / next_lsn_ and keeps one write round in
+  ///     flight); save() holds it too, so an image is at a round boundary.
   ///   - check / injector: guard check_report_ merges and lazy injector
   ///     creation, which writes and searches may race on.
   struct Sync {

@@ -31,7 +31,7 @@ class SegmentedIndex;
 namespace annsim::core {
 
 /// Which algorithm serves local k-NN inside each partition. Values 2 and 5
-/// are retired and must not be reused: engine files holding them are
+/// are retired and must not be reused: engine images holding them are
 /// rejected.
 enum class LocalIndexKind : std::uint8_t {
   kHnsw = 0,        ///< approximate, the paper's configuration

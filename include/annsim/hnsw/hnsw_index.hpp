@@ -138,11 +138,6 @@ class HnswIndex {
   [[nodiscard]] const data::Dataset& dataset() const noexcept { return *data_; }
   [[nodiscard]] HnswStats stats() const;
 
-  /// Serialize the graph (not the vectors) to a file; `load` re-attaches to
-  /// the same dataset.
-  void save(const std::string& path) const;
-  static HnswIndex load(const std::string& path, const data::Dataset* data);
-
   /// In-memory (de)serialization — used to ship replica indexes between
   /// ranks during partition replication (§IV-C2). `from_bytes` deserializes
   /// straight into the frozen flat form (the linked graph is never

@@ -65,16 +65,20 @@ class CheckpointStore {
   /// accumulate would shadow GC forever.
   explicit CheckpointStore(std::string dir);
 
-  /// Atomically write (or replace) the snapshot of one partition.
-  void save(const CheckpointMeta& meta, std::span<const std::byte> data_bytes,
-            std::span<const std::byte> index_bytes) const;
-
-  /// What an incremental save actually wrote — the point of the segmented
-  /// manifest is that `segments_skipped` dominates once the index stabilizes.
+  /// What a save committed. The point of the segmented manifest is that
+  /// `segments_skipped` dominates once the index stabilizes.
   struct SaveReport {
     std::size_t segments_written = 0;
     std::size_t segments_skipped = 0;  ///< already durable; not re-written
+    /// checksum64 of the committed manifest file: names this exact snapshot
+    /// (LoadedPartition::manifest_checksum reads it back).
+    std::uint64_t manifest_checksum = 0;
   };
+
+  /// Atomically write (or replace) the snapshot of one partition.
+  SaveReport save(const CheckpointMeta& meta,
+                  std::span<const std::byte> data_bytes,
+                  std::span<const std::byte> index_bytes) const;
 
   /// Incremental snapshot of a segmented partition from its
   /// SegmentedIndex::snapshot_parts() pieces: immutable `seg_<id>.bin` files
@@ -105,6 +109,7 @@ class CheckpointStore {
     /// Highest WAL LSN already reflected in this snapshot (0 when the
     /// snapshot predates the WAL or was written without one).
     std::uint64_t wal_watermark = 0;
+    std::uint64_t manifest_checksum = 0;  ///< checksum64 of manifest.bin
   };
 
   /// Load and verify one partition; throws annsim::Error naming the failure

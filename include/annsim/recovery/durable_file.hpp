@@ -13,6 +13,9 @@
 ///    rename, so readers observe either the old bytes or the new bytes,
 ///    never a prefix.
 ///
+/// read_all() is the one whole-file reader beside them (checkpoint, WAL and
+/// engine-manifest files).
+///
 /// A repo lint rule (`raw-write-in-recovery`) bans raw std::ofstream/fopen
 /// in src/recovery outside this file: a plain ofstream write is buffered in
 /// user space and torn on crash, which is exactly the failure class the
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace annsim::recovery {
 
@@ -64,6 +68,10 @@ class DurableFile {
 
   /// fsync a directory so a just-created/renamed/removed entry is durable.
   static void sync_dir(const std::string& dir);
+
+  /// Read a whole file. Throws annsim::Error when it cannot be opened or
+  /// read in full.
+  [[nodiscard]] static std::vector<std::byte> read_all(const std::string& path);
 
  private:
   int fd_ = -1;

@@ -156,14 +156,22 @@ class SegmentedIndex {
   };
   [[nodiscard]] SnapshotParts snapshot_parts() const;
 
+  /// The index a decoder restores into. An image whose dimension or
+  /// parameters disagree (all but the HNSW seed, which differs per
+  /// partition) is rejected before anything is sized from its header, so a
+  /// corrupt header cannot make the delta allocate.
+  struct Expected {
+    std::size_t dim = 0;
+    SegmentedParams params;
+  };
   static std::unique_ptr<SegmentedIndex> from_bytes(
-      std::span<const std::byte> bytes);
+      std::span<const std::byte> bytes, const Expected* expect = nullptr);
   /// Reassemble from individually stored parts (checkpoint restore).
   static std::unique_ptr<SegmentedIndex> from_parts(
       std::span<const std::byte> header,
       std::span<const std::pair<std::uint64_t, std::vector<std::byte>>>
           segments,
-      std::span<const std::byte> delta);
+      std::span<const std::byte> delta, const Expected* expect = nullptr);
 
  private:
   /// Immutable frozen segment: either a (Dataset, frozen HnswIndex) pair

@@ -115,15 +115,6 @@ struct ServerConfig {
   /// background thread so re-freezing overlaps serving instead of stalling
   /// it. 0 (default) disables; requires a segmented engine when set.
   std::size_t compact_at_fill = 0;
-  /// Crash-consistent write durability: when non-empty, the server attaches
-  /// per-worker write-ahead logs under this directory (engine enable_wal())
-  /// before serving, so every acked insert/delete is fsynced and replayable.
-  /// Requires a segmented engine. Empty (default) keeps writes in-memory.
-  std::string wal_dir;
-  /// Group-commit mode for wal_dir: true (default) batches the round's log
-  /// frames into one fsync per worker before the ack — the p999-friendly
-  /// setting; false fsyncs every appended frame.
-  bool wal_group_commit = true;
 
   // ---- overload control (DESIGN.md §4.11; all off by default) ----
   /// Deadline-aware admission: dequeue earliest-deadline-first (within each

@@ -54,7 +54,7 @@ struct MetricsReport {
   std::size_t workers_revived = 0;   ///< dead workers brought back, lifetime
   std::size_t coverage_restored = 0; ///< heals that restored every replica
   /// WAL records replayed past checkpoint watermarks across all heals
-  /// (zeros unless the engine runs with a wal_dir).
+  /// (zeros unless the engine runs with EngineConfig::wal_dir).
   std::size_t wal_replayed_records = 0;
   /// Corrupt WAL tail bytes truncated while recovering revived workers'
   /// logs, across all heals.
@@ -114,7 +114,7 @@ class ServerMetrics {
   void on_retry();
   /// An engine heal() pass ran; `coverage_restored` = it repaired every
   /// missing replica. The WAL counters carry the heal's replay/truncation
-  /// tallies (0 when the engine runs without a wal_dir).
+  /// tallies (0 when the engine runs without EngineConfig::wal_dir).
   void on_heal(std::size_t workers_revived, bool coverage_restored,
                std::size_t wal_replayed_records = 0,
                std::size_t wal_truncated_tail_bytes = 0);

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <filesystem>
-#include <fstream>
 #include <chrono>
+#include <cstring>
+#include <filesystem>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "annsim/common/backoff.hpp"
 #include "annsim/common/error.hpp"
@@ -19,6 +20,7 @@
 #include "annsim/core/dataset_transfer.hpp"
 #include "annsim/core/protocol.hpp"
 #include "annsim/recovery/checkpoint.hpp"
+#include "annsim/recovery/durable_file.hpp"
 #include "annsim/segment/segmented_index.hpp"
 
 namespace annsim::core {
@@ -154,10 +156,6 @@ void validate_engine_config(const EngineConfig& config) {
 }
 
 namespace {
-
-/// Engine image magic, "ANIF": the image with the partitioner settings.
-/// "ANIE" images, which lack them, fail on the magic.
-constexpr std::uint32_t kEngineMagic = 0x414E4946;
 
 /// The local index parameters every replica of `config` is built or
 /// restored with.
@@ -1518,55 +1516,40 @@ std::vector<PartitionId> DistributedAnnEngine::under_replicated_partitions()
   return out;
 }
 
-void DistributedAnnEngine::save_checkpoints() const {
-  if (config_.checkpoint_dir.empty()) return;
-  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  // One checkpointer at a time (a background compaction and a heal may both
-  // want to snapshot), reading a stable topology.
-  std::lock_guard ckpt(sync_->checkpoint);
-  std::shared_lock topology(sync_->topology);
-  const recovery::CheckpointStore store(config_.checkpoint_dir);
+std::vector<std::optional<DistributedAnnEngine::PartitionSnapshot>>
+DistributedAnnEngine::snapshot_partitions(
+    const recovery::CheckpointStore& store) const {
   const std::size_t P = config_.n_workers;
   // A dead worker's in-memory replica froze at the moment of death and may
   // be missing writes (and, worse, tombstones) the surviving copy kept
-  // absorbing — snapshotting it would let a later heal-from-checkpoint
-  // resurrect deleted ids. Prefer copies on live workers; fall back to a
-  // dead host only when no live copy exists.
+  // absorbing — snapshotting it would let a later restore resurrect deleted
+  // ids. Prefer copies on live workers; fall back to a dead host only when
+  // no live copy exists.
   std::shared_ptr<mpi::FaultInjector> inj;
   {
     std::lock_guard lock(sync_->injector);
     inj = injector_;
   }
   const std::vector<char> alive = write_plane_alive(inj.get());
-  // Committed per-partition watermarks from this pass, for post-commit WAL GC.
-  std::vector<std::uint64_t> part_watermark(P, 0);
-  std::vector<char> part_committed(P, 0);
+  std::vector<std::optional<PartitionSnapshot>> out(P);
   for (std::size_t p = 0; p < P; ++p) {
     const Replica* rep = nullptr;
     std::size_t rep_w = P;
-    const Replica* stale = nullptr;
-    std::size_t stale_w = P;
-    for (std::size_t j = 0; j < config_.replication && rep == nullptr; ++j) {
+    for (std::size_t j = 0; j < config_.replication; ++j) {
       const std::size_t w = (p + j) % P;
       const auto it = workers_[w].find(PartitionId(p));
-      if (it == workers_[w].end()) continue;
-      if (alive[w]) {
-        rep = &it->second;
-        rep_w = w;
-      } else if (stale == nullptr) {
-        stale = &it->second;
-        stale_w = w;
-      }
-    }
-    if (rep == nullptr) {
-      rep = stale;
-      rep_w = stale_w;
+      if (it == workers_[w].end() || (rep != nullptr && !alive[w])) continue;
+      rep = &it->second;
+      rep_w = w;
+      if (alive[w]) break;
     }
     if (rep == nullptr) continue;  // every copy lost; nothing to snapshot
     recovery::CheckpointMeta meta;
     meta.partition = std::uint32_t(p);
     meta.dim = router_->dim();
     meta.index_kind = std::uint8_t(config_.local_index);
+    PartitionSnapshot& snap = out[p].emplace();
+    recovery::CheckpointStore::SaveReport saved;
     if (const segment::SegmentedIndex* seg = rep->index->segmented()) {
       // Segmented replicas checkpoint incrementally: immutable segment
       // files are written once and skipped thereafter; only the small
@@ -1577,37 +1560,91 @@ void DistributedAnnEngine::save_checkpoints() const {
       // so synced ⇒ applied ⇒ in this snapshot. Under-claiming is safe
       // (replay is idempotent); over-claiming would lose records, and the
       // apply-log-sync order rules it out.
-      std::uint64_t watermark = 0;
       if (rep_w < wals_.size() && wals_[rep_w] != nullptr) {
-        watermark = wals_[rep_w]->last_synced_lsn();
+        snap.watermark = wals_[rep_w]->last_synced_lsn();
       }
       meta.count = rep->index->size();
       const auto parts = seg->snapshot_parts();
-      store.save_segmented(meta, parts.header, parts.segments, parts.delta,
-                           watermark);
-      part_watermark[p] = watermark;
-      part_committed[p] = 1;
+      saved = store.save_segmented(meta, parts.header, parts.segments,
+                                   parts.delta, snap.watermark);
     } else {
       meta.count = rep->data->size();
-      store.save(meta, pack_dataset(*rep->data), rep->index->to_bytes());
+      saved = store.save(meta, pack_dataset(*rep->data), rep->index->to_bytes());
     }
+    snap.manifest_checksum = saved.manifest_checksum;
   }
+  return out;
+}
+
+void DistributedAnnEngine::save_checkpoints() const {
+  if (config_.checkpoint_dir.empty()) return;
+  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
+  // One checkpointer at a time (a background compaction and a heal may both
+  // want to snapshot), reading a stable topology.
+  std::lock_guard ckpt(sync_->checkpoint);
+  std::shared_lock topology(sync_->topology);
+  const auto snaps =
+      snapshot_partitions(recovery::CheckpointStore(config_.checkpoint_dir));
   // Post-commit WAL GC: a worker's log file is droppable once every
   // partition the worker hosts has a committed checkpoint at or past the
   // file's last record. An unsnapshotted hosted partition (watermark 0)
   // blocks GC for that worker entirely — conservative, and only reachable
   // when every copy of a partition is already lost.
-  for (std::size_t w = 0; w < P && w < wals_.size(); ++w) {
-    if (wals_[w] == nullptr) continue;
+  for (std::size_t w = 0; w < wals_.size(); ++w) {
+    if (wals_[w] == nullptr || workers_[w].empty()) continue;
     std::uint64_t gc_mark = ~std::uint64_t{0};
-    bool hosts_any = false;
     for (const auto& [pid, hosted] : workers_[w]) {
-      hosts_any = true;
-      gc_mark = std::min(
-          gc_mark, part_committed[pid] ? part_watermark[pid] : std::uint64_t{0});
+      gc_mark = std::min(gc_mark, snaps[pid] ? snaps[pid]->watermark : 0);
     }
-    if (hosts_any && gc_mark > 0) (void)wals_[w]->gc(gc_mark);
+    if (gc_mark > 0) (void)wals_[w]->gc(gc_mark);
   }
+}
+
+std::size_t DistributedAnnEngine::restore_replica(
+    std::size_t w, const recovery::CheckpointStore::LoadedPartition& snap) {
+  const auto p = PartitionId(snap.meta.partition);
+  ANNSIM_CHECK_MSG(snap.meta.dim == router_->dim(),
+                   "checkpoint dim " << snap.meta.dim
+                                     << " does not match the router's "
+                                     << router_->dim());
+  ANNSIM_CHECK_MSG(snap.meta.index_kind == std::uint8_t(config_.local_index),
+                   "checkpoint index kind does not match the engine config");
+  Replica rep;
+  rep.data = std::make_unique<data::Dataset>(
+      unpack_dataset(snap.data_bytes, router_->dim()));
+  rep.index = local_index_from_bytes(snap.index_bytes, rep.data.get(),
+                                     local_index_params(config_));
+  LocalIndex& index = *workers_[w].emplace(p, std::move(rep)).first->second.index;
+  // The snapshot only covers records up to its committed watermark; replay
+  // the worker's own WAL records for this partition past it, so acked
+  // writes that landed between the snapshot and the crash survive.
+  if (w >= wals_.size() || wals_[w] == nullptr) return 0;
+  std::size_t replayed = 0;
+  for (const recovery::WalRecord& rec : wals_[w]->read_tail(snap.wal_watermark)) {
+    // Advance the global streams past everything the log proves was acked,
+    // other partitions' records included: a fresh write must never reuse an
+    // LSN or a global id that a logged record already owns.
+    next_lsn_ = std::max(next_lsn_, rec.lsn + 1);
+    if (rec.type == recovery::WalRecordType::kCompactMark) continue;
+    if (rec.partition < partition_last_lsn_.size()) {
+      partition_last_lsn_[rec.partition] =
+          std::max(partition_last_lsn_[rec.partition], rec.lsn);
+    }
+    if (rec.type == recovery::WalRecordType::kInsert) {
+      next_stream_id_ = std::max(next_stream_id_, rec.id + 1);
+    }
+    if (PartitionId(rec.partition) != p) continue;
+    ++replayed;
+    if (rec.type == recovery::WalRecordType::kDelete) {
+      (void)index.erase(rec.id);  // idempotent: a second pass is a miss
+    } else if (const segment::SegmentedIndex* seg = index.segmented();
+               seg == nullptr || !seg->contains(rec.id)) {
+      // Idempotent by global id: a record at or below the snapshot's
+      // watermark (or replayed twice) is already live in the replica.
+      index.insert(rec.vec, rec.id);
+    }
+  }
+  return replayed;
 }
 
 recovery::HealReport DistributedAnnEngine::heal() {
@@ -1651,24 +1688,25 @@ recovery::HealReport DistributedAnnEngine::heal() {
     }
   }
 
-  const LocalIndexParams lp = local_index_params(config_);
+  // The first surviving peer that hosts the job's partition and is
+  // reliably reachable (P: none).
+  const auto peer_source = [&](const RestoreJob& job) {
+    for (std::size_t v = 0; v < P; ++v) {
+      if (v == job.worker || workers_[v].count(job.partition) == 0) continue;
+      if (!health_.alive(v)) continue;
+      // A source whose pending kill trigger already tripped would silently
+      // eat the stream; probe the reliable gate before trusting it.
+      if (injector_ != nullptr && !injector_->allow_reliable_op(int(v) + 1)) {
+        continue;
+      }
+      return v;
+    }
+    return P;
+  };
 
   // 3. Prefer the checkpoint store: a durable snapshot restores locally with
   //    no cluster traffic at all (the LANNS model — reload, don't rebuild).
   std::vector<RestoreJob> stream_plan;
-  // True when a surviving, reliably-reachable peer still hosts the
-  // partition — the same scan the streaming phase uses to pick a source.
-  const auto usable_peer = [&](const RestoreJob& job) {
-    for (std::size_t v = 0; v < P; ++v) {
-      if (v == job.worker || workers_[v].count(job.partition) == 0) continue;
-      if (!health_.alive(v)) continue;
-      if (injector_ != nullptr && !injector_->allow_reliable_op(int(v) + 1)) {
-        continue;
-      }
-      return true;
-    }
-    return false;
-  };
   if (!config_.checkpoint_dir.empty()) {
     const recovery::CheckpointStore store(config_.checkpoint_dir);
     for (const RestoreJob& job : plan) {
@@ -1688,44 +1726,26 @@ recovery::HealReport DistributedAnnEngine::heal() {
           job.partition < partition_last_lsn_.size() &&
           wals_[job.worker]->last_synced_lsn() <
               partition_last_lsn_[job.partition] &&
-          usable_peer(job)) {
+          peer_source(job) != P) {
         stream_plan.push_back(job);
         continue;
       }
-      recovery::CheckpointStore::LoadedPartition loaded;
       try {
-        loaded = store.load(job.partition);
+        report.wal_replayed_records +=
+            restore_replica(job.worker, store.load(job.partition));
       } catch (const Error& e) {
-        // A flipped byte or truncated file in the on-disk checkpoint
-        // (checksum mismatch, short read) must not sink the replica:
+        // A flipped byte, a truncated file or a snapshot of another shape
+        // in the on-disk checkpoint must not sink the replica:
         // name the failing partition and fall back to streaming it from
         // a surviving peer instead.
         ANNSIM_WARN("checkpoint for partition "
                     << job.partition << " is corrupt (" << e.what()
                     << "); falling back to peer-stream heal");
+        workers_[job.worker].erase(job.partition);  // a half-replayed copy
         stream_plan.push_back(job);
         continue;
       }
-      ANNSIM_CHECK_MSG(loaded.meta.dim == router_->dim(),
-                       "checkpoint dim " << loaded.meta.dim
-                                         << " does not match the router's "
-                                         << router_->dim());
-      ANNSIM_CHECK_MSG(
-          loaded.meta.index_kind == std::uint8_t(config_.local_index),
-          "checkpoint index kind does not match the engine config");
-      Replica rep;
-      rep.data = std::make_unique<data::Dataset>(
-          unpack_dataset(loaded.data_bytes, router_->dim()));
-      rep.index = local_index_from_bytes(loaded.index_bytes, rep.data.get(), lp);
-      workers_[job.worker].emplace(job.partition, std::move(rep));
       ++report.replicas_restored_from_checkpoint;
-      // The checkpoint only covers records up to its committed watermark;
-      // replay the worker's own WAL tail past it (filtered to this
-      // partition) so acked writes that landed between the last checkpoint
-      // and the crash survive. Peer-streamed replicas skip this — the
-      // surviving peer is already current.
-      report.wal_replayed_records += replay_wal_into_worker(
-          job.worker, loaded.wal_watermark, job.partition);
     }
   } else {
     stream_plan = std::move(plan);
@@ -1733,20 +1753,11 @@ recovery::HealReport DistributedAnnEngine::heal() {
 
   // 4. No checkpoint: stream each missing replica from a surviving copy over
   //    the p2p data plane (kTagReplica, reliable — re-replication completes
-  //    even while drop_probability is eating data-plane traffic).
+  //    even while drop_probability is eating data-plane traffic). Streamed
+  //    replicas replay no WAL: the surviving peer is already current.
   std::vector<HealTransfer> transfers;
   for (const RestoreJob& job : stream_plan) {
-    std::size_t src = P;  // sentinel: no usable source
-    for (std::size_t v = 0; v < P && src == P; ++v) {
-      if (v == job.worker || workers_[v].count(job.partition) == 0) continue;
-      if (!health_.alive(v)) continue;
-      // A source whose pending kill trigger already tripped would silently
-      // eat the stream; probe the reliable gate before trusting it.
-      if (injector_ != nullptr && !injector_->allow_reliable_op(int(v) + 1)) {
-        continue;
-      }
-      src = v;
-    }
+    const std::size_t src = peer_source(job);
     if (src == P) {
       ++report.replicas_unrecoverable;  // partition lost for good
       continue;
@@ -1826,35 +1837,13 @@ void DistributedAnnEngine::worker_heal(mpi::Comm& world, BinaryReader& rd) {
 void DistributedAnnEngine::open_wals() {
   if (config_.wal_dir.empty()) return;
   const std::size_t P = config_.n_workers;
-  if (wals_.size() == P) return;  // already attached
   recovery::WalOptions opt;
   opt.group_commit = config_.wal_group_commit;
-  wals_.clear();
   wals_.reserve(P);
   for (std::size_t w = 0; w < P; ++w) {
     const auto dir = std::filesystem::path(config_.wal_dir) /
                      ("worker_" + std::to_string(w));
     wals_.push_back(std::make_unique<recovery::WriteLog>(dir.string(), opt));
-  }
-}
-
-void DistributedAnnEngine::enable_wal(const std::string& dir,
-                                      bool group_commit) {
-  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  ANNSIM_CHECK_MSG(!dir.empty(), "enable_wal: directory must be non-empty");
-  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kSegmented,
-                   "the write-ahead log requires the segmented local index");
-  std::lock_guard write_api(sync_->write_api);
-  std::unique_lock topology(sync_->topology);
-  config_.wal_dir = dir;
-  config_.wal_group_commit = group_commit;
-  wals_.clear();
-  open_wals();
-  // Replay anything a previous process left behind (no-op on fresh dirs):
-  // records past the current LSN edge re-enter the replicas idempotently.
-  const std::uint64_t edge = next_lsn_ > 0 ? next_lsn_ - 1 : 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    (void)replay_wal_into_worker(w, edge);
   }
 }
 
@@ -1870,225 +1859,202 @@ bool DistributedAnnEngine::contains(GlobalId id) const {
   return false;
 }
 
-std::size_t DistributedAnnEngine::replay_wal_into_worker(
-    std::size_t w, std::uint64_t after_lsn,
-    std::optional<PartitionId> only_partition) {
-  if (w >= wals_.size() || wals_[w] == nullptr) return 0;
-  const std::vector<recovery::WalRecord> tail = wals_[w]->read_tail(after_lsn);
-  if (tail.empty()) return 0;
-  WorkerStore& store = workers_[w];
-  std::size_t replayed = 0;
-  for (const recovery::WalRecord& rec : tail) {
-    // Advance the global streams past everything the log proves was acked,
-    // even for records we skip below — a fresh write must never reuse an
-    // LSN or a global id that a replayed record already owns.
-    next_lsn_ = std::max(next_lsn_, rec.lsn + 1);
-    if (rec.type != recovery::WalRecordType::kCompactMark &&
-        rec.partition < partition_last_lsn_.size()) {
-      partition_last_lsn_[rec.partition] =
-          std::max(partition_last_lsn_[rec.partition], rec.lsn);
-    }
-    if (only_partition.has_value() && PartitionId(rec.partition) != *only_partition) {
-      continue;
-    }
-    switch (rec.type) {
-      case recovery::WalRecordType::kInsert: {
-        next_stream_id_ = std::max(next_stream_id_, rec.id + 1);
-        ++replayed;
-        auto it = store.find(PartitionId(rec.partition));
-        if (it == store.end()) break;  // replica lost; peers carry the row
-        const segment::SegmentedIndex* seg = it->second.index->segmented();
-        // Idempotent by global id: a record at or below the snapshot's
-        // watermark (or replayed twice) is already live in the replica.
-        if (seg != nullptr && seg->contains(rec.id)) break;
-        it->second.index->insert(rec.vec, rec.id);
-        break;
-      }
-      case recovery::WalRecordType::kDelete: {
-        ++replayed;
-        auto it = store.find(PartitionId(rec.partition));
-        // erase() is naturally idempotent: a second pass is a miss.
-        if (it != store.end()) (void)it->second.index->erase(rec.id);
-        break;
-      }
-      case recovery::WalRecordType::kCompactMark:
-        break;  // ordering mark only; compaction state rebuilds lazily
-    }
-  }
-  return replayed;
+// ----------------------------------------------------------- persistence ---
+//
+// An engine image is a directory: a CheckpointStore with one snapshot per
+// partition, written by snapshot_partitions() like every checkpoint, and
+// `engine.bin`, the manifest that names them. load() gives every workgroup
+// member of a partition its copy back from that one snapshot, through the
+// same restore_replica() heal uses.
+
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr std::uint32_t kImageMagic = 0x414E454D;  // "ANEM"
+constexpr std::uint32_t kImageVersion = 1;
+constexpr const char* kImageManifest = "engine.bin";
+
+/// Every persisted config field in manifest order, handed to `field`: one
+/// list for the writer and the reader.
+template <typename Config, typename Field>
+void config_fields(Config& c, const Field& field) {
+  field(c.n_workers);
+  field(c.replication);
+  field(c.n_probe);
+  field(c.one_sided);
+  field(c.exact_routing);
+  field(c.strategy);
+  field(c.threads_per_worker);
+  field(c.local_index);
+  field(c.partitioner.tree);
+  field(c.partitioner.vantage_candidates);
+  field(c.partitioner.vantage_sample);
+  field(c.partitioner.seed);
+  field(c.hnsw.M);
+  field(c.hnsw.ef_construction);
+  field(c.hnsw.ef_search);
+  field(c.hnsw.level_mult);
+  field(c.hnsw.seed);
+  field(c.hnsw.metric);
+  field(c.seed);
+  field(c.ivfpq.nlist);
+  field(c.ivfpq.nprobe);
+  field(c.ivfpq.pq.m);
+  field(c.ivfpq.pq.ks);
+  field(c.ivfpq.pq.train_iters);
+  field(c.ivfpq.pq.seed);
+  field(c.ivfpq.coarse_iters);
+  field(c.ivfpq.seed);
+  field(c.segment_delta_capacity);
+  field(c.quantize_frozen);
+  field(c.float_cache_fraction);
 }
 
-// ----------------------------------------------------------- persistence ---
+}  // namespace
 
 void DistributedAnnEngine::save(const std::string& path) const {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  std::shared_lock topology(sync_->topology);
-  BinaryWriter w;
-  w.write(kEngineMagic);
-  w.write(std::uint64_t(config_.n_workers));
-  w.write(std::uint64_t(config_.replication));
-  w.write(std::uint64_t(config_.n_probe));
-  w.write(std::uint8_t(config_.one_sided ? 1 : 0));
-  w.write(std::uint8_t(config_.exact_routing ? 1 : 0));
-  w.write(std::uint8_t(config_.strategy == DispatchStrategy::kMultipleOwner));
-  w.write(std::uint64_t(config_.threads_per_worker));
-  w.write(std::uint8_t(config_.local_index));
-  w.write(std::uint8_t(config_.partitioner.tree));
-  w.write(std::uint64_t(config_.partitioner.vantage_candidates));
-  w.write(std::uint64_t(config_.partitioner.vantage_sample));
-  w.write(config_.partitioner.seed);
-  w.write(std::uint64_t(config_.hnsw.M));
-  w.write(std::uint64_t(config_.hnsw.ef_construction));
-  w.write(std::uint64_t(config_.hnsw.ef_search));
-  w.write(config_.hnsw.level_mult);
-  w.write(config_.hnsw.seed);
-  w.write(std::int32_t(config_.hnsw.metric));
-  w.write(config_.seed);
-  w.write(std::uint64_t(config_.ivfpq.nlist));
-  w.write(std::uint64_t(config_.ivfpq.nprobe));
-  w.write(std::uint64_t(config_.ivfpq.pq.m));
-  w.write(std::uint64_t(config_.ivfpq.pq.ks));
-  w.write(std::uint64_t(config_.ivfpq.pq.train_iters));
-  w.write(config_.ivfpq.pq.seed);
-  w.write(std::uint64_t(config_.ivfpq.coarse_iters));
-  w.write(config_.ivfpq.seed);
-  w.write(std::uint64_t(config_.segment_delta_capacity));
-  w.write(std::uint8_t(config_.quantize_frozen ? 1 : 0));
-  w.write(config_.float_cache_fraction);
-  w.write(next_stream_id_);  // id stream survives save/load, never reused
-  w.write(next_lsn_);        // LSN stream too: WAL replay resumes past it
+  fs::path target(path);
+  if (!target.has_filename()) target = target.parent_path();
+  ANNSIM_CHECK_MSG(!fs::is_directory(target) || fs::is_empty(target) ||
+                       fs::exists(target / kImageManifest),
+                   "refusing to replace " << path
+                                          << ": a directory that is not an "
+                                             "engine image");
+  // The image is written whole into a hidden sibling and renamed into
+  // place: a crash leaves the old image, the new one, or none (a typed
+  // error on load), never partitions of two saves.
+  const fs::path staging =
+      target.parent_path() / ("." + target.filename().string() + ".staging");
+  fs::remove_all(staging);
 
-  BinaryWriter tree;
-  router_->serialize(tree);
-  w.write_vector(tree.take());
-
-  w.write(std::uint64_t(workers_.size()));
-  for (const auto& store : workers_) {
-    w.write(std::uint64_t(store.size()));
-    for (const auto& [pid, rep] : store) {
-      w.write(pid);
-      w.write_vector(pack_dataset(*rep.data));
-      w.write_vector(rep.index->to_bytes());
+  BinaryWriter m;
+  m.write(kImageMagic);
+  m.write(kImageVersion);
+  {
+    // At a write-round boundary: no insert, delete or compaction is half
+    // applied, and the counters match the replicas.
+    std::lock_guard api(sync_->write_api);
+    std::shared_lock topology(sync_->topology);
+    config_fields(config_, [&](const auto& v) { m.write(v); });
+    m.write(next_stream_id_);  // id stream survives save/load, never reused
+    m.write(next_lsn_);        // LSN stream too: WAL replay resumes past it
+    BinaryWriter tree;
+    router_->serialize(tree);
+    m.write_vector(tree.take());
+    m.write_vector(build_stats_.partition_sizes);
+    // A partition with no copy left has no snapshot and stays missing.
+    const auto snaps =
+        snapshot_partitions(recovery::CheckpointStore(staging.string()));
+    m.write(std::uint64_t(std::count_if(
+        snaps.begin(), snaps.end(), [](const auto& s) { return s.has_value(); })));
+    for (std::size_t p = 0; p < snaps.size(); ++p) {
+      if (!snaps[p]) continue;
+      m.write(PartitionId(p));
+      m.write(snaps[p]->manifest_checksum);
     }
   }
-
-  // Build stats travel along so a loaded engine reports sane metadata.
-  w.write(build_stats_.total_seconds);
-  w.write(build_stats_.vp_tree_seconds);
-  w.write(build_stats_.hnsw_seconds);
-  w.write(build_stats_.replication_seconds);
-  w.write_vector(build_stats_.partition_sizes);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ANNSIM_CHECK_MSG(out.good(), "cannot open for writing: " << path);
-  out.write(reinterpret_cast<const char*>(w.bytes().data()),
-            std::streamsize(w.size()));
-  ANNSIM_CHECK(out.good());
+  m.write(recovery::checksum64(m.bytes()));
+  recovery::DurableFile::write_atomic((staging / kImageManifest).string(),
+                                      m.bytes());
+  fs::remove_all(target);
+  std::error_code ec;
+  fs::rename(staging, target, ec);
+  ANNSIM_CHECK_MSG(!ec, "rename " << staging.string() << " -> " << path << ": "
+                                  << ec.message());
+  recovery::DurableFile::sync_dir(target.parent_path().string());
 }
 
 DistributedAnnEngine DistributedAnnEngine::load(
     const std::string& path, const std::string& checkpoint_dir,
     const std::string& wal_dir) {
-  std::ifstream in(path, std::ios::binary);
-  ANNSIM_CHECK_MSG(in.good(), "cannot open for reading: " << path);
-  in.seekg(0, std::ios::end);
-  std::vector<std::byte> bytes(std::size_t(in.tellg()));
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(bytes.data()), std::streamsize(bytes.size()));
-  ANNSIM_CHECK(in.good());
-
+  const fs::path root(path);
+  ANNSIM_CHECK_MSG(!fs::is_regular_file(root),
+                   path << " is a file: single-file \"ANIF\" engine images "
+                           "are a format this version does not read; rebuild "
+                           "the index (an engine image is a directory)");
+  ANNSIM_CHECK_MSG(fs::exists(root / kImageManifest),
+                   "no engine image at " << path << " (" << kImageManifest
+                                         << " missing)");
+  auto bytes = recovery::DurableFile::read_all((root / kImageManifest).string());
+  std::uint64_t sum = 0;
+  ANNSIM_CHECK_MSG(bytes.size() >= sizeof(sum),
+                   "engine manifest truncated in " << path);
+  std::memcpy(&sum, bytes.data() + bytes.size() - sizeof(sum), sizeof(sum));
+  bytes.resize(bytes.size() - sizeof(sum));
+  ANNSIM_CHECK_MSG(recovery::checksum64(bytes) == sum,
+                   "engine manifest checksum mismatch in " << path);
   BinaryReader r(bytes);
-  ANNSIM_CHECK_MSG(r.read<std::uint32_t>() == kEngineMagic,
-                   "bad engine file magic (an image older than the current "
-                   "format, or not an engine file)");
+  ANNSIM_CHECK_MSG(r.read<std::uint32_t>() == kImageMagic,
+                   "bad engine manifest magic in " << path);
+  const auto version = r.read<std::uint32_t>();
+  ANNSIM_CHECK_MSG(version == kImageVersion,
+                   "unsupported engine manifest version " << version);
+
   DistributedAnnEngine eng;
-  eng.config_.n_workers = r.read<std::uint64_t>();
-  eng.config_.replication = r.read<std::uint64_t>();
-  eng.config_.n_probe = r.read<std::uint64_t>();
-  eng.config_.one_sided = r.read<std::uint8_t>() != 0;
-  eng.config_.exact_routing = r.read<std::uint8_t>() != 0;
-  eng.config_.strategy = r.read<std::uint8_t>() != 0
-                             ? DispatchStrategy::kMultipleOwner
-                             : DispatchStrategy::kMasterWorker;
-  eng.config_.threads_per_worker = r.read<std::uint64_t>();
-  eng.config_.local_index = LocalIndexKind(r.read<std::uint8_t>());
-  eng.config_.partitioner.tree =
-      vptree::PartitionTreeKind(r.read<std::uint8_t>());
-  eng.config_.partitioner.vantage_candidates = r.read<std::uint64_t>();
-  eng.config_.partitioner.vantage_sample = r.read<std::uint64_t>();
-  eng.config_.partitioner.seed = r.read<std::uint64_t>();
-  eng.config_.hnsw.M = r.read<std::uint64_t>();
-  eng.config_.hnsw.ef_construction = r.read<std::uint64_t>();
-  eng.config_.hnsw.ef_search = r.read<std::uint64_t>();
-  eng.config_.hnsw.level_mult = r.read<double>();
-  eng.config_.hnsw.seed = r.read<std::uint64_t>();
-  eng.config_.hnsw.metric = simd::Metric(r.read<std::int32_t>());
-  eng.config_.seed = r.read<std::uint64_t>();
-  eng.config_.ivfpq.nlist = r.read<std::uint64_t>();
-  eng.config_.ivfpq.nprobe = r.read<std::uint64_t>();
-  eng.config_.ivfpq.pq.m = r.read<std::uint64_t>();
-  eng.config_.ivfpq.pq.ks = r.read<std::uint64_t>();
-  eng.config_.ivfpq.pq.train_iters = r.read<std::uint64_t>();
-  eng.config_.ivfpq.pq.seed = r.read<std::uint64_t>();
-  eng.config_.ivfpq.coarse_iters = r.read<std::uint64_t>();
-  eng.config_.ivfpq.seed = r.read<std::uint64_t>();
-  eng.config_.segment_delta_capacity = r.read<std::uint64_t>();
-  eng.config_.quantize_frozen = r.read<std::uint8_t>() != 0;
-  eng.config_.float_cache_fraction = r.read<double>();
+  config_fields(eng.config_, [&](auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r.read<std::uint8_t>() != 0;
+    } else {
+      v = r.read<T>();
+    }
+  });
   eng.next_stream_id_ = r.read<GlobalId>();
   eng.next_lsn_ = r.read<std::uint64_t>();
-  // The file is as untrusted as any caller: hold the decoded config to the
-  // constructor's rules before anything sizes itself from it.
+  // The manifest is as untrusted as any caller: hold the decoded config to
+  // the constructor's rules before anything sizes itself from it.
   validate_engine_config(eng.config_);
-
-  auto tree_bytes = r.read_vector<std::byte>();
+  const std::size_t P = eng.config_.n_workers;
+  const auto tree_bytes = r.read_vector<std::byte>();
   BinaryReader tr(tree_bytes);
   eng.router_.emplace(vptree::PartitionTree::deserialize(tr));
-  ANNSIM_CHECK_MSG(eng.router_->n_partitions() == eng.config_.n_workers,
-                   "engine file router has " << eng.router_->n_partitions()
-                                             << " partitions for "
-                                             << eng.config_.n_workers
-                                             << " workers");
-
-  const auto n_workers = r.read<std::uint64_t>();
-  ANNSIM_CHECK(n_workers == eng.config_.n_workers);
-  eng.workers_.resize(n_workers);
-  eng.partition_last_lsn_.assign(n_workers, 0);
-  const LocalIndexParams lp = local_index_params(eng.config_);
-  for (auto& store : eng.workers_) {
-    const auto n_replicas = r.read<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n_replicas; ++i) {
-      const auto pid = r.read<PartitionId>();
-      const auto data_bytes = r.read_vector<std::byte>();
-      const auto index_bytes = r.read_vector<std::byte>();
-      Replica rep;
-      rep.data = std::make_unique<data::Dataset>(
-          unpack_dataset(data_bytes, eng.router_->dim()));
-      rep.index = local_index_from_bytes(index_bytes, rep.data.get(), lp);
-      store.emplace(pid, std::move(rep));
-    }
-  }
-
-  eng.build_stats_.total_seconds = r.read<double>();
-  eng.build_stats_.vp_tree_seconds = r.read<double>();
-  eng.build_stats_.hnsw_seconds = r.read<double>();
-  eng.build_stats_.replication_seconds = r.read<double>();
+  ANNSIM_CHECK_MSG(eng.router_->n_partitions() == P,
+                   "engine manifest router has " << eng.router_->n_partitions()
+                                                 << " partitions for " << P
+                                                 << " workers");
   eng.build_stats_.partition_sizes = r.read_vector<std::size_t>();
-  ANNSIM_CHECK_MSG(r.exhausted(), "trailing bytes in engine file");
+  ANNSIM_CHECK_MSG(eng.build_stats_.partition_sizes.size() == P,
+                   "engine manifest has " << eng.build_stats_.partition_sizes.size()
+                                          << " partition sizes for " << P
+                                          << " partitions");
+  const auto n_covered = r.read<std::uint64_t>();
+  ANNSIM_CHECK_MSG(n_covered <= P, "engine manifest covers " << n_covered
+                                                             << " of " << P
+                                                             << " partitions");
+  std::vector<std::pair<PartitionId, std::uint64_t>> covered(n_covered);
+  for (auto& [p, manifest_sum] : covered) {
+    p = r.read<PartitionId>();
+    manifest_sum = r.read<std::uint64_t>();
+    ANNSIM_CHECK_MSG(p < P, "engine manifest names partition " << p << " of "
+                                                               << P);
+  }
+  ANNSIM_CHECK_MSG(r.exhausted(), "trailing bytes in engine manifest " << path);
 
-  eng.health_.reset(eng.config_.n_workers);
+  eng.workers_.resize(P);
+  eng.partition_last_lsn_.assign(P, 0);
+  eng.health_.reset(P);
   eng.config_.checkpoint_dir = checkpoint_dir;
   if (!wal_dir.empty()) {
-    // Re-attach the WALs and replay any records past the engine file's LSN
-    // edge: writes acked after the save() but before the crash live only in
-    // the logs, and the ack contract says they must come back.
+    // Re-attach the WALs: each restored replica replays its worker's log
+    // past its snapshot's watermark, so writes acked after the save() but
+    // before a crash come back, as the ack contract says they must.
     ANNSIM_CHECK_MSG(eng.config_.local_index == LocalIndexKind::kSegmented,
                      "wal_dir requires the segmented local index");
     eng.config_.wal_dir = wal_dir;
     eng.open_wals();
-    const std::uint64_t edge = eng.next_lsn_ > 0 ? eng.next_lsn_ - 1 : 0;
-    for (std::size_t w = 0; w < eng.workers_.size(); ++w) {
-      (void)eng.replay_wal_into_worker(w, edge);
+  }
+  const recovery::CheckpointStore store(path);
+  for (const auto& [p, manifest_sum] : covered) {
+    const auto snap = store.load(p);
+    ANNSIM_CHECK_MSG(snap.manifest_checksum == manifest_sum,
+                     "partition " << p << " in " << path
+                                  << " is not the snapshot its engine "
+                                     "manifest names (another save's)");
+    // Algorithm 5's workgroup W_p = {p, ..., p+r-1 mod P}.
+    for (std::size_t j = 0; j < eng.config_.replication; ++j) {
+      (void)eng.restore_replica((p + j) % P, snap);
     }
   }
   eng.save_checkpoints();  // no-op without a checkpoint dir

@@ -268,13 +268,11 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
       return std::make_unique<IvfPqLocalIndex>(data, params.ivfpq);
     case LocalIndexKind::kSegmented: {
       // The image is self-contained (it owns its vectors); `data` is the
-      // replica's empty placeholder Dataset, used only to sanity-check dim.
-      auto idx = segment::SegmentedIndex::from_bytes(bytes);
-      ANNSIM_CHECK_MSG(data->dim() == 0 || data->dim() == idx->dim(),
-                       "segmented image dim " << idx->dim()
-                                              << " != replica dim "
-                                              << data->dim());
-      return std::make_unique<SegmentedLocalIndex>(std::move(idx));
+      // replica's empty placeholder Dataset, which carries only the dim.
+      const segment::SegmentedIndex::Expected expect{data->dim(),
+                                                      segmented_params(params)};
+      return std::make_unique<SegmentedLocalIndex>(
+          segment::SegmentedIndex::from_bytes(bytes, &expect));
     }
   }
   ANNSIM_CHECK_MSG(false, "unknown local index kind");

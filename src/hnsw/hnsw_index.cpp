@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "annsim/common/error.hpp"
@@ -483,28 +482,6 @@ std::vector<std::byte> HnswIndex::to_bytes() const {
     }
   }
   return w.take();
-}
-
-void HnswIndex::save(const std::string& path) const {
-  const auto bytes = to_bytes();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ANNSIM_CHECK_MSG(out.good(), "cannot open for writing: " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            std::streamsize(bytes.size()));
-  ANNSIM_CHECK(out.good());
-}
-
-HnswIndex HnswIndex::load(const std::string& path, const data::Dataset* data) {
-  std::ifstream in(path, std::ios::binary);
-  ANNSIM_CHECK_MSG(in.good(), "cannot open for reading: " << path);
-  std::vector<std::byte> bytes;
-  in.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  bytes.resize(size);
-  in.read(reinterpret_cast<char*>(bytes.data()), std::streamsize(size));
-  ANNSIM_CHECK(in.good());
-  return from_bytes(bytes, data);
 }
 
 HnswIndex HnswIndex::from_bytes(std::span<const std::byte> bytes,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "annsim/common/error.hpp"
 #include "annsim/common/serialize.hpp"
@@ -45,19 +44,6 @@ void write_file(const fs::path& path, std::span<const std::byte> bytes) {
   DurableFile f = DurableFile::open_append(path.string());
   f.append(bytes);
   f.sync();
-}
-
-std::vector<std::byte> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ANNSIM_CHECK_MSG(in.good(), "cannot open " << path.string() << " for reading");
-  const auto size = std::streamsize(in.tellg());
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  if (size != 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-  }
-  ANNSIM_CHECK_MSG(in.good(), "short read from " << path.string());
-  return bytes;
 }
 
 /// One payload file's entry in the manifest.
@@ -103,9 +89,9 @@ CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-void CheckpointStore::save(const CheckpointMeta& meta,
-                           std::span<const std::byte> data_bytes,
-                           std::span<const std::byte> index_bytes) const {
+CheckpointStore::SaveReport CheckpointStore::save(
+    const CheckpointMeta& meta, std::span<const std::byte> data_bytes,
+    std::span<const std::byte> index_bytes) const {
   BinaryWriter manifest;
   manifest.write(kManifestMagic);
   manifest.write(kManifestVersion);
@@ -133,6 +119,9 @@ void CheckpointStore::save(const CheckpointMeta& meta,
   fs::rename(staging, target);
   // The directory-entry rename is the commit; fsync the root so it sticks.
   DurableFile::sync_dir(dir_);
+  SaveReport report;
+  report.manifest_checksum = checksum64(manifest.bytes());
+  return report;
 }
 
 namespace {
@@ -157,7 +146,8 @@ CheckpointStore::SaveReport CheckpointStore::save_segmented(
   // the v3 watermark extension) are accepted here.
   std::uint64_t generation = 0;
   if (fs::exists(pdir / kManifestFile)) {
-    const auto old_bytes = read_file(pdir / kManifestFile);
+    const auto old_bytes =
+        DurableFile::read_all((pdir / kManifestFile).string());
     BinaryReader old(old_bytes);
     if (old.remaining() >= 2 * sizeof(std::uint32_t) &&
         old.read<std::uint32_t>() == kManifestMagic) {
@@ -211,6 +201,7 @@ CheckpointStore::SaveReport CheckpointStore::save_segmented(
   // Commit point: readers see the old manifest (old generation, old segment
   // set) until this rename lands.
   write_file_atomic(pdir / kManifestFile, manifest.bytes());
+  report.manifest_checksum = checksum64(manifest.bytes());
 
   // Post-commit GC: drop delta generations other than the committed one and
   // segment files the manifest no longer references (merged away by
@@ -240,8 +231,11 @@ CheckpointStore::LoadedPartition CheckpointStore::load(
                    "checkpoint manifest missing for partition "
                        << partition << " under " << dir_);
 
-  const auto manifest_bytes = read_file(pdir / kManifestFile);
+  const auto manifest_bytes =
+      DurableFile::read_all((pdir / kManifestFile).string());
   BinaryReader manifest(manifest_bytes);
+  LoadedPartition out;
+  out.manifest_checksum = checksum64(manifest_bytes);
   ANNSIM_CHECK_MSG(manifest.remaining() >= sizeof(kManifestMagic) &&
                        manifest.read<std::uint32_t>() == kManifestMagic,
                    "bad checkpoint manifest magic for partition " << partition);
@@ -251,7 +245,6 @@ CheckpointStore::LoadedPartition CheckpointStore::load(
                        version == kManifestVersionWal,
                    "unsupported checkpoint manifest version " << version);
 
-  LoadedPartition out;
   out.meta.partition = manifest.read<std::uint32_t>();
   out.meta.dim = manifest.read<std::uint64_t>();
   out.meta.count = manifest.read<std::uint64_t>();
@@ -271,7 +264,7 @@ CheckpointStore::LoadedPartition CheckpointStore::load(
                                                           "checkpoint) for "
                                                           "partition "
                                                        << partition);
-    auto bytes = read_file(p);
+    auto bytes = DurableFile::read_all(p.string());
     ANNSIM_CHECK_MSG(bytes.size() == rec.size,
                      "checkpoint file " << name << " truncated for partition "
                                         << partition << ": expected "

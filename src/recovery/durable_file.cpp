@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "annsim/common/error.hpp"
@@ -111,6 +112,17 @@ void DurableFile::sync_dir(const std::string& dir) {
   ANNSIM_CHECK_MSG(rc == 0,
                    "fsync failed on directory " << dir << ": "
                                                 << std::strerror(errno));
+}
+
+std::vector<std::byte> DurableFile::read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  ANNSIM_CHECK_MSG(in.good(), "cannot open " << path << " for reading");
+  const std::streamsize n = in.tellg();
+  in.seekg(0);
+  std::vector<std::byte> bytes(static_cast<std::size_t>(n));
+  if (n > 0) in.read(reinterpret_cast<char*>(bytes.data()), n);
+  ANNSIM_CHECK_MSG(in.good(), "short read from " << path);
+  return bytes;
 }
 
 }  // namespace annsim::recovery

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "annsim/common/error.hpp"
@@ -35,17 +34,6 @@ std::array<std::uint32_t, 256> make_crc32c_table() {
   return table;
 }
 
-std::vector<std::byte> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ANNSIM_CHECK_MSG(in.good(), "cannot open WAL file " << path);
-  const std::streamsize n = in.tellg();
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(n));
-  if (n > 0) in.read(reinterpret_cast<char*>(bytes.data()), n);
-  ANNSIM_CHECK_MSG(in.good(), "cannot read WAL file " << path);
-  return bytes;
-}
-
 /// Result of validating one log file: the records that check out, the byte
 /// offset of the first invalid frame (== file size when the whole file is
 /// valid), and whether even the header was usable.
@@ -56,7 +44,7 @@ struct ScanResult {
 };
 
 ScanResult scan_file(const std::string& path) {
-  const std::vector<std::byte> bytes = slurp(path);
+  const std::vector<std::byte> bytes = DurableFile::read_all(path);
   ScanResult out;
   if (bytes.size() < kHeaderBytes) return out;
   {

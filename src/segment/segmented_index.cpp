@@ -435,7 +435,7 @@ std::vector<std::byte> SegmentedIndex::to_bytes() const {
 }
 
 std::unique_ptr<SegmentedIndex> SegmentedIndex::from_bytes(
-    std::span<const std::byte> bytes) {
+    std::span<const std::byte> bytes, const Expected* expect) {
   BinaryReader r(bytes);
   const auto header = r.read_vector<std::byte>();
   const auto n_segments = r.read<std::uint64_t>();
@@ -448,13 +448,13 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_bytes(
   const auto delta = r.read_vector<std::byte>();
   ANNSIM_CHECK_MSG(r.exhausted(),
                    "SegmentedIndex::from_bytes: trailing bytes after image");
-  return from_parts(header, segments, delta);
+  return from_parts(header, segments, delta, expect);
 }
 
 std::unique_ptr<SegmentedIndex> SegmentedIndex::from_parts(
     std::span<const std::byte> header,
     std::span<const std::pair<std::uint64_t, std::vector<std::byte>>> segments,
-    std::span<const std::byte> delta) {
+    std::span<const std::byte> delta, const Expected* expect) {
   BinaryReader h(header);
   const auto magic = h.read<std::uint32_t>();
   ANNSIM_CHECK_MSG(magic == kMagic,
@@ -478,6 +478,23 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_parts(
   }
   ANNSIM_CHECK_MSG(h.exhausted(),
                    "SegmentedIndex: trailing bytes in header blob");
+  if (expect != nullptr) {
+    const SegmentedParams& e = expect->params;
+    ANNSIM_CHECK_MSG(
+        dim == expect->dim && params.hnsw.metric == e.hnsw.metric &&
+            params.hnsw.M == e.hnsw.M &&
+            params.hnsw.ef_construction == e.hnsw.ef_construction &&
+            params.hnsw.ef_search == e.hnsw.ef_search &&
+            params.hnsw.level_mult == e.hnsw.level_mult &&
+            params.delta_capacity == e.delta_capacity &&
+            params.quantize_frozen == e.quantize_frozen &&
+            (!e.quantize_frozen ||
+             params.float_cache_fraction == e.float_cache_fraction),
+        "SegmentedIndex: image (dim " << dim << ", delta capacity "
+                                      << params.delta_capacity
+                                      << ") does not match the index it "
+                                         "restores into");
+  }
 
   std::unique_ptr<SegmentedIndex> idx(
       new SegmentedIndex(params, std::size_t(dim)));

@@ -58,17 +58,6 @@ QueryServer::QueryServer(core::DistributedAnnEngine* engine,
       config_.compact_at_fill == 0 ||
           engine_->config().local_index == core::LocalIndexKind::kSegmented,
       "compact_at_fill requires a segmented engine (local_index=segmented)");
-  ANNSIM_CHECK_MSG(
-      config_.wal_dir.empty() ||
-          engine_->config().local_index == core::LocalIndexKind::kSegmented,
-      "wal_dir requires a segmented engine (local_index=segmented)");
-  if (!config_.wal_dir.empty() && engine_->config().wal_dir.empty()) {
-    // Attach before the scheduler thread starts: enable_wal replays any
-    // leftover tail into the replicas, and serving must not observe a
-    // half-replayed topology. An engine whose WAL is already open (built
-    // with EngineConfig::wal_dir) keeps its logs.
-    engine_->enable_wal(config_.wal_dir, config_.wal_group_commit);
-  }
   ANNSIM_CHECK_MSG(config_.brownout_target_ms >= 0.0,
                    "brownout_target_ms cannot be negative (got "
                        << config_.brownout_target_ms << "; 0 disables brownout)");

@@ -275,7 +275,7 @@ TEST(EngineRecovery, LoadWithCheckpointDirSnapshotsEveryPartition) {
   recovery::CheckpointStore store(scratch.path());
   EXPECT_EQ(store.partitions(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
   EXPECT_TRUE(loaded.health().all_alive());
-  fs::remove(idx);
+  fs::remove_all(idx);
 }
 
 TEST(EngineRecovery, HealIsSeedDeterministic) {

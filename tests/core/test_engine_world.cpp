@@ -121,7 +121,7 @@ TEST(EngineWorld, MovedAndLoadedEnginesServe) {
   auto loaded = DistributedAnnEngine::load(path);
   EXPECT_TRUE(same_answers(loaded.search(w.queries, 5), want));
   EXPECT_TRUE(same_answers(loaded.search(w.queries, 5), want));
-  fs::remove(path);
+  fs::remove_all(path);
 }
 
 TEST(EngineWorld, KilledRankStaysSilentAcrossOperationsUntilHeal) {

@@ -1,7 +1,7 @@
 /// \file test_graph_image_fuzz.cpp
-/// \brief Corrupt graph images are rejected with a typed error. Engine files
-/// and peer-streamed replicas carry no checksum, so every byte of an
-/// HnswIndex (ANN1) or SqSegment (ANQ1) image reaches the one graph decoder
+/// \brief Corrupt graph images are rejected with a typed error.
+/// Peer-streamed replicas carry no checksum, so every byte of an HnswIndex
+/// (ANN1) or SqSegment (ANQ1) image reaches the one graph decoder
 /// (FlatGraph::read). Each mutant must either throw annsim::Error or decode
 /// to an index whose searches run clean (the sanitizer jobs check "clean").
 

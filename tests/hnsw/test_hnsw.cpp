@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <unistd.h>
-
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 
@@ -185,20 +182,15 @@ TEST(Hnsw, BytesRoundTripPreservesSearch) {
   }
 }
 
-TEST(Hnsw, FileSaveLoadRoundTrip) {
+TEST(Hnsw, ImageRoundTripOnASmallIndex) {
   auto w = data::make_sift_like(400, 5, 8);
   HnswIndex index(&w.base, fast_params());
   index.build();
-  const auto path = (std::filesystem::temp_directory_path() /
-                     ("annsim_hnsw_" + std::to_string(::getpid()) + ".bin"))
-                        .string();
-  index.save(path);
-  HnswIndex loaded = HnswIndex::load(path, &w.base);
+  HnswIndex loaded = HnswIndex::from_bytes(index.to_bytes(), &w.base);
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     EXPECT_EQ(loaded.search(w.queries.row(q), 5),
               index.search(w.queries.row(q), 5));
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Hnsw, LoadRejectsWrongDataset) {

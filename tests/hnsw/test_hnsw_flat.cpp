@@ -8,9 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -184,17 +181,12 @@ TEST(HnswFlat, StatsAgreeAcrossRepresentations) {
   EXPECT_DOUBLE_EQ(sf.avg_degree_level0, sl.avg_degree_level0);
 }
 
-TEST(HnswFlat, SaveLoadThroughFlatForm) {
+TEST(HnswFlat, ImageRoundTripThroughFlatForm) {
   auto w = data::make_sift_like(500, 10, 41);
   HnswIndex index(&w.base, test_params(simd::Metric::kL2));
   index.build();
 
-  const auto path = (std::filesystem::temp_directory_path() /
-                     ("annsim_flat_" + std::to_string(::getpid()) + ".idx"))
-                        .string();
-  index.save(path);
-  auto loaded = HnswIndex::load(path, &w.base);
-  std::filesystem::remove(path);
+  auto loaded = HnswIndex::from_bytes(index.to_bytes(), &w.base);
 
   EXPECT_TRUE(loaded.is_frozen());
   for (std::size_t q = 0; q < w.queries.size(); ++q) {

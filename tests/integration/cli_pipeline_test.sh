@@ -13,6 +13,30 @@ trap 'rm -rf "$DIR"' EXIT
 "$CLI" search "$DIR/demo.idx" "$DIR/demo_query.fvecs" 10 "$DIR/res.ivecs"
 "$CLI" info "$DIR/demo.idx" | grep -q "8 partitions"
 
+# An image is content: the same build saves the same bytes, and replication
+# does not multiply it (one snapshot per partition, not per replica).
+"$CLI" build "$DIR/demo_base.fvecs" "$DIR/twin.idx" --workers 8 --M 12 --efc 80
+diff -r "$DIR/demo.idx" "$DIR/twin.idx" || {
+  echo "FAIL: two identical builds saved different images"
+  exit 1
+}
+"$CLI" build "$DIR/demo_base.fvecs" "$DIR/r2.idx" --workers 8 --M 12 --efc 80 \
+  --replication 2
+image_bytes() { find "$1" -type f -printf '%s\n' | awk '{ s += $1 } END { print s }'; }
+BYTES1="$(image_bytes "$DIR/demo.idx")"
+BYTES2="$(image_bytes "$DIR/r2.idx")"
+awk -v a="$BYTES1" -v b="$BYTES2" 'BEGIN { exit !(b <= 1.05 * a) }' || {
+  echo "FAIL: r=2 image is $BYTES2 bytes against $BYTES1 at r=1"
+  exit 1
+}
+# Replicas are copies: the r=2 engine loaded from its image answers exactly
+# as the r=1 one does.
+"$CLI" search "$DIR/r2.idx" "$DIR/demo_query.fvecs" 10 "$DIR/res_r2.ivecs"
+cmp "$DIR/res.ivecs" "$DIR/res_r2.ivecs" || {
+  echo "FAIL: r=2 answers differ from r=1"
+  exit 1
+}
+
 RECALL_LINE="$("$CLI" eval "$DIR/res.ivecs" "$DIR/gt.ivecs" 10)"
 echo "$RECALL_LINE"
 RECALL="$(echo "$RECALL_LINE" | sed -n 's/recall@10 = \([0-9.]*\).*/\1/p')"

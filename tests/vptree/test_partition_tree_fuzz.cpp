@@ -1,10 +1,10 @@
 /// \file test_partition_tree_fuzz.cpp
 /// \brief Corrupt partition-tree images are rejected with a typed error.
-/// Engine files carry the router's image with no checksum, so every byte of
-/// it reaches PartitionTree::deserialize. Each mutant must either throw
-/// annsim::Error or decode to a tree that routes clean (the sanitizer jobs
-/// check "clean"), and every tree it accepts is a proper tree over all
-/// partitions.
+/// The engine manifest is checksummed, but the decoder may not rely on it:
+/// every byte of the router's image reaches PartitionTree::deserialize.
+/// Each mutant must either throw annsim::Error or decode to a tree that
+/// routes clean (the sanitizer jobs check "clean"), and every tree it
+/// accepts is a proper tree over all partitions.
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,9 @@
 ///   annsim search /tmp/demo.idx /tmp/demo_query.fvecs 10 /tmp/demo_res.ivecs
 ///   annsim eval /tmp/demo_res.ivecs /tmp/demo_gt.ivecs 10
 ///   annsim info /tmp/demo.idx
+///
+/// An index (`demo.idx` above) is a directory: one checkpoint snapshot per
+/// partition plus the engine manifest `engine.bin`.
 
 #include <algorithm>
 #include <atomic>
@@ -47,15 +50,15 @@ using namespace annsim;
                "  annsim gen <SIFT|DEEP|GIST|SYN_1M|SYN_10M> <n_base> "
                "<n_queries> <out_prefix> [seed]\n"
                "  annsim gt <base.fvecs> <query.fvecs> <k> <out.ivecs>\n"
-               "  annsim build <base.fvecs> <out.idx> [--workers N] "
+               "  annsim build <base.fvecs> <out_dir> [--workers N] "
                "[--replication R] [--nprobe P] [--M m] [--efc e] [--local "
                "hnsw|bruteforce|exacttree|ivfpq|segmented] [--delta-cap C] "
                "[--quantize sq8] [--float-cache F] [--two-sided]\n"
-               "  annsim search <index.idx> <query.fvecs> <k> <out.ivecs> "
+               "  annsim search <index_dir> <query.fvecs> <k> <out.ivecs> "
                "[--ef E]\n"
                "  annsim eval <result.ivecs> <gt.ivecs> <k>\n"
-               "  annsim info <index.idx>\n"
-               "  annsim serve-bench <index.idx> <query.fvecs> <k> [--qps Q] "
+               "  annsim info <index_dir>\n"
+               "  annsim serve-bench <index_dir> <query.fvecs> <k> [--qps Q] "
                "[--requests N] [--max-batch B] [--max-delay-ms D] "
                "[--queue-cap C] [--block] [--deadline-ms X] [--closed-loop] "
                "[--clients N] [--ef E] [--write-ratio X] [--compact-at-fill F] "
@@ -293,8 +296,7 @@ int cmd_info(int argc, char** argv) {
               core::local_index_kind_name(cfg.local_index), cfg.hnsw.M,
               cfg.hnsw.ef_construction,
               cfg.one_sided ? "one-sided" : "two-sided");
-  std::printf("router depth %zu, build time %.2fs\n", engine.router().depth(),
-              engine.build_stats().total_seconds);
+  std::printf("router depth %zu\n", engine.router().depth());
   return 0;
 }
 
