@@ -231,8 +231,8 @@ void BM_SlotMerge(benchmark::State& state) {
   const auto merge = core::knn_slot_merge(layout);
   const std::span<const Neighbor> all(local);
   std::vector<std::byte> merged_once(layout.slot_bytes());
-  merge(merged_once, core::encode_slot_update(all.first(10), layout, 0));
-  const auto update = core::encode_slot_update(all.last(10), layout, 1);
+  merge(merged_once, core::encode_slot_update(all.first(10), layout, 0, 0));
+  const auto update = core::encode_slot_update(all.last(10), layout, 1, 0);
   std::vector<std::byte> slot(layout.slot_bytes());
   for (auto _ : state) {
     slot = merged_once;

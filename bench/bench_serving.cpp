@@ -1,14 +1,10 @@
 /// Serving-plane benchmark: open-loop Poisson load against a built engine.
 ///
 /// Not a paper figure — this measures the artifact the ROADMAP's production
-/// north star needs: how the dynamic micro-batching policy (max_batch,
-/// max_delay) trades tail latency against throughput when requests arrive
-/// over time instead of as one offline batch, where the saturation point
-/// sits, and what load shedding + deadlines do at overload.
-///
-/// Latency floor note: every micro-batch spins up the simulated MPI runtime
-/// (P+1 threads), so absolute latencies carry ~1ms of runtime overhead a
-/// real deployment would not pay; the policy *comparisons* are the result.
+/// north star needs: how the number of queries in flight (max_batch, the
+/// query stream's slots) trades tail latency against throughput when
+/// requests arrive over time instead of as one offline batch, where the
+/// saturation point sits, and what load shedding + deadlines do at overload.
 
 #include <algorithm>
 #include <cstdio>
@@ -39,7 +35,7 @@ std::size_t requests_for(double qps, double target_seconds) {
 
 int main() {
   bench::print_header(
-      "Serving: dynamic micro-batching under open-loop Poisson load");
+      "Serving: a query stream under open-loop Poisson load");
 
   auto w = data::make_sift_like(bench::scaled(20000), 512, 42);
 
@@ -55,42 +51,38 @@ int main() {
               w.base.size(), w.base.dim(), cfg.n_workers,
               engine.build_stats().total_seconds);
 
-  // --- 1. batching-policy sweep at fixed offered load -----------------------
+  // --- 1. slots sweep at fixed offered load --------------------------------
   const double kSweepQps = 1500.0;
-  std::printf("\n[1] batching policy @ %.0f q/s offered, k=10\n", kSweepQps);
-  std::printf("%9s %10s | %9s %8s %8s %8s %8s | %10s %8s\n", "max_batch",
-              "max_delay", "thpt q/s", "p50 ms", "p95 ms", "p99 ms", "p999 ms",
-              "mean batch", "rejected");
+  std::printf("\n[1] slots in flight @ %.0f q/s offered, k=10\n", kSweepQps);
+  std::printf("%9s | %9s %8s %8s %8s %8s | %10s %8s\n", "max_batch",
+              "thpt q/s", "p50 ms", "p95 ms", "p99 ms", "p999 ms",
+              "in flight", "rejected");
   for (std::size_t mb : {std::size_t(1), std::size_t(8), std::size_t(32)}) {
-    for (double md : {0.5, 2.0, 8.0}) {
-      serve::ServerConfig sc;
-      sc.max_batch = mb;
-      sc.max_delay_ms = md;
-      sc.queue_capacity = 512;
-      serve::LoadGenConfig lg;
-      lg.qps = kSweepQps;
-      lg.n_requests = requests_for(kSweepQps, 1.0);
-      lg.k = 10;
-      lg.seed = 7;
-      const auto rep = run_once(engine, w.queries, sc, lg);
-      const auto& m = rep.metrics;
-      std::printf("%9zu %8.1fms | %9.0f %8.3f %8.3f %8.3f %8.3f | %10.1f %8zu\n",
-                  mb, md, m.throughput_qps, m.latency_p50_ms, m.latency_p95_ms,
-                  m.latency_p99_ms, m.latency_p999_ms, m.batch_size.mean,
-                  m.rejected);
-    }
+    serve::ServerConfig sc;
+    sc.max_batch = mb;
+    sc.queue_capacity = 512;
+    serve::LoadGenConfig lg;
+    lg.qps = kSweepQps;
+    lg.n_requests = requests_for(kSweepQps, 1.0);
+    lg.k = 10;
+    lg.seed = 7;
+    const auto rep = run_once(engine, w.queries, sc, lg);
+    const auto& m = rep.metrics;
+    std::printf("%9zu | %9.0f %8.3f %8.3f %8.3f %8.3f | %10.1f %8zu\n", mb,
+                m.throughput_qps, m.latency_p50_ms, m.latency_p95_ms,
+                m.latency_p99_ms, m.latency_p999_ms, m.batch_size.mean,
+                m.rejected);
   }
 
   // --- 2. load sweep at fixed policy: saturation + rejection onset ----------
-  std::printf("\n[2] load sweep (max_batch=32, max_delay=2ms, queue=64, "
+  std::printf("\n[2] load sweep (max_batch=32, queue=64, "
               "reject on overflow)\n");
   std::printf("%11s | %9s %8s %8s %8s | %10s %8s %8s\n", "offered q/s",
-              "thpt q/s", "p50 ms", "p95 ms", "p99 ms", "mean batch",
+              "thpt q/s", "p50 ms", "p95 ms", "p99 ms", "in flight",
               "rejected", "depth max");
   for (double qps : {250.0, 1000.0, 4000.0, 16000.0}) {
     serve::ServerConfig sc;
     sc.max_batch = 32;
-    sc.max_delay_ms = 2.0;
     sc.queue_capacity = 64;
     serve::LoadGenConfig lg;
     lg.qps = qps;
@@ -111,7 +103,6 @@ int main() {
   {
     serve::ServerConfig sc;
     sc.max_batch = 32;
-    sc.max_delay_ms = 2.0;
     sc.queue_capacity = 512;
     serve::LoadGenConfig lg;
     lg.qps = 8000.0;

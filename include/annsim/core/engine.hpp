@@ -243,12 +243,12 @@ struct CompressionStats {
 /// soon as query `qid`'s final merged result is known (before `search`
 /// returns). In two-sided mode this fires as each query's last partial
 /// arrives; in one-sided mode as the master reads a slot whose last planned
-/// partition just landed (a degraded slot is read when the batch ends); in
-/// multiple-owner mode as each owner's answer arrives. `coverage` counts the partitions searched against those planned;
-/// `coverage.degraded()` flags a partial result (possible only under a
-/// finite failure-detection deadline). Runs on the thread that called
-/// search(), which is rank 0 of the batch: keep it cheap, since collection
-/// waits for it.
+/// partition just landed (a degraded slot is read when the operation ends);
+/// in multiple-owner mode as each owner's answer arrives. `coverage` counts
+/// the partitions searched against those planned; `coverage.degraded()`
+/// flags a partial result (possible only under a finite failure-detection
+/// deadline). Runs on the thread that called search(), which is rank 0 of
+/// the operation: keep it cheap, since collection waits for it.
 using QueryDoneFn =
     std::function<void(std::size_t qid, const std::vector<Neighbor>& result,
                        const QueryCoverage& coverage)>;
@@ -262,6 +262,34 @@ using QueryDoneFn =
 struct EffortOverride {
   std::uint32_t ef = 0;          ///< per-partition beam width; 0 = batch ef
   std::uint32_t max_probes = 0;  ///< cap on |F(q)|; 0 = config n_probe
+};
+
+/// One query a stream admits (see QuerySource).
+struct StreamQuery {
+  std::span<const float> vector;  ///< valid until done() reports the query
+  std::uint64_t token = 0;        ///< the source's name, echoed by done()
+  EffortOverride effort;          ///< brownout caps (default: full effort)
+};
+
+/// The caller's side of a query stream (DistributedAnnEngine::stream): the
+/// stream's master pulls queries from it and reports each answer to it, on
+/// the thread that called stream().
+class QuerySource {
+ public:
+  using Clock = std::chrono::steady_clock;
+  virtual ~QuerySource() = default;
+  /// One dispatch round: append at most `free` queries (0 when every slot
+  /// is taken) to `out`, in dispatch order. Return false once no query will
+  /// follow, so the stream can close as soon as it drains. Lowering
+  /// `wake_at` (passed in as max) bounds the master's next wait, so a
+  /// source can act on a queued deadline or backoff gate while every query
+  /// in flight is still running.
+  virtual bool pull(std::size_t free, std::vector<StreamQuery>& out,
+                    Clock::time_point& wake_at) = 0;
+  /// Query `token`'s answer, sorted by distance, and its coverage, as soon
+  /// as both are known. The source may keep `result`.
+  virtual void done(std::uint64_t token, std::vector<Neighbor>&& result,
+                    const QueryCoverage& coverage) = 0;
 };
 
 /// Throws annsim::Error with a field-specific message when `config` is
@@ -297,12 +325,33 @@ class DistributedAnnEngine {
   /// jobs it holds.
   /// `efforts`, when non-empty, must hold one EffortOverride per query and
   /// caps that query's beam width / partition fan-out (brownout search;
-  /// master-worker dispatch only).
+  /// master-worker dispatch only). A master-worker search is a stream
+  /// (below) that admits the whole batch in its first dispatch round, with
+  /// one slot per query.
   [[nodiscard]] data::KnnResults search(const data::Dataset& queries,
                                         std::size_t k, std::size_t ef = 0,
                                         SearchStats* stats = nullptr,
                                         const QueryDoneFn& on_query_done = {},
                                         std::span<const EffortOverride> efforts = {});
+
+  /// One open search operation fed query by query (DESIGN.md §4.15): the
+  /// calling thread becomes rank 0 and keeps up to `slots` queries of
+  /// `source` in flight on the search cohort, pulling more as slots free,
+  /// with no batch barrier. Each query's result slot and job row are
+  /// recycled once it is answered. The stream ends when nothing is in
+  /// flight and the source has nothing to admit, or once it has declared a
+  /// worker dead (it then stops admitting and drains). Master-worker
+  /// dispatch only. Returns the operation's stats; per-query coverage goes
+  /// to QuerySource::done, not `coverage`.
+  SearchStats stream(QuerySource& source, std::size_t k, std::size_t slots,
+                     std::size_t ef = 0);
+
+  /// Wake an open stream's master so it pulls from its source now (any
+  /// thread; no-op when no stream is open). The wake travels as a message
+  /// into rank 0's mailbox on the reserved kTagWake, which the fault
+  /// injector never gates, so the master keeps one blocking wait. At most
+  /// one wake is pending at a time.
+  void wake_stream();
 
   // ---- streaming writes (local_index == kSegmented only) ----
 
@@ -458,7 +507,7 @@ class DistributedAnnEngine {
     /// Search lane, one-sided transport: every rank's handle on the result
     /// window, by rank (created by the first one-sided batch).
     std::vector<mpi::Window> windows;
-    std::size_t window_bytes = 0;  ///< the current batch's slots
+    std::size_t window_bytes = 0;  ///< the current operation's slots
     /// Build only: the round's shared inputs and per-worker outputs.
     BuildRound* build = nullptr;
     std::uint64_t retired_threads = 0;  ///< threads of stopped runtimes
@@ -484,23 +533,34 @@ class DistributedAnnEngine {
   /// The rank's handle on the search lane's result window, created
   /// collectively by the first one-sided batch.
   mpi::Window& result_window(mpi::Comm& world);
-  /// Size the result window for a batch of `bytes` and zero those slots:
-  /// rank 0 grows its region only when a batch outgrows it.
+  /// Size the result window for an operation of `bytes`: rank 0 grows its
+  /// region only when an operation outgrows it. The stream's master stamps
+  /// the slots.
   void prepare_result_window(std::size_t bytes);
 
-  void master_search(mpi::Comm& world, const data::Dataset& queries,
-                     std::size_t k, std::size_t ef, data::KnnResults& results,
-                     SearchStats& stats, const QueryDoneFn& on_query_done,
+  /// The search cohort's side of one operation: injector, liveness, the
+  /// topology lock, the result window, and afterwards the death fold.
+  /// `master` runs as rank 0 with the liveness it may update.
+  using SearchMaster =
+      std::function<void(mpi::Comm& world, mpi::FaultInjector* fault,
+                          std::vector<char>& alive,
+                          std::vector<std::uint64_t>& heartbeats,
+                          SearchStats& stats)>;
+  SearchStats run_search(std::size_t k, std::size_t slots,
+                         const SearchMaster& master);
+  /// Algorithms 3 and 5 as one stream loop (DESIGN.md §4.15).
+  void master_stream(mpi::Comm& world, QuerySource& source, std::size_t k,
+                     std::size_t slots, std::size_t ef, SearchStats& stats,
                      mpi::FaultInjector* fault, std::vector<char>& alive,
-                     std::vector<std::uint64_t>& heartbeats,
-                     std::span<const EffortOverride> efforts);
+                     std::vector<std::uint64_t>& heartbeats);
   void worker_search(mpi::Comm& world, std::size_t k,
                      const BatchBounds& bounds);
   /// Algorithm 4's job loop, shared by both dispatch policies: takes jobs
   /// from `job_source` until EOQ and returns the done notice's counters.
   /// Results go back by accumulate into `win` when it is given (the one that
   /// completes a slot also sends the master kTagSlotFull), else two-sided on
-  /// `result_tag` to each job's reply_to. Jobs are checked against `bounds`.
+  /// `result_tag` to the rank that sent each job. Jobs are checked against
+  /// `bounds`.
   /// `rank_duty`, when set, runs on the rank thread while the team works.
   /// Under a finite detection deadline the loop also beats the master's
   /// liveness beacon, between jobs and while it waits for one.
@@ -564,6 +624,7 @@ class DistributedAnnEngine {
                            std::size_t k, std::size_t ef,
                            data::KnnResults& results, SearchStats& stats,
                            const QueryDoneFn& on_query_done);
+
   void worker_search_owner(mpi::Comm& world, std::size_t k,
                            const BatchBounds& bounds);
 
@@ -616,6 +677,14 @@ class DistributedAnnEngine {
     std::mutex checkpoint;
   };
   std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
+  /// The open stream's rank 0, for wake_stream(). Heap-allocated so the
+  /// engine stays movable.
+  struct StreamDoor {
+    std::mutex mu;
+    mpi::Comm* master = nullptr;  ///< rank 0 of the open stream, else null
+    bool wake_pending = false;    ///< a wake sits in rank 0's mailbox
+  };
+  std::unique_ptr<StreamDoor> door_ = std::make_unique<StreamDoor>();
 
   /// The two persistent cohorts. Searches run on one; build, write rounds,
   /// compaction and heal streams, which write_api or the exclusive topology

@@ -27,6 +27,8 @@ inline constexpr mpi::Tag kTagSlotFull = 7;  ///< worker -> master: an accumulat
 inline constexpr mpi::Tag kTagOwnerBatch = 8;   ///< master -> owner: its query share
 inline constexpr mpi::Tag kTagReplica = 11;     ///< worker -> worker: partition replica
 inline constexpr mpi::Tag kTagHeartbeat = 12;   ///< worker -> master: liveness beacon
+inline constexpr mpi::Tag kTagWake = 17;  ///< rank 0 -> itself: a stream's
+                                          ///< source has queries to admit
 
 // Write-plane control tags (streaming mutability). All four are reserved:
 // they carry state-changing orders whose loss would silently diverge the
@@ -38,22 +40,30 @@ inline constexpr mpi::Tag kTagDelete = 14;    ///< master -> worker: ids to tomb
 inline constexpr mpi::Tag kTagWriteAck = 15;  ///< worker -> master: write/compact ack
 inline constexpr mpi::Tag kTagCompact = 16;   ///< master -> worker: compaction order
 
-/// The id space of one search batch. Every decoder of a batch message checks
-/// the ids it carries against these bounds and throws annsim::Error on a
-/// stray one, so no decoded id can index past a batch-sized array.
+/// The id space of one search operation. A query in flight is named by its
+/// 64-bit stream sequence number `seq`; it occupies result slot
+/// `seq % n_queries` (slot_of), and the next occupant of that slot gets
+/// `seq + n_queries`, so a sequence number names one occupancy of one slot
+/// and a message from a slot's previous occupant is told apart by it. Every
+/// decoder checks the other ids it carries against these bounds and throws
+/// annsim::Error on a stray one, so no decoded id can index past an
+/// operation-sized array.
 struct BatchBounds {
-  std::size_t n_queries = 0;     ///< query ids are < n_queries
+  std::size_t n_queries = 0;     ///< result slots (>= 1): queries in flight
   std::size_t n_partitions = 0;  ///< partition ids are < n_partitions
   std::size_t dim = 0;           ///< every query vector holds dim floats
 };
 
-/// One dispatched search job: query `query_id` on partition `partition`.
+/// The result slot a stream sequence number occupies.
+[[nodiscard]] std::size_t slot_of(std::uint64_t seq, const BatchBounds& bounds);
+
+/// One dispatched search job: the query with stream sequence number `seq`
+/// on partition `partition`. k is the operation's, and the result goes back
+/// to the rank that sent the job.
 struct QueryJob {
-  std::uint32_t query_id = 0;
+  std::uint64_t seq = 0;
   PartitionId partition = kInvalidPartition;
-  std::uint32_t k = 0;
   std::uint32_t ef = 0;          ///< 0 = index default
-  std::uint32_t reply_to = 0;    ///< comm rank that merges the result
   /// Jobs of this query the master dispatched to a live replica, in
   /// [1, n_partitions]. The one-sided transport counts it against the slot:
   /// the accumulate that makes it `fanout` merges sends kTagSlotFull.
@@ -63,34 +73,36 @@ struct QueryJob {
 
 [[nodiscard]] std::vector<std::byte> encode_query_job(const QueryJob& job);
 /// Throws annsim::Error on a malformed payload or when the job falls outside
-/// `bounds`: query_id, partition, fanout or the vector length.
+/// `bounds`: partition, fanout or the vector length.
 [[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes,
                                         const BatchBounds& bounds);
 
 /// A worker's local k-NN result for one job. In multiple-owner mode it also
-/// carries an owner's merged answer to the master; there `partition` holds
-/// the number of partitions merged (|F(q)|) instead of a partition id.
+/// carries an owner's merged answer to the master; there `seq` is the
+/// query's index in the batch and `partition` holds the number of
+/// partitions merged (|F(q)|) instead of a partition id.
 struct LocalResult {
-  std::uint32_t query_id = 0;
+  std::uint64_t seq = 0;
   PartitionId partition = kInvalidPartition;
   std::vector<Neighbor> neighbors;  ///< sorted ascending by distance
 };
 
 [[nodiscard]] std::vector<std::byte> encode_local_result(const LocalResult& r);
-/// Throws annsim::Error on a malformed payload or when query_id or partition
-/// falls outside `bounds`.
+/// Throws annsim::Error on a malformed payload or when partition falls
+/// outside `bounds`.
 [[nodiscard]] LocalResult decode_local_result(std::span<const std::byte> bytes,
                                               const BatchBounds& bounds);
-/// An owner's merged answer (multiple-owner mode): a LocalResult whose
-/// `partition` holds |F(q)|, so it is checked to be at most n_partitions.
+/// An owner's merged answer (multiple-owner mode): a LocalResult whose `seq`
+/// is a batch index (checked to be below n_queries) and whose `partition`
+/// holds |F(q)| (checked to be at most n_partitions).
 [[nodiscard]] LocalResult decode_owner_answer(std::span<const std::byte> bytes,
                                               const BatchBounds& bounds);
 
-/// Slot-full notice (one-sided transport): the payload is the query id.
-[[nodiscard]] std::vector<std::byte> encode_slot_full(std::uint32_t query_id);
-/// Throws annsim::Error on a malformed payload or a query id outside `bounds`.
-[[nodiscard]] std::uint32_t decode_slot_full(std::span<const std::byte> bytes,
-                                             const BatchBounds& bounds);
+/// Slot-full notice (one-sided transport): the payload is the sequence
+/// number of the query whose slot filled.
+[[nodiscard]] std::vector<std::byte> encode_slot_full(std::uint64_t seq);
+/// Throws annsim::Error on a malformed payload.
+[[nodiscard]] std::uint64_t decode_slot_full(std::span<const std::byte> bytes);
 
 /// Completion notice: how many jobs this worker processed (Fig 4(b) data).
 struct DoneNotice {
@@ -146,26 +158,29 @@ struct WriteAck {
 
 // ---- one-sided result window -----------------------------------------
 //
-// The master exposes one fixed-size slot per query:
-//   [ u32 merged_count | u32 pad | u64 partition_mask[W] | Neighbor[k] ]
-// with W = ceil(n_partitions / 64) mask words. Workers fold their local k-NN
-// into a slot with a single atomic get_accumulate whose merge op performs the
-// sorted k-NN merge, sets the searched partition's mask bit and bumps
-// merged_count, so merged_count is always the number of mask bits.
+// The master exposes one fixed-size slot per query in flight:
+//   [ u64 seq | u64 partition_mask[W] | Neighbor[k] ]
+// with W = ceil(n_partitions / 64) mask words. `seq` names the slot's
+// current occupant (the master stamps it when it admits the query); the
+// merged count is the number of mask bits. Workers fold their local k-NN
+// into a slot with a single atomic get_accumulate whose merge op performs
+// the sorted k-NN merge and sets the searched partition's mask bit.
 //
-// The mask makes failover retries idempotent: a worker that died mid-batch
-// may already have landed some of its merges, and a replica re-running the
-// same job must not double-merge the partition. The merge op drops an origin
-// whose partition bit is already set. The master reads the mask to poll
-// progress under a finite failure-detection deadline and to attribute
-// per-query coverage.
+// The merge op drops an update whose seq is not the slot's: a late or
+// duplicated partial from the slot's previous occupant is discarded, never
+// merged into the next one. The mask makes failover retries idempotent: a
+// worker that died mid-stream may already have landed some of its merges,
+// and a replica re-running the same job must not double-merge the
+// partition, so the merge op drops an origin whose partition bit is already
+// set. The master reads the mask to poll progress under a finite
+// failure-detection deadline and to attribute per-query coverage.
 //
 // The accumulate also fetches the slot's previous header. The one whose
-// merge is fresh and brings merged_count to the job's fanout completed the
-// slot; its worker sends the master a kTagSlotFull notice, and the master
-// answers that query at once instead of at batch end. The merge is atomic
-// at the target, so each fully covered query gets exactly one notice.
-
+// merge is fresh, for the slot's occupant, and brings the merged count to
+// the job's fanout completed the slot; its worker sends the master a
+// kTagSlotFull notice carrying the seq, and the master answers that query
+// at once. The merge is atomic at the target, so each fully covered
+// occupancy gets exactly one notice.
 struct SlotLayout {
   /// k neighbors per slot; `partitions` >= 1 sizes the partition mask.
   SlotLayout(std::size_t neighbors, std::size_t partitions);
@@ -185,8 +200,8 @@ struct SlotLayout {
   [[nodiscard]] std::size_t window_bytes(std::size_t n_queries) const noexcept {
     return n_queries * slot_bytes();
   }
-  [[nodiscard]] std::size_t slot_offset(std::size_t query_id) const noexcept {
-    return query_id * slot_bytes();
+  [[nodiscard]] std::size_t slot_offset(std::size_t slot) const noexcept {
+    return slot * slot_bytes();
   }
 };
 
@@ -194,23 +209,30 @@ struct SlotLayout {
 [[nodiscard]] bool mask_contains(std::span<const std::uint64_t> mask,
                                  PartitionId p) noexcept;
 
-/// Serialize a local result into the accumulate origin-buffer format
-/// (count=1, the searched `partition`'s mask bit, then exactly k neighbors,
-/// padded with +inf sentinels).
+/// Serialize a local result into the accumulate origin-buffer format (the
+/// job's `seq`, the searched `partition`'s mask bit, then exactly k
+/// neighbors, padded with +inf sentinels).
 [[nodiscard]] std::vector<std::byte> encode_slot_update(
     std::span<const Neighbor> neighbors, const SlotLayout& layout,
-    PartitionId partition);
+    PartitionId partition, std::uint64_t seq);
+
+/// An empty slot for occupant `seq`: written into `slot` (layout.slot_bytes()
+/// long) before the occupant's first job goes out.
+void init_slot(std::span<std::byte> slot, const SlotLayout& layout,
+               std::uint64_t seq);
 
 /// The merge op passed to Window::get_accumulate: k-NN-merge the origin
-/// neighbors into the target slot, set the origin's partition bit and add
-/// its merged_count. An origin whose partition bit is already set in the
-/// target is dropped (idempotent retry). Throws annsim::Error, leaving the
-/// target untouched, when either region is malformed.
+/// neighbors into the target slot and set the origin's partition bit. An
+/// origin for another occupant (seq differs) or whose partition bit is
+/// already set in the target is dropped (stale partial, idempotent retry).
+/// Throws annsim::Error, leaving the target untouched, when either region
+/// is malformed.
 [[nodiscard]] mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout);
 
-/// Slot header only (cheap poll): merged count plus partition mask.
+/// Slot header only (cheap poll): occupant, merged count, partition mask.
 struct SlotHeader {
-  std::uint32_t merged_count = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t merged_count = 0;  ///< mask bits
   std::vector<std::uint64_t> mask;
 
   [[nodiscard]] bool contains_partition(PartitionId p) const noexcept {
@@ -218,14 +240,16 @@ struct SlotHeader {
   }
 };
 /// Throws annsim::Error when the header is malformed: a mask bit at or past
-/// n_partitions, or merged_count different from the number of mask bits.
+/// n_partitions.
 [[nodiscard]] SlotHeader decode_slot_header(std::span<const std::byte> slot,
                                             const SlotLayout& layout);
 
-/// Decode a final slot into (merged_count, partition mask, sorted neighbors
-/// without sentinels). Validates the header like decode_slot_header.
+/// Decode a final slot into (seq, merged count, partition mask, sorted
+/// neighbors without sentinels). Validates the header like
+/// decode_slot_header.
 struct DecodedSlot {
-  std::uint32_t merged_count = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t merged_count = 0;  ///< mask bits
   std::vector<std::uint64_t> mask;
   std::vector<Neighbor> neighbors;
 

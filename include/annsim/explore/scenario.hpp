@@ -35,7 +35,8 @@ namespace annsim::explore {
 /// Which op mix the controlled section runs.
 enum class Mix {
   kWrite,    ///< two insert rounds + a delete round
-  kQuery,    ///< one search batch (compared against a free-running baseline)
+  kQuery,    ///< one query stream, the queries through one recycled slot
+             ///< (compared against a free-running batch baseline)
   kCompact,  ///< an insert round, then compact()
   kHeal,     ///< insert rounds with a real mid-round kill, then heal()
   kMixed,    ///< insert + search + delete + compact

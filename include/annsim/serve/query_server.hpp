@@ -8,25 +8,30 @@
 /// front of the index (LANNS batches online lookups the same way). The
 /// QueryServer is that tier:
 ///
-///     clients ──submit()──► bounded admission queue ──► micro-batcher
+///     clients ──submit()──► bounded admission queue ──► query stream
 ///         ◄──future◄── per-request completion ◄── DistributedAnnEngine
 ///
-/// A dynamic micro-batching scheduler groups pending requests and flushes a
-/// batch when it reaches `max_batch` requests or the oldest pending request
-/// has waited `max_delay_ms` — whichever comes first — trading per-request
-/// latency against the batch efficiency the engine's master-worker dispatch
-/// was designed for. Each request carries an optional deadline; expired
-/// requests complete with a timeout status instead of blocking their
-/// callers. Admission is bounded: when the queue is full the server either
-/// rejects (default, load-shedding) or blocks the submitter (backpressure).
+/// The scheduler thread is rank 0 of the engine's query stream
+/// (DistributedAnnEngine::stream): a stream opens when work reaches an idle
+/// server and keeps up to `max_batch` requests in flight, admitting each
+/// queued request as soon as a slot is free — no batch wait and no batch
+/// barrier, as the paper's master loops over queries (Algorithms 3-5). An
+/// arrival wakes the stream's master through the engine (wake_stream). The
+/// stream ends when nothing is queued or in flight, or after it declares a
+/// worker dead, so healing runs between streams. Each request carries an
+/// optional deadline; expired requests complete with a timeout status
+/// instead of blocking their callers. Admission is bounded: when the queue
+/// is full the server either rejects (default, load-shedding) or blocks the
+/// submitter (backpressure).
 ///
 /// Overload control (DESIGN.md §4.11) keeps goodput bounded past capacity:
 /// deadline-aware admission (EDF dequeue, expired-on-arrival and
-/// won't-make-it culling from a windowed service-time EWMA), brownout search
+/// won't-make-it culling from per-query service-time EWMAs), brownout search
 /// (a load-proportional controller that shrinks per-query effort — HNSW ef
 /// and partitions probed — when queue delay crosses a CoDel-style target),
 /// priority classes (interactive degrades last), and a circuit breaker that
-/// fast-fails admissions while the engine cannot meet deadlines.
+/// fast-fails admissions while the engine cannot meet deadlines. All of
+/// them act per query or per dispatch round.
 
 #include <atomic>
 #include <chrono>
@@ -36,6 +41,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "annsim/core/engine.hpp"
@@ -49,8 +55,8 @@ enum class QueryStatus : std::uint8_t {
   kDeadlineExpired,  ///< deadline passed; neighbors may be present if the
                      ///< search finished late (partial service)
   kShutdown,      ///< server stopped before the request could be served
-  kError,         ///< engine failure while serving the batch
-  kDegraded,      ///< answered, but workers failed mid-batch and the retry
+  kError,         ///< engine failure while serving the request
+  kDegraded,      ///< answered, but workers failed mid-search and the retry
                   ///< budget ran out: partial coverage (see partitions_*)
   kShed,          ///< culled by overload control before any worker touched
                   ///< it: expired on arrival, won't-make-it, evicted by a
@@ -74,9 +80,9 @@ inline constexpr std::size_t kPriorityClasses = 3;
 struct QueryResponse {
   QueryStatus status = QueryStatus::kShutdown;
   std::vector<Neighbor> neighbors;  ///< ascending by distance, <= requested k
-  double queue_ms = 0.0;   ///< admission -> batch dispatch
+  double queue_ms = 0.0;   ///< admission -> dispatch into the stream
   double total_ms = 0.0;   ///< admission -> completion (end-to-end latency)
-  std::size_t batch_size = 0;  ///< size of the micro-batch this request rode in
+  std::size_t batch_size = 0;  ///< queries in flight when this one dispatched
   /// Coverage the engine reported for this query (searched < planned marks a
   /// degraded answer; both 0 when the engine runs without failure detection).
   std::uint32_t partitions_searched = 0;
@@ -93,8 +99,10 @@ enum class OverflowPolicy : std::uint8_t {
 };
 
 struct ServerConfig {
-  std::size_t max_batch = 32;      ///< flush when this many requests pend
-  double max_delay_ms = 2.0;       ///< ... or when the oldest waited this long
+  std::size_t max_batch = 32;      ///< slots: queries in flight at once
+  /// Ignored: a request is dispatched as soon as a slot is free. Kept (and
+  /// checked to be >= 0) only because perfbench/src/workloads.cpp sets it.
+  double max_delay_ms = 2.0;
   std::size_t queue_capacity = 1024;  ///< bounded admission queue
   OverflowPolicy overflow = OverflowPolicy::kReject;
   std::size_t ef = 0;              ///< engine ef_search override (0 = default)
@@ -102,16 +110,16 @@ struct ServerConfig {
   /// coverage is requeued up to this many times (0 = surface kDegraded
   /// immediately) as long as a retry can still beat the request's deadline.
   std::size_t max_retries = 0;
-  /// Wait this long before a degraded retry re-enters a batch, giving the
+  /// Wait this long before a degraded retry is dispatched again, giving the
   /// engine's failover a fresh worker set time to absorb the load.
   double retry_backoff_ms = 0.0;
-  /// Self-healing: after a batch that leaves workers dead, run the engine's
-  /// heal() on the batch boundary (scheduler thread, between searches) so
-  /// the next batch dispatches to restored replicas. Degraded answers stop
+  /// Self-healing: after a stream that leaves workers dead, run the
+  /// engine's heal() before the next one opens (scheduler thread, between
+  /// streams) so it dispatches to restored replicas. Degraded answers stop
   /// occurring as soon as a heal restores full coverage.
   bool auto_heal = false;
   /// Live-mutability: when any replica's mutable delta reaches this fill
-  /// (checked on each batch boundary), kick off engine compact() on a
+  /// (checked whenever a stream ends), kick off engine compact() on a
   /// background thread so re-freezing overlaps serving instead of stalling
   /// it. 0 (default) disables; requires a segmented engine when set.
   std::size_t compact_at_fill = 0;
@@ -120,11 +128,10 @@ struct ServerConfig {
   /// Deadline-aware admission: dequeue earliest-deadline-first (within each
   /// priority class), cull requests that are expired on arrival or that the
   /// service-time EWMA says cannot make their deadline (kShed), evict the
-  /// lowest class from a full queue for a higher-class arrival, and flush a
-  /// batch early when the tightest queued deadline demands it.
+  /// lowest class from a full queue for a higher-class arrival.
   bool deadline_scheduling = false;
-  /// Brownout target for measured queue delay (CoDel-style): when a batch
-  /// dispatches with its oldest request having queued longer than this, the
+  /// Brownout target for measured queue delay (CoDel-style): when a
+  /// dispatch round admits a request that queued longer than this, the
   /// controller raises pressure and shrinks per-query search effort
   /// (bottom-up by class); when delay falls below half the target, pressure
   /// decays and full effort returns. <= 0 disables brownout.
@@ -144,10 +151,10 @@ struct ServerConfig {
 };
 
 /// Thread-safe online front end over a built DistributedAnnEngine. The
-/// engine is referenced, not owned, and must outlive the server; batches are
-/// serialized through one scheduler thread, matching the engine's
-/// one-batch-at-a-time master.
-class QueryServer {
+/// engine is referenced, not owned, and must outlive the server; its one
+/// scheduler thread is the master of the engine's query streams, one at a
+/// time. The server is the streams' QuerySource.
+class QueryServer final : private core::QuerySource {
  public:
   QueryServer(core::DistributedAnnEngine* engine, ServerConfig config);
   ~QueryServer();  ///< graceful stop(): drains pending requests
@@ -186,11 +193,13 @@ class QueryServer {
     Clock::time_point not_before = Clock::time_point::min();
     std::uint64_t seq = 0;  ///< admission order, the EDF tie-break
     bool breaker_probe = false;  ///< admitted as a half-open recovery probe
-    double effort = 1.0;  ///< brownout factor assigned at batch formation
+    double effort = 1.0;  ///< brownout factor assigned at dispatch
+    Clock::time_point dispatched{};  ///< entered the stream
+    std::size_t in_flight = 0;       ///< queries in flight at dispatch
   };
 
-  /// Per-engine circuit breaker (DESIGN.md §4.11). Own mutex: outcomes are
-  /// recorded from the engine's completion hook, which must not take mu_.
+  /// Per-engine circuit breaker (DESIGN.md §4.11). Own mutex, taken alone
+  /// or under mu_ (never the other way round).
   struct Breaker {
     enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
     std::mutex mu;
@@ -201,10 +210,17 @@ class QueryServer {
   };
 
   void scheduler_main();
+  /// Run one engine stream with this server as its source, then the
+  /// between-stream duties: the error net, auto-heal, compaction.
+  void run_stream(std::size_t k);
+  // core::QuerySource, called on the scheduler thread inside a stream.
+  bool pull(std::size_t free, std::vector<core::StreamQuery>& out,
+            Clock::time_point& wake_at) override;
+  void done(std::uint64_t token, std::vector<Neighbor>&& result,
+            const core::QueryCoverage& coverage) override;
   /// Complete every queued request whose deadline has passed. Caller holds mu_.
   void expire_overdue_locked(Clock::time_point now);
-  void run_batch(std::vector<Pending> batch);
-  /// Batch-boundary compaction trigger: start a background engine compact()
+  /// Between-stream compaction trigger: start a background engine compact()
   /// when the delta fill crosses config_.compact_at_fill and none is running.
   void maybe_compact();
   /// Breaker admission gate. Returns false when the request must fast-fail;
@@ -221,7 +237,6 @@ class QueryServer {
   core::DistributedAnnEngine* engine_;
   ServerConfig config_;
   std::size_t dim_ = 0;
-  std::chrono::duration<double, std::milli> max_delay_{};
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   ///< scheduler wakeups
@@ -229,23 +244,35 @@ class QueryServer {
   std::deque<Pending> queue_;
   bool stopping_ = false;
   std::uint64_t next_seq_ = 0;  ///< admission counter (under mu_)
+  /// The open stream's k: a queued request with a larger k ends the stream
+  /// and opens the next (under mu_).
+  std::size_t stream_k_ = 0;
+  /// The stream's last dispatch round left slots free, so the next arrival
+  /// must wake its master (under mu_; submit() clears it when it wakes).
+  bool master_hungry_ = false;
+  /// The open stream has run a dispatch round (under mu_).
+  bool pulled_ = false;
+  /// Requests in the open stream, by token (their admission seq). Only the
+  /// scheduler thread touches it; node-based, so each query vector stays
+  /// where the stream's StreamQuery points until done() takes it.
+  std::unordered_map<std::uint64_t, Pending> flight_;
 
-  // ---- overload controller state ----
-  /// Windowed EWMA of per-query drain cost (batch wall ms / batch size) and
-  /// of whole-batch service time; 0 until the first batch lands. Guarded by
-  /// mu_ — read at admission, written on the batch boundary.
+  // ---- overload controller state (under mu_) ----
+  /// Per-query EWMAs, 0 until the first answer: service time (dispatch ->
+  /// answer) and drain cost (service time / queries in flight at dispatch,
+  /// what one more query ahead in the queue costs). Read at admission,
+  /// written as each answer lands.
+  double ewma_service_ms_ = 0.0;
   double ewma_query_ms_ = 0.0;
-  double ewma_batch_ms_ = 0.0;
-  /// Brownout pressure in [0, 1]; atomic so the effort computation in
-  /// run_batch (after mu_ is dropped) reads it without re-locking.
-  std::atomic<double> pressure_{0.0};
+  /// Brownout pressure in [0, 1], moved once per dispatch round.
+  double pressure_ = 0.0;
   Breaker breaker_;
 
   ServerMetrics metrics_;
   std::thread scheduler_;
 
   /// Background compaction: at most one in flight; the engine's own locking
-  /// lets it overlap the scheduler's search batches (hot-swap views).
+  /// lets it overlap the scheduler's streams (hot-swap views).
   std::thread compactor_;
   std::atomic<bool> compacting_{false};
 };

@@ -1,7 +1,7 @@
 #pragma once
 /// \file server_metrics.hpp
 /// \brief Telemetry for the online serving plane: latency histogram with
-/// tail quantiles (p50/p95/p99/p999), queue-depth and batch-size
+/// tail quantiles (p50/p95/p99/p999), queue-depth and in-flight
 /// distributions, throughput, and rejection/expiry counters.
 ///
 /// All recording methods are thread-safe — clients submit concurrently and
@@ -37,7 +37,7 @@ struct MetricsReport {
   std::size_t failed = 0;         ///< engine error or shutdown drop
   std::size_t degraded = 0;       ///< answered with partial coverage
   std::size_t retries = 0;        ///< degraded re-runs consumed (budget spend)
-  std::size_t batches = 0;        ///< engine batch invocations
+  std::size_t batches = 0;        ///< dispatch rounds that admitted queries
 
   // ---- overload control (zeros unless armed; see DESIGN.md §4.11) ----
   /// Admission-time culls: expired on arrival, won't-make-it (EWMA says the
@@ -60,7 +60,7 @@ struct MetricsReport {
   /// logs, across all heals.
   std::size_t wal_truncated_tail_bytes = 0;
   /// Partitions below the configured replication factor after the most
-  /// recent batch (snapshot, not cumulative). 0 means full coverage.
+  /// recent stream (snapshot, not cumulative). 0 means full coverage.
   std::size_t under_replicated_partitions = 0;
 
   double wall_seconds = 0.0;      ///< first admission -> last completion
@@ -73,10 +73,10 @@ struct MetricsReport {
   double latency_p999_ms = 0.0;
   double latency_max_ms = 0.0;
 
-  double queue_wait_mean_ms = 0.0;  ///< admission -> batch dispatch
+  double queue_wait_mean_ms = 0.0;  ///< admission -> dispatch
 
   Summary queue_depth;  ///< depth observed after each admission
-  Summary batch_size;   ///< size of each dispatched batch
+  Summary batch_size;   ///< queries in flight after each dispatch round
 };
 
 /// Multi-line human-readable rendering (bench / CLI output).
@@ -98,11 +98,13 @@ class ServerMetrics {
   /// Fast-fail because the circuit breaker was open.
   void on_breaker_reject();
   void on_breaker_trip();
-  /// A batch went out with `n` queries below full effort at `factor`.
+  /// A dispatch round sent `n` queries below full effort, the lowest at
+  /// `factor`.
   void on_brownout(std::size_t n, double factor);
-  /// Brownout controller pressure after the latest batch boundary.
+  /// Brownout controller pressure after the latest dispatch round.
   void on_pressure(double pressure);
   void on_fail();
+  /// A dispatch round admitted queries; `batch_size` are in flight now.
   void on_batch(std::size_t batch_size);
   /// An in-deadline completion; latencies in milliseconds.
   void on_complete_ok(double latency_ms, double queue_wait_ms);
@@ -118,7 +120,7 @@ class ServerMetrics {
   void on_heal(std::size_t workers_revived, bool coverage_restored,
                std::size_t wal_replayed_records = 0,
                std::size_t wal_truncated_tail_bytes = 0);
-  /// Post-batch cluster snapshot: partitions below the replication factor.
+  /// Post-stream cluster snapshot: partitions below the replication factor.
   void on_health(std::size_t under_replicated);
 
   [[nodiscard]] MetricsReport report() const;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <exception>
 #include <functional>
@@ -231,6 +232,7 @@ void DistributedAnnEngine::worker_op(mpi::Comm& world,
       worker_build(world);
       return;
     case OpKind::kSearch: {
+      // k, then the operation's result slots and the query dimension.
       const auto k = rd.read<std::uint32_t>();
       const BatchBounds bounds{rd.read<std::uint64_t>(), config_.n_workers,
                                rd.read<std::uint64_t>()};
@@ -442,6 +444,50 @@ std::vector<std::vector<PartitionId>> DistributedAnnEngine::plan_queries(
 
 // ---------------------------------------------------------------- search ---
 
+namespace {
+
+/// search()'s source: the whole batch in the first dispatch round, in query
+/// order, each answer into the caller's results.
+class BatchSource final : public QuerySource {
+ public:
+  BatchSource(const data::Dataset& queries,
+              std::span<const EffortOverride> efforts,
+              data::KnnResults& results, std::vector<QueryCoverage>& coverage,
+              const QueryDoneFn& on_done)
+      : queries_(queries),
+        efforts_(efforts),
+        results_(results),
+        coverage_(coverage),
+        on_done_(on_done) {}
+
+  bool pull(std::size_t free, std::vector<StreamQuery>& out,
+            Clock::time_point& /*wake_at*/) override {
+    const std::size_t end = std::min(queries_.size(), next_ + free);
+    for (; next_ < end; ++next_) {
+      out.push_back({queries_.row_span(next_), next_,
+                     efforts_.empty() ? EffortOverride{} : efforts_[next_]});
+    }
+    return next_ < queries_.size();
+  }
+
+  void done(std::uint64_t token, std::vector<Neighbor>&& result,
+            const QueryCoverage& coverage) override {
+    results_[token] = std::move(result);
+    coverage_[token] = coverage;
+    if (on_done_) on_done_(token, results_[token], coverage);
+  }
+
+ private:
+  const data::Dataset& queries_;
+  std::span<const EffortOverride> efforts_;
+  data::KnnResults& results_;
+  std::vector<QueryCoverage>& coverage_;
+  const QueryDoneFn& on_done_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
 data::KnnResults DistributedAnnEngine::search(
     const data::Dataset& queries, std::size_t k, std::size_t ef,
     SearchStats* stats, const QueryDoneFn& on_query_done,
@@ -458,13 +504,62 @@ data::KnnResults DistributedAnnEngine::search(
       "per-query effort overrides require the master-worker dispatch strategy");
 
   data::KnnResults results(queries.size());
+  // An empty batch still runs one operation, on one idle slot.
+  const std::size_t slots = std::max<std::size_t>(queries.size(), 1);
+  SearchStats st;
+  if (config_.strategy == DispatchStrategy::kMultipleOwner) {
+    st = run_search(k, slots,
+                    [&](mpi::Comm& world, mpi::FaultInjector*,
+                        std::vector<char>&, std::vector<std::uint64_t>&,
+                        SearchStats& s) {
+                      master_search_owner(world, queries, k, ef, results, s,
+                                          on_query_done);
+                    });
+  } else {
+    std::vector<QueryCoverage> coverage(queries.size());
+    BatchSource source(queries, efforts, results, coverage, on_query_done);
+    st = stream(source, k, slots, ef);
+    st.coverage = std::move(coverage);
+  }
+  if (stats != nullptr) *stats = std::move(st);
+  return results;
+}
+
+SearchStats DistributedAnnEngine::stream(QuerySource& source, std::size_t k,
+                                         std::size_t slots, std::size_t ef) {
+  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
+  ANNSIM_CHECK(k >= 1);
+  ANNSIM_CHECK_MSG(slots >= 1, "a query stream needs at least one slot");
+  ANNSIM_CHECK_MSG(config_.strategy == DispatchStrategy::kMasterWorker,
+                   "query streams need the master-worker dispatch strategy");
+  return run_search(k, slots,
+                    [&](mpi::Comm& world, mpi::FaultInjector* fault,
+                        std::vector<char>& alive,
+                        std::vector<std::uint64_t>& heartbeats,
+                        SearchStats& stats) {
+                      master_stream(world, source, k, slots, ef, stats, fault,
+                                    alive, heartbeats);
+                    });
+}
+
+void DistributedAnnEngine::wake_stream() {
+  std::lock_guard lock(door_->mu);
+  if (door_->master == nullptr || door_->wake_pending) return;
+  door_->wake_pending = true;
+  // Sent under the door's lock, so a closing master that finds
+  // wake_pending set knows the message is already in its mailbox.
+  (void)door_->master->isend_reserved(0, kTagWake, {});
+}
+
+SearchStats DistributedAnnEngine::run_search(std::size_t k, std::size_t slots,
+                                             const SearchMaster& master) {
   SearchStats st;
   st.jobs_per_worker.assign(config_.n_workers, 0);
 
   WallTimer timer;
   // One injector is shared across every operation so fault state (op
-  // budgets, death flags, the step clock) persists between batches: a rank
-  // killed in batch n is still silent in batch n+1 unless heal() revived it.
+  // budgets, death flags, the step clock) persists between operations: a
+  // rank killed in one stays silent in the next unless heal() revived it.
   auto injector = shared_injector();
   if (config_.fault.enabled()) {
     // Log the seed so any chaos run is replayable bit-for-bit.
@@ -475,8 +570,8 @@ data::KnnResults DistributedAnnEngine::search(
                 << " result_timeout_ms=" << config_.result_timeout_ms);
   }
 
-  // Liveness carries over from previous batches: already-dead workers are
-  // skipped at dispatch (and not re-counted in workers_failed).
+  // Liveness carries over from previous operations: already-dead workers
+  // are skipped at dispatch (and not re-counted in workers_failed).
   const std::size_t P = config_.n_workers;
   if (health_.workers.size() != P) health_.reset(P);
   std::vector<char> alive(P, 1);
@@ -490,31 +585,26 @@ data::KnnResults DistributedAnnEngine::search(
     std::shared_lock topology(sync_->topology);
     BinaryWriter op = op_message(OpKind::kSearch);
     op.write(std::uint32_t(k));
-    op.write(std::uint64_t(queries.size()));
-    op.write(std::uint64_t(queries.dim()));
-    const bool one_sided = config_.one_sided && !config_.exact_routing;
+    op.write(std::uint64_t(slots));
+    op.write(std::uint64_t(router_->dim()));
+    const bool window = config_.one_sided && !config_.exact_routing &&
+                        config_.strategy == DispatchStrategy::kMasterWorker;
     st.traffic = run_op(
         *search_lane_, op.bytes(), injector,
         [&](mpi::Comm& world) {
-          if (config_.strategy == DispatchStrategy::kMultipleOwner) {
-            master_search_owner(world, queries, k, ef, results, st,
-                                on_query_done);
-          } else {
-            master_search(world, queries, k, ef, results, st, on_query_done,
-                          injector.get(), alive, heartbeats, efforts);
-          }
+          master(world, injector.get(), alive, heartbeats, st);
         },
         [&] {
-          if (one_sided) {
-            prepare_result_window(SlotLayout{k, P}.window_bytes(queries.size()));
+          if (window) {
+            prepare_result_window(SlotLayout{k, P}.window_bytes(slots));
           }
         });
   }
 
-  // Fold the batch's outcome into the persistent health record — after the
-  // operation, when every worker is back in its loop and touching worker
-  // stores cannot race. A newly dead worker's in-memory replicas die with
-  // it; heal() restores them from checkpoint or from a surviving peer.
+  // Fold the operation's outcome into the persistent health record — after
+  // it, when every worker is back in its loop and touching worker stores
+  // cannot race. A newly dead worker's in-memory replicas die with it;
+  // heal() restores them from checkpoint or from a surviving peer.
   if (config_.result_timeout_ms > 0.0 &&
       config_.strategy == DispatchStrategy::kMasterWorker) {
     std::unique_lock topology(sync_->topology);  // workers_[w].clear() below
@@ -530,8 +620,7 @@ data::KnnResults DistributedAnnEngine::search(
   }
 
   st.total_seconds = timer.seconds();
-  if (stats != nullptr) *stats = st;
-  return results;
+  return st;
 }
 
 // ---------------------------------------------------------------- writes ---
@@ -878,40 +967,58 @@ CompressionStats DistributedAnnEngine::compression_stats() const {
   return cs;
 }
 
-// Algorithm 3 (baseline) / Algorithm 5 (replication): the master routine.
-// One path serves both transports and every detection setting: a job table
-// tracks each (query, partition) job, one collection loop feeds it from the
-// transport seam, and one finalize reports every query with its coverage.
-// `result_timeout_ms` is the failure-detection deadline. A finite one makes
-// the loop declare dead the workers that stop making progress, fail their
-// outstanding jobs over to live replicas of the same partition, and finalize
+// Algorithm 3 (baseline) / Algorithm 5 (replication): the master routine, as
+// one stream loop (DESIGN.md §4.15). Up to `slots` queries are in flight.
+// Each holds a result slot and a row of the job table, both recycled once
+// its answer is out, and is named by its stream sequence number, which the
+// next occupant of its slot does not share. A round pulls what the source
+// has for the free slots, routes and dispatches it, then waits once for
+// progress: a result (two-sided), a slot-full notice (one-sided), a wake
+// from the source, the source's `wake_at`, or under a finite deadline the
+// poll. One finalize reports every query with its coverage as soon as its
+// answer is known. `result_timeout_ms` is the failure-detection deadline. A
+// finite one makes the loop declare dead the workers that stop making
+// progress, fail their outstanding jobs over to live replicas of the same
+// partition, stop admitting so the stream drains and ends, and finalize
 // queries that lose every replica as degraded partial results. 0 is an
-// infinite deadline: every wait blocks and no job is ever retried.
-void DistributedAnnEngine::master_search(
-    mpi::Comm& world, const data::Dataset& queries, std::size_t k,
-    std::size_t ef, data::KnnResults& results, SearchStats& stats,
-    const QueryDoneFn& on_query_done, mpi::FaultInjector* fault,
-    std::vector<char>& alive, std::vector<std::uint64_t>& heartbeats,
-    std::span<const EffortOverride> efforts) {
+// infinite deadline: every wait for progress blocks and no job is retried.
+void DistributedAnnEngine::master_stream(
+    mpi::Comm& world, QuerySource& source, std::size_t k, std::size_t slots,
+    std::size_t ef, SearchStats& stats, mpi::FaultInjector* fault,
+    std::vector<char>& alive, std::vector<std::uint64_t>& heartbeats) {
   const std::size_t P = config_.n_workers;
-  const std::size_t nq = queries.size();
   const auto& tree = *router_;
   const bool one_sided = config_.one_sided && !config_.exact_routing;
   const bool detect = config_.result_timeout_ms > 0.0;
   const SlotLayout layout{k, P};
-  const BatchBounds bounds{nq, P, queries.dim()};
+  const BatchBounds bounds{slots, P, tree.dim()};
   const auto timeout = detection_timeout();
   using Clock = std::chrono::steady_clock;
 
-  // The window outlives the batch; search() sized it and zeroed this
-  // batch's slots before the workers heard of the batch.
+  // The window outlives the operation; run_search() sized it. Stamp each
+  // slot with its first occupant (seq = slot) before any job goes out.
   mpi::Window* win = one_sided ? &result_window(world) : nullptr;
+  if (one_sided) {
+    const std::span<std::byte> region = win->local_data();
+    for (std::size_t s = 0; s < slots; ++s) {
+      init_slot(region.subspan(layout.slot_offset(s), layout.slot_bytes()),
+                layout, s);
+    }
+  }
 
   PhaseTimer route_t, dispatch_t, merge_t;
 
-  // A batch that throws (a QueryDoneFn, a failed check) must still end, or
-  // the world would wait on its workers forever: on unwind, close the
-  // master's epoch and send every worker EOQ if it has not gone out yet.
+  // wake_stream() reaches this rank while the door is open.
+  {
+    std::lock_guard lock(door_->mu);
+    door_->master = &world;
+    door_->wake_pending = false;
+  }
+
+  // A stream that throws (a source callback, a failed check) must still
+  // end, or the world would wait on its workers forever: on unwind, shut the
+  // door, close the master's epoch and send every worker EOQ if it has not
+  // gone out yet.
   bool eoq_sent = false;
   bool epoch_open = false;
   struct EndOnUnwind {
@@ -922,6 +1029,10 @@ void DistributedAnnEngine::master_search(
     }
   } end_on_unwind{[&] {
     try {
+      {
+        std::lock_guard lock(door_->mu);
+        door_->master = nullptr;
+      }
       if (epoch_open) win->unlock(0);
       for (std::size_t w = 0; w < P && !eoq_sent; ++w) {
         (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
@@ -931,27 +1042,45 @@ void DistributedAnnEngine::master_search(
     }
   }};
 
+  // --- the ring: one slot (and one job-table row) per query in flight.
+  struct Slot {
+    std::uint64_t seq = 0;        ///< the occupant's stream sequence number
+    bool busy = false;            ///< holds an unanswered query
+    bool used = false;            ///< held a query before in this stream
+    bool plans_final = true;      ///< exact routing: the ball is planned
+    PartitionId first = kInvalidPartition;  ///< exact routing's phase 1
+    StreamQuery query;
+    std::uint32_t planned = 0;    ///< |F(q)|
+    std::uint32_t remaining = 0;  ///< pending jobs
+    std::uint32_t searched = 0;   ///< merged partitions
+    std::uint32_t fanout = 0;     ///< jobs sent to a live replica
+  };
+  std::vector<Slot> ring(slots);
+  std::deque<std::size_t> free_slots;
+  for (std::size_t s = 0; s < slots; ++s) {
+    ring[s].seq = s;
+    free_slots.push_back(s);
+  }
+  std::size_t busy = 0;
+  std::vector<std::byte> blank(one_sided ? layout.slot_bytes() : 0);
+
   // --- Algorithm 5 scaffolding: one round-robin pointer per workgroup
   // W_i = {p_i, p_{i+1 mod P}, ..., p_{i+r-1 mod P}}. Members declared dead
-  // (this batch or any earlier one — `alive` is seeded from the engine's
-  // ClusterHealth) are skipped; the first probe is the fault-free choice, so
-  // a fault-free run dispatches identically whatever the deadline.
+  // (in this stream or any earlier operation — `alive` is seeded from the
+  // engine's ClusterHealth) are skipped; the first probe is the fault-free
+  // choice, so a fault-free run dispatches identically whatever the
+  // deadline.
   std::vector<std::uint32_t> next(P, 0);
   // Brownout effort caps: a per-query override can shrink the beam width and
-  // the routing fan-out, never widen them (both are min'd against the batch
-  // defaults). Empty span = every query at full effort.
-  auto query_ef = [&](std::uint32_t qid) -> std::uint32_t {
-    if (!efforts.empty() && efforts[qid].ef != 0) {
-      const auto cap = efforts[qid].ef;
-      return ef == 0 ? cap : std::min(cap, std::uint32_t(ef));
-    }
+  // the routing fan-out, never widen them (both are min'd against the
+  // operation's defaults).
+  auto query_ef = [&](const EffortOverride& e) -> std::uint32_t {
+    if (e.ef != 0) return ef == 0 ? e.ef : std::min(e.ef, std::uint32_t(ef));
     return std::uint32_t(ef);
   };
-  auto query_probes = [&](std::size_t qid) -> std::size_t {
+  auto query_probes = [&](const EffortOverride& e) -> std::size_t {
     std::size_t n = std::min(config_.n_probe, P);
-    if (!efforts.empty() && efforts[qid].max_probes != 0) {
-      n = std::min(n, std::size_t(efforts[qid].max_probes));
-    }
+    if (e.max_probes != 0) n = std::min(n, std::size_t(e.max_probes));
     return n;
   };
   const auto replication = std::uint32_t(config_.replication);
@@ -960,23 +1089,18 @@ void DistributedAnnEngine::master_search(
   auto can_serve = [&](std::size_t member, PartitionId d) {
     return alive[member] && workers_[member].count(d) != 0;
   };
-  // Jobs of each query sent to a live replica; every job of the query
-  // (failover retries too) carries it, for the one-sided slot-full notice.
-  std::vector<std::uint32_t> fanout(nq, 0);
-  auto dispatch_job = [&](std::uint32_t qid, PartitionId d) -> int {
+  auto dispatch_job = [&](std::size_t s, PartitionId d) -> int {
+    const Slot& sl = ring[s];
     for (std::uint32_t probe = 0; probe < replication; ++probe) {
       const std::size_t member = (d + next[d]) % P;
       next[d] = (next[d] + 1) % replication;
       if (!can_serve(member, d)) continue;
       QueryJob job;
-      job.query_id = qid;
+      job.seq = sl.seq;
       job.partition = d;
-      job.k = std::uint32_t(k);
-      job.ef = query_ef(qid);
-      job.reply_to = 0;
-      job.fanout = fanout[qid];
-      const float* qv = queries.row(qid);
-      job.query.assign(qv, qv + queries.dim());
+      job.ef = query_ef(sl.query.effort);
+      job.fanout = sl.fanout;
+      job.query.assign(sl.query.vector.begin(), sl.query.vector.end());
       ScopedPhase p(dispatch_t);
       (void)world.isend(int(member) + 1, kTagQuery, encode_query_job(job));
       return int(member);
@@ -984,83 +1108,95 @@ void DistributedAnnEngine::master_search(
     return -1;  // no live replica hosts partition d
   };
 
-  // --- the job table: one entry per (query, partition), flat per query.
+  // --- the job table: one entry per (slot, partition), flat per slot.
   enum class JobState : char { kNone, kPending, kMerged, kAbandoned };
   struct Job {
     JobState state = JobState::kNone;
     bool retried = false;  ///< re-dispatched after its first assignee died
     int worker = -1;       ///< current assignee (worker id, not rank)
   };
-  std::vector<Job> jobs(nq * P);
-  auto job_at = [&](std::size_t q, PartitionId d) -> Job& {
-    return jobs[q * P + d];
+  std::vector<Job> jobs(slots * P);
+  auto job_at = [&](std::size_t s, PartitionId d) -> Job& {
+    return jobs[s * P + d];
   };
-  std::vector<std::uint32_t> planned(nq, 0);    // |F(q)|
-  std::vector<std::uint32_t> remaining(nq, 0);  // pending jobs per query
-  std::vector<std::uint32_t> searched(nq, 0);   // merged partitions per query
   std::vector<std::uint32_t> pending_per_worker(P, 0);
-  std::uint64_t outstanding = 0;                // pending jobs in the batch
-  std::vector<Clock::time_point> last_activity(P, Clock::now());
+  std::uint64_t outstanding = 0;  // pending jobs in the stream
+  const auto arm_time = Clock::now();
+  std::vector<Clock::time_point> last_activity(P, arm_time);
   // Liveness beacons: under a finite deadline every worker heartbeats on a
   // reliable tag, so the master notices a death even when the worker has no
   // outstanding jobs to time out on.
-  std::vector<Clock::time_point> last_heartbeat(P, Clock::now());
-  auto plan_job = [&](std::size_t q, PartitionId d) {
-    ++planned[q];
-    const int m = dispatch_job(std::uint32_t(q), d);
-    // m < 0: every replica of d was dead before the batch started — the
+  std::vector<Clock::time_point> last_heartbeat(P, arm_time);
+  auto plan_job = [&](std::size_t s, PartitionId d) {
+    Slot& sl = ring[s];
+    ++sl.planned;
+    const int m = dispatch_job(s, d);
+    // m < 0: every replica of d was dead before the query came in — the
     // partition cannot be searched and the query will finalize short.
-    job_at(q, d) =
+    job_at(s, d) =
         Job{m >= 0 ? JobState::kPending : JobState::kAbandoned, false, m};
     if (m < 0) return;
-    ++pending_per_worker[std::size_t(m)];
-    ++remaining[q];
+    // An idle worker's stall clock starts with its first pending job.
+    if (pending_per_worker[std::size_t(m)]++ == 0) {
+      last_activity[std::size_t(m)] = Clock::now();
+    }
+    ++sl.remaining;
     ++outstanding;
   };
-  // Plan q's jobs on `parts`, counting the ones a live replica can take
-  // into fanout[q] before the first of them is sent.
-  auto plan_jobs = [&](std::size_t q, std::span<const PartitionId> parts) {
+  // Plan the query in slot s on `parts`, counting the jobs a live replica
+  // can take into its fanout before the first of them is sent.
+  auto plan_jobs = [&](std::size_t s, std::span<const PartitionId> parts) {
     for (const PartitionId d : parts) {
       for (std::uint32_t j = 0; j < replication; ++j) {
         if (can_serve((d + j) % P, d)) {
-          ++fanout[q];
+          ++ring[s].fanout;
           break;
         }
       }
     }
-    for (const PartitionId d : parts) plan_job(q, d);
+    for (const PartitionId d : parts) plan_job(s, d);
   };
 
-  // --- finalize: the one place a query's answer and coverage are reported.
-  // A query finalizes as soon as its answer is known, so `on_query_done`
-  // streams completions in finish order rather than batch order — the
-  // serving plane's latency signal. Two-sided: as its last partial lands,
-  // once every plan is final (exact routing's second phase extends the
-  // plans). One-sided: as its slot-full notice arrives, or a header sweep
-  // finds its slot complete.
-  stats.coverage.assign(nq, {});
-  std::size_t finalized = 0;
-  std::vector<char> answered(nq, 0);
-  auto finalize = [&](std::size_t q, std::vector<Neighbor> neighbors) {
-    ANNSIM_CHECK_MSG(!answered[q], "query " << q << " finalized twice");
-    answered[q] = 1;
-    results[q] = std::move(neighbors);
-    const QueryCoverage cov{searched[q], planned[q]};
-    stats.coverage[q] = cov;
+  // --- finalize: the one place a query's answer and coverage are reported,
+  // as soon as its answer is known, so the source sees completions in
+  // finish order. The slot is free for the next query from then on.
+  std::uint64_t answered = 0;
+  std::uint64_t total_jobs = 0;
+  auto finalize = [&](std::size_t s, std::vector<Neighbor> neighbors) {
+    Slot& sl = ring[s];
+    ANNSIM_CHECK_MSG(sl.busy, "slot " << s << " finalized twice");
+    sl.busy = false;
+    --busy;
+    free_slots.push_back(s);
+    const QueryCoverage cov{sl.searched, sl.planned};
     if (cov.degraded()) ++stats.degraded_queries;
-    ++finalized;
-    if (on_query_done) on_query_done(q, results[q], cov);
+    ++answered;
+    total_jobs += sl.planned;
+    source.done(sl.query.token, std::move(neighbors), cov);
   };
-  std::vector<TopK> acc;  // two-sided merge accumulators
-  if (!one_sided) acc.assign(nq, TopK(k));
-  bool plans_final = false;
-  auto settle = [&](std::size_t q) {
-    if (!one_sided && plans_final && remaining[q] == 0) {
-      finalize(q, acc[q].take_sorted());
+  std::vector<TopK> acc;  // two-sided merge accumulators, one per slot
+  if (!one_sided) acc.assign(slots, TopK(k));
+  std::size_t unplanned = 0;  // exact routing: slots whose ball is not out
+  // Two-sided: a query with nothing pending plans its ball (exact routing's
+  // second phase, radius = the k-th distance seen so far) or is answered.
+  auto settle = [&](std::size_t s) {
+    Slot& sl = ring[s];
+    if (one_sided || !sl.busy || sl.remaining != 0) return;
+    if (!sl.plans_final) {
+      sl.plans_final = true;
+      --unplanned;
+      route_t.start();
+      auto parts =
+          tree.route_ball(sl.query.vector.data(), acc[s].worst_dist());
+      route_t.stop();
+      std::erase(parts, sl.first);
+      plan_jobs(s, parts);
+      if (sl.remaining != 0) return;
     }
+    finalize(s, acc[s].take_sorted());
   };
-  auto complete = [&](std::size_t q, PartitionId d, Clock::time_point now) {
-    Job& j = job_at(q, d);
+  auto complete = [&](std::size_t s, PartitionId d, Clock::time_point now) {
+    Job& j = job_at(s, d);
     // Anything else is a late duplicate from a worker declared dead too
     // eagerly: the job completed elsewhere (or was abandoned).
     if (j.state != JobState::kPending) return false;
@@ -1068,23 +1204,27 @@ void DistributedAnnEngine::master_search(
     if (j.retried) ++stats.failovers;
     --pending_per_worker[std::size_t(j.worker)];
     last_activity[std::size_t(j.worker)] = now;
-    ++searched[q];
-    --remaining[q];
+    ++ring[s].searched;
+    --ring[s].remaining;
     --outstanding;
     return true;
   };
 
-  // Declare worker `w` dead for the rest of the batch: fail each of its
-  // pending jobs over to the next live replica of the partition; a job with
-  // no live replica left is abandoned and its query completes degraded.
+  // Declare worker `w` dead: fail each of its pending jobs over to the next
+  // live replica of the partition; a job with no live replica left is
+  // abandoned and its query completes degraded. The stream admits no more
+  // queries: it drains and ends, so the caller can heal before the next.
+  bool admitting = true;
   auto declare_dead = [&](std::size_t w) {
     alive[w] = 0;
+    admitting = false;
     ++stats.workers_failed;
-    for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (!ring[s].busy) continue;
       for (PartitionId d = 0; d < P; ++d) {
-        Job& j = job_at(q, d);
+        Job& j = job_at(s, d);
         if (j.state != JobState::kPending || j.worker != int(w)) continue;
-        const int m = dispatch_job(std::uint32_t(q), d);
+        const int m = dispatch_job(s, d);
         if (m >= 0) {
           j.worker = m;
           j.retried = true;
@@ -1094,7 +1234,7 @@ void DistributedAnnEngine::master_search(
         } else {
           j.state = JobState::kAbandoned;
           --outstanding;
-          if (--remaining[q] == 0) settle(q);
+          if (--ring[s].remaining == 0) settle(s);
         }
       }
     }
@@ -1123,148 +1263,213 @@ void DistributedAnnEngine::master_search(
     }
   };
 
-  // One-sided: read q's slot once, feed each job its mask shows to the
-  // table, check the mask against the table, and finalize. (A real MPI master
+  // One-sided: read slot s once, feed each job its mask shows to the table,
+  // check the mask against the table, and finalize. (A real MPI master
   // reads its exposed buffer directly; we go through get() so the C++ memory
   // model sees the same synchronisation the window's target lock provides.)
-  auto finalize_slot = [&](std::size_t q, Clock::time_point now) {
+  auto finalize_slot = [&](std::size_t s, Clock::time_point now) {
     ScopedPhase p(merge_t);
     DecodedSlot slot = decode_slot(
-        win->get(0, layout.slot_offset(q), layout.slot_bytes()), layout);
+        win->get(0, layout.slot_offset(s), layout.slot_bytes()), layout);
+    Slot& sl = ring[s];
+    ANNSIM_CHECK_MSG(slot.seq == sl.seq, "slot " << s << " holds seq "
+                                                 << slot.seq << ", want "
+                                                 << sl.seq);
     std::uint32_t landed = 0;
     bool abandoned = false;
     for (PartitionId d = 0; d < P; ++d) {
-      if (job_at(q, d).state == JobState::kNone) continue;
+      if (job_at(s, d).state == JobState::kNone) continue;
       if (slot.contains_partition(d)) {
-        (void)complete(q, d, now);
+        (void)complete(s, d, now);
         ++landed;
       }
-      abandoned = abandoned || job_at(q, d).state == JobState::kAbandoned;
+      abandoned = abandoned || job_at(s, d).state == JobState::kAbandoned;
     }
     ANNSIM_CHECK_MSG(slot.merged_count == landed &&
-                         (abandoned || landed == planned[q]),
-                     "slot " << q << ": merged " << slot.merged_count
+                         (abandoned || landed == sl.planned),
+                     "slot " << s << ": merged " << slot.merged_count
                              << ", mask shows " << landed << " of "
-                             << planned[q] << " planned jobs");
-    searched[q] = landed;
-    finalize(q, std::move(slot.neighbors));
+                             << sl.planned << " planned jobs");
+    sl.searched = landed;
+    finalize(s, std::move(slot.neighbors));
   };
   // Under a finite deadline: one pass over the unfinished slots' headers. It
   // credits per-job progress to the stall deadline, and answers each query
   // it finds complete — also one whose notice died with its sender.
   auto sweep_slots = [&](Clock::time_point now) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      if (remaining[q] == 0) continue;
+    for (std::size_t s = 0; s < slots; ++s) {
+      Slot& sl = ring[s];
+      if (!sl.busy || sl.remaining == 0) continue;
       const SlotHeader hdr = decode_slot_header(
-          win->get(0, layout.slot_offset(q), layout.header_bytes()), layout);
+          win->get(0, layout.slot_offset(s), layout.header_bytes()), layout);
       for (PartitionId d = 0; d < P; ++d) {
-        if (hdr.contains_partition(d)) (void)complete(q, d, now);
+        if (hdr.contains_partition(d)) (void)complete(s, d, now);
       }
-      if (remaining[q] == 0 && searched[q] == planned[q]) finalize_slot(q, now);
+      if (sl.remaining == 0 && sl.searched == sl.planned) finalize_slot(s, now);
     }
   };
 
-  // --- the transport seam: wait for result progress and feed each job it
-  // shows complete to the table. Two-sided: one result message. One-sided:
-  // one slot-full notice, whose query is answered at once; under a finite
-  // deadline the wait is bounded and the slot headers are swept at most once
-  // per poll.
+  // --- admission: a free slot, a fresh occupant, routing and dispatch.
+  auto admit = [&](const StreamQuery& q) {
+    ANNSIM_CHECK_MSG(q.vector.size() == tree.dim(),
+                     "stream query of " << q.vector.size() << " floats, want "
+                                        << tree.dim());
+    const std::size_t s = free_slots.front();
+    free_slots.pop_front();
+    Slot& sl = ring[s];
+    if (sl.used) {
+      // Recycled: the next occupant's seq, and a slot stamped with it, so a
+      // late partial of the previous occupant is dropped, never merged.
+      sl.seq += slots;
+      if (one_sided) {
+        init_slot(blank, layout, sl.seq);
+        win->put(0, layout.slot_offset(s), blank);
+      } else {
+        acc[s] = TopK(k);
+      }
+    }
+    sl.used = true;
+    sl.busy = true;
+    ++busy;
+    sl.query = q;
+    sl.planned = sl.remaining = sl.searched = sl.fanout = 0;
+    for (PartitionId d = 0; d < P; ++d) job_at(s, d) = Job{};
+    if (!config_.exact_routing) {
+      // Single-pass F(q): best-first top-n_probe partitions. The engine's
+      // logical step = queries dispatched: KillRule::at_step rules fire as
+      // the clock sweeps past their trigger.
+      if (fault != nullptr) fault->advance_step();
+      route_t.start();
+      auto plan = tree.route_topk(q.vector.data(), query_probes(q.effort));
+      route_t.stop();
+      plan_jobs(s, plan.partitions);
+    } else {
+      // Two-phase exact F(q): the nearest partition first, then (settle)
+      // every partition intersecting the ball at the observed k-th distance.
+      route_t.start();
+      sl.first = tree.route_nearest(q.vector.data());
+      route_t.stop();
+      sl.plans_final = false;
+      ++unplanned;
+      plan_jobs(s, {&sl.first, 1});
+    }
+    // A query can have nothing in flight already: it lost every live
+    // replica at dispatch (workers dead since an earlier operation).
+    if (one_sided && sl.fanout == 0) {
+      finalize_slot(s, Clock::now());  // nothing can land in its slot
+    } else {
+      settle(s);
+    }
+  };
+
+  // --- the one wait for progress. Two-sided: one result message.
+  // One-sided: one slot-full notice, whose query is answered at once. Either
+  // way a wake from the source ends it too, and it is bounded by the
+  // source's `wake_at` and, under a finite deadline, the poll, after which
+  // the slot headers are swept at most once per poll.
+  const mpi::Tag result_tag = one_sided ? kTagSlotFull : kTagResult;
   const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
   auto last_sweep = Clock::now();
-  auto await_results = [&] {
-    if (!one_sided) {
-      auto msg = recv_by_deadline(world, mpi::kAnySource, kTagResult);
-      if (!msg.has_value()) return;
-      ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(msg->payload, bounds);
-      if (!complete(r.query_id, r.partition, Clock::now())) return;
-      acc[r.query_id].merge(r.neighbors);
-      settle(r.query_id);
-      return;
+  auto await_progress = [&](Clock::time_point wake_at) {
+    if (detect) wake_at = std::min(wake_at, Clock::now() + poll);
+    mpi::Request req =
+        world.irecv_tags(mpi::kAnySource, {result_tag, kTagWake});
+    bool got = true;
+    if (wake_at == Clock::time_point::max()) {
+      req.wait();  // blocking: under a controller, not a timeout choice
+    } else {
+      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+          std::max(wake_at - Clock::now(), Clock::duration::zero()));
+      got = req.wait_for(left) || !req.cancel();
     }
-    // Same rule as recv_by_deadline: an infinite deadline blocks.
-    auto msg = detect ? world.recv_for(mpi::kAnySource, kTagSlotFull, poll)
-                      : world.recv(mpi::kAnySource, kTagSlotFull);
     const auto now = Clock::now();
-    if (msg.has_value()) {
-      const std::uint32_t q = decode_slot_full(msg->payload, bounds);
-      // The sweep may have answered it first.
-      if (!answered[q]) finalize_slot(q, now);
+    if (got) {
+      const mpi::Message msg = req.take();
+      if (msg.tag == kTagWake) {
+        std::lock_guard lock(door_->mu);
+        door_->wake_pending = false;
+      } else if (one_sided) {
+        const std::uint64_t seq = decode_slot_full(msg.payload);
+        const std::size_t s = slot_of(seq, bounds);
+        // Dropped when the sweep answered it first or the slot moved on.
+        if (ring[s].busy && ring[s].seq == seq) finalize_slot(s, now);
+      } else {
+        ScopedPhase p(merge_t);
+        LocalResult r = decode_local_result(msg.payload, bounds);
+        const std::size_t s = slot_of(r.seq, bounds);
+        // A partial of the slot's previous occupant is stale: drop it.
+        if (ring[s].busy && ring[s].seq == r.seq &&
+            complete(s, r.partition, now)) {
+          acc[s].merge(r.neighbors);
+          settle(s);
+        }
+      }
     }
-    if (detect && now - last_sweep >= poll) {
+    if (one_sided && detect && now - last_sweep >= poll) {
       last_sweep = now;
       sweep_slots(now);
     }
   };
-  auto collect = [&] {
-    const auto arm_time = Clock::now();
-    std::fill(last_activity.begin(), last_activity.end(), arm_time);
-    std::fill(last_heartbeat.begin(), last_heartbeat.end(), arm_time);
-    if (one_sided) {
-      win->lock_shared(0);
-      epoch_open = true;
-    }
-    while (outstanding > 0) {
-      await_results();
-      const auto now = Clock::now();
-      drain_heartbeats(now);
-      check_deadlines(now);
-    }
-    if (one_sided) {
-      win->unlock(0);
-      epoch_open = false;
-    }
-  };
 
-  if (!config_.exact_routing) {
-    // Single-pass F(q): best-first top-n_probe partitions.
-    for (std::size_t q = 0; q < nq; ++q) {
-      // The engine's logical step = queries dispatched: KillRule::at_step
-      // rules fire as the clock sweeps past their trigger.
-      if (fault != nullptr) fault->advance_step();
-      route_t.start();
-      auto plan = tree.route_topk(queries.row(q), query_probes(q));
-      route_t.stop();
-      plan_jobs(q, plan.partitions);
-    }
-  } else {
-    // Two-phase exact F(q): nearest partition first, then every partition
-    // intersecting the ball at the observed k-th distance.
-    std::vector<PartitionId> first(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      first[q] = tree.route_nearest(queries.row(q));
-      route_t.stop();
-      plan_jobs(q, {&first[q], 1});
-    }
-    collect();  // phase 1 (two-sided); plans are not final yet
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      auto parts = tree.route_ball(queries.row(q), acc[q].worst_dist());
-      route_t.stop();
-      std::erase(parts, first[q]);
-      plan_jobs(q, parts);
-    }
-  }
-  plans_final = true;
-  // A query can have nothing in flight already: its phase-1 job was its
-  // whole plan, or it lost every live replica at dispatch (workers dead
-  // since an earlier batch). Finalize it now, or no result would visit it.
-  for (std::size_t q = 0; q < nq; ++q) settle(q);
-
-  // EOQ goes out as soon as no job can still need a retry: right after
-  // dispatch under an infinite deadline, after collection under a finite
-  // one, so live workers can serve failover jobs until the batch ends.
+  // EOQ goes out as soon as no job can still be sent: once the source is
+  // done (or admission stopped) and every plan is out under an infinite
+  // deadline, once nothing is outstanding under a finite one, so live
+  // workers can serve failover jobs until then.
+  bool source_open = true;
   auto send_eoq_when_final = [&] {
-    if (eoq_sent || (detect && outstanding > 0)) return;
+    if (eoq_sent || (admitting && source_open) || unplanned > 0 ||
+        (detect && outstanding > 0)) {
+      return;
+    }
     eoq_sent = true;
     for (std::size_t w = 0; w < P; ++w) {
       ScopedPhase p(dispatch_t);
       (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
     }
   };
-  send_eoq_when_final();
-  collect();
+
+  // --- the stream: admit, then wait once, until nothing is left to do.
+  if (one_sided) {
+    win->lock_shared(0);
+    epoch_open = true;
+  }
+  std::vector<StreamQuery> pulled;
+  for (;;) {
+    auto wake_at = Clock::time_point::max();
+    bool admitted = false;
+    if (admitting && source_open) {
+      pulled.clear();
+      source_open = source.pull(free_slots.size(), pulled, wake_at);
+      ANNSIM_CHECK_MSG(pulled.size() + busy <= slots,
+                       "source handed " << pulled.size() << " queries for "
+                                        << slots - busy << " free slots");
+      for (const StreamQuery& q : pulled) admit(q);
+      admitted = !pulled.empty();
+    }
+    send_eoq_when_final();
+    if (outstanding == 0) {
+      // Everything admitted so far is answered (or degraded, waiting for
+      // the final read): pull again while the source keeps supplying.
+      if (admitted && admitting && source_open) continue;
+      break;
+    }
+    await_progress(wake_at);
+    const auto now = Clock::now();
+    drain_heartbeats(now);
+    check_deadlines(now);
+  }
+
+  // --- the end: no wake can arrive any more, every worker hears EOQ.
+  bool drain_wake;
+  {
+    std::lock_guard lock(door_->mu);
+    door_->master = nullptr;
+    drain_wake = door_->wake_pending;
+    door_->wake_pending = false;
+  }
+  // A wake is sent under the door's lock, so it is in the mailbox already.
+  if (drain_wake) (void)world.recv(0, kTagWake);
+  admitting = false;
   send_eoq_when_final();
 
   // --- completion notices (also carry the Fig 4(b) per-process job counts).
@@ -1279,24 +1484,21 @@ void DistributedAnnEngine::master_search(
     // queries no notice or sweep answered: degraded ones — read only now, so
     // merges that landed after their worker was (too eagerly) declared dead
     // still count — and any whose notice died with its sender.
-    win->lock_shared(0);
-    epoch_open = true;
     const auto now = Clock::now();
-    for (std::size_t q = 0; q < nq; ++q) {
-      if (!answered[q]) finalize_slot(q, now);
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (ring[s].busy) finalize_slot(s, now);
     }
     win->unlock(0);
     epoch_open = false;
   }
-  ANNSIM_CHECK(finalized == nq);
+  ANNSIM_CHECK(busy == 0);
 
-  std::uint64_t total_jobs = 0;
-  for (const std::uint32_t n : planned) total_jobs += n;
   stats.master_route_seconds = route_t.total_seconds();
   stats.master_dispatch_seconds = dispatch_t.total_seconds();
   stats.master_merge_seconds = merge_t.total_seconds();
   stats.total_jobs = total_jobs;
-  stats.mean_partitions_per_query = nq ? double(total_jobs) / double(nq) : 0.0;
+  stats.mean_partitions_per_query =
+      answered ? double(total_jobs) / double(answered) : 0.0;
 }
 
 std::chrono::microseconds DistributedAnnEngine::detection_timeout() const {
@@ -1344,7 +1546,7 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
   if (one_sided) {
     win = &result_window(world);
     // Passive-target access epoch at the master, shared mode (§IV-C1): one
-    // epoch for the whole batch, shared by this worker's thread team.
+    // epoch for the whole operation, shared by this worker's thread team.
     win->lock_shared(0);
   }
   const DoneNotice notice =
@@ -1440,32 +1642,36 @@ DoneNotice DistributedAnnEngine::run_job_loop(
                        "worker " << me << " has no replica of partition "
                                  << job.partition);
       WallTimer tc;
-      auto local = it->second.index->search(job.query.data(), job.k, job.ef);
+      auto local = it->second.index->search(job.query.data(), k, job.ef);
       my_compute += tc.seconds();
 
       WallTimer tm;
       if (win != nullptr) {
         prev.clear();  // stays empty when the fabric drops the accumulate
-        win->get_accumulate(0, layout.slot_offset(job.query_id),
-                            encode_slot_update(local, layout, job.partition),
-                            merge_op, &prev);
+        win->get_accumulate(
+            0, layout.slot_offset(slot_of(job.seq, bounds)),
+            encode_slot_update(local, layout, job.partition, job.seq),
+            merge_op, &prev);
         // The fresh merge that brings the slot to the query's fanout
         // completed it: ring the master, which answers the query at once.
-        // A duplicate (partition bit already set) merged nothing.
+        // A duplicate (partition bit already set) or a stale job (the slot
+        // holds another occupant) merged nothing.
         if (!prev.empty()) {
           const SlotHeader before = decode_slot_header(prev, layout);
-          if (!before.contains_partition(job.partition) &&
+          if (before.seq == job.seq &&
+              !before.contains_partition(job.partition) &&
               before.merged_count + 1 == job.fanout) {
-            (void)world.isend(0, kTagSlotFull, encode_slot_full(job.query_id));
+            (void)world.isend(0, kTagSlotFull, encode_slot_full(job.seq));
           }
         }
       } else {
+        // The result goes back to whoever sent the job: the master, or in
+        // multiple-owner mode the query's owner.
         LocalResult r;
-        r.query_id = job.query_id;
+        r.seq = job.seq;
         r.partition = job.partition;
         r.neighbors = std::move(local);
-        (void)world.isend(int(job.reply_to), result_tag,
-                          encode_local_result(r));
+        (void)world.isend(m.source, result_tag, encode_local_result(r));
       }
       my_comm += tm.seconds();
       jobs.fetch_add(1, std::memory_order_relaxed);

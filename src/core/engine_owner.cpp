@@ -61,9 +61,10 @@ void DistributedAnnEngine::master_search_owner(mpi::Comm& world,
     ScopedPhase p(merge_t);
     LocalResult r = decode_owner_answer(m.payload, bounds);
     const QueryCoverage cov{r.partition, r.partition};  // |F(q)| merged
-    results[r.query_id] = std::move(r.neighbors);
-    stats.coverage[r.query_id] = cov;
-    if (on_query_done) on_query_done(r.query_id, results[r.query_id], cov);
+    const std::size_t q = r.seq;  // an owner answer names its batch index
+    results[q] = std::move(r.neighbors);
+    stats.coverage[q] = cov;
+    if (on_query_done) on_query_done(q, results[q], cov);
   }
 
   // --- termination: an owner answers only once every job of its query has
@@ -108,14 +109,14 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
       TopK acc;
       std::uint32_t fanout = 0;  ///< |F(q)|
     };
-    std::map<std::uint32_t, Owned> mine;
+    std::map<std::uint64_t, Owned> mine;
     std::uint64_t my_dispatched = 0;
     for (std::uint64_t i = 0; i < n_mine; ++i) {
+      // The batch index is the job's seq: one slot per query, never reused.
+      // Results come back to this rank, the jobs' sender.
       QueryJob job;
-      job.query_id = rd.read<std::uint32_t>();
-      job.k = std::uint32_t(k);
+      job.seq = rd.read<std::uint32_t>();
       job.ef = my_ef;
-      job.reply_to = std::uint32_t(me) + 1;  // world rank of this owner
       job.query = rd.read_vector<float>();
       route_t.start();
       auto plan =
@@ -123,7 +124,7 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
               .partitions;
       route_t.stop();
       job.fanout = std::uint32_t(plan.size());
-      mine.emplace(job.query_id, Owned{TopK(k), job.fanout});
+      mine.emplace(job.seq, Owned{TopK(k), job.fanout});
       for (PartitionId d : plan) {
         job.partition = d;
         (void)world.isend(int(d) + 1, kTagQuery, encode_query_job(job));
@@ -135,14 +136,14 @@ void DistributedAnnEngine::worker_search_owner(mpi::Comm& world,
     for (std::uint64_t i = 0; i < my_dispatched; ++i) {
       mpi::Message m = world.recv(mpi::kAnySource, kTagOwnerResult);
       LocalResult r = decode_local_result(m.payload, bounds);
-      const auto it = mine.find(r.query_id);
+      const auto it = mine.find(r.seq);
       ANNSIM_CHECK_MSG(it != mine.end(), "worker " << me << " does not own query "
-                                                    << r.query_id);
+                                                    << r.seq);
       it->second.acc.merge(r.neighbors);
     }
     for (auto& [qid, owned] : mine) {
       LocalResult r;
-      r.query_id = qid;
+      r.seq = qid;
       r.partition = owned.fanout;
       r.neighbors = owned.acc.take_sorted();
       (void)world.isend(0, kTagResult, encode_local_result(r));

@@ -96,7 +96,7 @@ void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
   // The engine's control plane: termination, completion notices, liveness
   // beacons. Data-plane code must never send these plainly (or swallow them
   // through a wildcard) — the reserved-tag and wildcard rules enforce it.
-  o.reserved_tags = {kTagEoq,    kTagDone,   kTagHeartbeat,
+  o.reserved_tags = {kTagEoq,    kTagDone,   kTagHeartbeat, kTagWake,
                      kTagInsert, kTagDelete, kTagWriteAck, kTagCompact};
   if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
     // With failure detection armed, these are by-design abandonable: a
@@ -127,14 +127,16 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
     mpi::FaultPlan plan = config_.fault;
     // The control plane rides the reliable fabric: End-of-Queries (a worker
     // that never hears it spins forever), heartbeats (a dropped beat would
-    // read as a death), and replica streams (healing must complete under
-    // drop_probability). The write plane's four tags are control plane too:
+    // read as a death), stream wakes (rank 0 to itself: a lost one would
+    // strand an admitted query), and replica streams (healing must complete
+    // under drop_probability). The write plane's four tags are control plane too:
     // a dropped insert would silently fork replicas of the same partition.
     // Slot-full notices ride it so that they cost no op budget: kill points
     // and drop sequences stay where the accumulates alone put them.
     // Death still silences all of them — see fault.hpp.
     plan.reliable_tags.push_back(kTagEoq);
     plan.reliable_tags.push_back(kTagHeartbeat);
+    plan.reliable_tags.push_back(kTagWake);
     plan.reliable_tags.push_back(kTagSlotFull);
     plan.reliable_tags.push_back(kTagReplica);
     plan.reliable_tags.push_back(kTagInsert);
@@ -149,8 +151,8 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
 
 mpi::Window& DistributedAnnEngine::result_window(mpi::Comm& world) {
   mpi::Window& win = search_lane_->windows[std::size_t(world.rank())];
-  // Collective on the first one-sided batch, when every rank's handle is
-  // still empty; prepare_result_window() sizes it from then on.
+  // Collective on the first one-sided operation, when every rank's handle
+  // is still empty; prepare_result_window() sizes it from then on.
   if (!win.valid()) {
     win = world.create_window(world.rank() == 0 ? search_lane_->window_bytes
                                                 : 0);
@@ -161,11 +163,9 @@ mpi::Window& DistributedAnnEngine::result_window(mpi::Comm& world) {
 void DistributedAnnEngine::prepare_result_window(std::size_t bytes) {
   search_lane_->window_bytes = bytes;
   mpi::Window& win = search_lane_->windows[0];
-  if (!win.valid()) return;  // the batch creates it, zeroed
-  // Before the control message: no worker holds an epoch yet.
-  win.grow_local(bytes);
-  const std::span<std::byte> slots = win.local_data().first(bytes);
-  std::fill(slots.begin(), slots.end(), std::byte{0});
+  // Before the control message: no worker holds an epoch yet. A window not
+  // created yet is created by the operation, at this size.
+  if (win.valid()) win.grow_local(bytes);
 }
 
 }  // namespace annsim::core

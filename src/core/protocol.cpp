@@ -1,5 +1,6 @@
 #include "annsim/core/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -9,39 +10,34 @@ namespace annsim::core {
 
 namespace {
 
-void check_query_id(std::uint32_t query_id, const BatchBounds& bounds) {
-  ANNSIM_CHECK_MSG(query_id < bounds.n_queries,
-                   "query id " << query_id << " outside a batch of "
-                               << bounds.n_queries);
-}
-
 void check_partition(PartitionId partition, const BatchBounds& bounds) {
   ANNSIM_CHECK_MSG(std::size_t(partition) < bounds.n_partitions,
                    "partition " << partition << " outside "
                                 << bounds.n_partitions << " partitions");
 }
 
-LocalResult read_local_result(std::span<const std::byte> bytes,
-                              const BatchBounds& bounds) {
+LocalResult read_local_result(std::span<const std::byte> bytes) {
   BinaryReader r(bytes);
   LocalResult out;
-  out.query_id = r.read<std::uint32_t>();
+  out.seq = r.read<std::uint64_t>();
   out.partition = r.read<PartitionId>();
   out.neighbors = r.read_vector<Neighbor>();
   ANNSIM_CHECK(r.exhausted());
-  check_query_id(out.query_id, bounds);
   return out;
 }
 
 }  // namespace
 
+std::size_t slot_of(std::uint64_t seq, const BatchBounds& bounds) {
+  ANNSIM_CHECK_MSG(bounds.n_queries >= 1, "an operation has at least one slot");
+  return std::size_t(seq % bounds.n_queries);
+}
+
 std::vector<std::byte> encode_query_job(const QueryJob& job) {
   BinaryWriter w;
-  w.write(job.query_id);
+  w.write(job.seq);
   w.write(job.partition);
-  w.write(job.k);
   w.write(job.ef);
-  w.write(job.reply_to);
   w.write(job.fanout);
   w.write_vector(job.query);
   return w.take();
@@ -51,15 +47,12 @@ QueryJob decode_query_job(std::span<const std::byte> bytes,
                           const BatchBounds& bounds) {
   BinaryReader r(bytes);
   QueryJob job;
-  job.query_id = r.read<std::uint32_t>();
+  job.seq = r.read<std::uint64_t>();
   job.partition = r.read<PartitionId>();
-  job.k = r.read<std::uint32_t>();
   job.ef = r.read<std::uint32_t>();
-  job.reply_to = r.read<std::uint32_t>();
   job.fanout = r.read<std::uint32_t>();
   job.query = r.read_vector<float>();
   ANNSIM_CHECK(r.exhausted());
-  check_query_id(job.query_id, bounds);
   check_partition(job.partition, bounds);
   ANNSIM_CHECK_MSG(job.fanout >= 1 && job.fanout <= bounds.n_partitions,
                    "job fanout " << job.fanout << " outside [1, "
@@ -72,7 +65,7 @@ QueryJob decode_query_job(std::span<const std::byte> bytes,
 
 std::vector<std::byte> encode_local_result(const LocalResult& r) {
   BinaryWriter w;
-  w.write(r.query_id);
+  w.write(r.seq);
   w.write(r.partition);
   w.write_span(std::span<const Neighbor>(r.neighbors));
   return w.take();
@@ -80,14 +73,18 @@ std::vector<std::byte> encode_local_result(const LocalResult& r) {
 
 LocalResult decode_local_result(std::span<const std::byte> bytes,
                                 const BatchBounds& bounds) {
-  LocalResult out = read_local_result(bytes, bounds);
+  LocalResult out = read_local_result(bytes);
   check_partition(out.partition, bounds);
   return out;
 }
 
 LocalResult decode_owner_answer(std::span<const std::byte> bytes,
                                 const BatchBounds& bounds) {
-  LocalResult out = read_local_result(bytes, bounds);
+  LocalResult out = read_local_result(bytes);
+  ANNSIM_CHECK_MSG(out.seq < bounds.n_queries,
+                   "owner answer for query " << out.seq
+                                             << " outside a batch of "
+                                             << bounds.n_queries);
   ANNSIM_CHECK_MSG(std::size_t(out.partition) <= bounds.n_partitions,
                    "owner answer merged " << out.partition << " of "
                                           << bounds.n_partitions
@@ -95,19 +92,17 @@ LocalResult decode_owner_answer(std::span<const std::byte> bytes,
   return out;
 }
 
-std::vector<std::byte> encode_slot_full(std::uint32_t query_id) {
+std::vector<std::byte> encode_slot_full(std::uint64_t seq) {
   BinaryWriter w;
-  w.write(query_id);
+  w.write(seq);
   return w.take();
 }
 
-std::uint32_t decode_slot_full(std::span<const std::byte> bytes,
-                               const BatchBounds& bounds) {
+std::uint64_t decode_slot_full(std::span<const std::byte> bytes) {
   BinaryReader r(bytes);
-  const auto query_id = r.read<std::uint32_t>();
+  const auto seq = r.read<std::uint64_t>();
   ANNSIM_CHECK(r.exhausted());
-  check_query_id(query_id, bounds);
-  return query_id;
+  return seq;
 }
 
 std::vector<std::byte> encode_write_batch(const WriteBatch& b) {
@@ -192,23 +187,23 @@ bool mask_contains(std::span<const std::uint64_t> mask,
 
 namespace {
 
-constexpr std::size_t kCountBytes = sizeof(std::uint64_t);  // count + pad
+constexpr std::size_t kSeqBytes = sizeof(std::uint64_t);
+
+std::uint64_t slot_seq(std::span<const std::byte> slot) {
+  std::uint64_t seq = 0;
+  std::memcpy(&seq, slot.data(), sizeof(seq));
+  return seq;
+}
 
 std::uint64_t mask_word(std::span<const std::byte> slot, std::size_t w) {
   std::uint64_t word = 0;
-  std::memcpy(&word, slot.data() + kCountBytes + w * sizeof(word),
+  std::memcpy(&word, slot.data() + kSeqBytes + w * sizeof(word),
               sizeof(word));
   return word;
 }
 
-std::uint32_t merged_count(std::span<const std::byte> slot) {
-  std::uint32_t count = 0;
-  std::memcpy(&count, slot.data(), sizeof(count));
-  return count;
-}
-
-/// Validate a slot header and return its merged count: no mask bit at or
-/// past n_partitions, and one mask bit per merge.
+/// Validate a slot header and return its merged count, the number of mask
+/// bits: none may sit at or past n_partitions.
 std::uint32_t checked_count(std::span<const std::byte> slot,
                             const SlotLayout& layout) {
   ANNSIM_CHECK(slot.size() >= layout.header_bytes());
@@ -222,11 +217,7 @@ std::uint32_t checked_count(std::span<const std::byte> slot,
                      "slot mask names a partition past n_partitions");
     bits += std::size_t(std::popcount(word));
   }
-  const std::uint32_t count = merged_count(slot);
-  ANNSIM_CHECK_MSG(count == bits, "slot merged_count " << count
-                                                       << " but mask holds "
-                                                       << bits);
-  return count;
+  return std::uint32_t(bits);
 }
 
 std::vector<std::uint64_t> read_mask(std::span<const std::byte> slot,
@@ -260,20 +251,27 @@ std::vector<Neighbor> read_neighbors(std::span<const std::byte> slot,
 
 std::vector<std::byte> encode_slot_update(std::span<const Neighbor> neighbors,
                                           const SlotLayout& layout,
-                                          PartitionId partition) {
+                                          PartitionId partition,
+                                          std::uint64_t seq) {
   ANNSIM_CHECK_MSG(std::size_t(partition) < layout.n_partitions,
                    "encode_slot_update: partition " << partition
                                                     << " outside the layout's "
                                                     << layout.n_partitions);
   std::vector<std::byte> out(layout.slot_bytes());
-  const std::uint32_t count = 1;
-  std::memcpy(out.data(), &count, sizeof(count));
+  std::memcpy(out.data(), &seq, sizeof(seq));
   const std::uint64_t bit = std::uint64_t{1} << (std::size_t(partition) % 64);
-  std::memcpy(out.data() + kCountBytes +
+  std::memcpy(out.data() + kSeqBytes +
                   (std::size_t(partition) / 64) * sizeof(bit),
               &bit, sizeof(bit));
   write_neighbors(out, layout, neighbors);
   return out;
+}
+
+void init_slot(std::span<std::byte> slot, const SlotLayout& layout,
+               std::uint64_t seq) {
+  ANNSIM_CHECK(slot.size() == layout.slot_bytes());
+  std::fill(slot.begin(), slot.end(), std::byte{0});
+  std::memcpy(slot.data(), &seq, sizeof(seq));
 }
 
 mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
@@ -285,6 +283,9 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
     ANNSIM_CHECK_MSG(checked_count(origin, layout) == 1,
                      "slot update must carry exactly one partition");
 
+    // A partial for another occupant of this slot (a late or duplicated job
+    // of the query answered before) is stale: drop it.
+    if (slot_seq(origin) != slot_seq(target)) return;
     // Failover retry that already landed: the origin's partition is merged
     // into this slot already, so the whole update is a duplicate. Drop it.
     const std::size_t words = layout.mask_words();
@@ -294,19 +295,17 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
     }
     if (!fresh) return;
 
-    // A fresh slot holds zero-initialized neighbors (dist 0, id 0) when
-    // count == 0; treat it as empty rather than as k bogus zero-distance hits.
+    // An empty slot holds zero-initialized neighbors (dist 0, id 0); treat
+    // it as empty rather than as k bogus zero-distance hits.
     const std::vector<Neighbor> o_nb = read_neighbors(origin, layout);
     const std::vector<Neighbor> merged =
         t_count == 0 ? o_nb
                      : merge_sorted_knn(read_neighbors(target, layout), o_nb,
                                         layout.k);
 
-    const std::uint32_t new_count = t_count + 1;
-    std::memcpy(target.data(), &new_count, sizeof(new_count));
     for (std::size_t w = 0; w < words; ++w) {
       const std::uint64_t word = mask_word(target, w) | mask_word(origin, w);
-      std::memcpy(target.data() + kCountBytes + w * sizeof(word), &word,
+      std::memcpy(target.data() + kSeqBytes + w * sizeof(word), &word,
                   sizeof(word));
     }
     write_neighbors(target, layout, merged);
@@ -317,6 +316,7 @@ SlotHeader decode_slot_header(std::span<const std::byte> slot,
                               const SlotLayout& layout) {
   SlotHeader out;
   out.merged_count = checked_count(slot, layout);
+  out.seq = slot_seq(slot);
   out.mask = read_mask(slot, layout);
   return out;
 }
@@ -326,6 +326,7 @@ DecodedSlot decode_slot(std::span<const std::byte> slot,
   ANNSIM_CHECK(slot.size() >= layout.slot_bytes());
   DecodedSlot out;
   out.merged_count = checked_count(slot, layout);
+  out.seq = slot_seq(slot);
   out.mask = read_mask(slot, layout);
   out.neighbors = read_neighbors(slot, layout);
   // Drop +inf padding sentinels.

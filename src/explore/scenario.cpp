@@ -89,6 +89,37 @@ bool identical_results(const data::KnnResults& a, const data::KnnResults& b) {
   return true;
 }
 
+/// The query mix's stream source: the queries one at a time into a single
+/// slot, so each answer recycles the slot for the next query and the
+/// recycle (a new occupant's seq, a stamped slot) is part of the explored
+/// schedule.
+class OneSlotSource final : public core::QuerySource {
+ public:
+  OneSlotSource(const data::Dataset& queries, data::KnnResults& results)
+      : queries_(queries), results_(results) {
+    results_.assign(queries.size(), {});
+  }
+
+  bool pull(std::size_t free, std::vector<core::StreamQuery>& out,
+            Clock::time_point& /*wake_at*/) override {
+    if (free > 0 && next_ < queries_.size()) {
+      out.push_back({queries_.row_span(next_), next_, {}});
+      ++next_;
+    }
+    return next_ < queries_.size();
+  }
+
+  void done(std::uint64_t token, std::vector<Neighbor>&& result,
+            const core::QueryCoverage& /*coverage*/) override {
+    results_[token] = std::move(result);
+  }
+
+ private:
+  const data::Dataset& queries_;
+  data::KnnResults& results_;
+  std::size_t next_ = 0;
+};
+
 /// Cross-replica WAL invariants, checked after the engine (and its open log
 /// handles) are gone: every replica of one logical row logged the same LSN,
 /// deletes land above the insert they tombstone, and each log's synced
@@ -254,9 +285,12 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
             }
             break;
           }
-          case Mix::kQuery:
-            controlled_results = engine.search(workload.queries, cfg.k);
+          case Mix::kQuery: {
+            // Fewer slots than queries: slot recycling is a choice point.
+            OneSlotSource source(workload.queries, controlled_results);
+            (void)engine.stream(source, cfg.k, /*slots=*/1);
             break;
+          }
           case Mix::kCompact: {
             const auto rows =
                 data::make_sift_like(cfg.write_rows, 1, cfg.seed + 21).base;

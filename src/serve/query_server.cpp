@@ -84,8 +84,11 @@ QueryServer::QueryServer(core::DistributedAnnEngine* engine,
                      "breaker_probes must be nonzero: half-open needs at "
                      "least one probe to test recovery");
   }
+  ANNSIM_CHECK_MSG(
+      engine_->config().strategy == core::DispatchStrategy::kMasterWorker,
+      "QueryServer requires the master-worker dispatch strategy (requests "
+      "stream through the engine's master)");
   dim_ = engine_->router().dim();
-  max_delay_ = std::chrono::duration<double, std::milli>(config_.max_delay_ms);
   scheduler_ = std::thread([this] { scheduler_main(); });
 }
 
@@ -118,9 +121,9 @@ std::future<QueryResponse> QueryServer::submit(std::vector<float> query,
 
   std::unique_lock lk(mu_);
   // Deadline-aware culling: never enqueue a request that is already doomed —
-  // expired on arrival, or unreachable per the service-time EWMA (the queue
-  // ahead of it at its priority plus one batch of service). Shedding here
-  // costs nothing downstream; shedding later costs a worker batch slot.
+  // expired on arrival, or unreachable per the service-time EWMAs (the
+  // queue ahead of it at its priority plus its own service). Shedding here
+  // costs nothing downstream; shedding later costs a stream slot.
   if (config_.deadline_scheduling && !stopping_ &&
       p.deadline != Clock::time_point::max()) {
     const auto now = Clock::now();
@@ -131,7 +134,7 @@ std::future<QueryResponse> QueryServer::submit(std::vector<float> query,
         if (q.cls <= p.cls) ++ahead;
       }
       const auto est = std::chrono::duration<double, std::milli>(
-          double(ahead) * ewma_query_ms_ + ewma_batch_ms_);
+          double(ahead) * ewma_query_ms_ + ewma_service_ms_);
       doomed = now + std::chrono::duration_cast<Clock::duration>(est) >
                p.deadline;
     }
@@ -202,8 +205,11 @@ std::future<QueryResponse> QueryServer::submit(std::vector<float> query,
   p.seq = next_seq_++;
   queue_.push_back(std::move(p));
   const std::size_t depth = queue_.size();
+  // An open stream with free slots is waiting for progress: wake it.
+  const bool wake = std::exchange(master_hungry_, false);
   lk.unlock();
   metrics_.on_submit(depth);
+  if (wake) engine_->wake_stream();
   cv_work_.notify_one();
   return fut;
 }
@@ -286,7 +292,7 @@ void QueryServer::breaker_record(bool success, bool probe) {
 
 double QueryServer::effort_factor(PriorityClass cls) const {
   if (config_.brownout_target_ms <= 0.0) return 1.0;
-  const double p = pressure_.load(std::memory_order_relaxed);
+  const double p = pressure_;
   // Bottom-up degradation: each class starts shrinking only past its onset
   // pressure, so best-effort absorbs mild overload alone, batch joins under
   // sustained overload, and interactive gives ground only near saturation.
@@ -334,277 +340,86 @@ void QueryServer::scheduler_main() {
     expire_overdue_locked(now);
     if (queue_.empty()) continue;
 
-    // Requests in retry backoff (not_before in the future) are invisible to
-    // the flush decision until their gate opens — except when draining, when
-    // everything still queued goes out immediately.
-    const auto est_batch = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(ewma_batch_ms_));
-    std::size_t eligible = 0;
-    auto flush_at = Clock::time_point::max();
-    // Urgency flush (deadline scheduling): the tightest queued deadline,
-    // minus one estimated batch of service — waiting for max_delay past this
-    // point would make the request expire in flight.
-    auto urgent_at = Clock::time_point::max();
+    // A stream opens as soon as a request can go; its k is the largest
+    // among those. Requests in retry backoff (not_before in the future)
+    // wait for their gate — except when draining, when everything still
+    // queued goes out immediately.
+    std::size_t k = 0;
     auto wake = Clock::time_point::max();
     for (const auto& p : queue_) {
       wake = std::min(wake, p.deadline);
       if (stopping_ || p.not_before <= now) {
-        ++eligible;
-        flush_at = std::min(
-            flush_at,
-            p.admitted + std::chrono::duration_cast<Clock::duration>(max_delay_));
-        if (config_.deadline_scheduling && ewma_batch_ms_ > 0.0 &&
-            p.deadline != Clock::time_point::max()) {
-          // Two estimated batches of margin — one for the service time itself
-          // and one so the won't-make-it check at batch formation still sees
-          // the deadline as reachable — floored at a few milliseconds: when
-          // batches are sub-millisecond the estimate alone is thinner than
-          // scheduler wake jitter and the flushed request lands past its
-          // deadline anyway.
-          const auto margin = std::max(
-              est_batch + est_batch,
-              std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::milliseconds(5)));
-          urgent_at = std::min(urgent_at, p.deadline - margin);
-        }
+        k = std::max(k, p.k);
       } else {
         wake = std::min(wake, p.not_before);
       }
     }
-    if (!stopping_ && (eligible == 0 ||
-                       (eligible < config_.max_batch && now < flush_at &&
-                        now < urgent_at))) {
-      // Sleep until the max_delay flush point, the urgency flush point, the
-      // earliest queued deadline, the earliest backoff gate, a batch-filling
+    if (k == 0) {
+      // Sleep until the earliest backoff gate or queued deadline, an
       // arrival, or stop() — whichever comes first.
-      if (eligible > 0) wake = std::min({wake, flush_at, urgent_at});
       const std::size_t seen = queue_.size();
       cv_work_.wait_until(lk, wake, [&] {
-        return stopping_ || queue_.size() >= config_.max_batch ||
-               queue_.size() != seen;
+        return stopping_ || queue_.size() != seen;
       });
-      continue;  // re-evaluate flush conditions from scratch
+      continue;
     }
-
-    // Flush: reached max_batch, the oldest waited max_delay, a deadline
-    // demands urgency, or draining.
-    std::vector<Pending> batch;
-    batch.reserve(std::min(config_.max_batch, eligible));
-    if (!config_.deadline_scheduling) {
-      // Legacy FIFO batch formation.
-      for (auto it = queue_.begin();
-           it != queue_.end() && batch.size() < config_.max_batch;) {
-        if (stopping_ || it->not_before <= now) {
-          batch.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    } else {
-      // EDF batch formation: eligible requests ordered by (class, deadline,
-      // admission) so the batch serves the highest class' tightest deadlines
-      // first, with FIFO as the tie-break. Won't-make-it requests found at
-      // the head are shed here rather than occupying a batch slot.
-      std::vector<std::size_t> order;
-      order.reserve(queue_.size());
-      for (std::size_t i = 0; i < queue_.size(); ++i) {
-        if (stopping_ || queue_[i].not_before <= now) order.push_back(i);
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        const Pending& pa = queue_[a];
-        const Pending& pb = queue_[b];
-        if (pa.cls != pb.cls) return pa.cls < pb.cls;
-        if (pa.deadline != pb.deadline) return pa.deadline < pb.deadline;
-        return pa.seq < pb.seq;
-      });
-      std::vector<char> taken(queue_.size(), 0);
-      std::vector<Pending> doomed;
-      for (const std::size_t i : order) {
-        if (batch.size() >= config_.max_batch) break;
-        Pending& p = queue_[i];
-        if (!stopping_ && ewma_batch_ms_ > 0.0 &&
-            p.deadline != Clock::time_point::max() &&
-            now + est_batch > p.deadline) {
-          taken[i] = 1;
-          doomed.push_back(std::move(p));
-          continue;
-        }
-        taken[i] = 1;
-        batch.push_back(std::move(p));
-      }
-      if (!doomed.empty() || !batch.empty()) {
-        std::deque<Pending> rest;
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-          if (!taken[i]) rest.push_back(std::move(queue_[i]));
-        }
-        queue_.swap(rest);
-      }
-      for (auto& p : doomed) shed_request(std::move(p), now);
-      if (batch.empty()) {
-        // Everything eligible was doomed; nothing to dispatch this round.
-        cv_space_.notify_all();
-        continue;
-      }
-    }
-    cv_space_.notify_all();
     lk.unlock();
-    run_batch(std::move(batch));
+    run_stream(k);
     lk.lock();
   }
 }
 
-void QueryServer::run_batch(std::vector<Pending> batch) {
-  const auto dispatched = Clock::now();
-  metrics_.on_batch(batch.size());
-
-  data::Dataset queries(batch.size(), dim_);
-  std::size_t k_max = 1;
-  double queue_delay_ms = 0.0;  // oldest wait in this batch: the load signal
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    queries.set_row(i, batch[i].query);
-    k_max = std::max(k_max, batch[i].k);
-    queue_delay_ms = std::max(queue_delay_ms,
-                              to_ms(dispatched - batch[i].admitted));
-  }
-
-  // Brownout controller (CoDel-style): queue delay above target raises
-  // pressure a notch per batch; delay below half the target decays it. The
-  // factor then scales each query's effort bottom-up by class.
-  std::vector<core::EffortOverride> efforts;
-  if (config_.brownout_target_ms > 0.0) {
-    double pr = pressure_.load(std::memory_order_relaxed);
-    if (queue_delay_ms > config_.brownout_target_ms) {
-      pr = std::min(1.0, pr + 0.25);
-    } else if (queue_delay_ms < config_.brownout_target_ms / 2.0) {
-      pr = std::max(0.0, pr - 0.25);
-    }
-    pressure_.store(pr, std::memory_order_relaxed);
-    metrics_.on_pressure(pr);
-
-    const auto& ecfg = engine_->config();
-    const auto base_ef = std::uint32_t(
-        config_.ef != 0 ? config_.ef : ecfg.hnsw.ef_search);
-    const auto base_probes =
-        std::uint32_t(std::min(ecfg.n_probe, ecfg.n_workers));
-    std::size_t reduced = 0;
-    double min_factor = 1.0;
-    efforts.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const double f = effort_factor(batch[i].cls);
-      batch[i].effort = f;
-      if (f >= 1.0) continue;
-      ++reduced;
-      min_factor = std::min(min_factor, f);
-      efforts[i].ef = std::max<std::uint32_t>(
-          std::uint32_t(batch[i].k),
-          std::uint32_t(std::lround(double(base_ef) * f)));
-      efforts[i].max_probes = std::max<std::uint32_t>(
-          1, std::uint32_t(std::lround(double(base_probes) * f)));
-    }
-    if (reduced > 0) {
-      metrics_.on_brownout(reduced, min_factor);
-    } else {
-      efforts.clear();  // full effort across the batch: no overrides
-    }
-  }
-
-  std::vector<char> completed(batch.size(), 0);
-  std::vector<char> requeue(batch.size(), 0);
-  // Degraded partial answers held back for a retry. If re-admission finds the
-  // queue full the retry is forfeit and this response goes out instead — a
-  // retry must never push the bounded admission queue past its capacity.
-  std::vector<QueryResponse> fallback(batch.size());
-  const auto backoff = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(config_.retry_backoff_ms));
-  // Fires on the engine's master thread as each query's merge finishes, so a
-  // fast query's future completes before its batch-mates are done.
-  auto complete_one = [&](std::size_t i, const std::vector<Neighbor>& nn,
-                          const core::QueryCoverage& cov) {
-    Pending& p = batch[i];
-    const auto now = Clock::now();
-    QueryResponse resp;
-    resp.batch_size = batch.size();
-    resp.queue_ms = to_ms(dispatched - p.admitted);
-    resp.total_ms = to_ms(now - p.admitted);
-    resp.partitions_searched = cov.partitions_searched;
-    resp.partitions_planned = cov.partitions_planned;
-    resp.effort_factor = p.effort;
-    resp.neighbors.assign(nn.begin(),
-                          nn.begin() + std::ptrdiff_t(std::min(p.k, nn.size())));
-    if (cov.degraded() && p.retries_used < config_.max_retries &&
-        now + backoff < p.deadline) {
-      // Workers died under this query and budget remains: hold the future and
-      // requeue once the search returns, behind the backoff gate.
-      resp.status = QueryStatus::kDegraded;
-      fallback[i] = std::move(resp);
-      requeue[i] = 1;
-      return;
-    }
-    if (now > p.deadline) {
-      // The search outlived the deadline: hand back what we computed, but
-      // flagged — late answers must not masquerade as on-time ones. This is
-      // the completed-late bucket: worker time was spent past its value.
-      resp.status = QueryStatus::kDeadlineExpired;
-      metrics_.on_complete_late();
-      breaker_record(false, p.breaker_probe);
-    } else if (cov.degraded()) {
-      resp.status = QueryStatus::kDegraded;
-      metrics_.on_complete_degraded(resp.total_ms, resp.queue_ms);
-      breaker_record(true, p.breaker_probe);
-    } else {
-      resp.status = QueryStatus::kOk;
-      metrics_.on_complete_ok(resp.total_ms, resp.queue_ms);
-      breaker_record(true, p.breaker_probe);
-    }
-    completed[i] = 1;
-    p.promise.set_value(std::move(resp));
-  };
-
-  try {
-    (void)engine_->search(queries, k_max, config_.ef, nullptr,
-                          [&](std::size_t qid, const std::vector<Neighbor>& nn,
-                              const core::QueryCoverage& cov) {
-                            complete_one(qid, nn, cov);
-                          },
-                          efforts);
-  } catch (const std::exception& e) {
-    ANNSIM_ERROR("serve: batch of " << batch.size()
-                                    << " failed in engine search: "
-                                    << e.what());
-  }
-  // Feed the admission estimator: per-query drain cost and whole-batch
-  // service time, EWMA-smoothed so one slow batch does not start a shed storm
-  // but sustained slowdown tightens won't-make-it culls within a few batches.
+void QueryServer::run_stream(std::size_t k) {
   {
-    const double batch_ms = to_ms(Clock::now() - dispatched);
-    const double per_query_ms = batch_ms / double(batch.size());
     std::lock_guard lk(mu_);
-    constexpr double kAlpha = 0.2;
-    ewma_query_ms_ = ewma_query_ms_ == 0.0
-                         ? per_query_ms
-                         : (1.0 - kAlpha) * ewma_query_ms_ + kAlpha * per_query_ms;
-    ewma_batch_ms_ = ewma_batch_ms_ == 0.0
-                         ? batch_ms
-                         : (1.0 - kAlpha) * ewma_batch_ms_ + kAlpha * batch_ms;
+    stream_k_ = k;
+    pulled_ = false;
   }
-  // Safety net: any request the hook did not reach completes as an error
+  try {
+    (void)engine_->stream(*this, k, config_.max_batch, config_.ef);
+  } catch (const std::exception& e) {
+    ANNSIM_ERROR("serve: a stream of up to "
+                 << config_.max_batch
+                 << " queries failed in the engine: " << e.what());
+    // A stream that failed before its first dispatch round would fail the
+    // same way for the next: answer what is queued rather than spin.
+    std::deque<Pending> failed;
+    {
+      std::lock_guard lk(mu_);
+      if (!pulled_) failed.swap(queue_);
+    }
+    cv_space_.notify_all();
+    for (auto& p : failed) {
+      metrics_.on_fail();
+      breaker_record(false, p.breaker_probe);
+      QueryResponse resp;
+      resp.status = QueryStatus::kError;
+      resp.total_ms = to_ms(Clock::now() - p.admitted);
+      p.promise.set_value(std::move(resp));
+    }
+  }
+  {
+    std::lock_guard lk(mu_);
+    master_hungry_ = false;
+  }
+  // Safety net: any request the stream did not answer completes as an error
   // instead of leaving its client blocked on the future.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (completed[i] || requeue[i]) continue;
+  for (auto& [token, p] : flight_) {
     metrics_.on_fail();
-    breaker_record(false, batch[i].breaker_probe);
+    breaker_record(false, p.breaker_probe);
     QueryResponse resp;
     resp.status = QueryStatus::kError;
-    resp.batch_size = batch.size();
-    resp.total_ms = to_ms(Clock::now() - batch[i].admitted);
-    batch[i].promise.set_value(std::move(resp));
+    resp.batch_size = p.in_flight;
+    resp.total_ms = to_ms(Clock::now() - p.admitted);
+    p.promise.set_value(std::move(resp));
   }
-  // Self-healing on the batch boundary: search() has already folded this
-  // batch's health transitions into the engine, and the scheduler thread is
-  // the only one that touches the engine, so healing here cannot race a
-  // search. The next batch — including any retries re-admitted below —
-  // dispatches against the restored replicas.
+  flight_.clear();
+  // Self-healing between streams: stream() has already folded its health
+  // transitions into the engine (a stream that declares a worker dead stops
+  // admitting and ends), and the scheduler thread is the only one that
+  // searches, so healing here cannot race a search. The next stream —
+  // including any retries re-admitted meanwhile — dispatches against the
+  // restored replicas.
   if (config_.auto_heal) {
     if (!engine_->health().dead_workers().empty()) {
       const auto heal = engine_->heal();
@@ -616,35 +431,199 @@ void QueryServer::run_batch(std::vector<Pending> batch) {
   }
   // Live mutability: when the write stream has filled any delta past the
   // threshold, re-freeze in the background — the engine's view hot-swap
-  // keeps this batch boundary (and every following batch) non-blocking.
+  // keeps the next stream non-blocking.
   maybe_compact();
-  // Re-admit degraded requests whose retry budget allows another attempt.
-  // Retries count against queue_capacity like any submit: when the queue is
-  // full (or the server is draining) the degraded answer stands instead of
-  // overflowing the bound and starving kBlock waiters / kReject admissions.
-  bool readmitted = false;
+}
+
+bool QueryServer::pull(std::size_t free, std::vector<core::StreamQuery>& out,
+                       Clock::time_point& wake_at) {
+  std::unique_lock lk(mu_);
+  pulled_ = true;
+  const auto now = Clock::now();
+  const std::size_t queued = queue_.size();
+  expire_overdue_locked(now);
+
+  // The requests that can go now, in dispatch order: admission order, or
+  // under deadline scheduling EDF by (class, deadline, admission). A request
+  // that needs a larger k than the stream's ends the stream; the next one
+  // opens with it.
+  bool more = true;
+  std::vector<std::size_t> order;
+  order.reserve(queue_.size());
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Pending& p = queue_[i];
+    wake_at = std::min(wake_at, p.deadline);
+    if (!stopping_ && p.not_before > now) {
+      wake_at = std::min(wake_at, p.not_before);
+      continue;
+    }
+    if (p.k > stream_k_) {
+      more = false;
+      continue;
+    }
+    order.push_back(i);
+  }
+  if (config_.deadline_scheduling) {
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const Pending& pa = queue_[a];
+      const Pending& pb = queue_[b];
+      if (pa.cls != pb.cls) return pa.cls < pb.cls;
+      if (pa.deadline != pb.deadline) return pa.deadline < pb.deadline;
+      return pa.seq < pb.seq;
+    });
+  }
+
+  // Take up to `free` of them. Under deadline scheduling, one that cannot
+  // make its deadline per the service-time EWMA is shed here instead of
+  // taking a slot.
+  const auto est_service = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(ewma_service_ms_));
+  std::vector<char> taken(queue_.size(), 0);
+  std::vector<std::size_t> admit;
+  std::vector<Pending> doomed;
+  for (const std::size_t i : order) {
+    if (admit.size() >= free) break;
+    Pending& p = queue_[i];
+    taken[i] = 1;
+    if (config_.deadline_scheduling && !stopping_ && ewma_service_ms_ > 0.0 &&
+        p.deadline != Clock::time_point::max() &&
+        now + est_service > p.deadline) {
+      doomed.push_back(std::move(p));
+      continue;
+    }
+    admit.push_back(i);
+  }
+
+  // Brownout controller (CoDel-style), once per dispatch round: queue delay
+  // above target raises pressure a notch; below half the target it decays.
+  // The factor then scales each query's effort bottom-up by class.
+  if (config_.brownout_target_ms > 0.0 && !admit.empty()) {
+    double queue_delay_ms = 0.0;  // the round's oldest wait: the load signal
+    for (const std::size_t i : admit) {
+      queue_delay_ms =
+          std::max(queue_delay_ms, to_ms(now - queue_[i].admitted));
+    }
+    if (queue_delay_ms > config_.brownout_target_ms) {
+      pressure_ = std::min(1.0, pressure_ + 0.25);
+    } else if (queue_delay_ms < config_.brownout_target_ms / 2.0) {
+      pressure_ = std::max(0.0, pressure_ - 0.25);
+    }
+    metrics_.on_pressure(pressure_);
+  }
+  const auto& ecfg = engine_->config();
+  const auto base_ef =
+      std::uint32_t(config_.ef != 0 ? config_.ef : ecfg.hnsw.ef_search);
+  const auto base_probes =
+      std::uint32_t(std::min(ecfg.n_probe, ecfg.n_workers));
+  std::size_t reduced = 0;
+  double min_factor = 1.0;
+  const std::size_t in_flight = flight_.size() + admit.size();
+  for (const std::size_t i : admit) {
+    Pending& p = queue_[i];
+    core::EffortOverride effort;
+    p.effort = effort_factor(p.cls);
+    if (p.effort < 1.0) {
+      ++reduced;
+      min_factor = std::min(min_factor, p.effort);
+      effort.ef = std::max<std::uint32_t>(
+          std::uint32_t(p.k),
+          std::uint32_t(std::lround(double(base_ef) * p.effort)));
+      effort.max_probes = std::max<std::uint32_t>(
+          1, std::uint32_t(std::lround(double(base_probes) * p.effort)));
+    }
+    p.dispatched = now;
+    p.in_flight = in_flight;
+    const std::uint64_t token = p.seq;
+    Pending& entry = flight_.emplace(token, std::move(p)).first->second;
+    out.push_back({entry.query, token, effort});
+  }
+  if (reduced > 0) metrics_.on_brownout(reduced, min_factor);
+  if (!admit.empty()) metrics_.on_batch(in_flight);
+
+  // Close the gaps the taken requests left, keeping admission order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (taken[i]) continue;
+    if (kept != i) queue_[kept] = std::move(queue_[i]);
+    ++kept;
+  }
+  queue_.erase(queue_.begin() + std::ptrdiff_t(kept), queue_.end());
+  for (auto& p : doomed) shed_request(std::move(p), now);
+  // Slots left free: the next arrival must wake the master.
+  master_hungry_ = more && admit.size() < free;
+  const bool freed = queue_.size() < queued;
+  lk.unlock();
+  if (freed) cv_space_.notify_all();
+  return more;
+}
+
+void QueryServer::done(std::uint64_t token, std::vector<Neighbor>&& result,
+                       const core::QueryCoverage& cov) {
+  const auto it = flight_.find(token);
+  ANNSIM_CHECK_MSG(it != flight_.end(),
+                   "stream answered unknown token " << token);
+  Pending p = std::move(it->second);
+  flight_.erase(it);
+  const auto now = Clock::now();
+  QueryResponse resp;
+  resp.batch_size = p.in_flight;
+  resp.queue_ms = to_ms(p.dispatched - p.admitted);
+  resp.total_ms = to_ms(now - p.admitted);
+  resp.partitions_searched = cov.partitions_searched;
+  resp.partitions_planned = cov.partitions_planned;
+  resp.effort_factor = p.effort;
+  if (result.size() > p.k) result.resize(p.k);
+  resp.neighbors = std::move(result);
+
+  const auto backoff = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(config_.retry_backoff_ms));
   {
+    // Feed the admission estimators before the client can observe the
+    // answer: per-query service time and drain cost, EWMA-smoothed so one
+    // slow query does not start a shed storm but a sustained slowdown
+    // tightens won't-make-it culls within a few queries.
     std::lock_guard lk(mu_);
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!requeue[i]) continue;
-      Pending& p = batch[i];
-      if (stopping_ || queue_.size() >= config_.queue_capacity) {
-        fallback[i].total_ms = to_ms(now - p.admitted);
-        metrics_.on_complete_degraded(fallback[i].total_ms,
-                                      fallback[i].queue_ms);
-        breaker_record(true, p.breaker_probe);
-        p.promise.set_value(std::move(fallback[i]));
-        continue;
+    constexpr double kAlpha = 0.2;
+    const double service_ms = to_ms(now - p.dispatched);
+    const double per_query_ms =
+        service_ms / double(std::max<std::size_t>(p.in_flight, 1));
+    auto smooth = [](double ewma, double x) {
+      return ewma == 0.0 ? x : (1.0 - kAlpha) * ewma + kAlpha * x;
+    };
+    ewma_service_ms_ = smooth(ewma_service_ms_, service_ms);
+    ewma_query_ms_ = smooth(ewma_query_ms_, per_query_ms);
+    if (cov.degraded() && p.retries_used < config_.max_retries &&
+        now + backoff < p.deadline) {
+      // Workers died under this query and budget remains: requeue it behind
+      // the backoff gate. Retries count against queue_capacity like any
+      // submit: when the queue is full (or the server is draining) the
+      // degraded answer stands instead of overflowing the bound.
+      if (!stopping_ && queue_.size() < config_.queue_capacity) {
+        ++p.retries_used;
+        p.not_before = now + backoff;
+        metrics_.on_retry();
+        queue_.push_back(std::move(p));
+        return;
       }
-      ++p.retries_used;
-      p.not_before = now + backoff;
-      metrics_.on_retry();
-      queue_.push_back(std::move(p));
-      readmitted = true;
     }
   }
-  if (readmitted) cv_work_.notify_one();
+  if (now > p.deadline) {
+    // The search outlived the deadline: hand back what we computed, but
+    // flagged — late answers must not masquerade as on-time ones. This is
+    // the completed-late bucket: worker time was spent past its value.
+    resp.status = QueryStatus::kDeadlineExpired;
+    metrics_.on_complete_late();
+    breaker_record(false, p.breaker_probe);
+  } else if (cov.degraded()) {
+    resp.status = QueryStatus::kDegraded;
+    metrics_.on_complete_degraded(resp.total_ms, resp.queue_ms);
+    breaker_record(true, p.breaker_probe);
+  } else {
+    resp.status = QueryStatus::kOk;
+    metrics_.on_complete_ok(resp.total_ms, resp.queue_ms);
+    breaker_record(true, p.breaker_probe);
+  }
+  p.promise.set_value(std::move(resp));
 }
 
 void QueryServer::maybe_compact() {

@@ -157,15 +157,15 @@ MetricsReport ServerMetrics::report() const {
 }
 
 std::string to_string(const MetricsReport& r) {
-  char buf[640];
+  char buf[704];
   std::snprintf(
       buf, sizeof(buf),
       "requests: %zu submitted, %zu ok, %zu rejected, %zu expired "
       "(%zu in queue, %zu late), %zu failed, %zu degraded (%zu retries)\n"
-      "throughput: %.0f q/s over %.3fs (%zu batches)\n"
+      "throughput: %.0f q/s over %.3fs (%zu dispatch rounds)\n"
       "latency ms: mean %.3f p50 %.3f p95 %.3f p99 %.3f p999 %.3f max %.3f "
       "(queue wait mean %.3f)\n"
-      "batch size: %s\n"
+      "batch size (in flight per round): %s\n"
       "queue depth: %s",
       r.submitted, r.completed_ok, r.rejected, r.expired, r.expired_in_queue,
       r.completed_late, r.failed, r.degraded, r.retries,

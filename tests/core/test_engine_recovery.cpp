@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <unistd.h>
@@ -53,9 +54,13 @@ data::KnnResults fault_free_baseline(const data::Workload& w,
 class EngineRecoveryDir {
  public:
   EngineRecoveryDir() {
+    // A parameterized test is named "Case/0": the '/' would make the
+    // directory a child of one nobody removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = (fs::temp_directory_path() /
-            ("annsim_recovery_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+            ("annsim_recovery_" + std::to_string(::getpid()) + "_" + name))
                .string();
     fs::remove_all(dir_);
   }

@@ -15,22 +15,24 @@ const BatchBounds kBounds{43, 8, 3};
 
 TEST(Protocol, QueryJobRoundTrip) {
   QueryJob job;
-  job.query_id = 42;
+  job.seq = (std::uint64_t{1} << 40) + 42;  // past 32 bits: a long stream
   job.partition = 7;
-  job.k = 10;
   job.ef = 128;
-  job.reply_to = 3;
   job.fanout = 8;
   job.query = {1.f, 2.f, 3.f};
   auto bytes = encode_query_job(job);
   QueryJob back = decode_query_job(bytes, kBounds);
-  EXPECT_EQ(back.query_id, 42u);
+  EXPECT_EQ(back.seq, job.seq);
   EXPECT_EQ(back.partition, 7u);
-  EXPECT_EQ(back.k, 10u);
   EXPECT_EQ(back.ef, 128u);
-  EXPECT_EQ(back.reply_to, 3u);
   EXPECT_EQ(back.fanout, 8u);
   EXPECT_EQ(back.query, job.query);
+  EXPECT_EQ(slot_of(back.seq, kBounds), job.seq % kBounds.n_queries);
+}
+
+TEST(Protocol, SlotOfNeedsASlot) {
+  EXPECT_EQ(slot_of(85, kBounds), 85u % 43u);
+  EXPECT_THROW((void)slot_of(1, BatchBounds{0, 8, 3}), Error);
 }
 
 TEST(Protocol, QueryJobRejectsTrailingGarbage) {
@@ -45,12 +47,12 @@ TEST(Protocol, QueryJobRejectsTrailingGarbage) {
 
 TEST(Protocol, LocalResultRoundTrip) {
   LocalResult r;
-  r.query_id = 5;
+  r.seq = 5 + 43 * 1000;  // slot 5, a thousand occupants later
   r.partition = 2;
   r.neighbors = {{0.5f, 100}, {1.5f, 200}};
   auto bytes = encode_local_result(r);
   LocalResult back = decode_local_result(bytes, kBounds);
-  EXPECT_EQ(back.query_id, 5u);
+  EXPECT_EQ(back.seq, r.seq);
   EXPECT_EQ(back.partition, 2u);
   EXPECT_EQ(back.neighbors, r.neighbors);
 }
@@ -66,7 +68,7 @@ TEST(SlotLayout, SizesAndOffsets) {
 TEST(SlotUpdate, PadsWithSentinels) {
   SlotLayout layout{5, 4};
   std::vector<Neighbor> two{{1.f, 1}, {2.f, 2}};
-  auto bytes = encode_slot_update(two, layout, 0);
+  auto bytes = encode_slot_update(two, layout, 0, 0);
   EXPECT_EQ(bytes.size(), layout.slot_bytes());
   DecodedSlot slot = decode_slot(bytes, layout);
   EXPECT_EQ(slot.merged_count, 1u);
@@ -78,7 +80,7 @@ TEST(SlotMerge, EmptySlotTakesOriginAsIs) {
   SlotLayout layout{3, 4};
   std::vector<std::byte> slot(layout.slot_bytes());  // zeroed: count == 0
   std::vector<Neighbor> mine{{1.f, 10}, {2.f, 20}};
-  auto update = encode_slot_update(mine, layout, 0);
+  auto update = encode_slot_update(mine, layout, 0, 0);
   knn_slot_merge(layout)(slot, update);
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 1u);
@@ -92,9 +94,9 @@ TEST(SlotMerge, AccumulatesAcrossPartitions) {
   std::vector<std::byte> slot(layout.slot_bytes());
   const auto merge = knn_slot_merge(layout);
   using Nbs = std::vector<Neighbor>;
-  merge(slot, encode_slot_update(Nbs{{3.f, 1}, {5.f, 2}}, layout, 0));
-  merge(slot, encode_slot_update(Nbs{{1.f, 3}, {4.f, 4}}, layout, 1));
-  merge(slot, encode_slot_update(Nbs{{2.f, 5}}, layout, 2));
+  merge(slot, encode_slot_update(Nbs{{3.f, 1}, {5.f, 2}}, layout, 0, 0));
+  merge(slot, encode_slot_update(Nbs{{1.f, 3}, {4.f, 4}}, layout, 1, 0));
+  merge(slot, encode_slot_update(Nbs{{2.f, 5}}, layout, 2, 0));
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 3u);
   ASSERT_EQ(out.neighbors.size(), 3u);
@@ -116,7 +118,7 @@ TEST(SlotMerge, OrderIndependent) {
     std::vector<std::byte> slot(layout.slot_bytes());
     const auto merge = knn_slot_merge(layout);
     for (auto i : order) {
-      merge(slot, encode_slot_update(parts[i], layout, PartitionId(i)));
+      merge(slot, encode_slot_update(parts[i], layout, PartitionId(i), 0));
     }
     return decode_slot(slot, layout).neighbors;
   };
@@ -148,7 +150,7 @@ TEST(MaskedSlot, LayoutSizesGrowByMaskWords) {
 TEST(MaskedSlot, UpdateRecordsSearchedPartition) {
   SlotLayout layout{3, 8};
   std::vector<Neighbor> mine{{1.f, 10}};
-  auto update = encode_slot_update(mine, layout, /*partition=*/5);
+  auto update = encode_slot_update(mine, layout, /*partition=*/5, 0);
   std::vector<std::byte> slot(layout.slot_bytes());
   knn_slot_merge(layout)(slot, update);
   DecodedSlot out = decode_slot(slot, layout);
@@ -163,9 +165,9 @@ TEST(MaskedSlot, UpdateRecordsSearchedPartition) {
 TEST(MaskedSlot, MaskedEncodeRequiresThePartitionId) {
   SlotLayout layout{3, 8};
   std::vector<Neighbor> mine{{1.f, 10}};
-  EXPECT_THROW((void)encode_slot_update(mine, layout, kInvalidPartition),
+  EXPECT_THROW((void)encode_slot_update(mine, layout, kInvalidPartition, 0),
                Error);
-  EXPECT_THROW((void)encode_slot_update(mine, layout, 8), Error);
+  EXPECT_THROW((void)encode_slot_update(mine, layout, 8, 0), Error);
   EXPECT_THROW((SlotLayout{3, 0}), Error);
 }
 
@@ -175,8 +177,8 @@ TEST(MaskedSlot, DuplicatePartitionMergeIsIdempotent) {
   SlotLayout layout{3, 4};
   std::vector<std::byte> slot(layout.slot_bytes());
   const auto merge = knn_slot_merge(layout);
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 10}}, layout, 2));
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{0.5f, 99}}, layout, 2));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 10}}, layout, 2, 0));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{0.5f, 99}}, layout, 2, 0));
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 1u);
   ASSERT_EQ(out.neighbors.size(), 1u);
@@ -187,8 +189,8 @@ TEST(MaskedSlot, DistinctPartitionsAccumulateMaskBits) {
   SlotLayout layout{4, 70};  // two mask words, bits in both
   std::vector<std::byte> slot(layout.slot_bytes());
   const auto merge = knn_slot_merge(layout);
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{3.f, 1}}, layout, 0));
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 2}}, layout, 69));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{3.f, 1}}, layout, 0, 0));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 2}}, layout, 69, 0));
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 2u);
   EXPECT_TRUE(out.contains_partition(0));
@@ -199,14 +201,14 @@ TEST(MaskedSlot, DistinctPartitionsAccumulateMaskBits) {
 }
 
 TEST(MaskedSlot, UpdateWireBytes) {
-  // [ u32 count | u32 pad | u64 mask | Neighbor[k] ]: the one slot format.
+  // [ u64 seq | u64 mask | Neighbor[k] ]: the one slot format.
   SlotLayout layout{2, 64};
   std::vector<Neighbor> mine{{1.f, 7}};
-  auto update = encode_slot_update(mine, layout, 3);
+  auto update = encode_slot_update(mine, layout, 3, 77);
   ASSERT_EQ(update.size(), 16u + 2 * sizeof(Neighbor));
-  std::uint32_t count = 0;
-  std::memcpy(&count, update.data(), sizeof(count));
-  EXPECT_EQ(count, 1u);
+  std::uint64_t seq = 0;
+  std::memcpy(&seq, update.data(), sizeof(seq));
+  EXPECT_EQ(seq, 77u);
   std::uint64_t mask = 0;
   std::memcpy(&mask, update.data() + 8, sizeof(mask));
   EXPECT_EQ(mask, std::uint64_t{1} << 3);
@@ -217,16 +219,48 @@ TEST(MaskedSlot, UpdateWireBytes) {
 
 TEST(MaskedSlot, DecodeRejectsInconsistentHeaders) {
   SlotLayout layout{2, 4};
-  auto slot = encode_slot_update(std::vector<Neighbor>{{1.f, 7}}, layout, 1);
-  auto bad_count = slot;
-  const std::uint32_t two = 2;
-  std::memcpy(bad_count.data(), &two, sizeof(two));  // count 2, one mask bit
-  EXPECT_THROW((void)decode_slot(bad_count, layout), Error);
-  EXPECT_THROW((void)decode_slot_header(bad_count, layout), Error);
+  auto slot = encode_slot_update(std::vector<Neighbor>{{1.f, 7}}, layout, 1, 0);
   auto bad_mask = slot;
   const std::uint64_t past = std::uint64_t{1} << 4;  // partition 4 of 4
   std::memcpy(bad_mask.data() + 8, &past, sizeof(past));
   EXPECT_THROW((void)decode_slot(bad_mask, layout), Error);
+  EXPECT_THROW((void)decode_slot_header(bad_mask, layout), Error);
+}
+
+// ---- the occupant's sequence number ----------------------------------
+
+TEST(SlotSeq, InitSlotStampsAnEmptyOccupant) {
+  SlotLayout layout{3, 4};
+  std::vector<std::byte> slot(layout.slot_bytes(), std::byte{0x5a});
+  init_slot(slot, layout, 1234);
+  const DecodedSlot out = decode_slot(slot, layout);
+  EXPECT_EQ(out.seq, 1234u);
+  EXPECT_EQ(out.merged_count, 0u);
+  EXPECT_EQ(decode_slot_header(slot, layout).seq, 1234u);
+  std::vector<std::byte> wrong(layout.slot_bytes() - 1);
+  EXPECT_THROW(init_slot(wrong, layout, 1), Error);
+}
+
+TEST(SlotSeq, MergeDropsAPartialOfAnotherOccupant) {
+  // Slot 2 of a 4-slot stream: occupant 2 answered, occupant 6 took over.
+  // A late partial of occupant 2 (or one addressed past occupant 6) must
+  // leave the slot exactly as it was; occupant 6's own partial merges.
+  SlotLayout layout{3, 4};
+  const auto merge = knn_slot_merge(layout);
+  std::vector<std::byte> slot(layout.slot_bytes());
+  init_slot(slot, layout, 6);
+  const auto before = slot;
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{0.1f, 1}}, layout, 0, 2));
+  EXPECT_EQ(slot, before);
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{0.1f, 1}}, layout, 0, 10));
+  EXPECT_EQ(slot, before);
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{0.5f, 9}}, layout, 3, 6));
+  const DecodedSlot out = decode_slot(slot, layout);
+  EXPECT_EQ(out.seq, 6u);
+  EXPECT_EQ(out.merged_count, 1u);
+  EXPECT_TRUE(out.contains_partition(3));
+  ASSERT_EQ(out.neighbors.size(), 1u);
+  EXPECT_EQ(out.neighbors[0].id, 9u);
 }
 
 }  // namespace

@@ -81,11 +81,9 @@ TEST(ProtocolFuzz, OversizedLengthFieldThrows) {
   // A hostile length prefix claiming 2^60 floats must be rejected by bounds
   // checking, not attempted.
   BinaryWriter w;
-  w.write(std::uint32_t{1});            // query_id
+  w.write(std::uint64_t{1});            // seq
   w.write(PartitionId{0});              // partition
-  w.write(std::uint32_t{10});           // k
   w.write(std::uint32_t{0});            // ef
-  w.write(std::uint32_t{0});            // reply_to
   w.write(std::uint32_t{1});            // fanout
   w.write(std::uint64_t{1} << 60);      // vector length
   EXPECT_THROW((void)decode_query_job(w.bytes(), kBounds), Error);
@@ -93,16 +91,16 @@ TEST(ProtocolFuzz, OversizedLengthFieldThrows) {
 
 // ---- ids outside the batch ------------------------------------------------
 //
-// A well-formed message may still name a query, partition or fan-out the
-// batch does not have, or carry a query vector of the wrong dimension. The
-// receiver indexes batch-sized arrays with those ids, so each decoder must
-// reject them with annsim::Error and accept the last valid value.
+// A well-formed message may still name a partition or fan-out the operation
+// does not have, or carry a query vector of the wrong dimension. The
+// receiver indexes operation-sized arrays with those ids, so each decoder
+// must reject them with annsim::Error and accept the last valid value. A
+// sequence number is never out of bounds: its slot is seq % n_queries.
 
 QueryJob edge_job() {
   QueryJob job;
-  job.query_id = std::uint32_t(kBounds.n_queries - 1);
+  job.seq = ~std::uint64_t{0};
   job.partition = PartitionId(kBounds.n_partitions - 1);
-  job.k = 10;
   job.fanout = std::uint32_t(kBounds.n_partitions);
   job.query.assign(kBounds.dim, 0.5f);
   return job;
@@ -115,9 +113,6 @@ TEST(ProtocolFuzz, QueryJobOutsideTheBatchThrows) {
         << what;
   };
   QueryJob j = edge_job();
-  j.query_id = std::uint32_t(kBounds.n_queries);
-  expect_rejected(j, "query id == n_queries");
-  j = edge_job();
   j.partition = PartitionId(kBounds.n_partitions);
   expect_rejected(j, "partition == n_partitions");
   j = edge_job();
@@ -142,15 +137,11 @@ TEST(ProtocolFuzz, QueryJobOutsideTheBatchThrows) {
 
 TEST(ProtocolFuzz, LocalResultOutsideTheBatchThrows) {
   LocalResult r;
-  r.query_id = std::uint32_t(kBounds.n_queries - 1);
+  r.seq = ~std::uint64_t{0};
   r.partition = PartitionId(kBounds.n_partitions - 1);
   r.neighbors = {{1.f, 1}};
   EXPECT_NO_THROW((void)decode_local_result(encode_local_result(r), kBounds));
   LocalResult bad = r;
-  bad.query_id = std::uint32_t(kBounds.n_queries);
-  EXPECT_THROW((void)decode_local_result(encode_local_result(bad), kBounds),
-               Error);
-  bad = r;
   bad.partition = PartitionId(kBounds.n_partitions);
   EXPECT_THROW((void)decode_local_result(encode_local_result(bad), kBounds),
                Error);
@@ -158,9 +149,9 @@ TEST(ProtocolFuzz, LocalResultOutsideTheBatchThrows) {
 
 TEST(ProtocolFuzz, OwnerAnswerBoundsItsCountNotAPartition) {
   // An owner's answer carries |F(q)| in `partition`: all partitions merged
-  // is valid, one more is not, and the query id is bounded as usual.
+  // is valid, one more is not, and its seq is a batch index, bounded.
   LocalResult r;
-  r.query_id = std::uint32_t(kBounds.n_queries - 1);
+  r.seq = kBounds.n_queries - 1;
   r.partition = PartitionId(kBounds.n_partitions);
   EXPECT_NO_THROW((void)decode_owner_answer(encode_local_result(r), kBounds));
   EXPECT_THROW((void)decode_local_result(encode_local_result(r), kBounds),
@@ -170,33 +161,29 @@ TEST(ProtocolFuzz, OwnerAnswerBoundsItsCountNotAPartition) {
   EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
                Error);
   bad = r;
-  bad.query_id = std::uint32_t(kBounds.n_queries);
+  bad.seq = kBounds.n_queries;
   EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
                Error);
 }
 
-TEST(ProtocolFuzz, SlotFullNoticeIsBoundedAndExact) {
-  const auto last = std::uint32_t(kBounds.n_queries - 1);
-  EXPECT_EQ(decode_slot_full(encode_slot_full(last), kBounds), last);
-  EXPECT_THROW((void)decode_slot_full(
-                   encode_slot_full(std::uint32_t(kBounds.n_queries)), kBounds),
-               Error);
+TEST(ProtocolFuzz, SlotFullNoticeIsExact) {
+  const auto last = ~std::uint64_t{0};
+  EXPECT_EQ(decode_slot_full(encode_slot_full(last)), last);
   const auto full = encode_slot_full(last);
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     const std::vector<std::byte> truncated(full.begin(),
                                            full.begin() + std::ptrdiff_t(cut));
-    EXPECT_THROW((void)decode_slot_full(truncated, kBounds), Error)
-        << "cut=" << cut;
+    EXPECT_THROW((void)decode_slot_full(truncated), Error) << "cut=" << cut;
   }
   auto padded = full;
   padded.push_back(std::byte{0});
-  EXPECT_THROW((void)decode_slot_full(padded, kBounds), Error);
+  EXPECT_THROW((void)decode_slot_full(padded), Error);
 
   Rng rng(3);
   for (int rep = 0; rep < 500; ++rep) {
-    const auto bytes = random_bytes(rng.uniform_below(8), rng);
-    expect_error_or_valid(
-        bytes, [](const auto& b) { return decode_slot_full(b, kBounds); });
+    const auto bytes = random_bytes(rng.uniform_below(16), rng);
+    expect_error_or_valid(bytes,
+                          [](const auto& b) { return decode_slot_full(b); });
   }
 }
 
@@ -246,11 +233,12 @@ void expect_round_trip_or_error(std::span<const std::byte> bytes,
     return;
   }
   const SlotHeader header = decode_slot_header(bytes, layout);
+  EXPECT_EQ(header.seq, slot.seq);
   EXPECT_EQ(header.merged_count, slot.merged_count);
   EXPECT_EQ(header.mask, slot.mask);
 
   std::vector<std::byte> again(layout.slot_bytes());
-  std::memcpy(again.data(), &slot.merged_count, sizeof(slot.merged_count));
+  std::memcpy(again.data(), &slot.seq, sizeof(slot.seq));
   std::memcpy(again.data() + 8, slot.mask.data(),
               slot.mask.size() * sizeof(std::uint64_t));
   std::vector<Neighbor> padded(layout.k);  // +inf sentinels
@@ -258,6 +246,7 @@ void expect_round_trip_or_error(std::span<const std::byte> bytes,
   std::memcpy(again.data() + layout.header_bytes(), padded.data(),
               layout.k * sizeof(Neighbor));
   const DecodedSlot back = decode_slot(again, layout);
+  EXPECT_EQ(back.seq, slot.seq);
   EXPECT_EQ(back.merged_count, slot.merged_count);
   EXPECT_EQ(back.mask, slot.mask);
   EXPECT_TRUE(same_bits(back.neighbors, slot.neighbors));
@@ -269,15 +258,19 @@ TEST_P(SlotMutationFuzz, MutatedSlotsRoundTripOrThrow) {
   const std::size_t P = GetParam();  // 64: one mask word, 65: two
   const SlotLayout layout{4, P};
   const auto merge = knn_slot_merge(layout);
-  // A valid slot with the first and the last partition merged (a bit in
-  // each mask word), and a valid update for a third partition.
+  // A valid slot of occupant `seq` (past 32 bits, so a flip anywhere in it
+  // can name another occupant) with the first and the last partition
+  // merged (a bit in each mask word), and a valid update for a third
+  // partition of the same occupant.
+  const std::uint64_t seq = (std::uint64_t{1} << 40) + 7;
   std::vector<std::byte> slot(layout.slot_bytes());
+  init_slot(slot, layout, seq);
   merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 1}, {3.f, 3}},
-                                 layout, 0));
+                                 layout, 0, seq));
   merge(slot, encode_slot_update(std::vector<Neighbor>{{2.f, 2}}, layout,
-                                 PartitionId(P - 1)));
+                                 PartitionId(P - 1), seq));
   const auto update =
-      encode_slot_update(std::vector<Neighbor>{{0.5f, 9}}, layout, 1);
+      encode_slot_update(std::vector<Neighbor>{{0.5f, 9}}, layout, 1, seq);
 
   Rng rng(P);
   for (int rep = 0; rep < 4000; ++rep) {
@@ -303,6 +296,66 @@ TEST_P(SlotMutationFuzz, MutatedSlotsRoundTripOrThrow) {
     }
     EXPECT_NO_THROW((void)decode_slot(target, layout)) << "rep " << rep;
     expect_round_trip_or_error(target, layout);
+    // A merge never moves the slot to another occupant, and an update for
+    // another occupant merges nothing.
+    EXPECT_EQ(decode_slot_header(target, layout).seq,
+              decode_slot_header(before, layout).seq)
+        << "rep " << rep;
+    if (!mutate_slot && decode_slot_header(bytes, layout).seq != seq) {
+      EXPECT_EQ(target, before) << "rep " << rep;
+    }
+  }
+}
+
+/// The sequence-carrying messages under the same seeded mutation: a mutant
+/// either fails to decode with annsim::Error, or decodes to a value whose
+/// encoding is the mutant itself.
+TEST_P(SlotMutationFuzz, MutatedSequenceMessagesRoundTripOrThrow) {
+  const std::size_t P = GetParam();
+  const BatchBounds bounds{7, P, 4};
+  const std::uint64_t seq = (std::uint64_t{1} << 40) + 7;
+  QueryJob job;
+  job.seq = seq;
+  job.partition = PartitionId(P - 1);
+  job.ef = 64;
+  job.fanout = 2;
+  job.query = {0.25f, 0.5f, 0.75f, 1.f};
+  LocalResult result;
+  result.seq = seq;
+  result.partition = 1;
+  result.neighbors = {{1.f, 1}, {2.f, 2}};
+  const std::vector<std::vector<std::byte>> valid = {
+      encode_query_job(job), encode_local_result(result),
+      encode_slot_full(seq)};
+
+  Rng rng(P * 31);
+  for (int rep = 0; rep < 6000; ++rep) {
+    const std::size_t which = std::size_t(rep) % valid.size();
+    auto bytes = valid[which];
+    const std::size_t flips = 1 + rng.uniform_below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      bytes[rng.uniform_below(bytes.size())] ^=
+          std::byte(1 + rng.uniform_below(255));
+    }
+    try {
+      switch (which) {
+        case 0:
+          EXPECT_EQ(encode_query_job(decode_query_job(bytes, bounds)), bytes)
+              << "rep " << rep;
+          break;
+        case 1:
+          EXPECT_EQ(encode_local_result(decode_local_result(bytes, bounds)),
+                    bytes)
+              << "rep " << rep;
+          break;
+        default:
+          EXPECT_EQ(encode_slot_full(decode_slot_full(bytes)), bytes)
+              << "rep " << rep;
+          break;
+      }
+    } catch (const Error&) {
+      // a mutant that names no valid message
+    }
   }
 }
 

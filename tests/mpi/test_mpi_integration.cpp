@@ -46,7 +46,8 @@ TEST(MpiIntegration, KnnMergeThroughWindowMatchesSequentialMerge) {
       win.get_accumulate(
           0, layout.slot_offset(0),
           core::encode_slot_update(partials[std::size_t(c.rank() - 1)],
-                                   layout, PartitionId(c.rank() - 1)),
+                                   layout, PartitionId(c.rank() - 1),
+                                   /*seq=*/0),
           core::knn_slot_merge(layout));
       win.unlock(0);
     }

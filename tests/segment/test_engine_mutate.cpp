@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <unistd.h>
@@ -45,9 +46,13 @@ EngineConfig mutate_config(std::size_t workers = 4) {
 class MutateScratchDir {
  public:
   MutateScratchDir() {
+    // A parameterized test is named "Case/0": the '/' would make the
+    // directory a child of one nobody removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = (fs::temp_directory_path() /
-            ("annsim_mutate_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+            ("annsim_mutate_" + std::to_string(::getpid()) + "_" + name))
                .string();
     fs::remove_all(dir_);
   }

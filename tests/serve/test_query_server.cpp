@@ -1,17 +1,20 @@
-/// QueryServer behaviour: micro-batch flush rules (max_batch vs max_delay),
-/// per-request deadlines, admission-queue backpressure (reject vs block),
-/// graceful shutdown, and exactly-once completion under concurrent clients
-/// whose answers must match the offline engine.search of the same queries.
+/// QueryServer behaviour: immediate dispatch into the query stream (no batch
+/// wait, whatever max_delay_ms says), per-request deadlines, admission-queue
+/// backpressure (reject vs block), graceful shutdown, and exactly-once
+/// completion under concurrent clients whose answers must match the offline
+/// engine.search of the same queries.
 
 #include "annsim/serve/query_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "annsim/common/timer.hpp"
+#include "cohort_hold.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/serve/load_gen.hpp"
@@ -53,11 +56,10 @@ std::vector<float> qvec(const data::Dataset& ds, std::size_t i) {
   return {p, p + ds.dim()};
 }
 
-TEST(QueryServer, LoneRequestFlushesByMaxDelayNotMaxBatch) {
+TEST(QueryServer, LoneRequestDispatchesAtOnceWhateverMaxDelay) {
   auto& s = shared();
   ServerConfig sc;
-  sc.max_batch = 64;     // never reached by a single request
-  sc.max_delay_ms = 5.0; // ... so only the delay flush can serve it
+  sc.max_batch = 64;        // slots to spare
   QueryServer server(&s.engine, sc);
 
   WallTimer t;
@@ -65,40 +67,48 @@ TEST(QueryServer, LoneRequestFlushesByMaxDelayNotMaxBatch) {
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   const QueryResponse resp = fut.get();
   EXPECT_EQ(resp.status, QueryStatus::kOk);
-  EXPECT_EQ(resp.batch_size, 1u);
+  EXPECT_EQ(resp.batch_size, 1u);  // alone in flight
   EXPECT_EQ(resp.neighbors, s.reference[0]);
-  // Served promptly after the 5ms delay flush, not stuck waiting for 63
-  // batch-mates that never arrive.
-  EXPECT_LT(t.seconds(), 5.0);
+  // Dispatched as it arrived, far inside the 500ms a batch wait would take.
+  EXPECT_LT(resp.queue_ms, 50.0);
+  EXPECT_LT(t.seconds(), 0.5);
 }
 
 TEST(QueryServer, DeadlineExpiryReturnsTimeoutStatusPromptly) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 64;
-  sc.max_delay_ms = 2000.0;  // flush far beyond the deadline
   QueryServer server(&s.engine, sc);
 
+  // The hold keeps the request queued until its deadline has passed; the
+  // first dispatch round then expires it instead of searching it.
+  CohortHold hold(s.engine, s.w.queries);
   WallTimer t;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(5);
   auto fut = server.submit(qvec(s.w.queries, 1), 5, /*deadline_ms=*/5.0);
+  std::this_thread::sleep_until(deadline);
+  hold.release();
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   const QueryResponse resp = fut.get();
   EXPECT_EQ(resp.status, QueryStatus::kDeadlineExpired);
-  EXPECT_TRUE(resp.neighbors.empty());
-  // Completed at its deadline, not at the 2s flush point.
+  EXPECT_TRUE(resp.neighbors.empty());  // no worker ever touched it
+  EXPECT_GE(resp.total_ms, 5.0);
   EXPECT_LT(t.seconds(), 1.0);
-  EXPECT_EQ(server.metrics().expired, 1u);
+  const auto m = server.metrics();
+  EXPECT_EQ(m.expired, 1u);
+  EXPECT_EQ(m.expired_in_queue, 1u);
 }
 
 TEST(QueryServer, RejectPolicyBouncesWhenQueueFull) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 128;
-  sc.max_delay_ms = 500.0;  // keep the queue from draining mid-test
   sc.queue_capacity = 2;
   sc.overflow = OverflowPolicy::kReject;
   QueryServer server(&s.engine, sc);
 
+  CohortHold hold(s.engine, s.w.queries);  // the queue cannot drain
   auto f1 = server.submit(qvec(s.w.queries, 0), 5);
   auto f2 = server.submit(qvec(s.w.queries, 1), 5);
   auto f3 = server.submit(qvec(s.w.queries, 2), 5);
@@ -106,6 +116,7 @@ TEST(QueryServer, RejectPolicyBouncesWhenQueueFull) {
   ASSERT_EQ(f3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(f3.get().status, QueryStatus::kRejected);
 
+  hold.release();
   server.stop();  // drains the two admitted requests
   EXPECT_EQ(f1.get().status, QueryStatus::kOk);
   EXPECT_EQ(f2.get().status, QueryStatus::kOk);
@@ -118,7 +129,6 @@ TEST(QueryServer, BlockPolicyBackpressuresInsteadOfRejecting) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 4;
-  sc.max_delay_ms = 1.0;
   sc.queue_capacity = 1;
   sc.overflow = OverflowPolicy::kBlock;
   QueryServer server(&s.engine, sc);
@@ -139,7 +149,6 @@ TEST(QueryServer, ConcurrentClientsCompleteExactlyOnceAndMatchOfflineSearch) {
 
   ServerConfig sc;
   sc.max_batch = 16;
-  sc.max_delay_ms = 1.0;
   sc.queue_capacity = 64;
   sc.overflow = OverflowPolicy::kBlock;  // no shedding: every request answers
   QueryServer server(&s.engine, sc);
@@ -211,6 +220,13 @@ TEST(QueryServer, RejectsBadConfigAndBadRequests) {
     data::Workload w2 = data::make_sift_like(64, 2, 5);
     core::DistributedAnnEngine unbuilt(&w2.base, engine_config());
     EXPECT_THROW(QueryServer(&unbuilt, ServerConfig{}), Error);
+    // Requests stream through the master: owner dispatch cannot serve.
+    auto owner_cfg = engine_config();
+    owner_cfg.one_sided = false;
+    owner_cfg.strategy = core::DispatchStrategy::kMultipleOwner;
+    core::DistributedAnnEngine owner(&w2.base, owner_cfg);
+    owner.build();
+    EXPECT_THROW(QueryServer(&owner, ServerConfig{}), Error);
   }
   QueryServer server(&s.engine, ServerConfig{});
   EXPECT_THROW((void)server.submit(std::vector<float>(3, 0.f), 5), Error);
@@ -221,7 +237,6 @@ TEST(LoadGen, OpenLoopPoissonAccountsForEveryRequest) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 16;
-  sc.max_delay_ms = 1.0;
   QueryServer server(&s.engine, sc);
 
   LoadGenConfig lg;
@@ -242,7 +257,6 @@ TEST(LoadGen, ClosedLoopDrivesAllClients) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 0.5;
   QueryServer server(&s.engine, sc);
 
   LoadGenConfig lg;

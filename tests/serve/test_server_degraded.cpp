@@ -1,7 +1,7 @@
 /// Degraded answers crossing the serving plane: a query the engine completes
 /// with partial coverage surfaces as kDegraded (with its coverage numbers),
 /// unless the server's retry budget buys another attempt first. Faults here
-/// are injected through the engine config, so every batch the server runs
+/// are injected through the engine config, so every stream the server runs
 /// sees the same deterministic worker death.
 
 #include "annsim/serve/query_server.hpp"
@@ -37,8 +37,8 @@ core::EngineConfig engine_config() {
 core::EngineConfig faulty_config() {
   auto cfg = engine_config();
   cfg.result_timeout_ms = 50.0;
-  // Worker 1 (runtime rank 2) is dead on arrival in every batch the server
-  // dispatches: with replication = 1 its partition is simply gone.
+  // Worker 1 (runtime rank 2) is dead on arrival in every stream the server
+  // runs: with replication = 1 its partition is simply gone.
   cfg.fault.kills.push_back({/*rank=*/2, /*after_ops=*/0, mpi::kNeverFires});
   return cfg;
 }
@@ -60,7 +60,6 @@ TEST(ServerDegraded, PartialCoverageSurfacesAsDegradedStatus) {
   eng.build();
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 5.0;
   QueryServer server(&eng, sc);  // max_retries = 0: surface immediately
 
   std::vector<std::future<QueryResponse>> futs;
@@ -100,7 +99,6 @@ TEST(ServerDegraded, RetryBudgetSpendsThenSurfaces) {
 
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 5.0;
   sc.max_retries = 2;
   sc.retry_backoff_ms = 1.0;
   QueryServer server(&eng, sc);
@@ -118,8 +116,8 @@ TEST(ServerDegraded, RetryBudgetSpendsThenSurfaces) {
 
   server.stop();
   const auto m = server.metrics();
-  // The worker dies in every batch, so each degraded query burned its whole
-  // budget before the server gave up on it.
+  // The worker is dead in every stream, so each degraded query burned its
+  // whole budget before the server gave up on it.
   EXPECT_EQ(m.degraded, degraded);
   EXPECT_EQ(m.retries, 2 * degraded);
 }
@@ -131,7 +129,6 @@ TEST(ServerDegraded, RetryRespectsRequestDeadline) {
 
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 2.0;
   sc.max_retries = 5;
   sc.retry_backoff_ms = 60'000.0;  // a retry could never beat any deadline
   QueryServer server(&eng, sc);
@@ -159,8 +156,8 @@ TEST(ServerDegraded, RetryForfeitedWhenAdmissionQueueIsFull) {
   auto w = data::make_sift_like(800, 4, 704);
   auto cfg = engine_config();
   cfg.result_timeout_ms = 50.0;
-  // Every worker is dead on arrival, so every query in every batch degrades
-  // (and every batch takes at least the detection timeout to come back).
+  // Every worker is dead on arrival, so every query degrades (and the first
+  // stream takes at least the detection timeout to declare the deaths).
   for (int rank = 1; rank <= 4; ++rank) {
     cfg.fault.kills.push_back({rank, /*after_ops=*/0, mpi::kNeverFires});
   }
@@ -169,15 +166,14 @@ TEST(ServerDegraded, RetryForfeitedWhenAdmissionQueueIsFull) {
 
   ServerConfig sc;
   sc.max_batch = 1;
-  sc.max_delay_ms = 0.0;
   sc.queue_capacity = 1;
   sc.max_retries = 1;
   sc.retry_backoff_ms = 1.0;
   QueryServer server(&eng, sc);
 
-  // q0 dispatches immediately (the queue drains to zero); while its batch is
-  // stuck in the engine for the 50ms detection timeout, q1 is admitted and
-  // fills the queue to capacity.
+  // q0 dispatches immediately (the queue drains to zero); while it holds the
+  // one slot, stuck in the engine for the 50ms detection timeout, q1 is
+  // admitted and fills the queue to capacity.
   auto f0 = server.submit(qvec(w.queries, 0), 5);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   auto f1 = server.submit(qvec(w.queries, 1), 5);
@@ -195,11 +191,11 @@ TEST(ServerDegraded, RetryForfeitedWhenAdmissionQueueIsFull) {
   EXPECT_EQ(m.retries, 1u);  // only q1's retry was admitted
 }
 
-TEST(ServerDegraded, AutoHealRestoresCoverageBetweenBatches) {
+TEST(ServerDegraded, AutoHealRestoresCoverageBetweenStreams) {
   // Self-healing across the serving plane: the first wave loses a worker and
   // degrades (replication = 1, nothing to fail over to); auto_heal repairs
-  // the cluster from its checkpoints on the batch boundary, so a second wave
-  // answers clean.
+  // the cluster from its checkpoints once the stream that saw the death
+  // ends, so a second wave answers clean.
   auto w = data::make_sift_like(800, 24, 705);
   const std::string ckpt =
       (std::filesystem::temp_directory_path() /
@@ -217,8 +213,7 @@ TEST(ServerDegraded, AutoHealRestoresCoverageBetweenBatches) {
   eng.build();
 
   ServerConfig sc;
-  sc.max_batch = 24;  // the whole first wave rides in one batch
-  sc.max_delay_ms = 20.0;
+  sc.max_batch = 24;  // the whole first wave fits in flight
   sc.auto_heal = true;
   QueryServer server(&eng, sc);
 
@@ -232,8 +227,9 @@ TEST(ServerDegraded, AutoHealRestoresCoverageBetweenBatches) {
   }
   EXPECT_GT(degraded, 0u);  // the death was felt...
 
-  // ...but every wave-1 future has resolved, so its batch's boundary heal
-  // has run. The second wave must see a fully repaired cluster.
+  // ...and the stream that declared it stopped admitting, so every wave-2
+  // request waits for the next stream, which opens after the heal. The
+  // second wave must see a fully repaired cluster.
   std::vector<std::future<QueryResponse>> wave2;
   for (std::size_t i = 0; i < w.queries.size(); ++i) {
     wave2.push_back(server.submit(qvec(w.queries, i), 5));

@@ -1,6 +1,6 @@
 /// Overload control in the QueryServer (DESIGN.md §4.11): config validation
 /// with field-specific messages, deadline-aware admission (won't-make-it
-/// culls, urgency flush, priority eviction), the expired_in_queue vs
+/// culls, immediate dispatch, priority eviction), the expired_in_queue vs
 /// completed_late metric split, brownout engagement and recovery, and the
 /// circuit breaker's trip / fast-fail / half-open-probe / close cycle
 /// composed with auto_heal after a worker kill.
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "annsim/data/recipes.hpp"
 #include "annsim/mpi/fault.hpp"
 #include "annsim/serve/load_gen.hpp"
+#include "cohort_hold.hpp"
 
 namespace annsim::serve {
 namespace {
@@ -128,24 +130,19 @@ TEST(ServerOverload, WontMakeItIsShedBeforeTouchingAWorker) {
   ServerConfig sc;
   sc.deadline_scheduling = true;
   sc.max_batch = 64;
-  sc.max_delay_ms = 1.0;
   QueryServer server(&s.engine, sc);
 
-  // Seed the service-time EWMA with one real batch: 64 queries, no deadline.
+  // Seed the service-time EWMAs with real answers: 64 queries, no deadline.
+  // Each answer feeds them before its future resolves.
   {
     std::vector<std::future<QueryResponse>> warm;
     for (std::size_t i = 0; i < 64; ++i) {
       warm.push_back(server.submit(qvec(s.w.queries, i), 5));
     }
     for (auto& f : warm) EXPECT_EQ(f.get().status, QueryStatus::kOk);
-    // A response future resolves from inside the batch, before its EWMA
-    // write lands; one follow-up batch makes the seeded estimate visible to
-    // the next admission deterministically.
-    EXPECT_EQ(server.submit(qvec(s.w.queries, 0), 5).get().status,
-              QueryStatus::kOk);
   }
 
-  // A 64-query batch takes well over a microsecond, so a 0.001ms deadline is
+  // A search takes well over a microsecond, so a 0.001ms deadline is
   // provably unreachable: the estimator must shed at admission — empty
   // result, no worker time spent.
   auto fut = server.submit(qvec(s.w.queries, 0), 5, /*deadline_ms=*/0.001);
@@ -155,50 +152,38 @@ TEST(ServerOverload, WontMakeItIsShedBeforeTouchingAWorker) {
   EXPECT_GE(server.metrics().shed, 1u);
 }
 
-TEST(ServerOverload, UrgencyFlushBeatsMaxDelayOnlyWithDeadlineScheduling) {
+TEST(ServerOverload, LoneDeadlineRequestDispatchesAtOnceEitherWay) {
+  // No request waits for batch-mates, so a deadline tighter than
+  // max_delay_ms is met with or without deadline scheduling.
   auto& s = shared();
-  constexpr double kMaxDelayMs = 400.0;
+  constexpr double kMaxDelayMs = 500.0;
   constexpr double kDeadlineMs = 150.0;
-
-  auto run_one = [&](bool scheduling) {
+  for (const bool scheduling : {true, false}) {
     ServerConfig sc;
     sc.deadline_scheduling = scheduling;
     sc.max_batch = 2;
     sc.max_delay_ms = kMaxDelayMs;
     QueryServer server(&s.engine, sc);
-    // Warm the batch-time EWMA (a full batch flushes immediately), twice:
-    // the second batch guarantees the first one's EWMA write is visible.
-    for (int round = 0; round < 2; ++round) {
-      auto w1 = server.submit(qvec(s.w.queries, 0), 5);
-      auto w2 = server.submit(qvec(s.w.queries, 1), 5);
-      EXPECT_EQ(w1.get().status, QueryStatus::kOk);
-      EXPECT_EQ(w2.get().status, QueryStatus::kOk);
-    }
-    // A lone request with a deadline tighter than max_delay: only the
-    // urgency flush can dispatch it in time.
-    auto fut = server.submit(qvec(s.w.queries, 2), 5, kDeadlineMs);
-    return fut.get();
-  };
-
-  const auto with = run_one(true);
-  EXPECT_EQ(with.status, QueryStatus::kOk);
-  EXPECT_LT(with.total_ms, kMaxDelayMs);
-
-  // Control: without deadline scheduling the lone request waits for the
-  // max_delay flush and its deadline fires while it is still queued.
-  const auto without = run_one(false);
-  EXPECT_EQ(without.status, QueryStatus::kDeadlineExpired);
+    // Seed the service-time EWMAs, so the won't-make-it check is live.
+    EXPECT_EQ(server.submit(qvec(s.w.queries, 0), 5).get().status,
+              QueryStatus::kOk);
+    const auto resp =
+        server.submit(qvec(s.w.queries, 2), 5, kDeadlineMs).get();
+    EXPECT_EQ(resp.status, QueryStatus::kOk) << "scheduling " << scheduling;
+    EXPECT_LT(resp.queue_ms, 50.0) << "scheduling " << scheduling;
+    EXPECT_LT(resp.total_ms, kDeadlineMs) << "scheduling " << scheduling;
+  }
 }
 
 TEST(ServerOverload, FullQueueEvictsStrictlyLowerClassBottomUp) {
   auto& s = shared();
   ServerConfig sc;
   sc.deadline_scheduling = true;
-  sc.max_batch = 64;        // the scheduler cannot fill a batch...
-  sc.max_delay_ms = 1000.0; // ... and will not flush on delay during the test
+  sc.max_batch = 64;
   sc.queue_capacity = 2;
   QueryServer server(&s.engine, sc);
 
+  CohortHold hold(s.engine, s.w.queries);  // the queue cannot drain
   auto best = server.submit(qvec(s.w.queries, 0), 5, 0.0,
                             PriorityClass::kBestEffort);
   auto batch = server.submit(qvec(s.w.queries, 1), 5, 0.0,
@@ -217,6 +202,7 @@ TEST(ServerOverload, FullQueueEvictsStrictlyLowerClassBottomUp) {
                               PriorityClass::kInteractive);
   EXPECT_EQ(inter3.get().status, QueryStatus::kRejected);
 
+  hold.release();
   server.stop();  // drains the two admitted interactive requests
   EXPECT_EQ(inter1.get().status, QueryStatus::kOk);
   EXPECT_EQ(inter2.get().status, QueryStatus::kOk);
@@ -227,14 +213,18 @@ TEST(ServerOverload, FullQueueEvictsStrictlyLowerClassBottomUp) {
 
 TEST(ServerOverload, ExpiredSplitsIntoInQueueAndCompletedLate) {
   auto& s = shared();
-  // In-queue expiry: a lone request whose deadline fires while the scheduler
-  // is still waiting for max_delay.
+  // In-queue expiry: a request whose deadline fires while it is still
+  // queued (held there until the deadline has passed).
   {
     ServerConfig sc;
     sc.max_batch = 64;
-    sc.max_delay_ms = 500.0;
     QueryServer server(&s.engine, sc);
+    CohortHold hold(s.engine, s.w.queries);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(5);
     auto fut = server.submit(qvec(s.w.queries, 0), 5, /*deadline_ms=*/5.0);
+    std::this_thread::sleep_until(deadline);
+    hold.release();
     const auto resp = fut.get();
     EXPECT_EQ(resp.status, QueryStatus::kDeadlineExpired);
     EXPECT_TRUE(resp.neighbors.empty());  // no worker ever touched it
@@ -260,7 +250,6 @@ TEST(ServerOverload, ExpiredSplitsIntoInQueueAndCompletedLate) {
 
     ServerConfig sc;
     sc.max_batch = 1;
-    sc.max_delay_ms = 0.0;
     QueryServer server(&engine, sc);
     bool saw_late_answer = false;
     const auto probing = queries_needing_worker1(engine, w.queries, 4);
@@ -287,17 +276,23 @@ TEST(ServerOverload, BrownoutEngagesUnderBurstAndRecoversWhenQuiet) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 1.0;
   sc.brownout_target_ms = 5.0;
   sc.brownout_floor = 0.25;
   QueryServer server(&s.engine, sc);
 
-  // Burst far beyond one batch: the queue backs up, measured queue delay
-  // blows through the target, and pressure ratchets up batch by batch.
+  // Burst far beyond the 8 slots, held in the queue past the target: every
+  // dispatch round measures a queue delay above it, and pressure ratchets
+  // up round by round, however fast the engine drains the burst.
   std::vector<std::future<QueryResponse>> burst;
-  for (std::size_t i = 0; i < 300; ++i) {
-    burst.push_back(server.submit(qvec(s.w.queries, i), 5, 0.0,
-                                  PriorityClass::kBestEffort));
+  {
+    CohortHold hold(s.engine, s.w.queries);
+    const auto backlog_aged = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(10);
+    for (std::size_t i = 0; i < 300; ++i) {
+      burst.push_back(server.submit(qvec(s.w.queries, i), 5, 0.0,
+                                    PriorityClass::kBestEffort));
+    }
+    std::this_thread::sleep_until(backlog_aged);
   }
   double best_effort_min = 1.0;
   for (auto& f : burst) {
@@ -311,9 +306,9 @@ TEST(ServerOverload, BrownoutEngagesUnderBurstAndRecoversWhenQuiet) {
   EXPECT_LT(mid.brownout_min_factor, 1.0);
   EXPECT_LT(best_effort_min, 1.0);
 
-  // Quiet period: serve lone requests one at a time. Each dispatches after
-  // ~max_delay (1ms), under half the target, so pressure decays 0.25 per
-  // batch and full effort returns within a handful of requests.
+  // Quiet period: serve lone requests one at a time. Each dispatches at
+  // once, under half the target, so pressure decays 0.25 per dispatch round
+  // and full effort returns within a handful of requests.
   double last_effort = 0.0;
   for (std::size_t i = 0; i < 8; ++i) {
     auto fut = server.submit(qvec(s.w.queries, i), 5);
@@ -327,16 +322,22 @@ TEST(ServerOverload, InteractiveKeepsMoreEffortThanBestEffort) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 8;
-  sc.max_delay_ms = 1.0;
   sc.brownout_target_ms = 5.0;
   QueryServer server(&s.engine, sc);
 
+  // A mixed burst held in the queue past the target (see above).
   std::vector<std::future<QueryResponse>> inter, best;
-  for (std::size_t i = 0; i < 150; ++i) {
-    inter.push_back(server.submit(qvec(s.w.queries, i), 5, 0.0,
-                                  PriorityClass::kInteractive));
-    best.push_back(server.submit(qvec(s.w.queries, i + 1), 5, 0.0,
-                                 PriorityClass::kBestEffort));
+  {
+    CohortHold hold(s.engine, s.w.queries);
+    const auto backlog_aged = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(10);
+    for (std::size_t i = 0; i < 150; ++i) {
+      inter.push_back(server.submit(qvec(s.w.queries, i), 5, 0.0,
+                                    PriorityClass::kInteractive));
+      best.push_back(server.submit(qvec(s.w.queries, i + 1), 5, 0.0,
+                                   PriorityClass::kBestEffort));
+    }
+    std::this_thread::sleep_until(backlog_aged);
   }
   double inter_min = 1.0, best_min = 1.0;
   for (auto& f : inter) inter_min = std::min(inter_min, f.get().effort_factor);
@@ -364,8 +365,7 @@ TEST(ServerOverloadBreaker, TripsFastFailsThenRecoversThroughProbes) {
 
   ServerConfig sc;
   sc.max_batch = 4;
-  sc.max_delay_ms = 0.5;
-  sc.auto_heal = true;               // heal on the batch boundary after the kill
+  sc.auto_heal = true;               // heal between streams after the kill
   sc.breaker_threshold = 0.5;
   sc.breaker_window = 4;
   sc.breaker_open_ms = 30.0;
@@ -376,7 +376,7 @@ TEST(ServerOverloadBreaker, TripsFastFailsThenRecoversThroughProbes) {
     return std::vector<float>(p, p + w.queries.dim());
   };
 
-  // Phase 1 — trip: a batch of 4 tight-deadline requests, each needing the
+  // Phase 1 — trip: 4 tight-deadline requests in flight, each needing the
   // killed worker. The kill fires under it, every query stalls on the 60ms
   // result timeout, and all four complete late: 4 failures in a window of
   // 4 >= threshold 0.5.
@@ -400,7 +400,7 @@ TEST(ServerOverloadBreaker, TripsFastFailsThenRecoversThroughProbes) {
     EXPECT_GE(server.metrics().breaker_rejections, 1u);
   }
 
-  // Phase 3 — recover: auto_heal revived the worker on the batch boundary,
+  // Phase 3 — recover: auto_heal revived the worker once the stream ended,
   // so once the open period lapses, half-open probes (no deadline = cannot
   // fail) succeed and close the breaker; service is normal again.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -420,7 +420,6 @@ TEST(ServerOverload, MixedClassLoadGenTalliesPerClass) {
   auto& s = shared();
   ServerConfig sc;
   sc.max_batch = 16;
-  sc.max_delay_ms = 1.0;
   QueryServer server(&s.engine, sc);
 
   LoadGenConfig lg;

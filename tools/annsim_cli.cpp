@@ -59,7 +59,7 @@ using namespace annsim;
                "  annsim eval <result.ivecs> <gt.ivecs> <k>\n"
                "  annsim info <index_dir>\n"
                "  annsim serve-bench <index_dir> <query.fvecs> <k> [--qps Q] "
-               "[--requests N] [--max-batch B] [--max-delay-ms D] "
+               "[--requests N] [--max-batch B] "
                "[--queue-cap C] [--block] [--deadline-ms X] [--closed-loop] "
                "[--clients N] [--ef E] [--write-ratio X] [--compact-at-fill F] "
                "[--overload-ramp] [--deadline-sched] [--brownout-target-ms T] "
@@ -81,7 +81,7 @@ using namespace annsim;
                "  annsim overload-bench <SIFT|DEEP|GIST|SYN_1M|SYN_10M> "
                "<n_base> <n_queries> <k> [--workers N] [--nprobe P] "
                "[--deadline-ms D] [--requests N] [--max-batch B] "
-               "[--max-delay-ms D] [--queue-cap C] [--brownout-target-ms T] "
+               "[--queue-cap C] [--brownout-target-ms T] "
                "[--brownout-floor F] [--breaker-threshold X] [--json PATH] "
                "[--mpi-check]\n"
                "  annsim explore-bench [--mix write|query|compact|heal|mixed|"
@@ -335,7 +335,6 @@ int cmd_serve_bench(int argc, char** argv) {
 
   serve::ServerConfig sc;
   sc.max_batch = arg_num(opt(argc, argv, "--max-batch", "32").c_str());
-  sc.max_delay_ms = std::atof(opt(argc, argv, "--max-delay-ms", "2").c_str());
   sc.queue_capacity = arg_num(opt(argc, argv, "--queue-cap", "1024").c_str());
   sc.ef = arg_num(opt(argc, argv, "--ef", "0").c_str());
   sc.compact_at_fill =
@@ -365,9 +364,9 @@ int cmd_serve_bench(int argc, char** argv) {
     std::printf("serve-bench: closed-loop, %zu clients, %zu requests, k=%zu\n",
                 lg.n_clients, lg.n_requests, lg.k);
   }
-  std::printf("policy: max_batch=%zu max_delay=%.2fms queue=%zu on-full=%s "
+  std::printf("policy: max_batch=%zu queue=%zu on-full=%s "
               "deadline=%.2fms\n",
-              sc.max_batch, sc.max_delay_ms, sc.queue_capacity,
+              sc.max_batch, sc.queue_capacity,
               sc.overflow == serve::OverflowPolicy::kBlock ? "block" : "reject",
               lg.deadline_ms);
 
@@ -795,7 +794,6 @@ int cmd_mutate_bench(int argc, char** argv) {
 
   serve::ServerConfig sc;
   sc.max_batch = 32;
-  sc.max_delay_ms = 2.0;
   sc.queue_capacity = 4096;
   sc.auto_heal = any_kill;
   sc.compact_at_fill = compact_at;
@@ -1157,8 +1155,6 @@ int cmd_overload_bench(int argc, char** argv) {
 
   serve::ServerConfig base_sc;
   base_sc.max_batch = arg_num(opt(argc, argv, "--max-batch", "32").c_str());
-  base_sc.max_delay_ms =
-      std::atof(opt(argc, argv, "--max-delay-ms", "2").c_str());
   base_sc.queue_capacity =
       arg_num(opt(argc, argv, "--queue-cap", "256").c_str());
 
