@@ -125,6 +125,10 @@ struct Summary {
 /// Build a five-number summary of a sample.
 [[nodiscard]] Summary summarize(std::span<const double> sample);
 
+/// summarize() of the sample holding `counts[v]` copies of each integer v,
+/// bit for bit, in space that grows with the largest value, not the count.
+[[nodiscard]] Summary summarize_counts(std::span<const std::uint64_t> counts);
+
 /// Median of an unsorted sample (copies).
 [[nodiscard]] double median(std::span<const double> sample);
 

@@ -2,9 +2,11 @@
 /// \file engine.hpp
 /// \brief The paper's system: a distributed approximate k-NN engine with
 /// VP-tree partitioning, per-partition HNSW indexes, master-worker batched
-/// search (Algorithms 3-4), one-sided result accumulation (§IV-C1),
-/// replication-based load balancing (Algorithm 5), and the multiple-owner
-/// dispatch variant (§IV). Table III's exact KD-tree baseline (PANDA) is a
+/// search (Algorithms 3-4), one-sided result accumulation (§IV-C1) and
+/// replication-based load balancing (Algorithm 5). §IV's multiple-owner
+/// dispatch, which the paper tried and set aside, is modelled in the
+/// performance simulator (des::SearchSimConfig::multiple_owner), not run
+/// here. Table III's exact KD-tree baseline (PANDA) is a
 /// configuration of the same engine: `partitioner.tree = kKdTree`,
 /// `local_index = kExactTree` (which takes the KD split rule from
 /// `partitioner.tree`), `exact_routing = true`.
@@ -45,13 +47,6 @@
 namespace annsim::core {
 
 struct BatchBounds;
-struct DoneNotice;
-
-/// Who computes F(q) and dispatches jobs (§IV discusses both).
-enum class DispatchStrategy {
-  kMasterWorker,   ///< master routes every query (Algorithms 3 & 5)
-  kMultipleOwner,  ///< queries hashed to owner workers, each owning routing
-};
 
 struct EngineConfig {
   std::size_t n_workers = 8;   ///< P processing cores (power of two)
@@ -60,7 +55,6 @@ struct EngineConfig {
   bool one_sided = true;       ///< RMA result accumulation vs two-sided sends
   bool exact_routing = false;  ///< two-phase F(q): nearest first, then the
                                ///< exact ball at the observed k-th distance
-  DispatchStrategy strategy = DispatchStrategy::kMasterWorker;
   std::size_t threads_per_worker = 2;  ///< Algorithm 4's thread team size
   /// Build each worker's local index with threads_per_worker threads (the
   /// paper's multi-threaded HNSW construction). Off by default because
@@ -243,8 +237,8 @@ struct CompressionStats {
 /// soon as query `qid`'s final merged result is known (before `search`
 /// returns). In two-sided mode this fires as each query's last partial
 /// arrives; in one-sided mode as the master reads a slot whose last planned
-/// partition just landed (a degraded slot is read when the operation ends);
-/// in multiple-owner mode as each owner's answer arrives. `coverage` counts
+/// partition just landed (a degraded slot is read when the operation ends).
+/// `coverage` counts
 /// the partitions searched against those planned; `coverage.degraded()`
 /// flags a partial result (possible only under a finite failure-detection
 /// deadline). Runs on the thread that called search(), which is rank 0 of
@@ -538,46 +532,20 @@ class DistributedAnnEngine {
   /// the slots.
   void prepare_result_window(std::size_t bytes);
 
-  /// The search cohort's side of one operation: injector, liveness, the
-  /// topology lock, the result window, and afterwards the death fold.
-  /// `master` runs as rank 0 with the liveness it may update.
-  using SearchMaster =
-      std::function<void(mpi::Comm& world, mpi::FaultInjector* fault,
-                          std::vector<char>& alive,
-                          std::vector<std::uint64_t>& heartbeats,
-                          SearchStats& stats)>;
-  SearchStats run_search(std::size_t k, std::size_t slots,
-                         const SearchMaster& master);
-  /// Algorithms 3 and 5 as one stream loop (DESIGN.md §4.15).
+  /// Algorithms 3 and 5 as one stream loop (DESIGN.md §4.15), run as rank 0
+  /// with the liveness it may update.
   void master_stream(mpi::Comm& world, QuerySource& source, std::size_t k,
                      std::size_t slots, std::size_t ef, SearchStats& stats,
                      mpi::FaultInjector* fault, std::vector<char>& alive,
                      std::vector<std::uint64_t>& heartbeats);
+  /// Algorithm 4: takes the master's jobs until EOQ, then sends the done
+  /// notice. Results go back by accumulate into the result window on the
+  /// one-sided transport (the one that completes a slot also sends the
+  /// master kTagSlotFull), else two-sided on kTagResult. Jobs are checked
+  /// against `bounds`. Under a finite detection deadline the loop also
+  /// beats the master's liveness beacon, between jobs and while it waits.
   void worker_search(mpi::Comm& world, std::size_t k,
                      const BatchBounds& bounds);
-  /// Algorithm 4's job loop, shared by both dispatch policies: takes jobs
-  /// from `job_source` until EOQ and returns the done notice's counters.
-  /// Results go back by accumulate into `win` when it is given (the one that
-  /// completes a slot also sends the master kTagSlotFull), else two-sided on
-  /// `result_tag` to the rank that sent each job. Jobs are checked against
-  /// `bounds`.
-  /// `rank_duty`, when set, runs on the rank thread while the team works.
-  /// Under a finite detection deadline the loop also beats the master's
-  /// liveness beacon, between jobs and while it waits for one.
-  DoneNotice run_job_loop(mpi::Comm& world, int job_source,
-                          mpi::Tag result_tag, mpi::Window* win, std::size_t k,
-                          const BatchBounds& bounds,
-                          const std::function<void()>& rank_duty);
-  /// Receive the done notice of every worker marked alive, per source, and
-  /// fold it into `stats`. Returns the workers whose notice missed the
-  /// failure-detection deadline.
-  std::vector<std::size_t> collect_done_notices(mpi::Comm& world,
-                                                const std::vector<char>& alive,
-                                                SearchStats& stats) const;
-  /// recv bounded by the failure-detection deadline (nullopt once it
-  /// passes); a plain blocking recv when the deadline is infinite.
-  std::optional<mpi::Message> recv_by_deadline(mpi::Comm& world, int source,
-                                               mpi::Tag tag) const;
   [[nodiscard]] std::chrono::microseconds detection_timeout() const;
   /// Lazily create (or return) the engine-owned fault injector shared by
   /// every operation, so death flags and op budgets persist across
@@ -620,14 +588,6 @@ class DistributedAnnEngine {
   /// Open (recovering if present) each worker's WAL under config_.wal_dir.
   /// No-op when wal_dir is empty.
   void open_wals();
-  void master_search_owner(mpi::Comm& world, const data::Dataset& queries,
-                           std::size_t k, std::size_t ef,
-                           data::KnnResults& results, SearchStats& stats,
-                           const QueryDoneFn& on_query_done);
-
-  void worker_search_owner(mpi::Comm& world, std::size_t k,
-                           const BatchBounds& bounds);
-
   const data::Dataset* base_ = nullptr;  ///< null after load()
   EngineConfig config_;
   std::optional<vptree::PartitionTree> router_;

@@ -17,14 +17,11 @@ namespace annsim::core {
 // Message tags of the search protocol.
 inline constexpr mpi::Tag kTagQuery = 1;    ///< -> worker: one (q, d) job
 inline constexpr mpi::Tag kTagResult = 2;   ///< -> master: two-sided local k-NN
-                                            ///< or an owner's merged answer
 inline constexpr mpi::Tag kTagEoq = 3;      ///< master -> worker: End of Queries
 inline constexpr mpi::Tag kTagDone = 4;     ///< worker -> master: all jobs finished
 inline constexpr mpi::Tag kTagTree = 5;     ///< worker 0 -> master: serialized VP tree
-inline constexpr mpi::Tag kTagOwnerResult = 6;  ///< worker -> owner (multiple-owner mode)
 inline constexpr mpi::Tag kTagSlotFull = 7;  ///< worker -> master: an accumulate
                                              ///< completed a query's slot
-inline constexpr mpi::Tag kTagOwnerBatch = 8;   ///< master -> owner: its query share
 inline constexpr mpi::Tag kTagReplica = 11;     ///< worker -> worker: partition replica
 inline constexpr mpi::Tag kTagHeartbeat = 12;   ///< worker -> master: liveness beacon
 inline constexpr mpi::Tag kTagWake = 17;  ///< rank 0 -> itself: a stream's
@@ -77,10 +74,7 @@ struct QueryJob {
 [[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes,
                                         const BatchBounds& bounds);
 
-/// A worker's local k-NN result for one job. In multiple-owner mode it also
-/// carries an owner's merged answer to the master; there `seq` is the
-/// query's index in the batch and `partition` holds the number of
-/// partitions merged (|F(q)|) instead of a partition id.
+/// A worker's local k-NN result for one job, returned two-sided.
 struct LocalResult {
   std::uint64_t seq = 0;
   PartitionId partition = kInvalidPartition;
@@ -91,11 +85,6 @@ struct LocalResult {
 /// Throws annsim::Error on a malformed payload or when partition falls
 /// outside `bounds`.
 [[nodiscard]] LocalResult decode_local_result(std::span<const std::byte> bytes,
-                                              const BatchBounds& bounds);
-/// An owner's merged answer (multiple-owner mode): a LocalResult whose `seq`
-/// is a batch index (checked to be below n_queries) and whose `partition`
-/// holds |F(q)| (checked to be at most n_partitions).
-[[nodiscard]] LocalResult decode_owner_answer(std::span<const std::byte> bytes,
                                               const BatchBounds& bounds);
 
 /// Slot-full notice (one-sided transport): the payload is the sequence
@@ -109,7 +98,6 @@ struct DoneNotice {
   std::uint64_t jobs_processed = 0;
   double compute_seconds = 0.0;  ///< time spent in local searches
   double comm_seconds = 0.0;     ///< time spent in send/accumulate calls
-  double route_seconds = 0.0;    ///< owner-side routing (multiple-owner mode)
 };
 
 // ---- write plane ------------------------------------------------------

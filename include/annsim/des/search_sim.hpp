@@ -1,7 +1,8 @@
 #pragma once
 /// \file search_sim.hpp
 /// \brief Discrete-event simulation of the master-worker batched search
-/// (Algorithms 3 & 5) at cluster scale (256-8192 cores).
+/// (Algorithms 3 & 5) at cluster scale (256-8192 cores), and of §IV's
+/// multiple-owner alternative the paper tried and set aside.
 ///
 /// The simulator replays the *identical* dispatch decisions the real engine
 /// makes — per-query partition plans from the real VP-tree router and the
@@ -10,6 +11,8 @@
 /// multi-server FIFO queues (any core of a node can serve a job targeted at
 /// the node, the paper's intra-node dynamic load balancing); the master is a
 /// serial resource for routing, dispatch, and (in two-sided mode) merging.
+/// In multiple-owner mode the master only scatters queries and receives
+/// answers; routing and merging move onto the owners' cores.
 
 #include <cstdint>
 #include <vector>
@@ -25,12 +28,22 @@ struct SearchSimConfig {
   bool one_sided = true;           ///< RMA result return vs two-sided sends
   std::size_t k = 10;
   std::size_t dim = 128;
-  double route_seconds = 1.0e-6;   ///< master: F(q) per query
+  double route_seconds = 1.0e-6;   ///< F(q) per query (master or owner)
   /// Master-side cost of receiving and folding one worker result in
   /// two-sided mode (MPI matching + copy + k-way merge) — the serialized
   /// path whose removal motivates the one-sided optimization (§IV-C1).
   double merge_seconds = 5.0e-6;
   cluster::MachineModel machine;
+
+  /// §IV's multiple-owner strategy instead of master-worker. The master only
+  /// scatters queries, each to its owner core (a hash of the query index).
+  /// The owner routes the query and dispatches its jobs, then merges its
+  /// partial results, all on that one core, where these duties run before
+  /// any queued job but compete with job service for the core. Each partial
+  /// result is one two-sided hop to the owner (`one_sided` does not apply)
+  /// and each answer one more hop, to the master. The strategy cannot use
+  /// workgroup replication: replication > 1 throws annsim::Error.
+  bool multiple_owner = false;
 
   /// Rank-to-node placement. Cyclic (round-robin) is the default: the
   /// paper's replication optimization targets load imbalance *across*
@@ -45,6 +58,7 @@ struct SearchSimConfig {
 struct SearchSimResult {
   double makespan_seconds = 0.0;       ///< total query time (the paper's metric)
   double master_busy_seconds = 0.0;    ///< routing + dispatch + merging
+                                       ///< (owner mode: scatter + answers)
   double compute_seconds = 0.0;        ///< sum of local-search durations
   double comm_cpu_seconds = 0.0;       ///< endpoint CPU spent on messaging
   double wire_seconds = 0.0;           ///< total in-flight time (overlapped)

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -130,8 +131,11 @@ class ServerMetrics {
   // Latency from 1us to 100s at ~8% bucket resolution.
   Histogram latency_ms_{1e-3, 1e5, 1.08};
   RunningStats queue_wait_ms_;
-  std::vector<double> queue_depths_;
-  std::vector<double> batch_sizes_;
+  // Both distributions are of small integers (bounded by the admission
+  // queue's capacity and the slot count): one count per value keeps them
+  // exact in constant space.
+  std::vector<std::uint64_t> queue_depth_counts_;
+  std::vector<std::uint64_t> batch_size_counts_;
   std::size_t submitted_ = 0, completed_ok_ = 0, rejected_ = 0,
               expired_in_queue_ = 0, completed_late_ = 0, failed_ = 0,
               degraded_ = 0, retries_ = 0, batches_ = 0;

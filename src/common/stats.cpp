@@ -6,17 +6,43 @@
 
 namespace annsim {
 
+namespace {
+
+/// Linear-interpolated percentile p of a sorted sample of n >= 1 values,
+/// read through `nth(i)`, the value at rank i.
+template <typename Nth>
+double ranked_percentile(std::size_t n, double p, const Nth& nth) {
+  const double pos = p / 100.0 * double(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - double(lo);
+  return nth(lo) + frac * (nth(hi) - nth(lo));
+}
+
+/// summarize() of a sorted sample of n values read through `nth`.
+template <typename Nth>
+Summary ranked_summary(std::size_t n, double sum, const Nth& nth) {
+  Summary s;
+  if (n == 0) return s;
+  s.min = nth(0);
+  s.p25 = ranked_percentile(n, 25, nth);
+  s.median = ranked_percentile(n, 50, nth);
+  s.p75 = ranked_percentile(n, 75, nth);
+  s.max = nth(n - 1);
+  s.count = n;
+  s.mean = sum / double(n);
+  return s;
+}
+
+}  // namespace
+
 double percentile(std::span<const double> sample, double p) {
   ANNSIM_CHECK(!sample.empty());
   ANNSIM_CHECK(p >= 0.0 && p <= 100.0);
   std::vector<double> v(sample.begin(), sample.end());
   std::sort(v.begin(), v.end());
   if (v.size() == 1) return v[0];
-  const double pos = p / 100.0 * double(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - double(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
+  return ranked_percentile(v.size(), p, [&](std::size_t i) { return v[i]; });
 }
 
 Histogram::Histogram(double lo, double hi, double growth) : lo_(lo), growth_(growth) {
@@ -88,27 +114,25 @@ double Histogram::percentile(double p) const {
 }
 
 Summary summarize(std::span<const double> sample) {
-  Summary s;
-  if (sample.empty()) return s;
   std::vector<double> v(sample.begin(), sample.end());
   std::sort(v.begin(), v.end());
-  auto at = [&](double p) {
-    const double pos = p / 100.0 * double(v.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = pos - double(lo);
-    return v[lo] + frac * (v[hi] - v[lo]);
-  };
-  s.min = v.front();
-  s.p25 = at(25);
-  s.median = at(50);
-  s.p75 = at(75);
-  s.max = v.back();
-  s.count = v.size();
   double sum = 0;
   for (double x : v) sum += x;
-  s.mean = sum / double(v.size());
-  return s;
+  return ranked_summary(v.size(), sum, [&](std::size_t i) { return v[i]; });
+}
+
+Summary summarize_counts(std::span<const std::uint64_t> counts) {
+  std::size_t n = 0;
+  double sum = 0;
+  for (std::size_t v = 0; v < counts.size(); ++v) {
+    n += counts[v];
+    sum += double(v) * double(counts[v]);
+  }
+  return ranked_summary(n, sum, [&](std::size_t i) {
+    std::size_t v = 0;
+    for (std::uint64_t seen = counts[0]; seen <= i; seen += counts[v]) ++v;
+    return double(v);
+  });
 }
 
 double median(std::span<const double> sample) { return percentile(sample, 50.0); }

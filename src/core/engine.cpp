@@ -48,10 +48,6 @@ void validate_engine_config(const EngineConfig& config) {
                    "partition");
   ANNSIM_CHECK_MSG(config.threads_per_worker >= 1,
                    "threads_per_worker must be nonzero");
-  if (config.strategy == DispatchStrategy::kMultipleOwner) {
-    ANNSIM_CHECK_MSG(!config.one_sided && !config.exact_routing,
-                     "multiple-owner mode supports two-sided single-pass only");
-  }
   ANNSIM_CHECK_MSG(simd::is_true_metric(config.hnsw.metric),
                    "VP-tree partitioning requires a true metric (L2 or L1)");
   ANNSIM_CHECK_MSG(is_local_index_kind(config.local_index),
@@ -86,9 +82,6 @@ void validate_engine_config(const EngineConfig& config) {
                    "result_timeout_ms cannot be negative (0 is an infinite "
                    "deadline: no failure detection)");
   if (config.result_timeout_ms > 0.0) {
-    ANNSIM_CHECK_MSG(config.strategy == DispatchStrategy::kMasterWorker,
-                     "result_timeout_ms (failure detection) requires the "
-                     "master-worker dispatch strategy");
     ANNSIM_CHECK_MSG(!config.exact_routing,
                      "result_timeout_ms (failure detection) does not support "
                      "exact_routing's two-phase protocol");
@@ -236,11 +229,7 @@ void DistributedAnnEngine::worker_op(mpi::Comm& world,
       const auto k = rd.read<std::uint32_t>();
       const BatchBounds bounds{rd.read<std::uint64_t>(), config_.n_workers,
                                rd.read<std::uint64_t>()};
-      if (config_.strategy == DispatchStrategy::kMultipleOwner) {
-        worker_search_owner(world, k, bounds);
-      } else {
-        worker_search(world, k, bounds);
-      }
+      worker_search(world, k, bounds);
       return;
     }
     case OpKind::kWrite:
@@ -499,47 +488,16 @@ data::KnnResults DistributedAnnEngine::search(
                    "efforts must be empty or hold one override per query (got "
                        << efforts.size() << " for " << queries.size()
                        << " queries)");
-  ANNSIM_CHECK_MSG(
-      efforts.empty() || config_.strategy == DispatchStrategy::kMasterWorker,
-      "per-query effort overrides require the master-worker dispatch strategy");
 
   data::KnnResults results(queries.size());
   // An empty batch still runs one operation, on one idle slot.
   const std::size_t slots = std::max<std::size_t>(queries.size(), 1);
-  SearchStats st;
-  if (config_.strategy == DispatchStrategy::kMultipleOwner) {
-    st = run_search(k, slots,
-                    [&](mpi::Comm& world, mpi::FaultInjector*,
-                        std::vector<char>&, std::vector<std::uint64_t>&,
-                        SearchStats& s) {
-                      master_search_owner(world, queries, k, ef, results, s,
-                                          on_query_done);
-                    });
-  } else {
-    std::vector<QueryCoverage> coverage(queries.size());
-    BatchSource source(queries, efforts, results, coverage, on_query_done);
-    st = stream(source, k, slots, ef);
-    st.coverage = std::move(coverage);
-  }
+  std::vector<QueryCoverage> coverage(queries.size());
+  BatchSource source(queries, efforts, results, coverage, on_query_done);
+  SearchStats st = stream(source, k, slots, ef);
+  st.coverage = std::move(coverage);
   if (stats != nullptr) *stats = std::move(st);
   return results;
-}
-
-SearchStats DistributedAnnEngine::stream(QuerySource& source, std::size_t k,
-                                         std::size_t slots, std::size_t ef) {
-  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  ANNSIM_CHECK(k >= 1);
-  ANNSIM_CHECK_MSG(slots >= 1, "a query stream needs at least one slot");
-  ANNSIM_CHECK_MSG(config_.strategy == DispatchStrategy::kMasterWorker,
-                   "query streams need the master-worker dispatch strategy");
-  return run_search(k, slots,
-                    [&](mpi::Comm& world, mpi::FaultInjector* fault,
-                        std::vector<char>& alive,
-                        std::vector<std::uint64_t>& heartbeats,
-                        SearchStats& stats) {
-                      master_stream(world, source, k, slots, ef, stats, fault,
-                                    alive, heartbeats);
-                    });
 }
 
 void DistributedAnnEngine::wake_stream() {
@@ -551,8 +509,11 @@ void DistributedAnnEngine::wake_stream() {
   (void)door_->master->isend_reserved(0, kTagWake, {});
 }
 
-SearchStats DistributedAnnEngine::run_search(std::size_t k, std::size_t slots,
-                                             const SearchMaster& master) {
+SearchStats DistributedAnnEngine::stream(QuerySource& source, std::size_t k,
+                                         std::size_t slots, std::size_t ef) {
+  ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
+  ANNSIM_CHECK(k >= 1);
+  ANNSIM_CHECK_MSG(slots >= 1, "a query stream needs at least one slot");
   SearchStats st;
   st.jobs_per_worker.assign(config_.n_workers, 0);
 
@@ -587,12 +548,12 @@ SearchStats DistributedAnnEngine::run_search(std::size_t k, std::size_t slots,
     op.write(std::uint32_t(k));
     op.write(std::uint64_t(slots));
     op.write(std::uint64_t(router_->dim()));
-    const bool window = config_.one_sided && !config_.exact_routing &&
-                        config_.strategy == DispatchStrategy::kMasterWorker;
+    const bool window = config_.one_sided && !config_.exact_routing;
     st.traffic = run_op(
         *search_lane_, op.bytes(), injector,
         [&](mpi::Comm& world) {
-          master(world, injector.get(), alive, heartbeats, st);
+          master_stream(world, source, k, slots, ef, st, injector.get(), alive,
+                        heartbeats);
         },
         [&] {
           if (window) {
@@ -605,8 +566,7 @@ SearchStats DistributedAnnEngine::run_search(std::size_t k, std::size_t slots,
   // it, when every worker is back in its loop and touching worker stores
   // cannot race. A newly dead worker's in-memory replicas die with it;
   // heal() restores them from checkpoint or from a surviving peer.
-  if (config_.result_timeout_ms > 0.0 &&
-      config_.strategy == DispatchStrategy::kMasterWorker) {
+  if (config_.result_timeout_ms > 0.0) {
     std::unique_lock topology(sync_->topology);  // workers_[w].clear() below
     for (std::size_t w = 0; w < P; ++w) {
       health_.workers[w].heartbeats += heartbeats[w];
@@ -663,8 +623,6 @@ WriteStats DistributedAnnEngine::apply_writes(
                    "streaming writes need local_index=segmented; '"
                        << local_index_kind_name(config_.local_index)
                        << "' replicas are frozen");
-  ANNSIM_CHECK_MSG(config_.strategy == DispatchStrategy::kMasterWorker,
-                   "streaming writes support master-worker dispatch only");
   if (rows != nullptr) {
     ANNSIM_CHECK_MSG(rows->dim() == router_->dim(),
                      "insert dim " << rows->dim() << " != index dim "
@@ -995,7 +953,7 @@ void DistributedAnnEngine::master_stream(
   const auto timeout = detection_timeout();
   using Clock = std::chrono::steady_clock;
 
-  // The window outlives the operation; run_search() sized it. Stamp each
+  // The window outlives the operation; stream() sized it. Stamp each
   // slot with its first occupant (seq = slot) before any job goes out.
   mpi::Window* win = one_sided ? &result_window(world) : nullptr;
   if (one_sided) {
@@ -1472,12 +1430,31 @@ void DistributedAnnEngine::master_stream(
   admitting = false;
   send_eoq_when_final();
 
-  // --- completion notices (also carry the Fig 4(b) per-process job counts).
-  // A notice missing its deadline means the worker died after its last
-  // result; every job is merged or abandoned by now, so nothing fails over.
-  for (const std::size_t w : collect_done_notices(world, alive, stats)) {
-    declare_dead(w);
+  // --- completion notices (also carry the Fig 4(b) per-process job counts),
+  // per source rather than a wildcard: a dead worker's notice was eaten by
+  // the injector, and a wildcard might wait on it forever. An infinite
+  // deadline is the blocking recv, never recv_for with a huge duration:
+  // under a schedule controller a timed wait is a timeout choice point, and
+  // only blocking waits take part in deadlock detection. A notice missing
+  // its deadline means the worker died after its last result; every job is
+  // merged or abandoned by now, so nothing fails over.
+  std::vector<std::size_t> silent;
+  for (std::size_t w = 0; w < P; ++w) {
+    if (!alive[w]) continue;
+    const int src = int(w) + 1;
+    const auto m = detect ? world.recv_for(src, kTagDone, timeout)
+                          : std::optional(world.recv(src, kTagDone));
+    if (!m.has_value()) {
+      silent.push_back(w);
+      continue;
+    }
+    BinaryReader rd(m->payload);
+    const auto notice = rd.read<DoneNotice>();
+    stats.jobs_per_worker[w] = notice.jobs_processed;
+    stats.worker_compute_seconds += notice.compute_seconds;
+    stats.worker_comm_seconds += notice.comm_seconds;
   }
+  for (const std::size_t w : silent) declare_dead(w);
 
   if (one_sided) {
     // Every accumulate has landed, so each slot's mask is final. Answer the
@@ -1506,65 +1483,18 @@ std::chrono::microseconds DistributedAnnEngine::detection_timeout() const {
       std::int64_t(config_.result_timeout_ms * 1000.0));
 }
 
-std::optional<mpi::Message> DistributedAnnEngine::recv_by_deadline(
-    mpi::Comm& world, int source, mpi::Tag tag) const {
-  // An infinite deadline is the blocking recv, never recv_for with a huge
-  // duration: under a schedule controller a timed wait is a timeout choice
-  // point, and only blocking waits take part in deadlock detection.
-  if (config_.result_timeout_ms <= 0.0) return world.recv(source, tag);
-  return world.recv_for(source, tag, detection_timeout());
-}
-
-std::vector<std::size_t> DistributedAnnEngine::collect_done_notices(
-    mpi::Comm& world, const std::vector<char>& alive,
-    SearchStats& stats) const {
-  // Per source rather than a wildcard: a dead worker's notice was eaten by
-  // the injector, and a wildcard might wait on it forever.
-  std::vector<std::size_t> silent;
-  for (std::size_t w = 0; w < alive.size(); ++w) {
-    if (!alive[w]) continue;
-    const auto m = recv_by_deadline(world, int(w) + 1, kTagDone);
-    if (!m.has_value()) {
-      silent.push_back(w);
-      continue;
-    }
-    BinaryReader rd(m->payload);
-    const auto notice = rd.read<DoneNotice>();
-    stats.jobs_per_worker[w] = notice.jobs_processed;
-    stats.worker_compute_seconds += notice.compute_seconds;
-    stats.worker_comm_seconds += notice.comm_seconds;
-    stats.master_route_seconds += notice.route_seconds;  // owner-side routing
-  }
-  return silent;
-}
-
-// Algorithm 4: the worker routine of master-worker dispatch.
+// Algorithm 4, the worker routine: a team of threads, each polling with
+// MPI_Test and terminating through the shared Done flag once one of them
+// takes the End of Queries; then the done notice.
 void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
                                          const BatchBounds& bounds) {
-  const bool one_sided = config_.one_sided && !config_.exact_routing;
   mpi::Window* win = nullptr;
-  if (one_sided) {
+  if (config_.one_sided && !config_.exact_routing) {
     win = &result_window(world);
     // Passive-target access epoch at the master, shared mode (§IV-C1): one
     // epoch for the whole operation, shared by this worker's thread team.
     win->lock_shared(0);
   }
-  const DoneNotice notice =
-      run_job_loop(world, /*job_source=*/0, kTagResult, win, k, bounds, {});
-  if (one_sided) win->unlock(0);
-
-  BinaryWriter w;
-  w.write(notice);
-  world.send_reserved(0, kTagDone, w.bytes());
-}
-
-// Algorithm 4's job loop, shared by both dispatch policies: a team of
-// threads, each polling with MPI_Test and terminating through the shared
-// Done flag once one of them takes the End of Queries.
-DoneNotice DistributedAnnEngine::run_job_loop(
-    mpi::Comm& world, int job_source, mpi::Tag result_tag, mpi::Window* win,
-    std::size_t k, const BatchBounds& bounds,
-    const std::function<void()>& rank_duty) {
   const std::size_t me = std::size_t(world.rank()) - 1;
   const SlotLayout layout{k, config_.n_workers};
   const auto merge_op = knn_slot_merge(layout);
@@ -1577,7 +1507,7 @@ DoneNotice DistributedAnnEngine::run_job_loop(
   // keeps the worker schedulable under annsim::explore: a spawned team
   // member would be an untracked helper racing around the controller,
   // whereas the rank thread parks at every choice point.
-  const bool inline_team = config_.threads_per_worker == 1 && !rank_duty;
+  const bool inline_team = config_.threads_per_worker == 1;
 
   // Liveness beacon (finite deadline only): the team beats on a reliable
   // tag between jobs and while it waits for one. The fabric never drops a
@@ -1609,7 +1539,7 @@ DoneNotice DistributedAnnEngine::run_job_loop(
       // A tag set, not a wildcard: the worker names exactly what it is
       // willing to consume, so a stray control message can never be
       // swallowed as a query (annsim::check's wildcard-recv rule).
-      mpi::Request req = world.irecv_tags(job_source, {kTagQuery, kTagEoq});
+      mpi::Request req = world.irecv_tags(0, {kTagQuery, kTagEoq});
       bool cancelled = false;
       if (inline_team && !beacon) {
         req.wait();  // the lone thread just blocks until the next job
@@ -1665,13 +1595,11 @@ DoneNotice DistributedAnnEngine::run_job_loop(
           }
         }
       } else {
-        // The result goes back to whoever sent the job: the master, or in
-        // multiple-owner mode the query's owner.
         LocalResult r;
         r.seq = job.seq;
         r.partition = job.partition;
         r.neighbors = std::move(local);
-        (void)world.isend(m.source, result_tag, encode_local_result(r));
+        (void)world.isend(0, kTagResult, encode_local_result(r));
       }
       my_comm += tm.seconds();
       jobs.fetch_add(1, std::memory_order_relaxed);
@@ -1689,15 +1617,17 @@ DoneNotice DistributedAnnEngine::run_job_loop(
     for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
       team.emplace_back(thread_main);
     }
-    if (rank_duty) rank_duty();
     for (auto& t : team) t.join();
   }
+  if (win != nullptr) win->unlock(0);
 
   DoneNotice notice;
   notice.jobs_processed = jobs.load();
   notice.compute_seconds = compute_s;
   notice.comm_seconds = comm_s;
-  return notice;
+  BinaryWriter w;
+  w.write(notice);
+  world.send_reserved(0, kTagDone, w.bytes());
 }
 
 // ------------------------------------------------------------ recovery ----
@@ -2078,7 +2008,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kImageMagic = 0x414E454D;  // "ANEM"
-constexpr std::uint32_t kImageVersion = 1;
+/// 2: the config no longer carries a dispatch strategy.
+constexpr std::uint32_t kImageVersion = 2;
 constexpr const char* kImageManifest = "engine.bin";
 
 /// Every persisted config field in manifest order, handed to `field`: one
@@ -2090,7 +2021,6 @@ void config_fields(Config& c, const Field& field) {
   field(c.n_probe);
   field(c.one_sided);
   field(c.exact_routing);
-  field(c.strategy);
   field(c.threads_per_worker);
   field(c.local_index);
   field(c.partitioner.tree);
@@ -2196,7 +2126,9 @@ DistributedAnnEngine DistributedAnnEngine::load(
                    "bad engine manifest magic in " << path);
   const auto version = r.read<std::uint32_t>();
   ANNSIM_CHECK_MSG(version == kImageVersion,
-                   "unsupported engine manifest version " << version);
+                   "unsupported engine manifest version "
+                       << version << " in " << path << " (this build reads "
+                       << kImageVersion << "; rebuild the index)");
 
   DistributedAnnEngine eng;
   config_fields(eng.config_, [&](auto& v) {

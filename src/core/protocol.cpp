@@ -16,16 +16,6 @@ void check_partition(PartitionId partition, const BatchBounds& bounds) {
                                 << bounds.n_partitions << " partitions");
 }
 
-LocalResult read_local_result(std::span<const std::byte> bytes) {
-  BinaryReader r(bytes);
-  LocalResult out;
-  out.seq = r.read<std::uint64_t>();
-  out.partition = r.read<PartitionId>();
-  out.neighbors = r.read_vector<Neighbor>();
-  ANNSIM_CHECK(r.exhausted());
-  return out;
-}
-
 }  // namespace
 
 std::size_t slot_of(std::uint64_t seq, const BatchBounds& bounds) {
@@ -73,22 +63,13 @@ std::vector<std::byte> encode_local_result(const LocalResult& r) {
 
 LocalResult decode_local_result(std::span<const std::byte> bytes,
                                 const BatchBounds& bounds) {
-  LocalResult out = read_local_result(bytes);
+  BinaryReader r(bytes);
+  LocalResult out;
+  out.seq = r.read<std::uint64_t>();
+  out.partition = r.read<PartitionId>();
+  out.neighbors = r.read_vector<Neighbor>();
+  ANNSIM_CHECK(r.exhausted());
   check_partition(out.partition, bounds);
-  return out;
-}
-
-LocalResult decode_owner_answer(std::span<const std::byte> bytes,
-                                const BatchBounds& bounds) {
-  LocalResult out = read_local_result(bytes);
-  ANNSIM_CHECK_MSG(out.seq < bounds.n_queries,
-                   "owner answer for query " << out.seq
-                                             << " outside a batch of "
-                                             << bounds.n_queries);
-  ANNSIM_CHECK_MSG(std::size_t(out.partition) <= bounds.n_partitions,
-                   "owner answer merged " << out.partition << " of "
-                                          << bounds.n_partitions
-                                          << " partitions");
   return out;
 }
 

@@ -65,11 +65,6 @@ QueryServer::QueryServer(core::DistributedAnnEngine* engine,
                    "brownout_floor must be within (0, 1] (got "
                        << config_.brownout_floor << ")");
   ANNSIM_CHECK_MSG(
-      config_.brownout_target_ms == 0.0 ||
-          engine_->config().strategy == core::DispatchStrategy::kMasterWorker,
-      "brownout_target_ms requires the master-worker dispatch strategy "
-      "(per-query effort overrides ride its dispatch path)");
-  ANNSIM_CHECK_MSG(
       config_.breaker_threshold >= 0.0 && config_.breaker_threshold <= 1.0,
       "breaker_threshold must be within [0, 1] (got "
           << config_.breaker_threshold << "; 0 disables the breaker)");
@@ -84,10 +79,6 @@ QueryServer::QueryServer(core::DistributedAnnEngine* engine,
                      "breaker_probes must be nonzero: half-open needs at "
                      "least one probe to test recovery");
   }
-  ANNSIM_CHECK_MSG(
-      engine_->config().strategy == core::DispatchStrategy::kMasterWorker,
-      "QueryServer requires the master-worker dispatch strategy (requests "
-      "stream through the engine's master)");
   dim_ = engine_->router().dim();
   scheduler_ = std::thread([this] { scheduler_main(); });
 }

@@ -5,10 +5,19 @@
 
 namespace annsim::serve {
 
+namespace {
+
+void tally(std::vector<std::uint64_t>& counts, std::size_t value) {
+  if (value >= counts.size()) counts.resize(value + 1, 0);
+  ++counts[value];
+}
+
+}  // namespace
+
 void ServerMetrics::on_submit(std::size_t queue_depth_after_admission) {
   std::lock_guard lk(mu_);
   ++submitted_;
-  queue_depths_.push_back(double(queue_depth_after_admission));
+  tally(queue_depth_counts_, queue_depth_after_admission);
   if (!saw_submit_) {
     saw_submit_ = true;
     first_submit_ = Clock::now();
@@ -70,7 +79,7 @@ void ServerMetrics::on_fail() {
 void ServerMetrics::on_batch(std::size_t batch_size) {
   std::lock_guard lk(mu_);
   ++batches_;
-  batch_sizes_.push_back(double(batch_size));
+  tally(batch_size_counts_, batch_size);
 }
 
 void ServerMetrics::on_complete_ok(double latency_ms, double queue_wait_ms) {
@@ -151,8 +160,8 @@ MetricsReport ServerMetrics::report() const {
   r.latency_p999_ms = latency_ms_.p999();
   r.latency_max_ms = latency_ms_.max();
   r.queue_wait_mean_ms = queue_wait_ms_.mean();
-  r.queue_depth = summarize(queue_depths_);
-  r.batch_size = summarize(batch_sizes_);
+  r.queue_depth = summarize_counts(queue_depth_counts_);
+  r.batch_size = summarize_counts(batch_size_counts_);
   return r;
 }
 

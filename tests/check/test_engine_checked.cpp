@@ -7,9 +7,7 @@
 ///  * worker job loops received with a kAnyTag wildcard that could swallow
 ///    reserved control messages — now irecv_tags({kTagQuery, kTagEoq});
 ///  * EOQ / heartbeat / done notices were plain sends on what are now
-///    declared control-plane tags — now send_reserved/isend_reserved
-///    (the multiple-owner strategy's done notice was the one the checker
-///    actually flagged);
+///    declared control-plane tags — now send_reserved/isend_reserved;
 ///  * with failure detection armed, results/done/heartbeats addressed to a
 ///    master that stopped listening are declared best-effort, so by-design
 ///    abandonment is counted as residue instead of an unmatched-send
@@ -53,20 +51,6 @@ TEST(EngineChecked, MasterWorkerTwoSidedIsCheckClean) {
   auto w = data::make_sift_like(600, 12, 702);
   auto cfg = checked_config();
   cfg.one_sided = false;
-  DistributedAnnEngine eng(&w.base, cfg);
-  eng.build();
-  (void)eng.search(w.queries, 10);
-  const auto rep = eng.check_report();
-  EXPECT_TRUE(rep.clean()) << annsim::check::to_string(rep);
-}
-
-// Regression: the owner strategy's done notice was a plain send on the
-// reserved kTagDone — the first real violation annsim::check found.
-TEST(EngineChecked, MultipleOwnerStrategyIsCheckClean) {
-  auto w = data::make_sift_like(600, 12, 703);
-  auto cfg = checked_config();
-  cfg.strategy = DispatchStrategy::kMultipleOwner;
-  cfg.one_sided = false;  // owner mode is two-sided single-pass only
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
   (void)eng.search(w.queries, 10);

@@ -42,10 +42,6 @@ TEST(Engine, ValidatesConfig) {
   cfg = fast_config();
   cfg.replication = 9;  // > workers
   EXPECT_THROW(DistributedAnnEngine(&d, cfg), Error);
-  cfg = fast_config();
-  cfg.strategy = DispatchStrategy::kMultipleOwner;
-  cfg.one_sided = true;  // unsupported combination
-  EXPECT_THROW(DistributedAnnEngine(&d, cfg), Error);
 }
 
 TEST(Engine, SearchBeforeBuildThrows) {
@@ -177,33 +173,6 @@ TEST(Engine, ExactRoutingBeatsOrMatchesSinglePassRecall) {
   EXPECT_GE(r_exact, r_single);
   EXPECT_GT(r_exact, 0.95);
   EXPECT_GT(st.mean_partitions_per_query, 1.0);
-}
-
-TEST(Engine, MultipleOwnerMatchesMasterWorker) {
-  const auto& f = fixture();
-  auto cfg = fast_config();
-  cfg.one_sided = false;
-  DistributedAnnEngine mw(&f.w.base, cfg);
-  cfg.strategy = DispatchStrategy::kMultipleOwner;
-  DistributedAnnEngine owner(&f.w.base, cfg);
-  mw.build();
-  owner.build();
-  SearchStats st;
-  std::vector<QueryCoverage> seen(f.w.queries.size());
-  auto r1 = mw.search(f.w.queries, 10);
-  auto r2 = owner.search(f.w.queries, 10, 0, &st,
-                         [&](std::size_t qid, const std::vector<Neighbor>&,
-                             const QueryCoverage& cov) { seen[qid] = cov; });
-  for (std::size_t q = 0; q < r1.size(); ++q) {
-    EXPECT_EQ(r1[q], r2[q]) << "query " << q;
-    // Full coverage, reported by the owner: every planned partition merged.
-    EXPECT_EQ(seen[q].partitions_planned, cfg.n_probe) << "query " << q;
-    EXPECT_EQ(seen[q].partitions_searched, cfg.n_probe) << "query " << q;
-  }
-  EXPECT_EQ(st.total_jobs, f.w.queries.size() * cfg.n_probe);
-  std::uint64_t processed = 0;
-  for (const std::uint64_t n : st.jobs_per_worker) processed += n;
-  EXPECT_EQ(st.total_jobs, processed);
 }
 
 TEST(Engine, HigherEfImprovesRecall) {

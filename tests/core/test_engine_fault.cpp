@@ -406,10 +406,6 @@ TEST(EngineFault, ConfigValidationNamesTheField) {
     c.result_timeout_ms = 10.0;
     c.fault.kills.push_back({/*rank=*/5, /*after_ops=*/0, mpi::kNeverFires});
     expect_msg(c, "must name a worker rank"); }
-  { auto c = chaos_config(); c.one_sided = false;
-    c.strategy = DispatchStrategy::kMultipleOwner;
-    c.result_timeout_ms = 10.0;
-    expect_msg(c, "master-worker dispatch strategy"); }
   { auto c = chaos_config(); c.exact_routing = true;
     c.result_timeout_ms = 10.0;
     expect_msg(c, "exact_routing"); }

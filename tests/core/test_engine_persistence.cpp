@@ -226,6 +226,28 @@ TEST_F(EnginePersistence, LoadRejectsThePreviousImageFormat) {
     EXPECT_NE(std::string(e.what()).find("\"ANIF\""), std::string::npos)
         << e.what();
   }
+  // A version-1 manifest (its config still carried a dispatch strategy)
+  // must fail with an error that names its version, not decode shifted.
+  std::filesystem::remove(path_);
+  auto w = data::make_sift_like(500, 5, 312);
+  DistributedAnnEngine eng(&w.base, config());
+  eng.build();
+  eng.save(path_);
+  const std::string manifest = path_ + "/engine.bin";
+  auto bytes = read_file(manifest);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // after the magic
+  reseal(bytes);
+  write_file(manifest, bytes);
+  try {
+    (void)DistributedAnnEngine::load(path_);
+    ADD_FAILURE() << "loaded a version-1 engine image";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported engine manifest "
+                                         "version 1 "),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(EnginePersistence, SaveRefusesToReplaceADirectoryThatIsNotAnImage) {
@@ -264,9 +286,9 @@ TEST_F(EnginePersistence, LoadValidatesTheDecodedConfig) {
   const std::string manifest = path_ + "/engine.bin";
   const auto image = read_file(manifest);
   // engine.bin opens with the magic and version (u32 each), then n_workers,
-  // replication and n_probe (u64 each), two flag bytes, the dispatch
-  // strategy (i32), threads_per_worker (u64), the local index kind byte at
-  // 46 and the split rule byte at 47; it ends with a checksum of the rest,
+  // replication and n_probe (u64 each), two flag bytes, threads_per_worker
+  // (u64), the local index kind byte at 42 and the split rule byte at 43;
+  // it ends with a checksum of the rest,
   // re-sealed here so only the config checks can refuse. Values the
   // constructor would refuse must not load. Bytes 2 and 5 named the retired
   // VP- and KD-tree local kinds.
@@ -280,9 +302,9 @@ TEST_F(EnginePersistence, LoadValidatesTheDecodedConfig) {
        {Field{16, 0, 8, "replication must be nonzero"},
         Field{24, 0, 8, "n_probe must be nonzero"},
         Field{8, 3, 8, "n_workers must be a power of two"},
-        Field{46, 2, 1, "local_index 2 is not a local index kind"},
-        Field{46, 5, 1, "local_index 5 is not a local index kind"},
-        Field{47, 2, 1, "partitioner.tree 2 is not a split rule"}}) {
+        Field{42, 2, 1, "local_index 2 is not a local index kind"},
+        Field{42, 5, 1, "local_index 5 is not a local index kind"},
+        Field{43, 2, 1, "partitioner.tree 2 is not a split rule"}}) {
     auto bytes = image;
     std::memcpy(bytes.data() + f.at, &f.value, f.width);
     reseal(bytes);

@@ -177,19 +177,12 @@ INSTANTIATE_TEST_SUITE_P(Transports, EngineStreamFaults, ::testing::Bool(),
                            return p.param ? "onesided" : "twosided";
                          });
 
-TEST(EngineStreamContract, RejectsZeroSlotsAndOwnerDispatch) {
+TEST(EngineStreamContract, RejectsZeroSlots) {
   const auto w = data::make_sift_like(400, 4, 3);
-  auto cfg = stream_config(3, false, true);
-  DistributedAnnEngine eng(&w.base, cfg);
+  DistributedAnnEngine eng(&w.base, stream_config(3, false, true));
   eng.build();
   GroupSource source(w.queries, 1);
   EXPECT_THROW((void)eng.stream(source, kK, 0), Error);
-  cfg.replication = 1;
-  cfg.one_sided = false;
-  cfg.strategy = DispatchStrategy::kMultipleOwner;
-  DistributedAnnEngine owner(&w.base, cfg);
-  owner.build();
-  EXPECT_THROW((void)owner.stream(source, kK, 1), Error);
   eng.wake_stream();  // no stream open: a no-op
   GroupSource all(w.queries, w.queries.size());
   (void)eng.stream(all, kK, w.queries.size());

@@ -147,25 +147,6 @@ TEST(ProtocolFuzz, LocalResultOutsideTheBatchThrows) {
                Error);
 }
 
-TEST(ProtocolFuzz, OwnerAnswerBoundsItsCountNotAPartition) {
-  // An owner's answer carries |F(q)| in `partition`: all partitions merged
-  // is valid, one more is not, and its seq is a batch index, bounded.
-  LocalResult r;
-  r.seq = kBounds.n_queries - 1;
-  r.partition = PartitionId(kBounds.n_partitions);
-  EXPECT_NO_THROW((void)decode_owner_answer(encode_local_result(r), kBounds));
-  EXPECT_THROW((void)decode_local_result(encode_local_result(r), kBounds),
-               Error);
-  LocalResult bad = r;
-  bad.partition = PartitionId(kBounds.n_partitions + 1);
-  EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
-               Error);
-  bad = r;
-  bad.seq = kBounds.n_queries;
-  EXPECT_THROW((void)decode_owner_answer(encode_local_result(bad), kBounds),
-               Error);
-}
-
 TEST(ProtocolFuzz, SlotFullNoticeIsExact) {
   const auto last = ~std::uint64_t{0};
   EXPECT_EQ(decode_slot_full(encode_slot_full(last)), last);

@@ -32,6 +32,7 @@ struct Case {
   std::size_t replication;
   bool one_sided;
   bool cyclic;
+  bool owner = false;  ///< §IV's multiple-owner strategy
 };
 
 class SimSweep : public ::testing::TestWithParam<Case> {};
@@ -46,6 +47,7 @@ TEST_P(SimSweep, InvariantsHold) {
   cfg.replication = c.replication;
   cfg.one_sided = c.one_sided;
   cfg.cyclic_rank_mapping = c.cyclic;
+  cfg.multiple_owner = c.owner;
   const auto res = simulate_search(cfg, plans, cost);
 
   // Conservation.
@@ -78,7 +80,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{16, 1, true, true}, Case{16, 1, false, true},
                       Case{16, 4, true, true}, Case{64, 1, true, false},
                       Case{64, 5, false, true}, Case{256, 1, true, true},
-                      Case{256, 3, true, false}, Case{1024, 5, true, true}));
+                      Case{256, 3, true, false}, Case{1024, 5, true, true},
+                      Case{16, 1, false, true, true},
+                      Case{64, 1, true, false, true},
+                      Case{256, 1, false, true, true},
+                      Case{1024, 1, true, true, true}));
 
 TEST(SimProperties, ReplicationNeverChangesJobTotals) {
   const auto plans = random_plans(500, 64, 4, 9);
@@ -156,6 +162,72 @@ TEST(SimProperties, MasterBusyAccountsAllPhases) {
   const std::vector<double> cost(32, 1e-4);
   const auto res = simulate_search(cfg, plans, cost);
   EXPECT_GE(res.master_busy_seconds, 300 * 1e-5);  // at least routing
+}
+
+TEST(SimOwner, JobsPerCoreMatchMasterWorkerAtReplicationOne) {
+  // At r = 1 both strategies send each job to its partition's core. With one
+  // core per node that core also serves it, so the counts match per core;
+  // with many cores per node any of the node's cores may serve, so they
+  // match per node.
+  const auto plans = random_plans(600, 96, 3, 21);
+  const std::vector<double> cost(96, 2e-4);
+  for (const std::size_t per_node : {1u, 24u}) {
+    cluster::MachineParams mp;
+    mp.cores_per_node = per_node;
+    SearchSimConfig cfg;
+    cfg.n_cores = 96;
+    cfg.machine = cluster::MachineModel(mp);
+    const auto mw = simulate_search(cfg, plans, cost);
+    cfg.multiple_owner = true;
+    const auto owner = simulate_search(cfg, plans, cost);
+    EXPECT_EQ(owner.total_jobs, mw.total_jobs);
+    const std::size_t nodes = cfg.machine.nodes_for_cores(96);
+    std::vector<std::uint64_t> mw_node(nodes, 0), owner_node(nodes, 0);
+    for (std::size_t c = 0; c < 96; ++c) {
+      mw_node[c % nodes] += mw.jobs_per_core[c];
+      owner_node[c % nodes] += owner.jobs_per_core[c];
+    }
+    EXPECT_EQ(owner_node, mw_node) << per_node << " cores per node";
+    if (per_node == 1) {
+      EXPECT_EQ(owner.jobs_per_core, mw.jobs_per_core);
+    }
+  }
+}
+
+TEST(SimOwner, MasterBusyExcludesRouting) {
+  // Routing runs on the owners: the master pays one send per query and one
+  // receive per answer, however costly F(q) is.
+  const auto plans = random_plans(300, 32, 2, 22);
+  const std::vector<double> cost(32, 1e-4);
+  SearchSimConfig cfg;
+  cfg.n_cores = 32;
+  cfg.multiple_owner = true;
+  const double per_message = cfg.machine.params().message_cpu_overhead;
+  for (const double route : {1e-6, 1e-3}) {
+    cfg.route_seconds = route;
+    const auto res = simulate_search(cfg, plans, cost);
+    EXPECT_NEAR(res.master_busy_seconds, 2 * 300 * per_message, 1e-12)
+        << "route " << route;
+    EXPECT_LT(res.master_busy_seconds, 300 * route);
+  }
+  // ...and it still costs time, on the owners' cores.
+  cfg.route_seconds = 1e-3;
+  const auto slow = simulate_search(cfg, plans, cost);
+  cfg.route_seconds = 1e-6;
+  const auto fast = simulate_search(cfg, plans, cost);
+  EXPECT_GT(slow.makespan_seconds, fast.makespan_seconds);
+}
+
+TEST(SimOwner, RejectsReplication) {
+  const auto plans = random_plans(10, 16, 2, 23);
+  const std::vector<double> cost(16, 1e-4);
+  SearchSimConfig cfg;
+  cfg.n_cores = 16;
+  cfg.multiple_owner = true;
+  cfg.replication = 2;
+  EXPECT_THROW((void)simulate_search(cfg, plans, cost), Error);
+  cfg.replication = 1;
+  EXPECT_NO_THROW((void)simulate_search(cfg, plans, cost));
 }
 
 }  // namespace

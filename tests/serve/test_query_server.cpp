@@ -220,13 +220,6 @@ TEST(QueryServer, RejectsBadConfigAndBadRequests) {
     data::Workload w2 = data::make_sift_like(64, 2, 5);
     core::DistributedAnnEngine unbuilt(&w2.base, engine_config());
     EXPECT_THROW(QueryServer(&unbuilt, ServerConfig{}), Error);
-    // Requests stream through the master: owner dispatch cannot serve.
-    auto owner_cfg = engine_config();
-    owner_cfg.one_sided = false;
-    owner_cfg.strategy = core::DispatchStrategy::kMultipleOwner;
-    core::DistributedAnnEngine owner(&w2.base, owner_cfg);
-    owner.build();
-    EXPECT_THROW(QueryServer(&owner, ServerConfig{}), Error);
   }
   QueryServer server(&s.engine, ServerConfig{});
   EXPECT_THROW((void)server.submit(std::vector<float>(3, 0.f), 5), Error);

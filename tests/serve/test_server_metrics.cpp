@@ -6,8 +6,30 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
+
+#include "annsim/common/rng.hpp"
+
+namespace {
+
+// Heap allocations made by a thread while it counts them (see
+// DistributionsHoldConstantMemory).
+thread_local bool t_count_allocations = false;
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (t_count_allocations) g_allocations.fetch_add(1);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace annsim::serve {
 namespace {
@@ -67,6 +89,67 @@ TEST(ServerMetrics, CountersAndDistributionsAddUp) {
   if (r.wall_seconds > 0.0) {
     EXPECT_NEAR(r.throughput_qps, 8.0 / r.wall_seconds, 1e-6);
   }
+}
+
+void expect_same_summary(const Summary& got, const Summary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.p25, want.p25);
+  EXPECT_EQ(got.median, want.median);
+  EXPECT_EQ(got.p75, want.p75);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.mean, want.mean);
+}
+
+TEST(ServerMetrics, DistributionsEqualSummarizeOverTheSameSequence) {
+  // Exactly, not approximately: the report keeps one count per value.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 5000u}) {
+    ServerMetrics m;
+    std::vector<double> depths, sizes;
+    Rng rng(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t depth = rng.uniform_below(257);
+      const std::size_t size = 1 + rng.uniform_below(64);
+      m.on_submit(depth);
+      m.on_batch(size);
+      depths.push_back(double(depth));
+      sizes.push_back(double(size));
+    }
+    const MetricsReport r = m.report();
+    SCOPED_TRACE(n);
+    expect_same_summary(r.queue_depth, summarize(depths));
+    expect_same_summary(r.batch_size, summarize(sizes));
+  }
+}
+
+TEST(ServerMetrics, DistributionsHoldConstantMemory) {
+  // Once every value has been seen, a million more records allocate nothing.
+  ServerMetrics m;
+  for (std::size_t v = 0; v < 256; ++v) {
+    m.on_submit(v);
+    m.on_batch(v % 64 + 1);
+  }
+  // The counter sees a growing vector (the old one-entry-per-record store).
+  g_allocations = 0;
+  t_count_allocations = true;
+  std::vector<double> grown;
+  for (int i = 0; i < 100; ++i) grown.push_back(i);
+  t_count_allocations = false;
+  ASSERT_GT(g_allocations.load(), 0u) << "allocation counting is not active";
+  ASSERT_EQ(grown.size(), 100u);
+
+  g_allocations = 0;
+  t_count_allocations = true;
+  for (std::size_t i = 0; i < 1'000'000; ++i) {
+    m.on_submit(i % 256);
+    m.on_batch(i % 64 + 1);
+  }
+  t_count_allocations = false;
+  EXPECT_EQ(g_allocations.load(), 0u);
+  const MetricsReport r = m.report();
+  EXPECT_EQ(r.queue_depth.count, 1'000'256u);
+  EXPECT_EQ(r.batch_size.count, 1'000'256u);
+  EXPECT_EQ(r.queue_depth.max, 255.0);
 }
 
 TEST(ServerMetrics, ExpiredSplitsIntoQueueAndLateButSumsForBackCompat) {
