@@ -67,7 +67,6 @@ void functional_plane(const Spec& spec) {
 
   auto cfg_exact = cfg;
   cfg_exact.exact_routing = true;
-  cfg_exact.one_sided = false;  // exact routing needs the two-phase protocol
   core::DistributedAnnEngine ours_exact(&w.base, cfg_exact);
   ours_exact.build();
 

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   cfg.n_workers = 8;
   cfg.replication = 2;
   cfg.n_probe = 4;
-  cfg.one_sided = true;  // workers fold results into the master via RMA
   cfg.hnsw.M = 16;
   cfg.hnsw.ef_construction = 120;
 

@@ -83,7 +83,7 @@ class TopK {
 
 /// Merge two already-sorted k-NN result lists into a sorted list of length
 /// at most k. Used by the RMA accumulate merge op (the "atomic remote
-/// read-update" of §IV-C1) and by the master's two-sided result merge.
+/// read-update" of §IV-C1).
 [[nodiscard]] inline std::vector<Neighbor> merge_sorted_knn(
     std::span<const Neighbor> a, std::span<const Neighbor> b, std::size_t k) {
   std::vector<Neighbor> out;

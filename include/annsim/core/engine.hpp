@@ -52,7 +52,10 @@ struct EngineConfig {
   std::size_t n_workers = 8;   ///< P processing cores (power of two)
   std::size_t replication = 1; ///< r; 1 = no replication (baseline)
   std::size_t n_probe = 4;     ///< |F(q)| in single-pass routing mode
-  bool one_sided = true;       ///< RMA result accumulation vs two-sided sends
+  /// Must stay true: every answer returns through the one-sided result
+  /// window (§IV-C1), and validation rejects false. Two-sided returns are
+  /// modelled in the search DES (des::SearchSimConfig::one_sided).
+  bool one_sided = true;
   bool exact_routing = false;  ///< two-phase F(q): nearest first, then the
                                ///< exact ball at the observed k-th distance
   std::size_t threads_per_worker = 2;  ///< Algorithm 4's thread team size
@@ -235,13 +238,11 @@ struct CompressionStats {
 
 /// Per-query completion hook for batched search: invoked by the master as
 /// soon as query `qid`'s final merged result is known (before `search`
-/// returns). In two-sided mode this fires as each query's last partial
-/// arrives; in one-sided mode as the master reads a slot whose last planned
-/// partition just landed (a degraded slot is read when the operation ends).
-/// `coverage` counts
-/// the partitions searched against those planned; `coverage.degraded()`
-/// flags a partial result (possible only under a finite failure-detection
-/// deadline). Runs on the thread that called search(), which is rank 0 of
+/// returns): as the master reads a slot whose last planned partition just
+/// landed (a degraded slot is read when the operation ends). `coverage`
+/// counts the partitions searched against those planned;
+/// `coverage.degraded()` flags a partial result (possible only under a
+/// finite failure-detection deadline). Runs on the thread that called search(), which is rank 0 of
 /// the operation: keep it cheap, since collection waits for it.
 using QueryDoneFn =
     std::function<void(std::size_t qid, const std::vector<Neighbor>& result,
@@ -498,8 +499,8 @@ class DistributedAnnEngine {
     /// The engine the current operation runs for, set under `mu` before the
     /// control message goes out, so a moved engine keeps its cohorts.
     DistributedAnnEngine* engine = nullptr;
-    /// Search lane, one-sided transport: every rank's handle on the result
-    /// window, by rank (created by the first one-sided batch).
+    /// Search lane: every rank's handle on the result window, by rank
+    /// (created by the first search).
     std::vector<mpi::Window> windows;
     std::size_t window_bytes = 0;  ///< the current operation's slots
     /// Build only: the round's shared inputs and per-worker outputs.
@@ -525,7 +526,7 @@ class DistributedAnnEngine {
   /// Stop both cohorts and fold their check reports into check_report_.
   void retire_lanes();
   /// The rank's handle on the search lane's result window, created
-  /// collectively by the first one-sided batch.
+  /// collectively by the first search.
   mpi::Window& result_window(mpi::Comm& world);
   /// Size the result window for an operation of `bytes`: rank 0 grows its
   /// region only when an operation outgrows it. The stream's master stamps
@@ -539,10 +540,9 @@ class DistributedAnnEngine {
                      mpi::FaultInjector* fault, std::vector<char>& alive,
                      std::vector<std::uint64_t>& heartbeats);
   /// Algorithm 4: takes the master's jobs until EOQ, then sends the done
-  /// notice. Results go back by accumulate into the result window on the
-  /// one-sided transport (the one that completes a slot also sends the
-  /// master kTagSlotFull), else two-sided on kTagResult. Jobs are checked
-  /// against `bounds`. Under a finite detection deadline the loop also
+  /// notice. Results go back by accumulate into the result window; the one
+  /// that completes a slot also sends the master kTagSlotFull. Jobs are
+  /// checked against `bounds`. Under a finite detection deadline the loop also
   /// beats the master's liveness beacon, between jobs and while it waits.
   void worker_search(mpi::Comm& world, std::size_t k,
                      const BatchBounds& bounds);

@@ -1,7 +1,9 @@
 #pragma once
 /// \file protocol.hpp
 /// \brief Wire formats of the master/worker search protocol (Algorithms 3-5)
-/// and the layout of the master's one-sided result window (§IV-C1, Fig 2).
+/// and the layout of the master's one-sided result window (§IV-C1, Fig 2),
+/// through which every search answer returns. The paper's two-sided
+/// ablation lives in the search DES (des::SearchSimConfig::one_sided).
 
 #include <cstdint>
 #include <span>
@@ -16,7 +18,6 @@ namespace annsim::core {
 
 // Message tags of the search protocol.
 inline constexpr mpi::Tag kTagQuery = 1;    ///< -> worker: one (q, d) job
-inline constexpr mpi::Tag kTagResult = 2;   ///< -> master: two-sided local k-NN
 inline constexpr mpi::Tag kTagEoq = 3;      ///< master -> worker: End of Queries
 inline constexpr mpi::Tag kTagDone = 4;     ///< worker -> master: all jobs finished
 inline constexpr mpi::Tag kTagTree = 5;     ///< worker 0 -> master: serialized VP tree
@@ -62,8 +63,9 @@ struct QueryJob {
   PartitionId partition = kInvalidPartition;
   std::uint32_t ef = 0;          ///< 0 = index default
   /// Jobs of this query the master dispatched to a live replica, in
-  /// [1, n_partitions]. The one-sided transport counts it against the slot:
-  /// the accumulate that makes it `fanout` merges sends kTagSlotFull.
+  /// [1, n_partitions], counting exact routing's first phase into its
+  /// second. The accumulate that makes the slot `fanout` merges sends
+  /// kTagSlotFull.
   std::uint32_t fanout = 1;
   std::vector<float> query;      ///< the query vector
 };
@@ -74,21 +76,8 @@ struct QueryJob {
 [[nodiscard]] QueryJob decode_query_job(std::span<const std::byte> bytes,
                                         const BatchBounds& bounds);
 
-/// A worker's local k-NN result for one job, returned two-sided.
-struct LocalResult {
-  std::uint64_t seq = 0;
-  PartitionId partition = kInvalidPartition;
-  std::vector<Neighbor> neighbors;  ///< sorted ascending by distance
-};
-
-[[nodiscard]] std::vector<std::byte> encode_local_result(const LocalResult& r);
-/// Throws annsim::Error on a malformed payload or when partition falls
-/// outside `bounds`.
-[[nodiscard]] LocalResult decode_local_result(std::span<const std::byte> bytes,
-                                              const BatchBounds& bounds);
-
-/// Slot-full notice (one-sided transport): the payload is the sequence
-/// number of the query whose slot filled.
+/// Slot-full notice: the payload is the sequence number of the query whose
+/// slot filled.
 [[nodiscard]] std::vector<std::byte> encode_slot_full(std::uint64_t seq);
 /// Throws annsim::Error on a malformed payload.
 [[nodiscard]] std::uint64_t decode_slot_full(std::span<const std::byte> bytes);
@@ -167,8 +156,10 @@ struct WriteAck {
 // merge is fresh, for the slot's occupant, and brings the merged count to
 // the job's fanout completed the slot; its worker sends the master a
 // kTagSlotFull notice carrying the seq, and the master answers that query
-// at once. The merge is atomic at the target, so each fully covered
-// occupancy gets exactly one notice.
+// at once. Exact routing's first notice instead makes the master plan the
+// query's ball from the slot; the ball's jobs carry a fanout that counts
+// the first job too, so the ball's last merge rings once more. The merge is
+// atomic at the target, so each fanout reached gets exactly one notice.
 struct SlotLayout {
   /// k neighbors per slot; `partitions` >= 1 sizes the partition mask.
   SlotLayout(std::size_t neighbors, std::size_t partitions);

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -17,7 +18,6 @@
 #include "annsim/common/error.hpp"
 #include "annsim/common/log.hpp"
 #include "annsim/common/timer.hpp"
-#include "annsim/common/topk.hpp"
 #include "annsim/core/dataset_transfer.hpp"
 #include "annsim/core/protocol.hpp"
 #include "annsim/recovery/checkpoint.hpp"
@@ -48,6 +48,11 @@ void validate_engine_config(const EngineConfig& config) {
                    "partition");
   ANNSIM_CHECK_MSG(config.threads_per_worker >= 1,
                    "threads_per_worker must be nonzero");
+  ANNSIM_CHECK_MSG(config.one_sided,
+                   "two-sided result returns are not run by the engine: every "
+                   "answer returns through the one-sided result window, and "
+                   "two-sided returns are modelled in the search DES "
+                   "(des::SearchSimConfig::one_sided, §IV-C1)");
   ANNSIM_CHECK_MSG(simd::is_true_metric(config.hnsw.metric),
                    "VP-tree partitioning requires a true metric (L2 or L1)");
   ANNSIM_CHECK_MSG(is_local_index_kind(config.local_index),
@@ -84,7 +89,8 @@ void validate_engine_config(const EngineConfig& config) {
   if (config.result_timeout_ms > 0.0) {
     ANNSIM_CHECK_MSG(!config.exact_routing,
                      "result_timeout_ms (failure detection) does not support "
-                     "exact_routing's two-phase protocol");
+                     "exact_routing: its header sweep cannot start a query's "
+                     "second phase");
   }
   ANNSIM_CHECK_MSG(
       config.fault.drop_probability >= 0.0 && config.fault.drop_probability <= 1.0,
@@ -548,18 +554,13 @@ SearchStats DistributedAnnEngine::stream(QuerySource& source, std::size_t k,
     op.write(std::uint32_t(k));
     op.write(std::uint64_t(slots));
     op.write(std::uint64_t(router_->dim()));
-    const bool window = config_.one_sided && !config_.exact_routing;
     st.traffic = run_op(
         *search_lane_, op.bytes(), injector,
         [&](mpi::Comm& world) {
           master_stream(world, source, k, slots, ef, st, injector.get(), alive,
                         heartbeats);
         },
-        [&] {
-          if (window) {
-            prepare_result_window(SlotLayout{k, P}.window_bytes(slots));
-          }
-        });
+        [&] { prepare_result_window(SlotLayout{k, P}.window_bytes(slots)); });
   }
 
   // Fold the operation's outcome into the persistent health record — after
@@ -931,11 +932,11 @@ CompressionStats DistributedAnnEngine::compression_stats() const {
 // its answer is out, and is named by its stream sequence number, which the
 // next occupant of its slot does not share. A round pulls what the source
 // has for the free slots, routes and dispatches it, then waits once for
-// progress: a result (two-sided), a slot-full notice (one-sided), a wake
-// from the source, the source's `wake_at`, or under a finite deadline the
-// poll. One finalize reports every query with its coverage as soon as its
-// answer is known. `result_timeout_ms` is the failure-detection deadline. A
-// finite one makes the loop declare dead the workers that stop making
+// progress: a slot-full notice, a wake from the source, the source's
+// `wake_at`, or under a finite deadline the poll. Every answer returns
+// through the one-sided result window (§IV-C1). One finalize reports every
+// query with its coverage as soon as its answer is known.
+// `result_timeout_ms` is the failure-detection deadline. A finite one makes the loop declare dead the workers that stop making
 // progress, fail their outstanding jobs over to live replicas of the same
 // partition, stop admitting so the stream drains and ends, and finalize
 // queries that lose every replica as degraded partial results. 0 is an
@@ -946,7 +947,6 @@ void DistributedAnnEngine::master_stream(
     std::vector<char>& alive, std::vector<std::uint64_t>& heartbeats) {
   const std::size_t P = config_.n_workers;
   const auto& tree = *router_;
-  const bool one_sided = config_.one_sided && !config_.exact_routing;
   const bool detect = config_.result_timeout_ms > 0.0;
   const SlotLayout layout{k, P};
   const BatchBounds bounds{slots, P, tree.dim()};
@@ -955,13 +955,11 @@ void DistributedAnnEngine::master_stream(
 
   // The window outlives the operation; stream() sized it. Stamp each
   // slot with its first occupant (seq = slot) before any job goes out.
-  mpi::Window* win = one_sided ? &result_window(world) : nullptr;
-  if (one_sided) {
-    const std::span<std::byte> region = win->local_data();
-    for (std::size_t s = 0; s < slots; ++s) {
-      init_slot(region.subspan(layout.slot_offset(s), layout.slot_bytes()),
-                layout, s);
-    }
+  mpi::Window& win = result_window(world);
+  const std::span<std::byte> region = win.local_data();
+  for (std::size_t s = 0; s < slots; ++s) {
+    init_slot(region.subspan(layout.slot_offset(s), layout.slot_bytes()),
+              layout, s);
   }
 
   PhaseTimer route_t, dispatch_t, merge_t;
@@ -991,7 +989,7 @@ void DistributedAnnEngine::master_stream(
         std::lock_guard lock(door_->mu);
         door_->master = nullptr;
       }
-      if (epoch_open) win->unlock(0);
+      if (epoch_open) win.unlock(0);
       for (std::size_t w = 0; w < P && !eoq_sent; ++w) {
         (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
       }
@@ -1020,7 +1018,7 @@ void DistributedAnnEngine::master_stream(
     free_slots.push_back(s);
   }
   std::size_t busy = 0;
-  std::vector<std::byte> blank(one_sided ? layout.slot_bytes() : 0);
+  std::vector<std::byte> blank(layout.slot_bytes());
 
   // --- Algorithm 5 scaffolding: one round-robin pointer per workgroup
   // W_i = {p_i, p_{i+1 mod P}, ..., p_{i+r-1 mod P}}. Members declared dead
@@ -1132,26 +1130,20 @@ void DistributedAnnEngine::master_stream(
     total_jobs += sl.planned;
     source.done(sl.query.token, std::move(neighbors), cov);
   };
-  std::vector<TopK> acc;  // two-sided merge accumulators, one per slot
-  if (!one_sided) acc.assign(slots, TopK(k));
   std::size_t unplanned = 0;  // exact routing: slots whose ball is not out
-  // Two-sided: a query with nothing pending plans its ball (exact routing's
-  // second phase, radius = the k-th distance seen so far) or is answered.
-  auto settle = [&](std::size_t s) {
+  // Exact routing's second phase: plan every partition the ball of `radius`
+  // around the query reaches, bar the first. plan_jobs adds the new jobs to
+  // the query's fanout, so the merge that lands the last of them fills the
+  // slot and rings the master once more.
+  auto plan_ball = [&](std::size_t s, float radius) {
     Slot& sl = ring[s];
-    if (one_sided || !sl.busy || sl.remaining != 0) return;
-    if (!sl.plans_final) {
-      sl.plans_final = true;
-      --unplanned;
-      route_t.start();
-      auto parts =
-          tree.route_ball(sl.query.vector.data(), acc[s].worst_dist());
-      route_t.stop();
-      std::erase(parts, sl.first);
-      plan_jobs(s, parts);
-      if (sl.remaining != 0) return;
-    }
-    finalize(s, acc[s].take_sorted());
+    sl.plans_final = true;
+    --unplanned;
+    route_t.start();
+    auto parts = tree.route_ball(sl.query.vector.data(), radius);
+    route_t.stop();
+    std::erase(parts, sl.first);
+    plan_jobs(s, parts);
   };
   auto complete = [&](std::size_t s, PartitionId d, Clock::time_point now) {
     Job& j = job_at(s, d);
@@ -1192,7 +1184,7 @@ void DistributedAnnEngine::master_stream(
         } else {
           j.state = JobState::kAbandoned;
           --outstanding;
-          if (--ring[s].remaining == 0) settle(s);
+          --ring[s].remaining;
         }
       }
     }
@@ -1221,18 +1213,29 @@ void DistributedAnnEngine::master_stream(
     }
   };
 
-  // One-sided: read slot s once, feed each job its mask shows to the table,
-  // check the mask against the table, and finalize. (A real MPI master
-  // reads its exposed buffer directly; we go through get() so the C++ memory
-  // model sees the same synchronisation the window's target lock provides.)
+  // Read slot s once. Exact routing's first read (phase 1 landed, or had
+  // no live replica) plans the ball at the k-th distance the slot holds,
+  // +inf while it holds fewer than k neighbours; a ball that adds no job
+  // is answered from the same read. Otherwise feed each job the mask shows
+  // to the table, check the mask against the table, and finalize. (A real
+  // MPI master reads its exposed buffer directly; we go through get() so the
+  // C++ memory model sees the same synchronisation the window's target lock
+  // provides.)
   auto finalize_slot = [&](std::size_t s, Clock::time_point now) {
     ScopedPhase p(merge_t);
     DecodedSlot slot = decode_slot(
-        win->get(0, layout.slot_offset(s), layout.slot_bytes()), layout);
+        win.get(0, layout.slot_offset(s), layout.slot_bytes()), layout);
     Slot& sl = ring[s];
     ANNSIM_CHECK_MSG(slot.seq == sl.seq, "slot " << s << " holds seq "
                                                  << slot.seq << ", want "
                                                  << sl.seq);
+    if (!sl.plans_final) {
+      if (slot.contains_partition(sl.first)) (void)complete(s, sl.first, now);
+      plan_ball(s, slot.neighbors.size() < k
+                       ? std::numeric_limits<float>::infinity()
+                       : slot.neighbors[k - 1].dist);
+      if (sl.remaining != 0) return;
+    }
     std::uint32_t landed = 0;
     bool abandoned = false;
     for (PartitionId d = 0; d < P; ++d) {
@@ -1259,7 +1262,7 @@ void DistributedAnnEngine::master_stream(
       Slot& sl = ring[s];
       if (!sl.busy || sl.remaining == 0) continue;
       const SlotHeader hdr = decode_slot_header(
-          win->get(0, layout.slot_offset(s), layout.header_bytes()), layout);
+          win.get(0, layout.slot_offset(s), layout.header_bytes()), layout);
       for (PartitionId d = 0; d < P; ++d) {
         if (hdr.contains_partition(d)) (void)complete(s, d, now);
       }
@@ -1279,12 +1282,8 @@ void DistributedAnnEngine::master_stream(
       // Recycled: the next occupant's seq, and a slot stamped with it, so a
       // late partial of the previous occupant is dropped, never merged.
       sl.seq += slots;
-      if (one_sided) {
-        init_slot(blank, layout, sl.seq);
-        win->put(0, layout.slot_offset(s), blank);
-      } else {
-        acc[s] = TopK(k);
-      }
+      init_slot(blank, layout, sl.seq);
+      win.put(0, layout.slot_offset(s), blank);
     }
     sl.used = true;
     sl.busy = true;
@@ -1302,8 +1301,9 @@ void DistributedAnnEngine::master_stream(
       route_t.stop();
       plan_jobs(s, plan.partitions);
     } else {
-      // Two-phase exact F(q): the nearest partition first, then (settle)
-      // every partition intersecting the ball at the observed k-th distance.
+      // Two-phase exact F(q): the nearest partition first, then, on its
+      // slot-full notice (finalize_slot), every partition intersecting the
+      // ball at the k-th distance it found.
       route_t.start();
       sl.first = tree.route_nearest(q.vector.data());
       route_t.stop();
@@ -1312,26 +1312,23 @@ void DistributedAnnEngine::master_stream(
       plan_jobs(s, {&sl.first, 1});
     }
     // A query can have nothing in flight already: it lost every live
-    // replica at dispatch (workers dead since an earlier operation).
-    if (one_sided && sl.fanout == 0) {
-      finalize_slot(s, Clock::now());  // nothing can land in its slot
-    } else {
-      settle(s);
-    }
+    // replica at dispatch (workers dead since an earlier operation). Nothing
+    // can land in its slot, so read it now; under exact routing that sends
+    // the second phase out at an infinite radius.
+    if (sl.fanout == 0) finalize_slot(s, Clock::now());
   };
 
-  // --- the one wait for progress. Two-sided: one result message.
-  // One-sided: one slot-full notice, whose query is answered at once. Either
-  // way a wake from the source ends it too, and it is bounded by the
-  // source's `wake_at` and, under a finite deadline, the poll, after which
-  // the slot headers are swept at most once per poll.
-  const mpi::Tag result_tag = one_sided ? kTagSlotFull : kTagResult;
+  // --- the one wait for progress: one slot-full notice, whose query is
+  // answered (or, under exact routing, sent to its second phase) at once. A
+  // wake from the source ends it too, and it is bounded by the source's
+  // `wake_at` and, under a finite deadline, the poll, after which the slot
+  // headers are swept at most once per poll.
   const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
   auto last_sweep = Clock::now();
   auto await_progress = [&](Clock::time_point wake_at) {
     if (detect) wake_at = std::min(wake_at, Clock::now() + poll);
     mpi::Request req =
-        world.irecv_tags(mpi::kAnySource, {result_tag, kTagWake});
+        world.irecv_tags(mpi::kAnySource, {kTagSlotFull, kTagWake});
     bool got = true;
     if (wake_at == Clock::time_point::max()) {
       req.wait();  // blocking: under a controller, not a timeout choice
@@ -1346,24 +1343,14 @@ void DistributedAnnEngine::master_stream(
       if (msg.tag == kTagWake) {
         std::lock_guard lock(door_->mu);
         door_->wake_pending = false;
-      } else if (one_sided) {
+      } else {
         const std::uint64_t seq = decode_slot_full(msg.payload);
         const std::size_t s = slot_of(seq, bounds);
         // Dropped when the sweep answered it first or the slot moved on.
         if (ring[s].busy && ring[s].seq == seq) finalize_slot(s, now);
-      } else {
-        ScopedPhase p(merge_t);
-        LocalResult r = decode_local_result(msg.payload, bounds);
-        const std::size_t s = slot_of(r.seq, bounds);
-        // A partial of the slot's previous occupant is stale: drop it.
-        if (ring[s].busy && ring[s].seq == r.seq &&
-            complete(s, r.partition, now)) {
-          acc[s].merge(r.neighbors);
-          settle(s);
-        }
       }
     }
-    if (one_sided && detect && now - last_sweep >= poll) {
+    if (detect && now - last_sweep >= poll) {
       last_sweep = now;
       sweep_slots(now);
     }
@@ -1387,10 +1374,8 @@ void DistributedAnnEngine::master_stream(
   };
 
   // --- the stream: admit, then wait once, until nothing is left to do.
-  if (one_sided) {
-    win->lock_shared(0);
-    epoch_open = true;
-  }
+  win.lock_shared(0);
+  epoch_open = true;
   std::vector<StreamQuery> pulled;
   for (;;) {
     auto wake_at = Clock::time_point::max();
@@ -1456,18 +1441,16 @@ void DistributedAnnEngine::master_stream(
   }
   for (const std::size_t w : silent) declare_dead(w);
 
-  if (one_sided) {
-    // Every accumulate has landed, so each slot's mask is final. Answer the
-    // queries no notice or sweep answered: degraded ones — read only now, so
-    // merges that landed after their worker was (too eagerly) declared dead
-    // still count — and any whose notice died with its sender.
-    const auto now = Clock::now();
-    for (std::size_t s = 0; s < slots; ++s) {
-      if (ring[s].busy) finalize_slot(s, now);
-    }
-    win->unlock(0);
-    epoch_open = false;
+  // Every accumulate has landed, so each slot's mask is final. Answer the
+  // queries no notice or sweep answered: degraded ones — read only now, so
+  // merges that landed after their worker was (too eagerly) declared dead
+  // still count — and any whose notice died with its sender.
+  const auto now = Clock::now();
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (ring[s].busy) finalize_slot(s, now);
   }
+  win.unlock(0);
+  epoch_open = false;
   ANNSIM_CHECK(busy == 0);
 
   stats.master_route_seconds = route_t.total_seconds();
@@ -1488,13 +1471,10 @@ std::chrono::microseconds DistributedAnnEngine::detection_timeout() const {
 // takes the End of Queries; then the done notice.
 void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
                                          const BatchBounds& bounds) {
-  mpi::Window* win = nullptr;
-  if (config_.one_sided && !config_.exact_routing) {
-    win = &result_window(world);
-    // Passive-target access epoch at the master, shared mode (§IV-C1): one
-    // epoch for the whole operation, shared by this worker's thread team.
-    win->lock_shared(0);
-  }
+  mpi::Window& win = result_window(world);
+  // Passive-target access epoch at the master, shared mode (§IV-C1): one
+  // epoch for the whole operation, shared by this worker's thread team.
+  win.lock_shared(0);
   const std::size_t me = std::size_t(world.rank()) - 1;
   const SlotLayout layout{k, config_.n_workers};
   const auto merge_op = knn_slot_merge(layout);
@@ -1576,30 +1556,22 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
       my_compute += tc.seconds();
 
       WallTimer tm;
-      if (win != nullptr) {
-        prev.clear();  // stays empty when the fabric drops the accumulate
-        win->get_accumulate(
-            0, layout.slot_offset(slot_of(job.seq, bounds)),
-            encode_slot_update(local, layout, job.partition, job.seq),
-            merge_op, &prev);
-        // The fresh merge that brings the slot to the query's fanout
-        // completed it: ring the master, which answers the query at once.
-        // A duplicate (partition bit already set) or a stale job (the slot
-        // holds another occupant) merged nothing.
-        if (!prev.empty()) {
-          const SlotHeader before = decode_slot_header(prev, layout);
-          if (before.seq == job.seq &&
-              !before.contains_partition(job.partition) &&
-              before.merged_count + 1 == job.fanout) {
-            (void)world.isend(0, kTagSlotFull, encode_slot_full(job.seq));
-          }
+      prev.clear();  // stays empty when the fabric drops the accumulate
+      win.get_accumulate(
+          0, layout.slot_offset(slot_of(job.seq, bounds)),
+          encode_slot_update(local, layout, job.partition, job.seq), merge_op,
+          &prev);
+      // The fresh merge that brings the slot to the query's fanout completed
+      // it: ring the master, which answers the query at once. A duplicate
+      // (partition bit already set) or a stale job (the slot holds another
+      // occupant) merged nothing.
+      if (!prev.empty()) {
+        const SlotHeader before = decode_slot_header(prev, layout);
+        if (before.seq == job.seq &&
+            !before.contains_partition(job.partition) &&
+            before.merged_count + 1 == job.fanout) {
+          (void)world.isend(0, kTagSlotFull, encode_slot_full(job.seq));
         }
-      } else {
-        LocalResult r;
-        r.seq = job.seq;
-        r.partition = job.partition;
-        r.neighbors = std::move(local);
-        (void)world.isend(0, kTagResult, encode_local_result(r));
       }
       my_comm += tm.seconds();
       jobs.fetch_add(1, std::memory_order_relaxed);
@@ -1619,7 +1591,7 @@ void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k,
     }
     for (auto& t : team) t.join();
   }
-  if (win != nullptr) win->unlock(0);
+  win.unlock(0);
 
   DoneNotice notice;
   notice.jobs_processed = jobs.load();
@@ -2008,8 +1980,9 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kImageMagic = 0x414E454D;  // "ANEM"
-/// 2: the config no longer carries a dispatch strategy.
-constexpr std::uint32_t kImageVersion = 2;
+/// 2: the config no longer carries a dispatch strategy. 3: nor a result
+/// transport.
+constexpr std::uint32_t kImageVersion = 3;
 constexpr const char* kImageManifest = "engine.bin";
 
 /// Every persisted config field in manifest order, handed to `field`: one
@@ -2019,7 +1992,6 @@ void config_fields(Config& c, const Field& field) {
   field(c.n_workers);
   field(c.replication);
   field(c.n_probe);
-  field(c.one_sided);
   field(c.exact_routing);
   field(c.threads_per_worker);
   field(c.local_index);

@@ -100,10 +100,10 @@ void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
                      kTagInsert, kTagDelete, kTagWriteAck, kTagCompact};
   if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
     // With failure detection armed, these are by-design abandonable: a
-    // worker declared dead (perhaps too eagerly) keeps sending results,
-    // done notices, and beacons that nobody will ever drain, and a slot-full
-    // notice outlives the collection loop once a header sweep has answered
-    // its query. Residue is still counted in the report, just not a
+    // worker declared dead (perhaps too eagerly) keeps sending slot-full
+    // notices, done notices, and beacons that nobody will ever drain, and a
+    // slot-full notice outlives the collection loop once a header sweep has
+    // answered its query. Residue is still counted in the report, just not a
     // violation. The write plane's tags join the list because a rank killed
     // mid-round leaves its batch (or its ack) undrained by design. The
     // injector alone (no detection) is already enough to abandon: every
@@ -112,9 +112,9 @@ void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
     // batch or ack. Found by annsim::explore: gating this list on detection
     // only made every schedule that fires a round timeout a false
     // unmatched-send violation.
-    o.best_effort_tags = {kTagResult, kTagSlotFull, kTagDone,
-                          kTagHeartbeat, kTagInsert, kTagDelete,
-                          kTagWriteAck, kTagCompact};
+    o.best_effort_tags = {kTagSlotFull, kTagDone,     kTagHeartbeat,
+                          kTagInsert,   kTagDelete,   kTagWriteAck,
+                          kTagCompact};
   }
   rt.configure_check(o);
 }
@@ -151,7 +151,7 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
 
 mpi::Window& DistributedAnnEngine::result_window(mpi::Comm& world) {
   mpi::Window& win = search_lane_->windows[std::size_t(world.rank())];
-  // Collective on the first one-sided operation, when every rank's handle
+  // Collective on the first search, when every rank's handle
   // is still empty; prepare_result_window() sizes it from then on.
   if (!win.valid()) {
     win = world.create_window(world.rank() == 0 ? search_lane_->window_bytes

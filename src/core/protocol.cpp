@@ -53,26 +53,6 @@ QueryJob decode_query_job(std::span<const std::byte> bytes,
   return job;
 }
 
-std::vector<std::byte> encode_local_result(const LocalResult& r) {
-  BinaryWriter w;
-  w.write(r.seq);
-  w.write(r.partition);
-  w.write_span(std::span<const Neighbor>(r.neighbors));
-  return w.take();
-}
-
-LocalResult decode_local_result(std::span<const std::byte> bytes,
-                                const BatchBounds& bounds) {
-  BinaryReader r(bytes);
-  LocalResult out;
-  out.seq = r.read<std::uint64_t>();
-  out.partition = r.read<PartitionId>();
-  out.neighbors = r.read_vector<Neighbor>();
-  ANNSIM_CHECK(r.exhausted());
-  check_partition(out.partition, bounds);
-  return out;
-}
-
 std::vector<std::byte> encode_slot_full(std::uint64_t seq) {
   BinaryWriter w;
   w.write(seq);

@@ -197,11 +197,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   // Controlled runs need every engine thread to be a tracked rank: one
   // search thread per worker. The infinite deadline (0) keeps the search
   // master off the wall-clock detection deadlines and from polling slots: it
-  // blocks on slot-full notices, so one-sided search is schedulable too. The
-  // query mix searches one-sided, the transport the benchmark runs; the
-  // mixed mix keeps two-sided, so both collection transports are explored.
+  // blocks on slot-full notices, so every mix's search is schedulable.
   ec.threads_per_worker = 1;
-  ec.one_sided = cfg.mix == Mix::kQuery;
   ec.result_timeout_ms = 0.0;
   ec.local_index = core::LocalIndexKind::kSegmented;
   ec.segment_delta_capacity = 64;

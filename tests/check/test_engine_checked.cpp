@@ -8,7 +8,7 @@
 ///    reserved control messages — now irecv_tags({kTagQuery, kTagEoq});
 ///  * EOQ / heartbeat / done notices were plain sends on what are now
 ///    declared control-plane tags — now send_reserved/isend_reserved;
-///  * with failure detection armed, results/done/heartbeats addressed to a
+///  * with failure detection armed, slot-full/done/heartbeats addressed to a
 ///    master that stopped listening are declared best-effort, so by-design
 ///    abandonment is counted as residue instead of an unmatched-send
 ///    violation.
@@ -47,13 +47,18 @@ TEST(EngineChecked, MasterWorkerOneSidedIsCheckClean) {
   EXPECT_GT(rep.runs, 0u);
 }
 
-TEST(EngineChecked, MasterWorkerTwoSidedIsCheckClean) {
+// Exact routing reads a query's slot between its two phases, while the
+// thread teams keep accumulating into other slots.
+TEST(EngineChecked, ExactRoutingIsCheckClean) {
   auto w = data::make_sift_like(600, 12, 702);
   auto cfg = checked_config();
-  cfg.one_sided = false;
+  cfg.exact_routing = true;
+  cfg.local_index = LocalIndexKind::kBruteForce;
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
-  (void)eng.search(w.queries, 10);
+  SearchStats st;
+  (void)eng.search(w.queries, 10, 0, &st);
+  EXPECT_GT(st.mean_partitions_per_query, 1.0);  // phase 2 ran
   const auto rep = eng.check_report();
   EXPECT_TRUE(rep.clean()) << annsim::check::to_string(rep);
 }

@@ -90,22 +90,6 @@ TEST(Engine, OneSidedSearchReachesGoodRecall) {
   EXPECT_GT(st.traffic.rma_ops, 0u);  // the one-sided path was exercised
 }
 
-TEST(Engine, TwoSidedMatchesOneSidedResults) {
-  const auto& f = fixture();
-  auto cfg = fast_config();
-  DistributedAnnEngine one(&f.w.base, cfg);
-  cfg.one_sided = false;
-  DistributedAnnEngine two(&f.w.base, cfg);
-  one.build();
-  two.build();
-  auto r1 = one.search(f.w.queries, 10);
-  auto r2 = two.search(f.w.queries, 10);
-  ASSERT_EQ(r1.size(), r2.size());
-  for (std::size_t q = 0; q < r1.size(); ++q) {
-    EXPECT_EQ(r1[q], r2[q]) << "query " << q;
-  }
-}
-
 TEST(Engine, ReplicationPreservesResults) {
   const auto& f = fixture();
   auto cfg = fast_config();
@@ -161,7 +145,6 @@ TEST(Engine, ExactRoutingBeatsOrMatchesSinglePassRecall) {
   cfg.n_probe = 1;
   DistributedAnnEngine single(&f.w.base, cfg);
   cfg.exact_routing = true;
-  cfg.one_sided = false;
   DistributedAnnEngine exact(&f.w.base, cfg);
   single.build();
   exact.build();

@@ -86,23 +86,6 @@ TEST(EngineEdge, PerQueryCompletionHookFiresExactlyOncePerQuery) {
   }
 }
 
-TEST(EngineEdge, CompletionHookMatchesReturnedResultsTwoSided) {
-  auto w = data::make_sift_like(800, 10, 508);
-  auto cfg = small_config();
-  cfg.one_sided = false;  // streaming finalize path
-  DistributedAnnEngine eng(&w.base, cfg);
-  eng.build();
-  data::KnnResults streamed(w.queries.size());
-  auto res = eng.search(w.queries, 4, 0, nullptr,
-                        [&](std::size_t qid, const std::vector<Neighbor>& nn,
-                            const QueryCoverage&) {
-                          streamed[qid] = nn;
-                        });
-  for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    EXPECT_EQ(streamed[q], res[q]) << "query " << q;
-  }
-}
-
 TEST(EngineEdge, NonMetricDistanceRejectedAtConstruction) {
   auto w = data::make_deep_like(500, 5, 502);
   auto cfg = small_config();
@@ -188,18 +171,6 @@ TEST(EngineEdge, ManyThreadsPerWorker) {
   }
 }
 
-TEST(EngineEdge, TwoSidedTrafficShowsNoRma) {
-  auto w = data::make_sift_like(600, 10, 509);
-  auto cfg = small_config();
-  cfg.one_sided = false;
-  DistributedAnnEngine eng(&w.base, cfg);
-  eng.build();
-  SearchStats st;
-  (void)eng.search(w.queries, 5, 0, &st);
-  EXPECT_EQ(st.traffic.rma_ops, 0u);
-  EXPECT_GT(st.traffic.p2p_messages, 0u);
-}
-
 TEST(EngineEdge, OneSidedTrafficShowsRmaPerJob) {
   auto w = data::make_sift_like(600, 10, 510);
   DistributedAnnEngine eng(&w.base, small_config());
@@ -266,7 +237,6 @@ TEST(EngineEdge, ExactRoutingWithTinyPartitionsFallsBackToFullSweep) {
   auto w = data::make_sift_like(64, 10, 513);
   auto cfg = small_config(8);  // 8 points per partition
   cfg.exact_routing = true;
-  cfg.one_sided = false;
   cfg.local_index = LocalIndexKind::kBruteForce;
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
@@ -275,6 +245,68 @@ TEST(EngineEdge, ExactRoutingWithTinyPartitionsFallsBackToFullSweep) {
   auto gt = data::brute_force_knn(w.base, w.queries, 16, simd::Metric::kL2);
   EXPECT_DOUBLE_EQ(data::mean_recall(res, gt, 16), 1.0);
   EXPECT_DOUBLE_EQ(st.mean_partitions_per_query, 8.0);
+}
+
+TEST(EngineEdge, ExactRoutingTrafficIsOneAccumulatePerJob) {
+  // Exact routing's two phases share one result slot. Phase 1's lone job
+  // fills it and rings the master, which reads the slot and plans the ball
+  // at the k-th distance found; the ball's last merge rings once more and
+  // the master reads the final answer. So a query sends one notice when its
+  // ball adds no partition and two when it does, the master makes one read
+  // per notice, and every job is one get_accumulate.
+  auto w = data::make_sift_like(800, 30, 515);
+  auto cfg = small_config();
+  cfg.exact_routing = true;
+  cfg.local_index = LocalIndexKind::kBruteForce;
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+  SearchStats st;
+  const auto res = eng.search(w.queries, 10, 0, &st);
+  const auto gt =
+      data::brute_force_knn(w.base, w.queries, 10, simd::Metric::kL2);
+  EXPECT_DOUBLE_EQ(data::mean_recall(res, gt, 10), 1.0);
+
+  std::uint64_t notices = 0;
+  std::size_t two_phase = 0;
+  for (const QueryCoverage& cov : st.coverage) {
+    EXPECT_FALSE(cov.degraded());
+    const bool ball_added = cov.partitions_planned > 1;
+    notices += ball_added ? 2 : 1;
+    two_phase += ball_added ? 1 : 0;
+  }
+  EXPECT_GT(two_phase, 0u);  // the second phase really ran
+  const std::uint64_t P = cfg.n_workers;
+  EXPECT_EQ(std::accumulate(st.jobs_per_worker.begin(),
+                            st.jobs_per_worker.end(), std::uint64_t{0}),
+            st.total_jobs);
+  EXPECT_EQ(st.traffic.rma_ops, st.total_jobs + notices);
+  EXPECT_EQ(st.traffic.p2p_messages, st.total_jobs + notices + 3 * P);
+}
+
+TEST(EngineEdge, ExactRoutingBallWithinThePhaseOnePartitionAnswersAtOnce) {
+  // A query on a base row at k = 1 finds itself at distance 0 in phase 1.
+  // The ball of radius 0 reaches no other partition, so the phase-1 read
+  // answers it: one job, one notice, one read.
+  auto w = data::make_sift_like(800, 1, 516);
+  auto cfg = small_config();
+  cfg.exact_routing = true;
+  cfg.local_index = LocalIndexKind::kBruteForce;
+  DistributedAnnEngine eng(&w.base, cfg);
+  eng.build();
+  data::Dataset query(1, w.base.dim());
+  query.set_row(0, w.base.row_span(7));
+  SearchStats st;
+  const auto res = eng.search(query, 1, 0, &st);
+  ASSERT_EQ(res[0].size(), 1u);
+  EXPECT_EQ(res[0][0].id, GlobalId(7));
+  EXPECT_EQ(res[0][0].dist, 0.0f);
+  ASSERT_EQ(st.coverage.size(), 1u);
+  EXPECT_EQ(st.coverage[0].partitions_planned, 1u);
+  EXPECT_EQ(st.coverage[0].partitions_searched, 1u);
+  EXPECT_EQ(st.total_jobs, 1u);
+  const std::uint64_t P = cfg.n_workers;
+  EXPECT_EQ(st.traffic.rma_ops, 1u + 1u);
+  EXPECT_EQ(st.traffic.p2p_messages, 1u + 1u + 3 * P);
 }
 
 TEST(EngineEdge, DatasetTooSmallRejected) {

@@ -46,16 +46,12 @@ data::KnnResults fault_free_baseline(const data::Workload& w,
   return eng.search(w.queries, k);
 }
 
-class EngineFaultSided : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EngineFaultSided, DetectionArmedNoFaultMatchesDetectionOff) {
+TEST(EngineFault, DetectionArmedNoFaultMatchesDetectionOff) {
   // One search path: a finite deadline that never fires must change
   // nothing — not the results, not the dispatch, not the coverage record.
-  const bool one_sided = GetParam();
-  auto w = data::make_sift_like(800, 25, one_sided ? 601 : 602);
+  auto w = data::make_sift_like(800, 25, 601);
   for (const std::size_t r : {std::size_t{1}, std::size_t{2}}) {
     auto cfg = chaos_config();
-    cfg.one_sided = one_sided;
     cfg.replication = r;
     auto run = [&](double timeout_ms, SearchStats& st) {
       cfg.result_timeout_ms = timeout_ms;
@@ -90,11 +86,9 @@ TEST_P(EngineFaultSided, DetectionArmedNoFaultMatchesDetectionOff) {
   }
 }
 
-TEST_P(EngineFaultSided, ReplicatedKillFailsOverWithoutDegradation) {
-  const bool one_sided = GetParam();
+TEST(EngineFault, ReplicatedKillFailsOverWithoutDegradation) {
   auto w = data::make_sift_like(800, 25, 603);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 2;  // every partition has a second live home
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -119,11 +113,9 @@ TEST_P(EngineFaultSided, ReplicatedKillFailsOverWithoutDegradation) {
   }
 }
 
-TEST_P(EngineFaultSided, UnreplicatedKillDegradesOnlyAffectedQueries) {
-  const bool one_sided = GetParam();
+TEST(EngineFault, UnreplicatedKillDegradesOnlyAffectedQueries) {
   auto w = data::make_sift_like(800, 25, 604);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 1;  // no failover possible: losses become degradation
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -157,14 +149,12 @@ TEST_P(EngineFaultSided, UnreplicatedKillDegradesOnlyAffectedQueries) {
   EXPECT_LT(degraded, w.queries.size());
 }
 
-TEST_P(EngineFaultSided, DeadWorkerHoldsBackOnlyItsOwnQueries) {
+TEST(EngineFault, DeadWorkerHoldsBackOnlyItsOwnQueries) {
   // Streaming answers: a query none of whose jobs sat on the dead worker is
   // answered as soon as its last partition lands — long before the failure
   // deadline, and before every query the death left degraded.
-  const bool one_sided = GetParam();
   auto w = data::make_sift_like(800, 25, 604);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 1;
   cfg.result_timeout_ms = 250.0;
   cfg.fault.seed = 78;
@@ -202,11 +192,9 @@ TEST_P(EngineFaultSided, DeadWorkerHoldsBackOnlyItsOwnQueries) {
   EXPECT_LT(last_full, first_degraded);
 }
 
-TEST_P(EngineFaultSided, DegradedHookReportsCoverage) {
-  const bool one_sided = GetParam();
+TEST(EngineFault, DegradedHookReportsCoverage) {
   auto w = data::make_sift_like(800, 20, 605);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.result_timeout_ms = 250.0;
   cfg.fault.kills.push_back({/*rank=*/2, /*after_ops=*/2, mpi::kNeverFires});
   DistributedAnnEngine eng(&w.base, cfg);
@@ -230,15 +218,13 @@ TEST_P(EngineFaultSided, DegradedHookReportsCoverage) {
   EXPECT_EQ(hook_degraded, st.degraded_queries);
 }
 
-TEST_P(EngineFaultSided, MessageDropNeverHangsTermination) {
+TEST(EngineFault, MessageDropNeverHangsTermination) {
   // The chaos-bench --drop-p scenario: probabilistic message drop can eat
   // data-plane traffic (jobs, results, RMA merges) but must never eat the
   // End-of-Queries control plane — a live worker that misses EOQ would spin
   // forever and hang the batch past any result timeout.
-  const bool one_sided = GetParam();
   auto w = data::make_sift_like(800, 15, 609);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 2;
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -264,15 +250,13 @@ TEST_P(EngineFaultSided, MessageDropNeverHangsTermination) {
   EXPECT_EQ(st.degraded_queries, degraded);
 }
 
-TEST_P(EngineFaultSided, DuplicateDeliveryIsIdempotentOnTheDataPlane) {
+TEST(EngineFault, DuplicateDeliveryIsIdempotentOnTheDataPlane) {
   // Retransmitted jobs and results look exactly like failover re-dispatch:
   // the merge path must absorb the second copy without double-counting, so
   // a heavy duplicate rate leaves every result bit-identical to the
   // fault-free run and nothing degraded.
-  const bool one_sided = GetParam();
   auto w = data::make_sift_like(800, 25, 611);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 2;
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -292,15 +276,13 @@ TEST_P(EngineFaultSided, DuplicateDeliveryIsIdempotentOnTheDataPlane) {
   }
 }
 
-TEST_P(EngineFaultSided, ReorderedDeliveryLeavesResultsBitEqual) {
+TEST(EngineFault, ReorderedDeliveryLeavesResultsBitEqual) {
   // Out-of-order delivery shuffles which job a worker sees next and which
   // result the master merges first; top-k merges are order-independent and
   // the End-of-Queries control plane rides reliable tags (exempt from the
   // reorder roll), so results match the fault-free run exactly.
-  const bool one_sided = GetParam();
   auto w = data::make_sift_like(800, 25, 612);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 2;
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -320,13 +302,11 @@ TEST_P(EngineFaultSided, ReorderedDeliveryLeavesResultsBitEqual) {
   }
 }
 
-TEST_P(EngineFaultSided, AtStepKillFiresOnQueryDispatchClock) {
+TEST(EngineFault, AtStepKillFiresOnQueryDispatchClock) {
   // KillRule::at_step triggers on the engine's query-dispatch clock; at_step=1
   // means the worker's sends die from the first dispatched query onward.
-  const bool one_sided = GetParam();
   auto w = data::make_sift_like(800, 25, 610);
   auto cfg = chaos_config(4);
-  cfg.one_sided = one_sided;
   cfg.replication = 2;
   auto clean = fault_free_baseline(w, cfg, 10);
 
@@ -346,12 +326,6 @@ TEST_P(EngineFaultSided, AtStepKillFiresOnQueryDispatchClock) {
     EXPECT_EQ(res[q], clean[q]) << "query " << q;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTransports, EngineFaultSided,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "OneSided" : "TwoSided";
-                         });
 
 TEST(EngineFault, ChaosRunIsSeedDeterministic) {
   auto w = data::make_sift_like(800, 20, 606);
@@ -409,6 +383,8 @@ TEST(EngineFault, ConfigValidationNamesTheField) {
   { auto c = chaos_config(); c.exact_routing = true;
     c.result_timeout_ms = 10.0;
     expect_msg(c, "exact_routing"); }
+  { auto c = chaos_config(); c.one_sided = false;
+    expect_msg(c, "modelled in the search DES"); }
 }
 
 }  // namespace

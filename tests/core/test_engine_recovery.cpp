@@ -91,13 +91,10 @@ void expect_fully_recovered(DistributedAnnEngine& eng, const data::Workload& w,
   }
 }
 
-class EngineRecoverySided : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EngineRecoverySided, HealRestoresReplicationFromCheckpoints) {
+TEST(EngineRecovery, HealRestoresReplicationFromCheckpoints) {
   EngineRecoveryDir scratch;
   auto w = data::make_sift_like(800, 25, 801);
   auto cfg = recovery_config(4);
-  cfg.one_sided = GetParam();
   auto clean = fault_free_baseline(w, cfg, 10);
 
   cfg.checkpoint_dir = scratch.path();
@@ -136,10 +133,9 @@ TEST_P(EngineRecoverySided, HealRestoresReplicationFromCheckpoints) {
   expect_fully_recovered(eng, w, clean, 10);
 }
 
-TEST_P(EngineRecoverySided, HealStreamsFromSurvivorsWithoutCheckpoints) {
+TEST(EngineRecovery, HealStreamsFromSurvivorsWithoutCheckpoints) {
   auto w = data::make_sift_like(800, 25, 802);
   auto cfg = recovery_config(4);
-  cfg.one_sided = GetParam();
   auto clean = fault_free_baseline(w, cfg, 10);
 
   // No checkpoint_dir: the only recovery path is streaming each lost
@@ -163,12 +159,6 @@ TEST_P(EngineRecoverySided, HealStreamsFromSurvivorsWithoutCheckpoints) {
 
   expect_fully_recovered(eng, w, clean, 10);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTransports, EngineRecoverySided,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "OneSided" : "TwoSided";
-                         });
 
 TEST(EngineRecovery, DeadWorkerStaysDeadWithoutDoubleCounting) {
   auto w = data::make_sift_like(800, 20, 803);

@@ -74,14 +74,12 @@ void expect_same_bits(const data::KnnResults& got,
   }
 }
 
-EngineConfig stream_config(std::uint64_t seed, bool segmented,
-                           bool one_sided) {
+EngineConfig stream_config(std::uint64_t seed, bool segmented) {
   EngineConfig cfg;
   cfg.n_workers = 4;
   cfg.replication = 2;
   cfg.n_probe = 2;
   cfg.threads_per_worker = 1;
-  cfg.one_sided = one_sided;
   cfg.hnsw.M = 8;
   cfg.hnsw.ef_construction = 48;
   cfg.partitioner.vantage_candidates = 8;
@@ -96,15 +94,15 @@ EngineConfig stream_config(std::uint64_t seed, bool segmented,
 
 constexpr std::size_t kK = 10;
 
-// (seed, SQ8 segmented partitions, one-sided transport)
-using StreamCase = std::tuple<std::uint64_t, bool, bool>;
+// (seed, SQ8 segmented partitions)
+using StreamCase = std::tuple<std::uint64_t, bool>;
 
 class EngineStream : public ::testing::TestWithParam<StreamCase> {};
 
 TEST_P(EngineStream, EveryArrivalGroupingAnswersLikeTheBatch) {
-  const auto [seed, segmented, one_sided] = GetParam();
+  const auto [seed, segmented] = GetParam();
   const auto w = data::make_sift_like(1200, 40, seed);
-  DistributedAnnEngine eng(&w.base, stream_config(seed, segmented, one_sided));
+  DistributedAnnEngine eng(&w.base, stream_config(seed, segmented));
   eng.build();
   const auto batch = eng.search(w.queries, kK);
 
@@ -125,26 +123,22 @@ TEST_P(EngineStream, EveryArrivalGroupingAnswersLikeTheBatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsIndexesTransports, EngineStream,
+    SeedsIndexes, EngineStream,
     ::testing::Combine(::testing::Values(std::uint64_t{1}, std::uint64_t{431}),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<StreamCase>& p) {
       return "seed" + std::to_string(std::get<0>(p.param)) +
-             (std::get<1>(p.param) ? "_sq8" : "_hnsw") +
-             (std::get<2>(p.param) ? "_onesided" : "_twosided");
+             (std::get<1>(p.param) ? "_sq8" : "_hnsw");
     });
 
-class EngineStreamFaults : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EngineStreamFaults, RecycledSlotsIgnoreDuplicatedAndDelayedPartials) {
+TEST(EngineStreamFaults, RecycledSlotsIgnoreDuplicatedAndDelayedPartials) {
   // Two slots, so every query's slot held another query a moment before,
   // while the fabric delivers data-plane messages twice (a duplicated job
   // is searched and accumulated again, after its query was answered and
   // its slot handed on) and stalls senders. The next occupant must answer
   // exactly as the fault-free engine does.
-  const bool one_sided = GetParam();
   const auto w = data::make_sift_like(1200, 48, 1);
-  auto clean_cfg = stream_config(1, false, one_sided);
+  auto clean_cfg = stream_config(1, false);
   DistributedAnnEngine clean(&w.base, clean_cfg);
   clean.build();
   const auto reference = clean.search(w.queries, kK);
@@ -160,8 +154,7 @@ TEST_P(EngineStreamFaults, RecycledSlotsIgnoreDuplicatedAndDelayedPartials) {
 
   GroupSource source(w.queries, 2);
   const SearchStats st = eng.stream(source, kK, /*slots=*/2);
-  expect_same_bits(source.results, reference,
-                   one_sided ? "one-sided" : "two-sided");
+  expect_same_bits(source.results, reference, "two slots");
   EXPECT_TRUE(std::all_of(source.answers.begin(), source.answers.end(),
                           [](int n) { return n == 1; }));
   EXPECT_EQ(st.workers_failed, 0u);
@@ -172,14 +165,9 @@ TEST_P(EngineStreamFaults, RecycledSlotsIgnoreDuplicatedAndDelayedPartials) {
   EXPECT_GT(searched, st.total_jobs);
 }
 
-INSTANTIATE_TEST_SUITE_P(Transports, EngineStreamFaults, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "onesided" : "twosided";
-                         });
-
 TEST(EngineStreamContract, RejectsZeroSlots) {
   const auto w = data::make_sift_like(400, 4, 3);
-  DistributedAnnEngine eng(&w.base, stream_config(3, false, true));
+  DistributedAnnEngine eng(&w.base, stream_config(3, false));
   eng.build();
   GroupSource source(w.queries, 1);
   EXPECT_THROW((void)eng.stream(source, kK, 0), Error);
@@ -195,7 +183,7 @@ TEST(EngineStreamContract, DeclaringADeathStopsAdmissionAndEndsTheStream) {
   // then on the stream admits nothing: it drains and ends with queries
   // still in the source, and the engine records the death for heal().
   const auto w = data::make_sift_like(800, 32, 5);
-  auto cfg = stream_config(5, false, true);
+  auto cfg = stream_config(5, false);
   cfg.replication = 1;
   cfg.result_timeout_ms = 40.0;
   cfg.fault.kills.push_back({/*rank=*/2, /*after_ops=*/0, mpi::kNeverFires});

@@ -84,22 +84,18 @@ TEST(EngineWorld, DestructorJoinsEveryRankThread) {
 
 TEST(EngineWorld, IdenticalSearchesReportIdenticalTraffic) {
   auto w = data::make_sift_like(600, 12, 904);
-  for (const bool one_sided : {true, false}) {
-    auto cfg = world_config();
-    cfg.one_sided = one_sided;
-    DistributedAnnEngine eng(&w.base, cfg);
-    eng.build();
-    SearchStats a, b;
-    (void)eng.search(w.queries, 5, 0, &a);
-    (void)eng.search(w.queries, 5, 0, &b);
-    EXPECT_EQ(a.traffic.p2p_messages, b.traffic.p2p_messages);
-    EXPECT_EQ(a.traffic.p2p_bytes, b.traffic.p2p_bytes);
-    EXPECT_EQ(a.traffic.rma_ops, b.traffic.rma_ops);
-    EXPECT_EQ(a.traffic.rma_bytes, b.traffic.rma_bytes);
-    // Only the first one-sided batch creates the result window (a gather and
-    // a bcast); later batches reuse it.
-    EXPECT_EQ(b.traffic.collective_ops, 0u);
-  }
+  DistributedAnnEngine eng(&w.base, world_config());
+  eng.build();
+  SearchStats a, b;
+  (void)eng.search(w.queries, 5, 0, &a);
+  (void)eng.search(w.queries, 5, 0, &b);
+  EXPECT_EQ(a.traffic.p2p_messages, b.traffic.p2p_messages);
+  EXPECT_EQ(a.traffic.p2p_bytes, b.traffic.p2p_bytes);
+  EXPECT_EQ(a.traffic.rma_ops, b.traffic.rma_ops);
+  EXPECT_EQ(a.traffic.rma_bytes, b.traffic.rma_bytes);
+  // Only the first batch creates the result window (a gather and a bcast);
+  // later batches reuse it.
+  EXPECT_EQ(b.traffic.collective_ops, 0u);
 }
 
 TEST(EngineWorld, MovedAndLoadedEnginesServe) {
@@ -163,26 +159,23 @@ TEST(EngineWorld, KilledRankStaysSilentAcrossOperationsUntilHeal) {
 TEST(EngineWorld, AFailingOperationDoesNotWedgeTheNext) {
   auto w = data::make_sift_like(600, 12, 908);
   for (const double deadline : {0.0, 200.0}) {
-    for (const bool one_sided : {true, false}) {
-      auto cfg = world_config();
-      cfg.one_sided = one_sided;
-      cfg.result_timeout_ms = deadline;
-      DistributedAnnEngine eng(&w.base, cfg);
-      eng.build();
-      const auto want = eng.search(w.queries, 5);
-      // The per-query hook throws on the first answer, mid-collection.
-      EXPECT_THROW(
-          (void)eng.search(w.queries, 5, 0, nullptr,
-                           [](std::size_t, const std::vector<Neighbor>&,
-                              const QueryCoverage&) {
-                             throw std::runtime_error("hook failure");
-                           }),
-          std::runtime_error);
-      SearchStats st;
-      EXPECT_TRUE(same_answers(eng.search(w.queries, 5, 0, &st), want));
-      EXPECT_EQ(st.workers_failed, 0u);
-      EXPECT_EQ(eng.rank_threads_started(), 2 * cfg.n_workers);
-    }
+    auto cfg = world_config();
+    cfg.result_timeout_ms = deadline;
+    DistributedAnnEngine eng(&w.base, cfg);
+    eng.build();
+    const auto want = eng.search(w.queries, 5);
+    // The per-query hook throws on the first answer, mid-collection.
+    EXPECT_THROW(
+        (void)eng.search(w.queries, 5, 0, nullptr,
+                         [](std::size_t, const std::vector<Neighbor>&,
+                            const QueryCoverage&) {
+                           throw std::runtime_error("hook failure");
+                         }),
+        std::runtime_error);
+    SearchStats st;
+    EXPECT_TRUE(same_answers(eng.search(w.queries, 5, 0, &st), want));
+    EXPECT_EQ(st.workers_failed, 0u);
+    EXPECT_EQ(eng.rank_threads_started(), 2 * cfg.n_workers);
   }
 }
 

@@ -110,7 +110,6 @@ TEST(EngineLocalIndex, BruteForceWithExactRoutingIsExact) {
   cfg.n_workers = 8;
   cfg.local_index = LocalIndexKind::kBruteForce;
   cfg.exact_routing = true;
-  cfg.one_sided = false;
   cfg.threads_per_worker = 1;
   cfg.partitioner.vantage_candidates = 8;
   cfg.partitioner.vantage_sample = 64;

@@ -45,18 +45,6 @@ TEST(Protocol, QueryJobRejectsTrailingGarbage) {
   EXPECT_THROW((void)decode_query_job(bytes, kBounds), Error);
 }
 
-TEST(Protocol, LocalResultRoundTrip) {
-  LocalResult r;
-  r.seq = 5 + 43 * 1000;  // slot 5, a thousand occupants later
-  r.partition = 2;
-  r.neighbors = {{0.5f, 100}, {1.5f, 200}};
-  auto bytes = encode_local_result(r);
-  LocalResult back = decode_local_result(bytes, kBounds);
-  EXPECT_EQ(back.seq, r.seq);
-  EXPECT_EQ(back.partition, 2u);
-  EXPECT_EQ(back.neighbors, r.neighbors);
-}
-
 TEST(SlotLayout, SizesAndOffsets) {
   SlotLayout layout{10, 4};
   EXPECT_EQ(layout.slot_bytes(), 16u + 10 * sizeof(Neighbor));

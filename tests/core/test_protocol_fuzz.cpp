@@ -42,15 +42,6 @@ TEST(ProtocolFuzz, QueryJobRandomBytesNeverCrash) {
   }
 }
 
-TEST(ProtocolFuzz, LocalResultRandomBytesNeverCrash) {
-  Rng rng(2);
-  for (int rep = 0; rep < 500; ++rep) {
-    const auto bytes = random_bytes(rng.uniform_below(64), rng);
-    expect_error_or_valid(
-        bytes, [](const auto& b) { return decode_local_result(b, kBounds); });
-  }
-}
-
 TEST(ProtocolFuzz, TruncatedQueryJobThrows) {
   QueryJob job;
   job.partition = 0;
@@ -61,18 +52,6 @@ TEST(ProtocolFuzz, TruncatedQueryJobThrows) {
     std::vector<std::byte> truncated(full.begin(),
                                      full.begin() + std::ptrdiff_t(cut));
     EXPECT_THROW((void)decode_query_job(truncated, kBounds), Error)
-        << "cut=" << cut;
-  }
-}
-
-TEST(ProtocolFuzz, TruncatedLocalResultThrows) {
-  LocalResult r;
-  r.neighbors = {{1.f, 1}, {2.f, 2}};
-  const auto full = encode_local_result(r);
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::vector<std::byte> truncated(full.begin(),
-                                     full.begin() + std::ptrdiff_t(cut));
-    EXPECT_THROW((void)decode_local_result(truncated, kBounds), Error)
         << "cut=" << cut;
   }
 }
@@ -133,18 +112,6 @@ TEST(ProtocolFuzz, QueryJobOutsideTheBatchThrows) {
   j = edge_job();
   j.query.clear();
   expect_rejected(j, "empty query vector");
-}
-
-TEST(ProtocolFuzz, LocalResultOutsideTheBatchThrows) {
-  LocalResult r;
-  r.seq = ~std::uint64_t{0};
-  r.partition = PartitionId(kBounds.n_partitions - 1);
-  r.neighbors = {{1.f, 1}};
-  EXPECT_NO_THROW((void)decode_local_result(encode_local_result(r), kBounds));
-  LocalResult bad = r;
-  bad.partition = PartitionId(kBounds.n_partitions);
-  EXPECT_THROW((void)decode_local_result(encode_local_result(bad), kBounds),
-               Error);
 }
 
 TEST(ProtocolFuzz, SlotFullNoticeIsExact) {
@@ -301,13 +268,8 @@ TEST_P(SlotMutationFuzz, MutatedSequenceMessagesRoundTripOrThrow) {
   job.ef = 64;
   job.fanout = 2;
   job.query = {0.25f, 0.5f, 0.75f, 1.f};
-  LocalResult result;
-  result.seq = seq;
-  result.partition = 1;
-  result.neighbors = {{1.f, 1}, {2.f, 2}};
-  const std::vector<std::vector<std::byte>> valid = {
-      encode_query_job(job), encode_local_result(result),
-      encode_slot_full(seq)};
+  const std::vector<std::vector<std::byte>> valid = {encode_query_job(job),
+                                                     encode_slot_full(seq)};
 
   Rng rng(P * 31);
   for (int rep = 0; rep < 6000; ++rep) {
@@ -319,20 +281,12 @@ TEST_P(SlotMutationFuzz, MutatedSequenceMessagesRoundTripOrThrow) {
           std::byte(1 + rng.uniform_below(255));
     }
     try {
-      switch (which) {
-        case 0:
-          EXPECT_EQ(encode_query_job(decode_query_job(bytes, bounds)), bytes)
-              << "rep " << rep;
-          break;
-        case 1:
-          EXPECT_EQ(encode_local_result(decode_local_result(bytes, bounds)),
-                    bytes)
-              << "rep " << rep;
-          break;
-        default:
-          EXPECT_EQ(encode_slot_full(decode_slot_full(bytes)), bytes)
-              << "rep " << rep;
-          break;
+      if (which == 0) {
+        EXPECT_EQ(encode_query_job(decode_query_job(bytes, bounds)), bytes)
+            << "rep " << rep;
+      } else {
+        EXPECT_EQ(encode_slot_full(decode_slot_full(bytes)), bytes)
+            << "rep " << rep;
       }
     } catch (const Error&) {
       // a mutant that names no valid message

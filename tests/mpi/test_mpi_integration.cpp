@@ -117,6 +117,10 @@ TEST(MpiIntegration, NestedSplitsWithWindows) {
   });
 }
 
+/// The workers' replies: a plain two-sided tag of the test's own, apart
+/// from every engine tag.
+constexpr Tag kTagEcho = 2;
+
 TEST(MpiIntegration, MasterWorkerPatternStress) {
   // Algorithm 3/4 in miniature under load: a master dispatches many tagged
   // jobs; two threads per worker consume and reply; everything reconciles.
@@ -135,7 +139,7 @@ TEST(MpiIntegration, MasterWorkerPatternStress) {
       }
       std::uint64_t sum = 0;
       for (int j = 0; j < jobs_per_worker * P; ++j) {
-        Message m = c.recv(kAnySource, core::kTagResult);
+        Message m = c.recv(kAnySource, kTagEcho);
         BinaryReader r(m.payload);
         sum += r.read<std::uint64_t>();
       }
@@ -165,7 +169,7 @@ TEST(MpiIntegration, MasterWorkerPatternStress) {
           BinaryReader r(m.payload);
           BinaryWriter w;
           w.write(std::uint64_t(r.read<int>()));
-          (void)c.isend(0, core::kTagResult, w.bytes());
+          (void)c.isend(0, kTagEcho, w.bytes());
         }
       };
       std::thread t1(worker_thread), t2(worker_thread);

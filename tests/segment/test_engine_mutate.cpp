@@ -92,12 +92,9 @@ double self_hit_rate(DistributedAnnEngine& eng, const data::Dataset& rows,
   return hits / double(rows.size());
 }
 
-class EngineMutateSided : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EngineMutateSided, InsertRemoveCompactLifecycle) {
+TEST(EngineMutate, InsertRemoveCompactLifecycle) {
   auto w = data::make_sift_like(600, 20, 811);
   auto cfg = mutate_config(4);
-  cfg.one_sided = GetParam();
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
 
@@ -134,11 +131,6 @@ TEST_P(EngineMutateSided, InsertRemoveCompactLifecycle) {
   // A second compact with nothing pending is a no-op.
   EXPECT_EQ(eng.compact(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, EngineMutateSided, ::testing::Bool(),
-                         [](const auto& pinfo) {
-                           return pinfo.param ? "OneSided" : "TwoSided";
-                         });
 
 TEST(EngineMutate, WritesRejectNonSegmentedEngines) {
   auto w = data::make_sift_like(200, 5, 813);

@@ -53,7 +53,7 @@ using namespace annsim;
                "  annsim build <base.fvecs> <out_dir> [--workers N] "
                "[--replication R] [--nprobe P] [--M m] [--efc e] [--local "
                "hnsw|bruteforce|exacttree|ivfpq|segmented] [--delta-cap C] "
-               "[--quantize sq8] [--float-cache F] [--two-sided]\n"
+               "[--quantize sq8] [--float-cache F]\n"
                "  annsim search <index_dir> <query.fvecs> <k> <out.ivecs> "
                "[--ef E]\n"
                "  annsim eval <result.ivecs> <gt.ivecs> <k>\n"
@@ -67,7 +67,7 @@ using namespace annsim;
                "  annsim chaos-bench <SIFT|DEEP|GIST|SYN_1M|SYN_10M> <n_base> "
                "<n_queries> <k> [--workers N] [--replication R] [--nprobe P] "
                "[--kill-worker W] [--kill-after N] [--drop-p D] "
-               "[--timeout-ms T] [--fault-seed S] [--two-sided] "
+               "[--timeout-ms T] [--fault-seed S] "
                "[--heal-after-ms H] [--checkpoint-dir D] [--wal-dir D] "
                "[--json PATH] [--mpi-check]\n"
                "  annsim mutate-bench <SIFT|DEEP|GIST|SYN_1M|SYN_10M> <n_base> "
@@ -201,8 +201,6 @@ int cmd_build(int argc, char** argv) {
     cfg.float_cache_fraction =
         std::atof(opt(argc, argv, "--float-cache", "0.02").c_str());
   }
-  if (flag(argc, argv, "--two-sided")) cfg.one_sided = false;
-
   std::printf("building: %zu points x %zu-d, %zu workers, r=%zu, local=%s%s\n",
               base.size(), base.dim(), cfg.n_workers, cfg.replication,
               core::local_index_kind_name(cfg.local_index),
@@ -291,11 +289,10 @@ int cmd_info(int argc, char** argv) {
   for (auto s : sizes) total += s;
   std::printf("index: %zu points x %zu-d in %zu partitions\n", total,
               engine.router().dim(), sizes.size());
-  std::printf("config: r=%zu n_probe=%zu local=%s M=%zu efc=%zu %s\n",
+  std::printf("config: r=%zu n_probe=%zu local=%s M=%zu efc=%zu\n",
               cfg.replication, cfg.n_probe,
               core::local_index_kind_name(cfg.local_index), cfg.hnsw.M,
-              cfg.hnsw.ef_construction,
-              cfg.one_sided ? "one-sided" : "two-sided");
+              cfg.hnsw.ef_construction);
   std::printf("router depth %zu\n", engine.router().depth());
   return 0;
 }
@@ -491,7 +488,6 @@ int cmd_chaos_bench(int argc, char** argv) {
   cfg.n_workers = arg_num(opt(argc, argv, "--workers", "8").c_str());
   cfg.replication = arg_num(opt(argc, argv, "--replication", "2").c_str());
   cfg.n_probe = arg_num(opt(argc, argv, "--nprobe", "4").c_str());
-  if (flag(argc, argv, "--two-sided")) cfg.one_sided = false;
   const bool mpi_check = flag(argc, argv, "--mpi-check");
   if (mpi_check) {
     cfg.mpi_check = true;
@@ -518,9 +514,9 @@ int cmd_chaos_bench(int argc, char** argv) {
 
   auto w = data::make_by_name(recipe, n_base, n_queries, 42);
   std::printf("chaos-bench: %zu x %zu-d, %zu queries, k=%zu, %zu workers, "
-              "r=%zu, %s\n",
+              "r=%zu\n",
               w.base.size(), w.base.dim(), w.queries.size(), k, cfg.n_workers,
-              cfg.replication, cfg.one_sided ? "one-sided" : "two-sided");
+              cfg.replication);
   auto gt = data::brute_force_knn(w.base, w.queries, k, simd::Metric::kL2);
 
   core::DistributedAnnEngine clean(&w.base, cfg);
